@@ -449,11 +449,13 @@ Uint128 BddManager::count_index(NodeIndex a) {
   // Iterative post-order to avoid deep recursion on wide header spaces.
   // c(n) = c(low)*2^(level(low)-level(n)-1) + c(high)*2^(level(high)-level(n)-1)
   // with c(false)=0, c(true)=1; final count scales by 2^level(root).
+  // A memoized root skips the walk (and its stack allocation) entirely.
   struct Frame {
     NodeIndex n;
     bool expanded;
   };
-  std::vector<Frame> stack{{a, false}};
+  std::vector<Frame> stack;
+  if (a != kFalse && a != kTrue && !count_memo_valid_[a]) stack.push_back({a, false});
   while (!stack.empty()) {
     auto [n, expanded] = stack.back();
     stack.pop_back();

@@ -121,50 +121,59 @@ ComponentSpec ComponentFactory::coflow(const std::vector<FlowEndpoint>& flows,
   return spec;
 }
 
+namespace {
+
+std::vector<net::DeviceId> every_device(const net::Network& network) {
+  std::vector<net::DeviceId> out;
+  out.reserve(network.device_count());
+  for (const net::Device& d : network.devices()) out.push_back(d.id);
+  return out;
+}
+
+}  // namespace
+
 std::vector<ComponentSpec> ComponentFactory::all_rules(
     const std::vector<net::DeviceId>& devices) const {
   const net::Network& network = transfer_.network();
   std::vector<ComponentSpec> out;
-  const auto add_device = [&](net::DeviceId id) {
+  for (const net::DeviceId id : devices) {
     for (const net::TableKind table : {net::TableKind::Acl, net::TableKind::Fib}) {
       for (const net::RuleId rid : network.table(id, table)) out.push_back(rule(rid));
     }
-  };
-  if (devices.empty()) {
-    for (const net::Device& d : network.devices()) add_device(d.id);
-  } else {
-    for (const net::DeviceId id : devices) add_device(id);
   }
   return out;
 }
 
+std::vector<ComponentSpec> ComponentFactory::all_rules() const {
+  return all_rules(every_device(transfer_.network()));
+}
+
 std::vector<ComponentSpec> ComponentFactory::all_devices(
     const std::vector<net::DeviceId>& devices) const {
-  const net::Network& network = transfer_.network();
   std::vector<ComponentSpec> out;
-  if (devices.empty()) {
-    for (const net::Device& d : network.devices()) out.push_back(device(d.id));
-  } else {
-    for (const net::DeviceId id : devices) out.push_back(device(id));
-  }
+  for (const net::DeviceId id : devices) out.push_back(device(id));
   return out;
+}
+
+std::vector<ComponentSpec> ComponentFactory::all_devices() const {
+  return all_devices(every_device(transfer_.network()));
 }
 
 std::vector<ComponentSpec> ComponentFactory::all_interfaces(
     const std::vector<net::DeviceId>& devices, InterfaceDirection direction) const {
   const net::Network& network = transfer_.network();
   std::vector<ComponentSpec> out;
-  const auto add_device = [&](net::DeviceId id) {
+  for (const net::DeviceId id : devices) {
     for (const net::InterfaceId intf : network.device(id).interfaces) {
       out.push_back(interface(intf, direction));
     }
-  };
-  if (devices.empty()) {
-    for (const net::Device& d : network.devices()) add_device(d.id);
-  } else {
-    for (const net::DeviceId id : devices) add_device(id);
   }
   return out;
+}
+
+std::vector<ComponentSpec> ComponentFactory::all_interfaces(
+    InterfaceDirection direction) const {
+  return all_interfaces(every_device(transfer_.network()), direction);
 }
 
 }  // namespace yardstick::coverage

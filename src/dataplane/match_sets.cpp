@@ -263,8 +263,11 @@ MatchSetIndex::MatchSetIndex(bdd::BddManager& mgr, const net::Network& network,
     for (PacketSet& ps : match_fields_) {
       if (!ps.valid()) ps = PacketSet::none(mgr);
     }
-    for (PacketSet& ps : match_sets_) {
-      if (!ps.valid()) ps = PacketSet::none(mgr);
+    unreached_.assign(num_rules, 0);
+    for (size_t i = 0; i < num_rules; ++i) {
+      if (match_sets_[i].valid()) continue;
+      unreached_[i] = 1;
+      match_sets_[i] = PacketSet::none(mgr);
     }
     for (PacketSet& ps : matched_space_) {
       if (!ps.valid()) ps = PacketSet::none(mgr);
@@ -276,7 +279,10 @@ MatchSetIndex::MatchSetIndex(bdd::BddManager& mgr, const net::Network& network,
 }
 
 MatchSetIndex::MatchSetIndex(bdd::BddManager& dst, const MatchSetIndex& other)
-    : mgr_(dst), network_(other.network_), truncated_(other.truncated_) {
+    : mgr_(dst),
+      network_(other.network_),
+      unreached_(other.unreached_),
+      truncated_(other.truncated_) {
   obs::Span span("match_sets.clone", "offline");
   bdd::BddImporter imp(dst, other.mgr_);
   const auto clone_all = [&imp](const std::vector<PacketSet>& src,

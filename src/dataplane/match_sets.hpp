@@ -42,8 +42,9 @@ class MatchSetIndex {
   ///
   /// `budget` (non-owning, may be null) bounds the computation: when the
   /// deadline, node cap or cancel flag trips mid-walk, the remaining rules
-  /// get empty match sets, truncated() flips to true, and construction
-  /// completes without throwing — partial results instead of a runaway.
+  /// get empty match sets (and reached() == false), truncated() flips to
+  /// true, and construction completes without throwing — partial results
+  /// instead of a runaway.
   ///
   /// `threads` > 1 shards the per-device walks across that many worker
   /// threads, each building in its own BddManager, and merges the results
@@ -77,6 +78,13 @@ class MatchSetIndex {
   /// True when a resource budget stopped the computation early; every
   /// accessor below then under-reports for the rules never reached.
   [[nodiscard]] bool truncated() const { return truncated_; }
+
+  /// False for a rule a truncated build never gave a match set. Its empty
+  /// match_set() then means "never computed", not "shadowed", so metric
+  /// folds must not read it as vacuously covered.
+  [[nodiscard]] bool reached(net::RuleId id) const {
+    return unreached_.empty() || unreached_[id.value] == 0;
+  }
 
   /// The raw match field of the rule (what the table entry says).
   [[nodiscard]] const packet::PacketSet& match_field(net::RuleId id) const {
@@ -123,6 +131,7 @@ class MatchSetIndex {
   std::vector<packet::PacketSet> match_sets_;    // indexed by RuleId
   std::vector<packet::PacketSet> matched_space_;  // indexed by DeviceId
   std::vector<packet::PacketSet> acl_permitted_;  // indexed by DeviceId
+  std::vector<char> unreached_;  // indexed by RuleId; empty unless truncated
   bool truncated_ = false;
 };
 

@@ -13,6 +13,8 @@
 //   ├─ covered_sets.build              (offline step 2, Algorithm 1)
 //   │  ├─ parallel.worker (×N)
 //   │  └─ covered_sets.merge
+//   ├─ measure_table.build             (offline step 3's per-rule pass)
+//   ├─ analysis.report                 (step 3 folds over the table)
 //   ├─ path_coverage.sweep             (offline step 3, DFS sweep)
 //   │  └─ parallel.worker (×N)         (clone + ingress drain)
 //   ├─ analysis.analyze                (--analyze)

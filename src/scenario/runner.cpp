@@ -96,9 +96,9 @@ ScenarioRunner::Evaluation ScenarioRunner::evaluate(const routing::RoutingConfig
         for (int n = 2; ev.rules.contains(unique); ++n) {
           unique = key + "#" + std::to_string(n);
         }
+        const ys::RuleMeasure& m = engine.rule_measure(rid);
         ev.rules.emplace(std::move(unique),
-                         Evaluation::RuleInfo{rule.kind, engine.rule_coverage(rid),
-                                              engine.covered_sets().covered_size(rid)});
+                         Evaluation::RuleInfo{rule.kind, m.coverage(), m.covered});
       }
     }
   }

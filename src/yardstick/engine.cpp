@@ -7,10 +7,9 @@
 #include "common/parallel.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "packet/packet_set.hpp"
 
 namespace yardstick::ys {
-
-using coverage::ComponentSpec;
 
 namespace {
 
@@ -126,7 +125,8 @@ CoverageEngine::CoverageEngine(bdd::BddManager& mgr, const net::Network& network
       index_(timed_match_sets(mgr, network, options, timings_, incremental_.get())),
       transfer_(index_),
       covered_(timed_covered_sets(index_, trace, options, timings_, incremental_.get())),
-      factory_(transfer_) {
+      factory_(transfer_),
+      measures_(build_measures(index_, covered_, factory_)) {
   if (incremental_) {
     incremental_->save(index_, covered_);
     if (obs::enabled()) {
@@ -148,27 +148,64 @@ CoverageEngine::CoverageEngine(bdd::BddManager& mgr, const net::Network& network
   sample_engine_gauges(mgr, budget_);
 }
 
-template <typename Fn>
-double CoverageEngine::degradable(bool* degraded, Fn&& fn) const {
-  try {
-    return fn();
-  } catch (const StatusError& e) {
-    if (!is_resource_exhaustion(e.code())) throw;
-    if (degraded != nullptr) *degraded = true;
-    return 0.0;
+CoverageEngine::MeasureTable CoverageEngine::build_measures(
+    const dataplane::MatchSetIndex& index, const coverage::CoveredSets& covered,
+    const coverage::ComponentFactory& factory) {
+  obs::Span span("measure_table.build", "offline");
+  const net::Network& network = index.network();
+  MeasureTable table;
+  table.rules.resize(network.rule_count());
+  // Each rule's fraction_measure result: the one string per rule that
+  // every device and outgoing-interface component folds.
+  std::vector<coverage::MeasureResult> measured(network.rule_count());
+  const bdd::Uint128 universe = packet::PacketSet::all(index.manager()).count();
+  for (const net::Rule& rule : network.rules()) {
+    RuleMeasure& m = table.rules[rule.id.value];
+    if (index.reached(rule.id)) {
+      m.match = index.match_set_size(rule.id);
+      // Algorithm 1 clips every covered set to its match set, so |T[r]| is
+      // already |T[r] ∩ M[r]|.
+      m.covered = covered.covered_size(rule.id);
+    } else {
+      // Step 1 never computed M[r]: count the rule untested, weighted as
+      // heavily as any match set could be, so the metrics stay lower bounds.
+      m.match = universe;
+    }
+    measured[rule.id.value] = {m.coverage(), m.match};
   }
-}
 
-double CoverageEngine::rule_coverage(net::RuleId id) const {
-  return coverage::component_coverage(covered_, factory_.rule(id));
-}
-
-double CoverageEngine::device_coverage(net::DeviceId id) const {
-  return coverage::component_coverage(covered_, factory_.device(id));
+  // Device and outgoing-interface components: the framework's weighted-mean
+  // combinator over the same strings in the same order.
+  const coverage::Combinator weighted_mean = coverage::weighted_mean_combinator();
+  std::vector<coverage::MeasureResult> strings;
+  const auto add = [&](net::RuleId rid) { strings.push_back(measured[rid.value]); };
+  const auto fold = [&] {
+    coverage::ComponentCoverage out{weighted_mean(strings), 0};
+    for (const coverage::MeasureResult& s : strings) out.weight += s.weight;
+    strings.clear();
+    return out;
+  };
+  table.devices.resize(network.device_count());
+  for (const net::Device& dev : network.devices()) {
+    for (const net::TableKind kind : {net::TableKind::Acl, net::TableKind::Fib}) {
+      for (const net::RuleId rid : network.table(dev.id, kind)) add(rid);
+    }
+    table.devices[dev.id.value] = fold();
+  }
+  table.interfaces.resize(network.interface_count());
+  for (const net::Interface& intf : network.interfaces()) {
+    for (const net::RuleId rid : factory.rules_to_interface(intf.id)) add(rid);
+    table.interfaces[intf.id.value] = fold();
+  }
+  span.arg("rules", network.rule_count());
+  return table;
 }
 
 double CoverageEngine::interface_coverage(net::InterfaceId id,
                                           coverage::InterfaceDirection direction) const {
+  if (direction == coverage::InterfaceDirection::Outgoing) {
+    return measures_.interfaces[id.value].value;
+  }
   return coverage::component_coverage(covered_, factory_.interface(id, direction));
 }
 
@@ -187,21 +224,49 @@ std::vector<net::DeviceId> CoverageEngine::filtered_devices(
   return out;
 }
 
+std::vector<coverage::ComponentCoverage> CoverageEngine::components(
+    Collection collection, const DeviceFilter& filter) const {
+  std::vector<coverage::ComponentCoverage> out;
+  for (const net::Device& dev : network_.devices()) {
+    if (filter && !filter(dev)) continue;
+    switch (collection) {
+      case Collection::Rules:
+        for (const net::TableKind table : {net::TableKind::Acl, net::TableKind::Fib}) {
+          for (const net::RuleId rid : network_.table(dev.id, table)) {
+            const RuleMeasure& m = measures_.rules[rid.value];
+            out.push_back({m.coverage(), m.match});
+          }
+        }
+        break;
+      case Collection::Devices:
+        out.push_back(measures_.devices[dev.id.value]);
+        break;
+      case Collection::OutgoingInterfaces:
+        for (const net::InterfaceId intf : dev.interfaces) {
+          out.push_back(measures_.interfaces[intf.value]);
+        }
+        break;
+    }
+  }
+  return out;
+}
+
 double CoverageEngine::rules_coverage(const coverage::Aggregator& aggregate,
                                       const DeviceFilter& filter) const {
-  return coverage::collection_coverage(covered_, factory_.all_rules(filtered_devices(filter)),
-                                       aggregate);
+  return aggregate(components(Collection::Rules, filter));
 }
 
 double CoverageEngine::devices_coverage(const coverage::Aggregator& aggregate,
                                         const DeviceFilter& filter) const {
-  return coverage::collection_coverage(
-      covered_, factory_.all_devices(filtered_devices(filter)), aggregate);
+  return aggregate(components(Collection::Devices, filter));
 }
 
 double CoverageEngine::interfaces_coverage(const coverage::Aggregator& aggregate,
                                            const DeviceFilter& filter,
                                            coverage::InterfaceDirection direction) const {
+  if (direction == coverage::InterfaceDirection::Outgoing) {
+    return aggregate(components(Collection::OutgoingInterfaces, filter));
+  }
   return coverage::collection_coverage(
       covered_, factory_.all_interfaces(filtered_devices(filter), direction), aggregate);
 }
@@ -379,8 +444,7 @@ std::vector<net::RuleId> CoverageEngine::untested_rules(const DeviceFilter& filt
     if (filter && !filter(dev)) continue;
     for (const net::TableKind table : {net::TableKind::Acl, net::TableKind::Fib}) {
       for (const net::RuleId rid : network_.table(dev.id, table)) {
-        if (index_.match_set(rid).empty()) continue;  // shadowed: vacuous
-        if (covered_.covered(rid).empty()) out.push_back(rid);
+        if (rule_coverage(rid) == 0.0) out.push_back(rid);
       }
     }
   }
@@ -393,29 +457,22 @@ std::vector<net::InterfaceId> CoverageEngine::untested_interfaces(
   for (const net::Device& dev : network_.devices()) {
     if (filter && !filter(dev)) continue;
     for (const net::InterfaceId intf : dev.interfaces) {
-      if (interface_coverage(intf) == 0.0) out.push_back(intf);
+      if (measures_.interfaces[intf.value].value == 0.0) out.push_back(intf);
     }
   }
   return out;
 }
 
 MetricRow CoverageEngine::metrics(const DeviceFilter& filter) const {
-  // Each of the four numbers degrades independently: a budget tripping
-  // mid-aggregation leaves that metric at its partial/zero value and flags
-  // the row instead of propagating an exception to the caller.
+  const std::vector<coverage::ComponentCoverage> rules = components(Collection::Rules, filter);
   MetricRow row;
-  bool degraded = truncated();
-  row.device_fractional = degradable(
-      &degraded, [&] { return devices_coverage(coverage::fractional_aggregator(), filter); });
-  row.interface_fractional = degradable(&degraded, [&] {
-    return interfaces_coverage(coverage::fractional_aggregator(), filter);
-  });
-  row.rule_fractional = degradable(
-      &degraded, [&] { return rules_coverage(coverage::fractional_aggregator(), filter); });
-  row.rule_weighted = degradable(&degraded, [&] {
-    return rules_coverage(coverage::weighted_average_aggregator(), filter);
-  });
-  row.truncated = degraded;
+  row.device_fractional =
+      coverage::fractional_aggregator()(components(Collection::Devices, filter));
+  row.interface_fractional =
+      coverage::fractional_aggregator()(components(Collection::OutgoingInterfaces, filter));
+  row.rule_fractional = coverage::fractional_aggregator()(rules);
+  row.rule_weighted = coverage::weighted_average_aggregator()(rules);
+  row.truncated = truncated();
   return row;
 }
 
@@ -424,52 +481,43 @@ CoverageReport CoverageEngine::report() const {
   CoverageReport report;
   report.timings = timings_;
   report.truncated = truncated();
-  const auto metrics_for = [&](const DeviceFilter& filter) { return metrics(filter); };
+  report.overall = metrics();
 
-  report.overall = metrics_for(nullptr);
-  report.truncated = report.truncated || report.overall.truncated;
-  try {
-
-    // Per-role breakdown in hierarchy order, only for roles that exist.
-    for (const net::Role role :
-         {net::Role::ToR, net::Role::Aggregation, net::Role::Spine,
-          net::Role::RegionalHub, net::Role::Wan, net::Role::Other}) {
-      const std::vector<net::DeviceId> members = network_.devices_with_role(role);
-      if (members.empty()) continue;
-      RoleBreakdown row;
-      row.role = role;
-      row.device_count = members.size();
-      for (const net::DeviceId id : members) {
-        row.interface_count += network_.device(id).interfaces.size();
-        row.rule_count += network_.table(id, net::TableKind::Acl).size() +
-                          network_.table(id, net::TableKind::Fib).size();
-      }
-      row.metrics = metrics_for(role_filter(role));
-      report.truncated = report.truncated || row.metrics.truncated;
-      report.by_role.push_back(row);
+  // Per-role breakdown in hierarchy order, only for roles that exist.
+  for (const net::Role role :
+       {net::Role::ToR, net::Role::Aggregation, net::Role::Spine,
+        net::Role::RegionalHub, net::Role::Wan, net::Role::Other}) {
+    const std::vector<net::DeviceId> members = network_.devices_with_role(role);
+    if (members.empty()) continue;
+    RoleBreakdown row;
+    row.role = role;
+    row.device_count = members.size();
+    for (const net::DeviceId id : members) {
+      row.interface_count += network_.device(id).interfaces.size();
+      row.rule_count += network_.table(id, net::TableKind::Acl).size() +
+                        network_.table(id, net::TableKind::Fib).size();
     }
-
-    // Gap analysis: untested rules grouped by provenance (§7.2).
-    std::map<net::RouteKind, RuleGap> gaps;
-    for (const net::Rule& rule : network_.rules()) {
-      if (index_.match_set(rule.id).empty()) continue;
-      RuleGap& gap = gaps[rule.kind];
-      gap.kind = rule.kind;
-      ++gap.total;
-      if (covered_.covered(rule.id).empty()) ++gap.untested;
-    }
-    for (const auto& [kind, gap] : gaps) report.gaps.push_back(gap);
-
-    for (const net::Device& dev : network_.devices()) {
-      if (device_coverage(dev.id) == 0.0) ++report.untested_device_count;
-    }
-    report.untested_interface_count = untested_interfaces().size();
-  } catch (const StatusError& e) {
-    // A budget tripping mid-report leaves the rows computed so far in
-    // place; the flag tells readers the report is partial.
-    if (!is_resource_exhaustion(e.code())) throw;
-    report.truncated = true;
+    row.metrics = metrics(role_filter(role));
+    report.by_role.push_back(row);
   }
+
+  // Gap analysis: untested rules grouped by provenance (§7.2). Rules with
+  // empty match sets are vacuous and count in neither column.
+  std::map<net::RouteKind, RuleGap> gaps;
+  for (const net::Rule& rule : network_.rules()) {
+    const RuleMeasure& m = measures_.rules[rule.id.value];
+    if (m.match == 0) continue;
+    RuleGap& gap = gaps[rule.kind];
+    gap.kind = rule.kind;
+    ++gap.total;
+    if (m.covered == 0) ++gap.untested;
+  }
+  for (const auto& [kind, gap] : gaps) report.gaps.push_back(gap);
+
+  for (const coverage::ComponentCoverage& device : measures_.devices) {
+    if (device.value == 0.0) ++report.untested_device_count;
+  }
+  report.untested_interface_count = untested_interfaces().size();
   return report;
 }
 

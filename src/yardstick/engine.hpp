@@ -4,8 +4,13 @@
 // engine runs the three steps of §5.2:
 //   1. compute disjoint rule match sets (MatchSetIndex),
 //   2. compute covered sets T[r] (Algorithm 1),
-//   3. compute the requested component and collection metrics via the
-//      (G, µ, κ, α) framework.
+//   3. compute the requested component and collection metrics.
+//
+// Step 3's local metrics (rules, devices, outgoing interfaces) all fold
+// the same per-rule fraction |T[r] ∩ M[r]| / |M[r]|, so construction ends
+// by measuring every rule once into a table (DESIGN.md §15); those queries
+// are folds over it. Paths, flows and incoming interfaces still go through
+// the (G, µ, κ, α) framework.
 //
 // Metric computation is deliberately off the testing path: the engine can
 // be constructed at any time after tests finish, and users can keep asking
@@ -29,8 +34,21 @@
 namespace yardstick::ys {
 
 /// Restricts a metric to a subset of devices (§6: users can zoom in on,
-/// say, only leaf routers). Null filter = every device.
+/// say, only leaf routers). Null filter = every device; a filter that keeps
+/// no device gives empty collections, which aggregate to 1.0.
 using DeviceFilter = std::function<bool(const net::Device&)>;
+
+/// One rule's row in step 3's measure table: the two model counts the
+/// fraction measure takes.
+struct RuleMeasure {
+  bdd::Uint128 match = 0;    ///< |M[r]|: the rule's weight in every weighted fold
+  bdd::Uint128 covered = 0;  ///< |T[r] ∩ M[r]|: the rule's exercised ATUs
+
+  /// Rule coverage (fraction_measure): vacuously 1 for an empty match set.
+  [[nodiscard]] double coverage() const {
+    return match == 0 ? 1.0 : bdd::ratio(covered, match);
+  }
+};
 
 /// Result of a path-universe sweep (Figure 9's most expensive metric).
 struct PathCoverageResult {
@@ -88,14 +106,20 @@ class CoverageEngine {
                  const coverage::CoverageTrace& trace, const EngineOptions& options);
 
   /// True when a resource budget degraded steps 1-2; all metrics are
-  /// lower bounds in that case.
+  /// lower bounds in that case (a rule step 1 never reached counts as
+  /// untested, weighted by the whole header space).
   [[nodiscard]] bool truncated() const {
     return index_.truncated() || covered_.truncated();
   }
 
   // --- Single-component metrics ---
-  [[nodiscard]] double rule_coverage(net::RuleId id) const;
-  [[nodiscard]] double device_coverage(net::DeviceId id) const;
+  [[nodiscard]] double rule_coverage(net::RuleId id) const {
+    return measures_.rules[id.value].coverage();
+  }
+  [[nodiscard]] double device_coverage(net::DeviceId id) const {
+    return measures_.devices[id.value].value;
+  }
+  /// Outgoing: a table lookup. Incoming: evaluated on the framework.
   [[nodiscard]] double interface_coverage(
       net::InterfaceId id,
       coverage::InterfaceDirection direction = coverage::InterfaceDirection::Outgoing) const;
@@ -136,6 +160,10 @@ class CoverageEngine {
       const DeviceFilter& filter = nullptr) const;
 
   // --- Internals exposed for tests, benches and advanced queries ---
+  /// The rule's row in the measure table.
+  [[nodiscard]] const RuleMeasure& rule_measure(net::RuleId id) const {
+    return measures_.rules[id.value];
+  }
   [[nodiscard]] const dataplane::MatchSetIndex& match_sets() const { return index_; }
   [[nodiscard]] const dataplane::Transfer& transfer() const { return transfer_; }
   [[nodiscard]] const coverage::CoveredSets& covered_sets() const { return covered_; }
@@ -152,11 +180,26 @@ class CoverageEngine {
   }
 
  private:
+  /// Step 3's shared work (DESIGN.md §15): every rule's measures, and each
+  /// device's and outgoing interface's weighted mean folded from them in
+  /// the framework's string order.
+  struct MeasureTable {
+    std::vector<RuleMeasure> rules;                          // by RuleId
+    std::vector<coverage::ComponentCoverage> devices;        // by DeviceId
+    std::vector<coverage::ComponentCoverage> interfaces;     // by InterfaceId
+  };
+  enum class Collection : uint8_t { Rules, Devices, OutgoingInterfaces };
+
+  /// The collection's (value, weight) pairs over the devices `filter`
+  /// keeps, in the order ComponentFactory::all_* lists their specs.
+  [[nodiscard]] std::vector<coverage::ComponentCoverage> components(
+      Collection collection, const DeviceFilter& filter) const;
   [[nodiscard]] std::vector<net::DeviceId> filtered_devices(const DeviceFilter& filter) const;
-  /// Runs `fn()` under the engine's budget; a tripped budget sets
-  /// `*degraded` and leaves the fallback value in place of the result.
-  template <typename Fn>
-  [[nodiscard]] double degradable(bool* degraded, Fn&& fn) const;
+  /// Serial, in the primary manager, after steps 1-2 (no BDD operation
+  /// beyond model counts, so a tripped budget cannot interrupt it).
+  [[nodiscard]] static MeasureTable build_measures(const dataplane::MatchSetIndex& index,
+                                                   const coverage::CoveredSets& covered,
+                                                   const coverage::ComponentFactory& factory);
 
   /// Init-list helpers: build step 1 / step 2 while timing them into
   /// `timings` (guaranteed copy elision constructs the member in place;
@@ -185,6 +228,7 @@ class CoverageEngine {
   dataplane::Transfer transfer_;
   coverage::CoveredSets covered_;
   coverage::ComponentFactory factory_;
+  MeasureTable measures_;
 };
 
 /// Convenience device filter: keep only devices of one role.

@@ -5,6 +5,7 @@
 #include <array>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <string>
 
 namespace {
@@ -84,6 +85,34 @@ TEST(CliTest, TraceSaveAndLoadRoundTrip) {
   EXPECT_EQ(load.exit_code, 0) << load.output;
   EXPECT_NE(load.output.find("coverage report"), std::string::npos);
   std::remove(trace.c_str());
+}
+
+TEST(CliTest, EveryModeWritesObservabilityOutputs) {
+  REQUIRE_CLI();
+  const auto slurp = [](const std::string& path) {
+    std::ifstream in(path);
+    return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  };
+  for (const std::string mode : {"fattree --k 4 --suite fattree",
+                                 "scenarios fattree --k 4 --random-links 2",
+                                 "optimize fattree --k 4 --minimize"}) {
+    const std::string trace = ::testing::TempDir() + "/cli_obs_trace.json";
+    const std::string metrics = ::testing::TempDir() + "/cli_obs_metrics.json";
+    for (const std::string& path : {trace, metrics, metrics + ".prom"}) {
+      std::remove(path.c_str());
+    }
+    const CommandResult r =
+        run_cli(mode + " --trace-out " + trace + " --metrics-out " + metrics);
+    EXPECT_EQ(r.exit_code, 0) << mode << "\n" << r.output;
+    const std::string timeline = slurp(trace);
+    EXPECT_NE(timeline.find("\"cli.run\""), std::string::npos) << mode;
+    EXPECT_NE(timeline.find("\"measure_table.build\""), std::string::npos) << mode;
+    EXPECT_NE(slurp(metrics).find("\"metrics\""), std::string::npos) << mode;
+    EXPECT_NE(slurp(metrics + ".prom").find("# TYPE ys_"), std::string::npos) << mode;
+    for (const std::string& path : {trace, metrics, metrics + ".prom"}) {
+      std::remove(path.c_str());
+    }
+  }
 }
 
 TEST(CliTest, NetworkFileMode) {

@@ -83,6 +83,35 @@ TEST_F(EngineTest, CollectionQueriesWithFilters) {
   EXPECT_DOUBLE_EQ(spine_frac, 0.0);
 }
 
+TEST_F(EngineTest, FilterMatchingNoDeviceFoldsEmptyCollections) {
+  // A filter that keeps nothing must not fall back to the whole network:
+  // every collection is empty and aggregates to 1.0.
+  tracker_.mark_rule(tiny_.l1_default);
+  const CoverageEngine engine(mgr_, tiny_.net, tracker_.trace());
+  const DeviceFilter nothing = [](const net::Device&) { return false; };
+
+  const MetricRow all = engine.metrics();
+  EXPECT_LT(all.rule_fractional, 1.0);
+  const MetricRow none = engine.metrics(nothing);
+  EXPECT_EQ(none.device_fractional, 1.0);
+  EXPECT_EQ(none.interface_fractional, 1.0);
+  EXPECT_EQ(none.rule_fractional, 1.0);
+  EXPECT_EQ(none.rule_weighted, 1.0);
+  EXPECT_FALSE(none.truncated);
+
+  EXPECT_EQ(engine.rules_coverage(coverage::weighted_average_aggregator(), nothing), 1.0);
+  EXPECT_EQ(engine.devices_coverage(coverage::simple_average_aggregator(), nothing), 1.0);
+  for (const auto direction :
+       {coverage::InterfaceDirection::Outgoing, coverage::InterfaceDirection::Incoming}) {
+    EXPECT_EQ(engine.interfaces_coverage(coverage::fractional_aggregator(), nothing,
+                                         direction),
+              1.0);
+  }
+  EXPECT_TRUE(engine.untested_rules(nothing).empty());
+  EXPECT_TRUE(engine.untested_interfaces(nothing).empty());
+  EXPECT_FALSE(engine.untested_rules().empty());
+}
+
 TEST_F(EngineTest, FlowCoverageQuery) {
   for (const net::RuleId rid : {tiny_.l1_to_p2, tiny_.sp_to_p2, tiny_.l2_to_p2}) {
     tracker_.mark_rule(rid);

@@ -14,10 +14,14 @@
 #include "common/budget.hpp"
 #include "dataplane/match_sets.hpp"
 #include "fault_injection.hpp"
+#include "nettest/state_checks.hpp"
+#include "routing/fib_builder.hpp"
 #include "test_util.hpp"
+#include "topo/fattree.hpp"
 #include "yardstick/engine.hpp"
 #include "yardstick/json.hpp"
 #include "yardstick/persist.hpp"
+#include "yardstick/tracker.hpp"
 
 namespace yardstick::ys {
 namespace {
@@ -121,6 +125,56 @@ TEST_F(ResilienceTest, TruncatedMetricsStayWellFormed) {
     EXPECT_GE(v, 0.0);
     EXPECT_LE(v, 1.0);
   }
+}
+
+TEST_F(ResilienceTest, NodeCapTruncationKeepsMetricsLowerBounds) {
+  // A rule a capped step 1 never reached has an empty match set; read as
+  // vacuously covered it would inflate every metric. Under any cap, each
+  // headline number must stay at or below its unbudgeted value.
+  topo::FatTree tree = topo::make_fat_tree({.k = 8});
+  routing::FibBuilder::compute_and_build(tree.network, tree.routing);
+  CoverageTracker tracker;
+  {
+    const dataplane::MatchSetIndex index(mgr_, tree.network);
+    const dataplane::Transfer transfer(index);
+    (void)nettest::DefaultRouteCheck().run(transfer, tracker);
+  }
+  // Each run builds in a fresh manager, so the cap meets the full build.
+  const auto run = [&](size_t cap, unsigned threads) {
+    ResourceBudget budget;
+    budget.with_max_bdd_nodes(cap);
+    bdd::BddManager mgr(packet::kNumHeaderBits);
+    const coverage::CoverageTrace trace = tracker.trace().imported_into(mgr);
+    const CoverageEngine engine(mgr, tree.network, trace,
+                                EngineOptions{cap > 0 ? &budget : nullptr, threads, ""});
+    return engine.report();
+  };
+  const auto expect_at_most = [](const MetricRow& got, const MetricRow& exact,
+                                 const std::string& where) {
+    EXPECT_LE(got.device_fractional, exact.device_fractional) << where;
+    EXPECT_LE(got.interface_fractional, exact.interface_fractional) << where;
+    EXPECT_LE(got.rule_fractional, exact.rule_fractional) << where;
+    EXPECT_LE(got.rule_weighted, exact.rule_weighted) << where;
+  };
+
+  const CoverageReport exact = run(0, 1);
+  ASSERT_FALSE(exact.truncated);
+  size_t truncated_runs = 0;
+  for (const size_t cap : {500u, 2000u, 5000u, 20000u, 50000u}) {
+    for (const unsigned threads : {1u, 2u}) {
+      const CoverageReport got = run(cap, threads);
+      const std::string where =
+          "cap " + std::to_string(cap) + ", " + std::to_string(threads) + " thread(s)";
+      if (got.truncated) ++truncated_runs;
+      expect_at_most(got.overall, exact.overall, where);
+      ASSERT_EQ(got.by_role.size(), exact.by_role.size()) << where;
+      for (size_t i = 0; i < exact.by_role.size(); ++i) {
+        expect_at_most(got.by_role[i].metrics, exact.by_role[i].metrics,
+                       where + ", role " + std::string(net::to_string(exact.by_role[i].role)));
+      }
+    }
+  }
+  EXPECT_GE(truncated_runs, 6u);
 }
 
 // --- fault injection: budget trips at precise internal moments ---

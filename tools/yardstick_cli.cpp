@@ -545,7 +545,10 @@ int run_impl(const CliOptions& opts) {
   return failures == 0 ? 0 : 1;
 }
 
-int run(const CliOptions& opts) {
+/// Runs one CLI mode (`run_impl`, `scenarios_impl`, `optimize_impl`) under
+/// the observability outputs its options ask for: tracing on, the mode
+/// inside the root span, then --trace-out / --metrics-out written.
+int observed(const CliOptions& opts, int (*mode)(const CliOptions&)) {
   // The observability switch flips on only when an output was requested;
   // default runs keep the near-zero disabled-mode cost.
   if (opts.trace_out || opts.metrics_out) obs::set_enabled(true);
@@ -553,7 +556,7 @@ int run(const CliOptions& opts) {
   {
     // Scoped so the root span is recorded before the trace is serialized.
     obs::Span root("cli.run", "cli");
-    code = run_impl(opts);
+    code = mode(opts);
   }
   if (opts.trace_out) {
     write_file(*opts.trace_out, obs::Tracer::global().to_chrome_json());
@@ -577,26 +580,16 @@ int run(const CliOptions& opts) {
 /// Reuses the main option grammar (argv[0] is skipped by parse()); the
 /// forwarding state is always recomputed per scenario, so hand-authored
 /// state in `file` topologies is replaced by the BGP substrate's output.
-int run_scenarios(int argc, char** argv) {
-  const std::optional<CliOptions> parsed = parse(argc - 1, argv + 1);
-  if (!parsed) return usage(argv[0]);
-  const CliOptions& opts = *parsed;
-  const bool have_spec = !opts.scenario_spec.empty();
-  if (have_spec == (opts.random_links > 0)) {
-    std::fprintf(stderr,
-                 "error: scenarios needs exactly one of --scenario-spec / --random-links\n");
-    return usage(argv[0]);
-  }
-
+int scenarios_impl(const CliOptions& opts) {
   BuiltTopology built;
   build_topology(opts, built);
   if (!opts.json) std::printf("%s\n", built.network->summary().c_str());
 
   const scenario::ScenarioSpec spec =
-      have_spec ? scenario::ScenarioSpec::load(opts.scenario_spec)
-                : scenario::random_link_scenarios(*built.network, opts.random_links,
-                                                  opts.scenario_seed,
-                                                  opts.links_per_scenario);
+      opts.scenario_spec.empty()
+          ? scenario::random_link_scenarios(*built.network, opts.random_links,
+                                            opts.scenario_seed, opts.links_per_scenario)
+          : scenario::ScenarioSpec::load(opts.scenario_spec);
 
   ys::ResourceBudget budget;
   if (opts.deadline_s > 0.0) budget.with_deadline(opts.deadline_s);
@@ -629,6 +622,18 @@ int run_scenarios(int argc, char** argv) {
   return 0;
 }
 
+int run_scenarios(int argc, char** argv) {
+  const std::optional<CliOptions> parsed = parse(argc - 1, argv + 1);
+  if (!parsed) return usage(argv[0]);
+  const bool have_spec = !parsed->scenario_spec.empty();
+  if (have_spec == (parsed->random_links > 0)) {
+    std::fprintf(stderr,
+                 "error: scenarios needs exactly one of --scenario-spec / --random-links\n");
+    return usage(argv[0]);
+  }
+  return observed(*parsed, scenarios_impl);
+}
+
 // --- optimize mode -------------------------------------------------------
 
 /// `yardstick optimize <topology> [...] --minimize|--prioritize|--gap-report`
@@ -637,17 +642,7 @@ int run_scenarios(int argc, char** argv) {
 /// suite twice over the same match-set index: once per-test in isolation
 /// (the coverage matrix the optimizers fold over) and once merged (the
 /// engine the gap report and the recomputation cross-check read).
-int run_optimize(int argc, char** argv) {
-  const std::optional<CliOptions> parsed = parse(argc - 1, argv + 1);
-  if (!parsed) return usage(argv[0]);
-  const CliOptions& opts = *parsed;
-  if (!opts.minimize && !opts.prioritize && !opts.gap_report) {
-    std::fprintf(stderr,
-                 "error: optimize needs at least one of --minimize / --prioritize / "
-                 "--gap-report\n");
-    return usage(argv[0]);
-  }
-
+int optimize_impl(const CliOptions& opts) {
   BuiltTopology built;
   build_topology(opts, built);
   net::Network* network = built.network;
@@ -724,6 +719,18 @@ int run_optimize(int argc, char** argv) {
     if (gaps) std::printf("%s", gaps->to_text().c_str());
   }
   return 0;
+}
+
+int run_optimize(int argc, char** argv) {
+  const std::optional<CliOptions> parsed = parse(argc - 1, argv + 1);
+  if (!parsed) return usage(argv[0]);
+  if (!parsed->minimize && !parsed->prioritize && !parsed->gap_report) {
+    std::fprintf(stderr,
+                 "error: optimize needs at least one of --minimize / --prioritize / "
+                 "--gap-report\n");
+    return usage(argv[0]);
+  }
+  return observed(*parsed, optimize_impl);
 }
 
 // --- daemon-mode subcommands --------------------------------------------
@@ -1101,7 +1108,7 @@ int main(int argc, char** argv) {
   const std::optional<CliOptions> parsed = parse(argc, argv);
   if (!parsed) return usage(argv[0]);
   try {
-    return run(*parsed);
+    return observed(*parsed, run_impl);
   } catch (const ys::StatusError& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return exit_code_for(e.code());
