@@ -21,16 +21,18 @@ using namespace yardstick;
 namespace {
 
 ys::CoverageReport run_and_report(const topo::RegionalNetwork& region,
-                                  bdd::BddManager& mgr,
-                                  const dataplane::Transfer& transfer,
-                                  const nettest::TestSuite& suite) {
+                                  bdd::BddManager& mgr, const nettest::TestSuite& suite) {
   ys::CoverageTracker tracker;
   std::printf("== suite '%s' ==\n", suite.name().c_str());
-  for (const auto& result : suite.run_all(transfer, tracker)) {
-    std::printf("  %-24s %s (%zu checks)\n", result.name.c_str(),
-                result.passed() ? "PASS" : "FAIL", result.checks);
-  }
-  const ys::CoverageEngine engine(mgr, region.network, tracker.trace());
+  const ys::CoverageEngine engine(
+      mgr, region.network,
+      [&](const dataplane::Transfer& transfer) -> const coverage::CoverageTrace& {
+        for (const auto& result : suite.run_all(transfer, tracker)) {
+          std::printf("  %-24s %s (%zu checks)\n", result.name.c_str(),
+                      result.passed() ? "PASS" : "FAIL", result.checks);
+        }
+        return tracker.trace();
+      });
   const ys::CoverageReport report = engine.report();
   std::printf("%s\n", report.to_text().c_str());
   return report;
@@ -45,8 +47,6 @@ int main() {
   std::printf("regional network: %s\n\n", region.network.summary().c_str());
 
   bdd::BddManager mgr(packet::kNumHeaderBits);
-  const dataplane::MatchSetIndex match_sets(mgr, region.network);
-  const dataplane::Transfer transfer(match_sets);
 
   const std::unordered_set<net::DeviceId> excluded(
       region.routing.no_default_devices.begin(), region.routing.no_default_devices.end());
@@ -55,7 +55,7 @@ int main() {
   nettest::TestSuite original("original");
   original.add(std::make_unique<nettest::DefaultRouteCheck>(excluded));
   original.add(std::make_unique<nettest::AggCanReachTorLoopback>());
-  const ys::CoverageReport before = run_and_report(region, mgr, transfer, original);
+  const ys::CoverageReport before = run_and_report(region, mgr, original);
 
   std::printf("-> gap analysis: most rules are untested. By category:\n");
   for (const auto& gap : before.gaps) {
@@ -68,11 +68,11 @@ int main() {
   // --- The two new tests (Fig. 6b, 6c) ---
   nettest::TestSuite internal_only("internal-route-check");
   internal_only.add(std::make_unique<nettest::InternalRouteCheck>());
-  (void)run_and_report(region, mgr, transfer, internal_only);
+  (void)run_and_report(region, mgr, internal_only);
 
   nettest::TestSuite connected_only("connected-route-check");
   connected_only.add(std::make_unique<nettest::ConnectedRouteCheck>());
-  (void)run_and_report(region, mgr, transfer, connected_only);
+  (void)run_and_report(region, mgr, connected_only);
 
   // --- Month 1: the final suite (Fig. 6d / Fig. 7) ---
   nettest::TestSuite final_suite("final");
@@ -80,7 +80,7 @@ int main() {
   final_suite.add(std::make_unique<nettest::AggCanReachTorLoopback>());
   final_suite.add(std::make_unique<nettest::InternalRouteCheck>());
   final_suite.add(std::make_unique<nettest::ConnectedRouteCheck>());
-  const ys::CoverageReport after = run_and_report(region, mgr, transfer, final_suite);
+  const ys::CoverageReport after = run_and_report(region, mgr, final_suite);
 
   const auto rel = [](double now, double was) {
     return was == 0.0 ? 0.0 : (now - was) / was * 100.0;

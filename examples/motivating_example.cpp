@@ -150,18 +150,19 @@ int main() {
   Figure1Network f = build(/*with_b1=*/true);
   std::printf("figure-1 network: %s\n\n", f.net.summary().c_str());
 
-  const dataplane::MatchSetIndex match_sets(mgr, f.net);
-  const dataplane::Transfer transfer(match_sets);
   ys::CoverageTracker tracker;
-
-  std::printf("-- running the three connectivity tests --\n");
-  for (const auto& result : make_suite(f, mgr).run_all(transfer, tracker)) {
-    std::printf("  %-14s %s (%zu checks)\n", result.name.c_str(),
-                result.passed() ? "PASS" : "FAIL", result.checks);
-  }
+  const nettest::TestSuite suite = make_suite(f, mgr);
+  const ys::CoverageEngine engine(
+      mgr, f.net, [&](const dataplane::Transfer& transfer) -> const coverage::CoverageTrace& {
+        std::printf("-- running the three connectivity tests --\n");
+        for (const auto& result : suite.run_all(transfer, tracker)) {
+          std::printf("  %-14s %s (%zu checks)\n", result.name.c_str(),
+                      result.passed() ? "PASS" : "FAIL", result.checks);
+        }
+        return tracker.trace();
+      });
 
   std::printf("\n-- all tests pass; now ask Yardstick what they missed --\n");
-  const ys::CoverageEngine engine(mgr, f.net, tracker.trace());
   const auto default_rule_of = [&](DeviceId border) {
     for (const net::RuleId r : f.net.table(border)) {
       if (f.net.rule(r).match.dst_prefix->length() == 0) return r;

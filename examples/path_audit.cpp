@@ -22,22 +22,22 @@ int main() {
   routing::FibBuilder::compute_and_build(tree.network, tree.routing);
   std::printf("fat-tree k=4: %s\n\n", tree.network.summary().c_str());
 
-  bdd::BddManager mgr(packet::kNumHeaderBits);
-  const dataplane::MatchSetIndex match_sets(mgr, tree.network);
-  const dataplane::Transfer transfer(match_sets);
-
   // Run a mixed suite: pingmesh probes a single packet per ToR pair, the
   // default-route inspection covers the fat default rules.
+  bdd::BddManager mgr(packet::kNumHeaderBits);
   ys::CoverageTracker tracker;
   nettest::TestSuite suite("audit");
   suite.add(std::make_unique<nettest::DefaultRouteCheck>());
   suite.add(std::make_unique<nettest::ToRPingmesh>());
-  for (const auto& result : suite.run_all(transfer, tracker)) {
-    std::printf("test %-18s %s (%zu checks)\n", result.name.c_str(),
-                result.passed() ? "PASS" : "FAIL", result.checks);
-  }
-
-  const ys::CoverageEngine engine(mgr, tree.network, tracker.trace());
+  const ys::CoverageEngine engine(
+      mgr, tree.network,
+      [&](const dataplane::Transfer& transfer) -> const coverage::CoverageTrace& {
+        for (const auto& result : suite.run_all(transfer, tracker)) {
+          std::printf("test %-18s %s (%zu checks)\n", result.name.c_str(),
+                      result.passed() ? "PASS" : "FAIL", result.checks);
+        }
+        return tracker.trace();
+      });
 
   // --- Local metrics: cheap ---
   const auto t0 = std::chrono::steady_clock::now();
@@ -82,7 +82,8 @@ int main() {
   q.source_interface = src_port;
   q.headers = flow_headers;
   queries.push_back(q);
-  (void)nettest::ReachabilityTest("FlowProbe", std::move(queries)).run(transfer, tracker);
+  (void)nettest::ReachabilityTest("FlowProbe", std::move(queries))
+      .run(engine.transfer(), tracker);
 
   const ys::CoverageEngine engine2(mgr, tree.network, tracker.trace());
   std::printf("after adding a symbolic end-to-end test for the flow: %.1f%%\n",

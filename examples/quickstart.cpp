@@ -29,25 +29,28 @@ int main() {
 
   // 3. Run a test suite. Tests report coverage through the tracker —
   //    markRule for state inspections, markPacket for behavioral tests.
-  bdd::BddManager mgr(packet::kNumHeaderBits);
-  const dataplane::MatchSetIndex match_sets(mgr, tree.network);
-  const dataplane::Transfer transfer(match_sets);
-  ys::CoverageTracker tracker;
-
+  //    The engine hands them the transfer function over the match sets it
+  //    builds first (§5.2 step 1), so the snapshot is indexed once.
   nettest::TestSuite suite("quickstart");
   suite.add(std::make_unique<nettest::DefaultRouteCheck>());
   suite.add(std::make_unique<nettest::ToRContract>());
 
-  for (const nettest::TestResult& result : suite.run_all(transfer, tracker)) {
-    std::printf("test %-22s [%s] checks=%zu failures=%zu\n", result.name.c_str(),
-                to_string(result.category), result.checks, result.failures);
-  }
-  std::printf("coverage API calls: markPacket=%llu markRule=%llu\n\n",
-              static_cast<unsigned long long>(tracker.packet_calls()),
-              static_cast<unsigned long long>(tracker.rule_calls()));
+  bdd::BddManager mgr(packet::kNumHeaderBits);
+  ys::CoverageTracker tracker;
+  const auto online = [&](const dataplane::Transfer& transfer)
+      -> const coverage::CoverageTrace& {
+    for (const nettest::TestResult& result : suite.run_all(transfer, tracker)) {
+      std::printf("test %-22s [%s] checks=%zu failures=%zu\n", result.name.c_str(),
+                  to_string(result.category), result.checks, result.failures);
+    }
+    std::printf("coverage API calls: markPacket=%llu markRule=%llu\n\n",
+                static_cast<unsigned long long>(tracker.packet_calls()),
+                static_cast<unsigned long long>(tracker.rule_calls()));
+    return tracker.trace();
+  };
 
   // 4. Phase 2: compute coverage metrics from the trace.
-  const ys::CoverageEngine engine(mgr, tree.network, tracker.trace());
+  const ys::CoverageEngine engine(mgr, tree.network, online);
   std::printf("%s\n", engine.report().to_text().c_str());
 
   // 5. Drill into a single component: how well is the first core router

@@ -35,8 +35,6 @@ int main() {
   std::printf("network with ToR ingress ACLs: %s\n\n", region.network.summary().c_str());
 
   bdd::BddManager mgr(packet::kNumHeaderBits);
-  const dataplane::MatchSetIndex match_sets(mgr, region.network);
-  const dataplane::Transfer transfer(match_sets);
   ys::CoverageTracker tracker;
 
   // The security suite: state inspection of the deny entries, the local
@@ -63,12 +61,15 @@ int main() {
   suite.add(std::make_unique<nettest::TracerouteWaypointCheck>("TracerouteViaSpine",
                                                                waypoints));
 
-  for (const auto& result : suite.run_all(transfer, tracker)) {
-    std::printf("test %-24s %s (%zu checks, %zu failures)\n", result.name.c_str(),
-                result.passed() ? "PASS" : "FAIL", result.checks, result.failures);
-  }
-
-  const ys::CoverageEngine engine(mgr, region.network, tracker.trace());
+  const ys::CoverageEngine engine(
+      mgr, region.network,
+      [&](const dataplane::Transfer& transfer) -> const coverage::CoverageTrace& {
+        for (const auto& result : suite.run_all(transfer, tracker)) {
+          std::printf("test %-24s %s (%zu checks, %zu failures)\n", result.name.c_str(),
+                      result.passed() ? "PASS" : "FAIL", result.checks, result.failures);
+        }
+        return tracker.trace();
+      });
   const ys::CoverageReport report = engine.report();
   std::printf("\n%s\n", report.to_text().c_str());
 

@@ -1,12 +1,13 @@
-// Suite tuning: find redundant tests, order tests by marginal value, and
-// synthesize probes for what remains untested.
+// Suite tuning: find redundant tests, keep the smallest subset that loses
+// no coverage, and synthesize probes for what remains untested.
 //
 // §7.2's closing argument is that coverage metrics redirect effort from
 // redundant tests toward tests that provably add coverage. This example
 // runs a deliberately bloated suite (two copies of the default-route
-// inspection plus overlapping contract checks) through the SuiteAnalyzer,
-// then asks suggest_tests for concrete packets that would close the
-// remaining gaps.
+// inspection plus overlapping contract checks), reads each test's
+// contribution off the suite's coverage matrix, minimizes the suite, and
+// asks the gap report for concrete packets that would close the remaining
+// gaps.
 #include <cstdio>
 #include <memory>
 
@@ -14,7 +15,7 @@
 #include "nettest/state_checks.hpp"
 #include "routing/fib_builder.hpp"
 #include "topo/fattree.hpp"
-#include "yardstick/analysis.hpp"
+#include "yardstick/optimize.hpp"
 
 using namespace yardstick;
 
@@ -22,10 +23,6 @@ int main() {
   topo::FatTree tree = topo::make_fat_tree({.k = 4});
   routing::FibBuilder::compute_and_build(tree.network, tree.routing);
   std::printf("%s\n\n", tree.network.summary().c_str());
-
-  bdd::BddManager mgr(packet::kNumHeaderBits);
-  const dataplane::MatchSetIndex match_sets(mgr, tree.network);
-  const dataplane::Transfer transfer(match_sets);
 
   // A bloated suite: duplicated inspection + two contract checks whose
   // coverage overlaps heavily (ToRContract subsumes the loopback check on
@@ -36,32 +33,43 @@ int main() {
   suite.add(std::make_unique<nettest::DefaultRouteCheck>());
   suite.add(std::make_unique<nettest::ConnectedRouteCheck>());
 
-  const ys::SuiteAnalyzer analyzer(mgr, tree.network);
-  const ys::SuiteAnalysis analysis = analyzer.analyze(transfer, suite);
+  // The merged run, on the engine's own match-set index.
+  bdd::BddManager mgr(packet::kNumHeaderBits);
+  ys::CoverageTracker tracker;
+  const ys::CoverageEngine engine(
+      mgr, tree.network,
+      [&](const dataplane::Transfer& transfer) -> const coverage::CoverageTrace& {
+        (void)suite.run_all(transfer, tracker);
+        return tracker.trace();
+      });
 
+  // Each test in isolation, on the same index.
+  const ys::SuiteCoverageMatrix matrix = ys::build_suite_matrix(engine.transfer(), suite);
   std::printf("per-test contributions (fractional rule coverage):\n");
   std::printf("  %-24s %10s %10s %s\n", "test", "solo", "marginal", "verdict");
-  for (const ys::TestContribution& t : analysis.tests) {
+  for (const ys::TestContribution& t : ys::test_contributions(matrix)) {
     std::printf("  %-24s %9.1f%% %9.1f%% %s\n", t.name.c_str(), t.solo * 100.0,
                 t.marginal * 100.0, t.redundant ? "REDUNDANT" : "keep");
   }
-  std::printf("  full suite: %.1f%%\n\n", analysis.full * 100.0);
 
-  std::printf("greedy order (run these first under a time budget):\n");
-  for (size_t i = 0; i < analysis.greedy_order.size(); ++i) {
-    std::printf("  %zu. %-24s cumulative %.1f%%\n", i + 1,
-                analysis.tests[analysis.greedy_order[i]].name.c_str(),
-                analysis.greedy_cumulative[i] * 100.0);
+  const ys::MinimizeResult minimized = ys::minimize_suite(matrix);
+  std::printf("\nsmallest subset with the full suite's coverage:\n");
+  for (const ys::SelectedTest& t : minimized.selected) {
+    std::printf("  keep %-24s cumulative %.1f%%\n", t.name.c_str(),
+                t.cumulative_coverage * 100.0);
   }
+  std::printf("  full suite: %.1f%%\n", minimized.full_coverage * 100.0);
 
   // What the suite still misses, as ready-to-run probes.
-  ys::CoverageTracker tracker;
-  (void)suite.run_all(transfer, tracker);
-  const ys::CoverageEngine engine(mgr, tree.network, tracker.trace());
-  const auto suggestions = ys::suggest_tests(engine, 5);
-  std::printf("\nsuggested probes for untested rules (%zu shown):\n", suggestions.size());
-  for (const ys::TestSuggestion& s : suggestions) {
-    std::printf("  %s\n", s.to_string(tree.network).c_str());
+  std::printf("\nsuggested probes for untested rules (first 5):\n");
+  size_t shown = 0;
+  for (const ys::DeviceGaps& d : ys::build_gap_report(engine).devices) {
+    for (const ys::GapWitness& g : d.gaps) {
+      if (g.state_only || shown == 5) continue;
+      ++shown;
+      std::printf("  inject at %s: %s (exercises %s)\n", d.name.c_str(),
+                  g.witness.to_string().c_str(), tree.network.rule(g.rule).to_string().c_str());
+    }
   }
   return 0;
 }

@@ -6,10 +6,11 @@
 // the trace viewers render them. The canonical hierarchy:
 //
 //   cli.run
-//   ├─ suite.run                       (online phase: tests execute)
 //   ├─ match_sets.build                (offline step 1)
 //   │  ├─ parallel.worker (×N)         (sharded device builds)
 //   │  └─ match_sets.merge             (deterministic import)
+//   ├─ suite.run                       (online phase: tests execute on
+//   │                                   step 1's index)
 //   ├─ covered_sets.build              (offline step 2, Algorithm 1)
 //   │  ├─ parallel.worker (×N)
 //   │  └─ covered_sets.merge
@@ -17,7 +18,7 @@
 //   ├─ analysis.report                 (step 3 folds over the table)
 //   ├─ path_coverage.sweep             (offline step 3, DFS sweep)
 //   │  └─ parallel.worker (×N)         (clone + ingress drain)
-//   ├─ analysis.analyze                (--analyze)
+//   ├─ analysis.suite_matrix           (--analyze, optimize)
 //   └─ trace.save / trace.load
 //
 // Cost model: a Span in disabled mode is two relaxed atomic loads and no

@@ -12,6 +12,9 @@ namespace yardstick::scenario {
 
 namespace {
 
+/// Cap on per-scenario collapsed/lost rule listings in the report.
+constexpr size_t kMaxRuleDeltas = 20;
+
 std::string format_double(double v) {
   char buf[48];
   std::snprintf(buf, sizeof(buf), "%.6f", v);
@@ -75,11 +78,15 @@ ScenarioRunner::Evaluation ScenarioRunner::evaluate(const routing::RoutingConfig
   // Fresh manager per evaluation: each run's BDD universe is independent,
   // matching what a from-scratch CLI invocation would compute.
   bdd::BddManager mgr(packet::kNumHeaderBits);
-  const dataplane::MatchSetIndex match_sets(mgr, network_);
-  const dataplane::Transfer transfer(match_sets);
   ys::CoverageTracker tracker;
-  const std::vector<nettest::TestResult> results = suite_.run_all(transfer, tracker);
-  const ys::CoverageEngine engine(mgr, network_, tracker.trace(), options_.engine);
+  std::vector<nettest::TestResult> results;
+  const ys::CoverageEngine engine(
+      mgr, network_,
+      [&](const dataplane::Transfer& transfer) -> const coverage::CoverageTrace& {
+        results = suite_.run_all(transfer, tracker);
+        return tracker.trace();
+      },
+      options_.engine);
 
   Evaluation ev;
   ev.metrics = engine.metrics();
@@ -165,9 +172,7 @@ ScenarioReport ScenarioRunner::run(const ScenarioSpec& spec) {
                 }
                 return a.key < b.key;
               });
-    if (candidates.size() > options_.max_rule_deltas) {
-      candidates.resize(options_.max_rule_deltas);
-    }
+    if (candidates.size() > kMaxRuleDeltas) candidates.resize(kMaxRuleDeltas);
     diff.top_deltas = std::move(candidates);
 
     for (const auto& [name, passed] : base.tests) {

@@ -2,8 +2,8 @@
 //
 // For a baseline routing configuration and a ScenarioSpec, the runner:
 //   1. computes the baseline FIBs, re-applies any post-FIB state (ACLs,
-//      transform rules) through the hook, runs the suite, and builds a
-//      coverage engine over the trace;
+//      transform rules) through the hook, and builds a coverage engine
+//      that runs the suite on its own match-set index;
 //   2. per scenario, merges the failure sets into a copy of the baseline
 //      RoutingConfig, recomputes the FIBs (BGP fixpoint + rebuild), re-runs
 //      hook + suite + engine on the degraded network;
@@ -35,8 +35,6 @@ namespace yardstick::scenario {
 
 struct ScenarioRunnerOptions {
   ys::EngineOptions engine;
-  /// Cap on per-scenario collapsed/lost rule listings in the report.
-  size_t max_rule_deltas = 20;
 };
 
 /// Coverage movement of one rule between baseline and a scenario.
@@ -62,7 +60,8 @@ struct ScenarioDiff {
   /// Sum of baseline covered-set sizes over lost + collapsed rules: the
   /// (rule, packet) units whose baseline test evidence no longer applies.
   bdd::Uint128 unreachable_atus = 0;
-  /// Largest lost/collapsed rules by baseline ATUs (capped, deterministic).
+  /// Largest lost/collapsed rules by baseline ATUs (at most 20,
+  /// deterministic).
   std::vector<RuleDelta> top_deltas;
   /// Tests that passed at baseline but fail under this scenario.
   std::vector<std::string> dark_tests;

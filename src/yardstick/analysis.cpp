@@ -156,107 +156,26 @@ SuiteCoverageMatrix build_suite_matrix(const dataplane::Transfer& transfer,
   return m;
 }
 
-SuiteAnalysis SuiteAnalyzer::analyze(const dataplane::Transfer& transfer,
-                                     const nettest::TestSuite& suite,
-                                     double epsilon) const {
-  const size_t n = suite.size();
-  obs::Span span("analysis.analyze", "analysis");
-  span.arg("tests", n);
-  span.arg("threads", threads_);
-  const auto analyze_start = ResourceBudget::Clock::now();
-  SuiteAnalysis analysis;
-
-  const SuiteCoverageMatrix m = build_suite_matrix(transfer, suite, budget_, threads_);
-  analysis.truncated = m.truncated;
-  analysis.tests.resize(n);
-
-  // Per-rule cover multiplicity across the whole suite: leave-one-out
-  // coverage for test i drops rule r exactly when cover_count[r] == 1 and
-  // covers[i][r] is set.
+std::vector<TestContribution> test_contributions(const SuiteCoverageMatrix& m) {
+  // Per-rule cover multiplicity across the whole suite: leaving test i out
+  // loses rule r exactly when cover_count[r] == 1 and covers[i][r] is set.
   std::vector<uint32_t> cover_count(m.rule_count, 0);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t r = 0; r < m.rule_count; ++r) cover_count[r] += (m.covers[i][r] != 0);
+  for (const std::vector<char>& row : m.covers) {
+    for (size_t r = 0; r < m.rule_count; ++r) cover_count[r] += (row[r] != 0);
   }
   size_t full_covered = 0;
-  for (size_t r = 0; r < m.rule_count; ++r) full_covered += (cover_count[r] > 0);
-  analysis.full = m.coverage_of(full_covered);
+  for (const uint32_t c : cover_count) full_covered += (c > 0);
+  const double full = m.coverage_of(full_covered);
 
-  for (size_t i = 0; i < n; ++i) {
-    analysis.tests[i].name = m.names[i];
-    analysis.tests[i].seconds = m.seconds[i];
-    analysis.tests[i].solo = m.coverage_of(m.covered_by(i));
+  std::vector<TestContribution> out(m.test_count());
+  for (size_t i = 0; i < out.size(); ++i) {
     size_t sole = 0;  // rules only test i covers
     for (size_t r = 0; r < m.rule_count; ++r) {
       sole += (m.covers[i][r] != 0 && cover_count[r] == 1);
     }
-    const double rest = m.coverage_of(full_covered - sole);
-    // Clamp at 0: under a tripped budget the leave-one-out run can cover
-    // *more* than the degraded full-suite run, and a negative "value of
-    // this test" is meaningless.
-    analysis.tests[i].marginal = std::max(0.0, analysis.full - rest);
-    analysis.tests[i].redundant = analysis.tests[i].marginal <= epsilon;
-  }
-
-  // Greedy maximum-marginal ordering (first index wins ties, matching the
-  // pre-matrix implementation; the optimizer's by-name tie-break lives in
-  // optimize.cpp).
-  std::vector<bool> selected(n, false);
-  std::vector<char> running(m.rule_count, 0);
-  size_t running_covered = 0;
-  double current = m.coverage_of(0);
-  for (size_t step = 0; step < n; ++step) {
-    double best_gain = -1.0;
-    size_t best = 0;
-    for (size_t i = 0; i < n; ++i) {
-      if (selected[i]) continue;
-      size_t added = 0;
-      for (size_t r = 0; r < m.rule_count; ++r) {
-        added += (m.covers[i][r] != 0 && running[r] == 0);
-      }
-      const double gain = m.coverage_of(running_covered + added) - current;
-      if (gain > best_gain) {
-        best_gain = gain;
-        best = i;
-      }
-    }
-    selected[best] = true;
-    for (size_t r = 0; r < m.rule_count; ++r) {
-      if (m.covers[best][r] != 0 && running[r] == 0) {
-        running[r] = 1;
-        ++running_covered;
-      }
-    }
-    current += best_gain;
-    analysis.greedy_order.push_back(best);
-    analysis.greedy_cumulative.push_back(current);
-  }
-
-  analysis.analyze_seconds =
-      std::chrono::duration<double>(ResourceBudget::Clock::now() - analyze_start).count();
-  return analysis;
-}
-
-std::string TestSuggestion::to_string(const net::Network& network) const {
-  return "inject at " + network.device(device).name + ": " + sample.to_string() +
-         " (exercises " + network.rule(rule).to_string() + ")";
-}
-
-std::vector<TestSuggestion> suggest_tests(const CoverageEngine& engine,
-                                          size_t max_suggestions,
-                                          const DeviceFilter& filter) {
-  std::vector<TestSuggestion> out;
-  const net::Network& network = engine.network();
-  for (const net::RuleId rid : engine.untested_rules(filter)) {
-    if (out.size() >= max_suggestions) break;
-    const net::Rule& rule = network.rule(rid);
-    // Sample from the space behavioral tests can actually reach: the
-    // disjoint match set, clipped by the ACL stage for FIB rules.
-    packet::PacketSet space = engine.match_sets().match_set(rid);
-    if (rule.table == net::TableKind::Fib && network.has_acl(rule.device)) {
-      space = space.intersect(engine.match_sets().acl_permitted_space(rule.device));
-    }
-    if (space.empty()) continue;  // only state inspection can cover it
-    out.push_back({rid, rule.device, space.sample()});
+    // coverage_of is monotone in its count, so the marginal is never negative.
+    out[i] = {m.names[i], m.coverage_of(m.covered_by(i)),
+              full - m.coverage_of(full_covered - sole), sole == 0, m.seconds[i]};
   }
   return out;
 }

@@ -8,16 +8,13 @@
 //   * SuiteCoverageMatrix — the shared substrate: which rules each test
 //     exercises when run in isolation, and what each run costs. Fractional
 //     rule coverage of *any* subset of the suite is a pure function of this
-//     matrix (see below), so the analyzer and the suite optimizer
-//     (optimize.hpp) agree with each other and with the engine's reported
-//     metric bit for bit.
-//   * SuiteAnalyzer — per-test coverage contributions: what each test
-//     covers alone, what it adds on top of the rest of the suite
-//     (marginal value), which tests are redundant, and a greedy
-//     maximum-marginal ordering (the classic set-cover heuristic) that
-//     tells engineers which tests to run first under a time budget.
-//   * suggest_tests — coverage-guided test synthesis: one concrete sample
-//     packet per untested rule, ready to be turned into a probe.
+//     matrix (see below), so the contributions below and the suite
+//     optimizer (optimize.hpp) agree with each other and with the engine's
+//     reported metric bit for bit.
+//   * test_contributions — the leave-one-out view of the matrix: what each
+//     test covers alone, what it adds on top of the rest of the suite
+//     (marginal value), and which tests are redundant. Acting on it —
+//     minimal subsets, run orders, probes for the gaps — is optimize.hpp.
 #pragma once
 
 #include <string>
@@ -104,85 +101,15 @@ struct TestContribution {
   double solo = 0.0;
   /// Coverage the full suite loses if this test is removed.
   double marginal = 0.0;
-  /// True when removing the test changes nothing (within epsilon).
+  /// True when no rule is covered by this test alone (marginal == 0).
   bool redundant = false;
-  /// Wall-clock (steady) seconds spent running this test in isolation —
-  /// the cost side of the cost/coverage trade-off the greedy order
-  /// optimizes the value side of.
+  /// Wall-clock (steady) seconds spent running this test in isolation.
   double seconds = 0.0;
 };
 
-struct SuiteAnalysis {
-  std::vector<TestContribution> tests;
-  /// Test indices in greedy maximum-marginal order: running the suite in
-  /// this order front-loads coverage.
-  std::vector<size_t> greedy_order;
-  /// Cumulative fractional rule coverage after each greedy step.
-  std::vector<double> greedy_cumulative;
-  /// Fractional rule coverage of the whole suite.
-  double full = 0.0;
-  /// Wall-clock (steady) seconds the whole analysis took, including the
-  /// per-test matrix build and the leave-one-out and greedy passes.
-  double analyze_seconds = 0.0;
-  /// True when a resource budget degraded any underlying coverage
-  /// computation: every number above is then a lower bound, and marginals
-  /// (clamped at 0) may under-state a test's real contribution.
-  bool truncated = false;
-};
-
-class SuiteAnalyzer {
- public:
-  /// `budget` (non-owning, may be null; must outlive the analyzer) bounds
-  /// every per-test coverage computation; a tripped budget surfaces as
-  /// SuiteAnalysis::truncated instead of an exception. `threads` > 1
-  /// shards each per-test covered-set build across that many workers
-  /// (0 = one per hardware thread) with bit-identical results.
-  SuiteAnalyzer(bdd::BddManager& mgr, const net::Network& network,
-                const ResourceBudget* budget = nullptr, unsigned threads = 1)
-      : mgr_(mgr), network_(network), budget_(budget), threads_(threads) {
-    if (budget != nullptr) mgr.set_budget(budget);
-  }
-
-  /// Builds the suite's coverage matrix (one isolated run + covered-set
-  /// build per test) and computes contributions against fractional rule
-  /// coverage. The leave-one-out marginals and the greedy ordering are
-  /// integer folds over the matrix, so the analysis is bit-identical at
-  /// any thread count.
-  [[nodiscard]] SuiteAnalysis analyze(const dataplane::Transfer& transfer,
-                                      const nettest::TestSuite& suite,
-                                      double epsilon = 1e-12) const;
-
- private:
-  bdd::BddManager& mgr_;
-  const net::Network& network_;
-  const ResourceBudget* budget_ = nullptr;
-  unsigned threads_ = 1;
-};
-
-/// A synthesized probe for an untested rule.
-struct TestSuggestion {
-  net::RuleId rule;
-  net::DeviceId device;
-  packet::ConcretePacket sample;  // one packet that exercises the rule
-
-  [[nodiscard]] std::string to_string(const net::Network& network) const;
-};
-
-/// Coverage-guided suggestions: for up to `max_suggestions` untested
-/// rules (optionally filtered by device), sample a concrete packet from
-/// the rule's exercisable space — its disjoint match set clipped by the
-/// device's ACL-permitted space. Rules whose exercisable space is empty
-/// (reachable only via state inspection) are skipped. The exhaustive,
-/// device-grouped generalization of this lives in optimize.hpp
-/// (build_gap_report).
-///
-/// Reads the engine's already-built match sets, so it composes with the
-/// full option set the engine was constructed with: under `--cache-dir`
-/// the sets may be cache-prefilled, and that is invisible here — the
-/// §11 bit-identity contract makes a prefilled set node-for-node equal
-/// to a recomputed one, so the sampled probes are identical either way.
-[[nodiscard]] std::vector<TestSuggestion> suggest_tests(
-    const CoverageEngine& engine, size_t max_suggestions = 16,
-    const DeviceFilter& filter = nullptr);
+/// Per-test contributions, in suite order, folded from the matrix alone
+/// (integer work, so bit-identical at any thread count the matrix was built
+/// with). A truncated matrix's missing rules read as uncovered here too.
+[[nodiscard]] std::vector<TestContribution> test_contributions(const SuiteCoverageMatrix& m);
 
 }  // namespace yardstick::ys

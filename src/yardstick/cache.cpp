@@ -73,7 +73,6 @@ uint64_t options_fingerprint(unsigned threads, size_t max_bdd_nodes, bool has_de
 }
 
 IncrementalSession::IncrementalSession(bdd::BddManager& mgr, const net::Network& network,
-                                       const coverage::CoverageTrace& trace,
                                        std::string cache_dir, uint64_t options_hash)
     : mgr_(mgr),
       network_(network),
@@ -82,11 +81,38 @@ IncrementalSession::IncrementalSession(bdd::BddManager& mgr, const net::Network&
   obs::Span span("cache.load", "offline");
   {
     obs::Span keys_span("cache.load.keys", "offline");
-    keys_ = compute_device_keys(network, trace);
+    keys_ = compute_table_keys(network);
   }
   stats_.devices = network.device_count();
   load();
   span.arg("match_hits", stats_.match_hits);
+}
+
+void IncrementalSession::add_trace(const coverage::CoverageTrace& trace) {
+  obs::Span span("cache.trace_keys", "offline");
+  add_trace_keys(network_, trace, keys_);
+  if (!stats_.loaded) return;
+  // Same reuse rule as the match records: key match AND positional shape.
+  auto prefill = std::make_unique<coverage::CoverPrefill>();
+  prefill->device_hit.assign(network_.device_count(), 0);
+  prefill->covered.resize(network_.rule_count());
+  for (const net::Device& dev : network_.devices()) {
+    const auto it = cover_records_.find(keys_[dev.id.value].cov_hash);
+    if (it == cover_records_.end() || it->second.size() != device_rule_count(network_, dev.id)) {
+      continue;
+    }
+    size_t pos = 0;
+    for (const net::TableKind table : {net::TableKind::Acl, net::TableKind::Fib}) {
+      for (const net::RuleId rid : network_.table(dev.id, table)) {
+        prefill->covered[rid.value] = it->second[pos++];
+      }
+    }
+    prefill->device_hit[dev.id.value] = 1;
+    ++stats_.cover_hits;
+  }
+  cover_records_.clear();
+  stats_.invalidated = stats_.cover_misses();
+  if (stats_.cover_hits > 0) cover_prefill_ = std::move(prefill);
   span.arg("cover_hits", stats_.cover_hits);
 }
 
@@ -155,14 +181,17 @@ void IncrementalSession::load() {
     }
 
     reader.keyword("cover-records");
-    std::unordered_map<uint64_t, std::vector<uint32_t>> cover_records;
+    std::unordered_map<uint64_t, std::vector<PacketSet>> cover_records;
     const size_t cover_count = reader.count("cover-record");
     for (size_t i = 0; i < cover_count; ++i) {
       const uint64_t hash = read_hash(reader, "cover-record key");
       const size_t rules = reader.count("cover-record rule");
-      std::vector<uint32_t> refs(rules);
-      for (size_t r = 0; r < rules; ++r) refs[r] = reader.u32("cover-record refs");
-      cover_records.emplace(hash, std::move(refs));
+      std::vector<PacketSet> sets(rules);
+      for (PacketSet& set : sets) {
+        set = PacketSet(
+            bdd::Bdd(&mgr_, checked_ref(reader.u32("cover-record refs"), "cover-record")));
+      }
+      cover_records.emplace(hash, std::move(sets));
     }
     reader.expect_end("cover-records");
 
@@ -176,55 +205,40 @@ void IncrementalSession::load() {
     match_prefill->match_sets.resize(num_rules);
     match_prefill->matched_space.resize(network_.device_count());
     match_prefill->acl_permitted.resize(network_.device_count());
-    auto cover_prefill = std::make_unique<coverage::CoverPrefill>();
-    cover_prefill->device_hit.assign(network_.device_count(), 0);
-    cover_prefill->covered.resize(num_rules);
 
     for (const net::Device& dev : network_.devices()) {
-      const size_t rules = device_rule_count(network_, dev.id);
       const auto mit = match_records.find(keys_[dev.id.value].fib_hash);
-      if (mit != match_records.end() && mit->second.rules.size() == rules) {
-        const MatchRecord& rec = mit->second;
-        size_t pos = 0;
-        for (const net::TableKind table : {net::TableKind::Acl, net::TableKind::Fib}) {
-          for (const net::RuleId rid : network_.table(dev.id, table)) {
-            const auto& [field, set] = rec.rules[pos++];
-            match_prefill->match_fields[rid.value] =
-                PacketSet(bdd::Bdd(&mgr_, checked_ref(field, "match-record")));
-            match_prefill->match_sets[rid.value] =
-                PacketSet(bdd::Bdd(&mgr_, checked_ref(set, "match-record")));
-          }
-        }
-        match_prefill->matched_space[dev.id.value] =
-            PacketSet(bdd::Bdd(&mgr_, checked_ref(rec.matched_space, "match-record")));
-        match_prefill->acl_permitted[dev.id.value] =
-            PacketSet(bdd::Bdd(&mgr_, checked_ref(rec.acl_permitted, "match-record")));
-        match_prefill->device_hit[dev.id.value] = 1;
-        ++stats_.match_hits;
+      if (mit == match_records.end() ||
+          mit->second.rules.size() != device_rule_count(network_, dev.id)) {
+        continue;
       }
-      const auto cit = cover_records.find(keys_[dev.id.value].cov_hash);
-      if (cit != cover_records.end() && cit->second.size() == rules) {
-        size_t pos = 0;
-        for (const net::TableKind table : {net::TableKind::Acl, net::TableKind::Fib}) {
-          for (const net::RuleId rid : network_.table(dev.id, table)) {
-            cover_prefill->covered[rid.value] =
-                PacketSet(bdd::Bdd(&mgr_, checked_ref(cit->second[pos++], "cover-record")));
-          }
+      const MatchRecord& rec = mit->second;
+      size_t pos = 0;
+      for (const net::TableKind table : {net::TableKind::Acl, net::TableKind::Fib}) {
+        for (const net::RuleId rid : network_.table(dev.id, table)) {
+          const auto& [field, set] = rec.rules[pos++];
+          match_prefill->match_fields[rid.value] =
+              PacketSet(bdd::Bdd(&mgr_, checked_ref(field, "match-record")));
+          match_prefill->match_sets[rid.value] =
+              PacketSet(bdd::Bdd(&mgr_, checked_ref(set, "match-record")));
         }
-        cover_prefill->device_hit[dev.id.value] = 1;
-        ++stats_.cover_hits;
       }
+      match_prefill->matched_space[dev.id.value] =
+          PacketSet(bdd::Bdd(&mgr_, checked_ref(rec.matched_space, "match-record")));
+      match_prefill->acl_permitted[dev.id.value] =
+          PacketSet(bdd::Bdd(&mgr_, checked_ref(rec.acl_permitted, "match-record")));
+      match_prefill->device_hit[dev.id.value] = 1;
+      ++stats_.match_hits;
     }
 
     stats_.loaded = true;
-    stats_.invalidated = stats_.cover_misses();
     if (stats_.match_hits > 0) match_prefill_ = std::move(match_prefill);
-    if (stats_.cover_hits > 0) cover_prefill_ = std::move(cover_prefill);
+    cover_records_ = std::move(cover_records);
   } catch (const StatusError& e) {
     // Corrupt/truncated cache, I/O failure, or a resource budget tripping
     // while materializing nodes: all degrade to a full rebuild.
     match_prefill_.reset();
-    cover_prefill_.reset();
+    cover_records_.clear();
     stats_ = CacheStats{};
     stats_.devices = network_.device_count();
     stats_.fallback_reason = e.what();

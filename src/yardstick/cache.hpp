@@ -8,6 +8,11 @@
 // the engine's manager (canonical, so bit-identical to recomputation) and
 // only the invalidation frontier is rebuilt.
 //
+// A session spans the engine's online/offline boundary (DESIGN.md §16): the
+// file is read once before step 1, which takes its match records at once;
+// the covered-set records wait for the trace the tests then produce, whose
+// slices their keys hash.
+//
 // Records are keyed by hash, not by device: devices with identical tables
 // (every ToR of a homogeneous pod) share one record, so the artifact is a
 // content-addressed store, deduplicated for free.
@@ -34,6 +39,8 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "coverage/covered_sets.hpp"
 #include "dataplane/match_sets.hpp"
@@ -66,22 +73,27 @@ struct CacheStats {
 
 /// One engine construction's incremental context: loads the cache (if
 /// any), exposes the prefills for MatchSetIndex/CoveredSets, and saves the
-/// refreshed cache afterwards. Construction and save() never throw — every
-/// failure degrades to a full rebuild (or an unsaved cache) recorded in
-/// stats().
+/// refreshed cache afterwards. Construction, add_trace() and save() never
+/// throw — every failure degrades to a full rebuild (or an unsaved cache)
+/// recorded in stats().
 class IncrementalSession {
  public:
-  /// Computes this snapshot's device keys and attempts to load
-  /// `<cache_dir>/coverage.cache` into `mgr`. `mgr`, `network` and `trace`
-  /// must outlive the session.
+  /// Computes this snapshot's table keys and attempts to load
+  /// `<cache_dir>/coverage.cache` into `mgr`: match records apply at once,
+  /// covered-set records are kept for add_trace(). `mgr` and `network` must
+  /// outlive the session.
   IncrementalSession(bdd::BddManager& mgr, const net::Network& network,
-                     const coverage::CoverageTrace& trace, std::string cache_dir,
-                     uint64_t options_hash);
+                     std::string cache_dir, uint64_t options_hash);
+
+  /// Keys the kept covered-set records by this trace and builds
+  /// cover_prefill(). Call once, after step 1 and before step 2.
+  void add_trace(const coverage::CoverageTrace& trace);
 
   /// Null when no device hit (full rebuild).
   [[nodiscard]] const dataplane::MatchPrefill* match_prefill() const {
     return match_prefill_.get();
   }
+  /// Null until add_trace(), and when no device hit.
   [[nodiscard]] const coverage::CoverPrefill* cover_prefill() const {
     return cover_prefill_.get();
   }
@@ -104,6 +116,9 @@ class IncrementalSession {
   uint64_t options_hash_;
   std::vector<DeviceKeys> keys_;
   std::unique_ptr<dataplane::MatchPrefill> match_prefill_;
+  /// Loaded covered-set records by cov_hash, in table order; add_trace()
+  /// consumes them.
+  std::unordered_map<uint64_t, std::vector<packet::PacketSet>> cover_records_;
   std::unique_ptr<coverage::CoverPrefill> cover_prefill_;
   CacheStats stats_;
 };

@@ -130,16 +130,21 @@ void hash_packet_set(ContentHasher& hasher, const PacketSet& ps) {
   hasher.u64(structural_hash(*ps.raw().manager(), ps.raw().index(), memo));
 }
 
-std::vector<DeviceKeys> compute_device_keys(const net::Network& network,
-                                            const coverage::CoverageTrace& trace) {
+std::vector<DeviceKeys> compute_table_keys(const net::Network& network) {
   std::vector<DeviceKeys> out(network.device_count());
+  for (const net::Device& dev : network.devices()) {
+    out[dev.id.value].fib_hash = hash_device_tables(network, dev.id);
+  }
+  return out;
+}
+
+void add_trace_keys(const net::Network& network, const coverage::CoverageTrace& trace,
+                    std::vector<DeviceKeys>& out) {
   // One memo for the whole key pass: every trace slice lives in the same
   // manager, so structurally shared subgraphs across locations hash once.
   std::vector<uint64_t> memo;
   for (const net::Device& dev : network.devices()) {
     DeviceKeys& keys = out[dev.id.value];
-    keys.fib_hash = hash_device_tables(network, dev.id);
-
     ContentHasher h;
     h.u64(keys.fib_hash);
     // The trace slice Algorithm 1 reads for this device: the device-local
@@ -168,7 +173,6 @@ std::vector<DeviceKeys> compute_device_keys(const net::Network& network,
     }
     keys.cov_hash = h.value();
   }
-  return out;
 }
 
 std::vector<net::DeviceId> invalidation_frontier(const std::vector<DeviceKeys>& before,

@@ -74,10 +74,14 @@ struct DeviceKeys {
 /// read-only and charges nothing against a resource budget.
 void hash_packet_set(ContentHasher& hasher, const packet::PacketSet& ps);
 
-/// fib_hash + cov_hash for every device (indexed by DeviceId), against
-/// this network snapshot and trace.
-[[nodiscard]] std::vector<DeviceKeys> compute_device_keys(
-    const net::Network& network, const coverage::CoverageTrace& trace);
+/// fib_hash for every device (indexed by DeviceId), cov_hash still 0: the
+/// half of the keys the trace does not enter, known before any test runs.
+[[nodiscard]] std::vector<DeviceKeys> compute_table_keys(const net::Network& network);
+
+/// Sets every device's cov_hash from its fib_hash (already in `keys`) and
+/// this trace.
+void add_trace_keys(const net::Network& network, const coverage::CoverageTrace& trace,
+                    std::vector<DeviceKeys>& keys);
 
 /// Devices whose offline-phase results are stale between two snapshots:
 /// cov_hash changed, or the device exists on only one side. This is the

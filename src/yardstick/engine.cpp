@@ -21,6 +21,37 @@ const ResourceBudget* attach_budget(bdd::BddManager& mgr, const ResourceBudget* 
   return budget;
 }
 
+/// Detaches the manager's budget for its lifetime and re-attaches it on
+/// scope exit, also when the scope unwinds.
+class BudgetDetached {
+ public:
+  explicit BudgetDetached(bdd::BddManager& mgr) : mgr_(mgr), budget_(mgr.budget()) {
+    mgr_.set_budget(nullptr);
+  }
+  ~BudgetDetached() { mgr_.set_budget(budget_); }
+  BudgetDetached(const BudgetDetached&) = delete;
+  BudgetDetached& operator=(const BudgetDetached&) = delete;
+
+ private:
+  bdd::BddManager& mgr_;
+  const ResourceBudget* budget_;
+};
+
+/// The online phase, between steps 1 and 2: the tests run unbudgeted on the
+/// engine's transfer, then the cache keys its covered-set records by their
+/// trace.
+const coverage::CoverageTrace& run_online(
+    const std::function<const coverage::CoverageTrace&(const dataplane::Transfer&)>& online,
+    const dataplane::Transfer& transfer, IncrementalSession* incremental) {
+  const coverage::CoverageTrace* trace = nullptr;
+  {
+    const BudgetDetached detached(transfer.index().manager());
+    trace = &online(transfer);
+  }
+  if (incremental != nullptr) incremental->add_trace(*trace);
+  return *trace;
+}
+
 /// Writes the elapsed steady-clock seconds into `out` on scope exit. In a
 /// return statement, locals are destroyed *after* the returned object is
 /// constructed, so a guard in a factory function times the construction.
@@ -100,14 +131,12 @@ coverage::CoveredSets CoverageEngine::timed_covered_sets(
 }
 
 std::unique_ptr<IncrementalSession> CoverageEngine::make_incremental(
-    bdd::BddManager& mgr, const net::Network& network,
-    const coverage::CoverageTrace& trace, const EngineOptions& options) {
+    bdd::BddManager& mgr, const net::Network& network, const EngineOptions& options) {
   if (options.cache_dir.empty()) return nullptr;
   const uint64_t fingerprint = options_fingerprint(
       options.threads, options.budget != nullptr ? options.budget->max_bdd_nodes() : 0,
       options.budget != nullptr && options.budget->has_deadline());
-  return std::make_unique<IncrementalSession>(mgr, network, trace, options.cache_dir,
-                                              fingerprint);
+  return std::make_unique<IncrementalSession>(mgr, network, options.cache_dir, fingerprint);
 }
 
 CoverageEngine::CoverageEngine(bdd::BddManager& mgr, const net::Network& network,
@@ -118,13 +147,25 @@ CoverageEngine::CoverageEngine(bdd::BddManager& mgr, const net::Network& network
 CoverageEngine::CoverageEngine(bdd::BddManager& mgr, const net::Network& network,
                                const coverage::CoverageTrace& trace,
                                const EngineOptions& options)
+    : CoverageEngine(
+          mgr, network,
+          [&trace](const dataplane::Transfer&) -> const coverage::CoverageTrace& {
+            return trace;
+          },
+          options) {}
+
+CoverageEngine::CoverageEngine(
+    bdd::BddManager& mgr, const net::Network& network,
+    const std::function<const coverage::CoverageTrace&(const dataplane::Transfer&)>& online,
+    const EngineOptions& options)
     : network_(network),
       budget_(attach_budget(mgr, options.budget)),
       threads_(options.threads),
-      incremental_(make_incremental(mgr, network, trace, options)),
+      incremental_(make_incremental(mgr, network, options)),
       index_(timed_match_sets(mgr, network, options, timings_, incremental_.get())),
       transfer_(index_),
-      covered_(timed_covered_sets(index_, trace, options, timings_, incremental_.get())),
+      covered_(timed_covered_sets(index_, run_online(online, transfer_, incremental_.get()),
+                                  options, timings_, incremental_.get())),
       factory_(transfer_),
       measures_(build_measures(index_, covered_, factory_)) {
   if (incremental_) {

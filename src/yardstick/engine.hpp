@@ -6,6 +6,10 @@
 //   2. compute covered sets T[r] (Algorithm 1),
 //   3. compute the requested component and collection metrics.
 //
+// The online tests read the same match sets step 1 builds, so the engine
+// can also run them itself, between steps 1 and 2, on its own index: one
+// index per snapshot (DESIGN.md §16).
+//
 // Step 3's local metrics (rules, devices, outgoing interfaces) all fold
 // the same per-rule fraction |T[r] ∩ M[r]| / |M[r]|, so construction ends
 // by measuring every rule once into a table (DESIGN.md §15); those queries
@@ -104,6 +108,19 @@ class CoverageEngine {
   /// Same, with the full option set (budget + worker threads).
   CoverageEngine(bdd::BddManager& mgr, const net::Network& network,
                  const coverage::CoverageTrace& trace, const EngineOptions& options);
+
+  /// Runs the online phase too: after step 1, `online` gets the transfer
+  /// function over the engine's index, runs the tests on it and returns
+  /// their trace (which must outlive the engine); steps 2 and 3 follow on
+  /// the same index. The budget bounds steps 1-3 only: it is detached
+  /// from `mgr` while `online` runs (re-attached even if it throws), and a
+  /// step 1 it truncated hands the tests the partial data plane. The
+  /// incremental cache is read once before step 1 and keys its covered-set
+  /// records by the returned trace.
+  CoverageEngine(
+      bdd::BddManager& mgr, const net::Network& network,
+      const std::function<const coverage::CoverageTrace&(const dataplane::Transfer&)>& online,
+      const EngineOptions& options = {});
 
   /// True when a resource budget degraded steps 1-2; all metrics are
   /// lower bounds in that case (a rule step 1 never reached counts as
@@ -214,8 +231,7 @@ class CoverageEngine {
   /// Null when options.cache_dir is empty; never throws (cache failures
   /// degrade to a full rebuild, recorded in the session's stats).
   [[nodiscard]] static std::unique_ptr<IncrementalSession> make_incremental(
-      bdd::BddManager& mgr, const net::Network& network,
-      const coverage::CoverageTrace& trace, const EngineOptions& options);
+      bdd::BddManager& mgr, const net::Network& network, const EngineOptions& options);
 
   const net::Network& network_;
   const ResourceBudget* budget_;

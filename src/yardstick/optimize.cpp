@@ -264,8 +264,7 @@ GapReport build_gap_report(const CoverageEngine& engine, const DeviceFilter& fil
     const auto it = key_count.find(w.content_key);
     w.collapsed = it == key_count.end() ? 1 : it->second;
     // The space behavioral tests can actually reach: the disjoint match
-    // set, clipped by the ACL stage for FIB rules (same exercisable space
-    // as suggest_tests, but exhaustive instead of capped).
+    // set, clipped by the ACL stage for FIB rules.
     packet::PacketSet space = engine.match_sets().match_set(rid);
     if (rule.table == net::TableKind::Fib && network.has_acl(rule.device)) {
       space = space.intersect(engine.match_sets().acl_permitted_space(rule.device));

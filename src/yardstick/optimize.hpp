@@ -1,7 +1,7 @@
 // Suite optimization — acting on the coverage metrics (§7.2).
 //
-// SuiteAnalyzer reports which tests are redundant; this module closes the
-// loop and *does* something with that knowledge:
+// test_contributions (analysis.hpp) reports which tests are redundant; this
+// module closes the loop and *does* something with that knowledge:
 //
 //   * minimize_suite — smallest test subset preserving full-suite
 //     fractional rule coverage (exact greedy set cover over the suite's
@@ -136,12 +136,13 @@ struct GapReport {
   [[nodiscard]] std::string to_text() const;
 };
 
-/// Exhaustive generalization of suggest_tests: every uncovered rule
-/// (optionally device-filtered) gets an entry — a sampled witness packet
-/// from its exercisable space (disjoint match set, ACL-clipped for FIB
-/// rules) or a state-only marker. Witnesses are sampled from canonical
-/// BDDs in the engine's primary manager, so the report is bit-identical
-/// at any engine thread count.
+/// Every uncovered rule (optionally device-filtered), in untested_rules()
+/// order, gets an entry — a sampled witness packet from its exercisable
+/// space (disjoint match set, ACL-clipped for FIB rules) or a state-only
+/// marker. Witnesses are sampled from canonical BDDs in the engine's
+/// primary manager, so the report is bit-identical at any engine thread
+/// count, and cache-prefilled match sets give the same witnesses. The
+/// CLI's `--suggest N` prints its first N packet witnesses as probes.
 [[nodiscard]] GapReport build_gap_report(const CoverageEngine& engine,
                                          const DeviceFilter& filter = nullptr);
 

@@ -1,19 +1,17 @@
-// Tests for suite analysis (redundancy, greedy ordering) and
-// coverage-guided test suggestions.
+// Tests for suite analysis: per-test contributions (solo, marginal,
+// redundancy) read off the suite's coverage matrix, and the probes
+// `--suggest` draws from the gap report.
 #include <gtest/gtest.h>
 
 #include "nettest/contract_checks.hpp"
 #include "nettest/state_checks.hpp"
 #include "routing/fib_builder.hpp"
 #include "test_util.hpp"
-#include "topo/acl.hpp"
 #include "topo/fattree.hpp"
-#include "yardstick/analysis.hpp"
+#include "yardstick/optimize.hpp"
 
 namespace yardstick::ys {
 namespace {
-
-using packet::PacketSet;
 
 /// A trivial test that marks exactly one given rule.
 class OneRuleTest final : public nettest::NetworkTest {
@@ -53,50 +51,22 @@ TEST_F(AnalysisTest, DetectsRedundantDuplicate) {
   suite.add(std::make_unique<OneRuleTest>("a-duplicate", tiny_.l1_to_p1));
   suite.add(std::make_unique<OneRuleTest>("b", tiny_.sp_to_p2));
 
-  const SuiteAnalyzer analyzer(mgr_, tiny_.net);
-  const SuiteAnalysis analysis = analyzer.analyze(transfer_, suite);
+  const SuiteCoverageMatrix matrix = build_suite_matrix(transfer_, suite);
+  const std::vector<TestContribution> tests = test_contributions(matrix);
 
-  ASSERT_EQ(analysis.tests.size(), 3u);
+  ASSERT_EQ(tests.size(), 3u);
   // The duplicated pair: each is individually redundant (the other covers
   // the same rule); the distinct test is not.
-  EXPECT_TRUE(analysis.tests[0].redundant);
-  EXPECT_TRUE(analysis.tests[1].redundant);
-  EXPECT_FALSE(analysis.tests[2].redundant);
-  EXPECT_GT(analysis.tests[2].marginal, 0.0);
+  EXPECT_TRUE(tests[0].redundant);
+  EXPECT_TRUE(tests[1].redundant);
+  EXPECT_FALSE(tests[2].redundant);
+  EXPECT_EQ(tests[0].marginal, 0.0);
+  EXPECT_GT(tests[2].marginal, 0.0);
+  EXPECT_EQ(tests[2].name, "b");
   // Solo coverages: one rule each out of 9.
-  EXPECT_NEAR(analysis.tests[0].solo, 1.0 / 9.0, 1e-12);
-  EXPECT_NEAR(analysis.full, 2.0 / 9.0, 1e-12);
-}
-
-TEST_F(AnalysisTest, GreedyOrderFrontLoadsCoverage) {
-  nettest::TestSuite suite("s");
-  suite.add(std::make_unique<OneRuleTest>("small", tiny_.l1_to_p1));
-  // A "big" test marking three rules.
-  class ThreeRuleTest final : public nettest::NetworkTest {
-   public:
-    explicit ThreeRuleTest(const testutil::TinyNetwork& t) : t_(t) {}
-    [[nodiscard]] std::string name() const override { return "big"; }
-    [[nodiscard]] nettest::TestCategory category() const override {
-      return nettest::TestCategory::StateInspection;
-    }
-    [[nodiscard]] nettest::TestResult run(const dataplane::Transfer&,
-                                          CoverageTracker& tracker) const override {
-      tracker.mark_rule(t_.sp_to_p1);
-      tracker.mark_rule(t_.sp_to_p2);
-      tracker.mark_rule(t_.sp_default_drop);
-      return {};
-    }
-    const testutil::TinyNetwork& t_;
-  };
-  suite.add(std::make_unique<ThreeRuleTest>(tiny_));
-
-  const SuiteAnalyzer analyzer(mgr_, tiny_.net);
-  const SuiteAnalysis analysis = analyzer.analyze(transfer_, suite);
-  ASSERT_EQ(analysis.greedy_order.size(), 2u);
-  EXPECT_EQ(analysis.greedy_order[0], 1u);  // "big" first
-  // Cumulative coverage is monotone and ends at the full value.
-  EXPECT_LE(analysis.greedy_cumulative[0], analysis.greedy_cumulative[1] + 1e-12);
-  EXPECT_NEAR(analysis.greedy_cumulative.back(), analysis.full, 1e-12);
+  EXPECT_NEAR(tests[0].solo, 1.0 / 9.0, 1e-12);
+  EXPECT_NEAR(tests[2].marginal, 1.0 / 9.0, 1e-12);
+  EXPECT_NEAR(minimize_suite(matrix).full_coverage, 2.0 / 9.0, 1e-12);
 }
 
 TEST_F(AnalysisTest, RealSuiteContributions) {
@@ -114,19 +84,19 @@ TEST_F(AnalysisTest, RealSuiteContributions) {
   suite.add(std::make_unique<nettest::ToRContract>());
   suite.add(std::make_unique<nettest::DefaultRouteCheck>());
 
-  const SuiteAnalyzer analyzer(mgr, tree.network);
-  const SuiteAnalysis analysis = analyzer.analyze(transfer, suite);
-  EXPECT_TRUE(analysis.tests[0].redundant);   // duplicated with [2]
-  EXPECT_FALSE(analysis.tests[1].redundant);  // unique contract coverage
-  EXPECT_TRUE(analysis.tests[2].redundant);
-  EXPECT_GT(analysis.full, analysis.tests[1].solo);
+  const SuiteCoverageMatrix matrix = build_suite_matrix(transfer, suite);
+  const std::vector<TestContribution> tests = test_contributions(matrix);
+  EXPECT_TRUE(tests[0].redundant);   // duplicated with [2]
+  EXPECT_FALSE(tests[1].redundant);  // unique contract coverage
+  EXPECT_TRUE(tests[2].redundant);
+  EXPECT_GT(minimize_suite(matrix).full_coverage, tests[1].solo);
 }
 
 TEST_F(AnalysisTest, BudgetedAnalysisClampsMarginalsAndFlagsTruncation) {
-  // Regression: under a tripping budget the leave-one-out run can cover
+  // Regression: under a tripping budget the leave-one-out run could cover
   // more than the (degraded) full-suite run, which used to produce
-  // negative marginals. Marginals must clamp at 0 and the analysis must
-  // carry the truncated flag instead of throwing.
+  // negative marginals. Folded from one matrix, marginals stay >= 0, and
+  // the matrix carries the truncated flag instead of throwing.
   topo::FatTree tree = topo::make_fat_tree({.k = 4});
   routing::FibBuilder::compute_and_build(tree.network, tree.routing);
   bdd::BddManager mgr(packet::kNumHeaderBits);
@@ -139,62 +109,47 @@ TEST_F(AnalysisTest, BudgetedAnalysisClampsMarginalsAndFlagsTruncation) {
 
   ResourceBudget budget;
   // The unbudgeted index above already allocated well past this cap, so
-  // every analyzer-internal covered-set computation degrades.
+  // every per-test covered-set computation degrades.
   budget.with_max_bdd_nodes(1000);
-  const SuiteAnalyzer analyzer(mgr, tree.network, &budget);
-  const SuiteAnalysis analysis = analyzer.analyze(transfer, suite);
+  const bdd::ScopedBudget attach(mgr, &budget);
+  const SuiteCoverageMatrix matrix = build_suite_matrix(transfer, suite, &budget);
 
-  EXPECT_TRUE(analysis.truncated);
-  ASSERT_EQ(analysis.tests.size(), 2u);
-  for (const TestContribution& t : analysis.tests) {
+  EXPECT_TRUE(matrix.truncated);
+  const std::vector<TestContribution> tests = test_contributions(matrix);
+  ASSERT_EQ(tests.size(), 2u);
+  for (const TestContribution& t : tests) {
     EXPECT_GE(t.marginal, 0.0) << t.name;
     EXPECT_GE(t.solo, 0.0) << t.name;
   }
 }
 
-TEST_F(AnalysisTest, SuggestionsExerciseUntestedRules) {
-  CoverageTracker tracker;
-  tracker.mark_rule(tiny_.l1_to_p1);
-  const CoverageEngine engine(mgr_, tiny_.net, tracker.trace());
-
-  const auto suggestions = suggest_tests(engine, 100);
-  EXPECT_EQ(suggestions.size(), 8u);  // 9 rules - 1 tested
-  for (const TestSuggestion& s : suggestions) {
-    // The sampled packet really exercises the rule: it lies in the rule's
-    // disjoint match set.
-    EXPECT_TRUE(engine.match_sets().match_set(s.rule).contains(s.sample))
-        << s.to_string(tiny_.net);
-    EXPECT_EQ(tiny_.net.rule(s.rule).device, s.device);
-  }
-}
-
 TEST_F(AnalysisTest, SuggestionsRespectBudgetAndFilter) {
+  // `--suggest N` prints the gap report's first N packet witnesses: a
+  // budget of N gives N probes on distinct untested rules, and a device
+  // filter keeps every probe on the devices it selects.
   const coverage::CoverageTrace empty;
   const CoverageEngine engine(mgr_, tiny_.net, empty);
-  EXPECT_EQ(suggest_tests(engine, 3).size(), 3u);
-  const auto spine_only = suggest_tests(engine, 100, role_filter(net::Role::Spine));
-  EXPECT_EQ(spine_only.size(), 3u);
-  for (const auto& s : spine_only) {
-    EXPECT_EQ(tiny_.net.device(s.device).role, net::Role::Spine);
-  }
-}
-
-TEST_F(AnalysisTest, SuggestionsSkipAclShadowedSpace) {
-  // Block everything except TCP/80 at leaf1; suggestions for leaf1 FIB
-  // rules must sample from the permitted space only.
-  net::MatchSpec permit_web;
-  permit_web.proto = 6;
-  permit_web.dst_port = net::PortRange{80, 80};
-  tiny_.net.add_rule(tiny_.leaf1, permit_web, net::Action::permit(),
-                     net::RouteKind::Security, 0, net::TableKind::Acl);
-  const coverage::CoverageTrace empty;
-  const CoverageEngine engine(mgr_, tiny_.net, empty);
-  for (const auto& s : suggest_tests(engine, 100)) {
-    if (s.device == tiny_.leaf1 &&
-        tiny_.net.rule(s.rule).table == net::TableKind::Fib) {
-      EXPECT_EQ(s.sample.proto, 6) << s.to_string(tiny_.net);
-      EXPECT_EQ(s.sample.dst_port, 80);
+  const auto suggest = [](const GapReport& report, size_t budget) {
+    std::vector<std::pair<net::DeviceId, net::RuleId>> probes;
+    for (const DeviceGaps& d : report.devices) {
+      for (const GapWitness& g : d.gaps) {
+        if (g.state_only || probes.size() == budget) continue;
+        probes.emplace_back(d.device, g.rule);
+      }
     }
+    return probes;
+  };
+  const auto first_three = suggest(build_gap_report(engine), 3);
+  ASSERT_EQ(first_three.size(), 3u);
+  EXPECT_NE(first_three[0].second, first_three[1].second);
+  EXPECT_NE(first_three[1].second, first_three[2].second);
+  EXPECT_NE(first_three[0].second, first_three[2].second);
+
+  const auto spine_only = suggest(build_gap_report(engine, role_filter(net::Role::Spine)), 100);
+  EXPECT_EQ(spine_only.size(), 3u);
+  for (const auto& [device, rule] : spine_only) {
+    EXPECT_EQ(tiny_.net.device(device).role, net::Role::Spine);
+    EXPECT_EQ(tiny_.net.rule(rule).device, device);
   }
 }
 

@@ -183,6 +183,17 @@ TEST(CliTest, BudgetFlagsProduceTruncatedPartialResults) {
   EXPECT_EQ(run_cli("fattree --max-bdd-nodes -3").exit_code, 2);
 }
 
+TEST(CliTest, NodeCapBelowTheIndexTruncatesAndKeepsTestVerdicts) {
+  REQUIRE_CLI();
+  // The cap trips step 1; the tests then run, unbudgeted, on the partial
+  // data plane. The report says truncated, and the exit code is the tests'
+  // verdict (0 or 1), never the budget's 6 or an internal error.
+  const CommandResult r = run_cli("fattree --k 4 --suite fattree --json --max-bdd-nodes 300");
+  EXPECT_NE(r.output.find("\"truncated\":true"), std::string::npos) << r.output;
+  const bool failed = r.output.find("\"passed\":false") != std::string::npos;
+  EXPECT_EQ(r.exit_code, failed ? 1 : 0) << r.output;
+}
+
 TEST(CliTest, NumericFlagsRejectGarbageAndOutOfRangeValues) {
   REQUIRE_CLI();
   // Every numeric flag goes through a checked parser: non-numeric tokens,
@@ -250,6 +261,13 @@ TEST(CliTest, AnalyzeAndSuggestFlags) {
   EXPECT_EQ(r.exit_code, 0) << r.output;
   EXPECT_NE(r.output.find("suite analysis"), std::string::npos);
   EXPECT_NE(r.output.find("suggested probes"), std::string::npos);
+  // The cap: exactly N probes.
+  size_t probes = 0;
+  for (size_t at = r.output.find("  inject at "); at != std::string::npos;
+       at = r.output.find("  inject at ", at + 1)) {
+    ++probes;
+  }
+  EXPECT_EQ(probes, 2u);
 }
 
 }  // namespace

@@ -236,6 +236,13 @@ TEST_F(SuiteOptimizeTest, GapReportIsExhaustiveAndGroupedByDevice) {
   // Devices appear in network order.
   const std::vector<net::DeviceId> expected{tiny_.leaf1, tiny_.spine, tiny_.leaf2};
   EXPECT_EQ(device_order, expected);
+
+  // A device filter keeps only the devices it selects, whole.
+  const GapReport spine_only = build_gap_report(engine, role_filter(net::Role::Spine));
+  ASSERT_EQ(spine_only.devices.size(), 1u);
+  EXPECT_EQ(spine_only.devices.front().device, tiny_.spine);
+  EXPECT_EQ(spine_only.uncovered_rules, 3u);
+  EXPECT_EQ(spine_only.packet_witnesses, 3u);
 }
 
 TEST_F(SuiteOptimizeTest, AclShadowedRuleBecomesStateOnly) {

@@ -305,10 +305,12 @@ std::optional<CliOptions> parse(int argc, char** argv) {
   return opts;
 }
 
-/// Topology + routing config + optional transform plan, built from the CLI
-/// options. Out-parameter style: the struct holds both the storage and the
-/// interior pointers, so it must not be moved after building.
-struct BuiltTopology {
+/// What every in-process mode sets up before its first BDD: the topology
+/// (routing config, optional transform plan), its forwarding state, the
+/// budget the flags ask for, and the suite. Filled in place by set_up(): the
+/// struct holds both the storage and the interior pointers, so it must not
+/// be moved.
+struct Setup {
   net::Network* network = nullptr;
   routing::RoutingConfig* routing = nullptr;
   std::vector<net::DeviceId> tors;
@@ -317,56 +319,38 @@ struct BuiltTopology {
   netio::LoadedNetwork from_file;
   bool state_loaded = false;
   topo::TransformState transforms;
-};
+  ys::ResourceBudget budget;
+  bool budgeted = false;
+  nettest::TestSuite suite{""};
 
-void build_topology(const CliOptions& opts, BuiltTopology& t) {
-  if (opts.topology == "fattree") {
-    t.fattree = topo::make_fat_tree({.k = opts.k});
-    t.network = &t.fattree.network;
-    t.routing = &t.fattree.routing;
-    t.tors = t.fattree.tors;
-  } else if (opts.topology == "regional") {
-    t.regional = topo::make_regional(opts.regional);
-    t.network = &t.regional.network;
-    t.routing = &t.regional.routing;
-    t.tors = t.regional.tors;
-  } else {
-    t.from_file = netio::load_network_file(opts.network_file);
-    t.network = &t.from_file.network;
-    t.routing = &t.from_file.routing;
-    t.tors = t.network->devices_with_role(net::Role::ToR);
-    t.state_loaded = t.from_file.has_forwarding_state;
+  [[nodiscard]] const ys::ResourceBudget* budget_or_null() const {
+    return budgeted ? &budget : nullptr;
   }
-  if (opts.transforms > 0) {
-    if (opts.topology != "regional") {
-      throw ys::InvalidInputError("--transforms requires the regional topology");
-    }
-    // Must run before FIB computation: tunnel endpoints are BGP-originated.
-    t.transforms = topo::plan_transforms(
-        t.regional, {.tunnels = opts.transforms, .nat_rules_per_wan = opts.transforms});
+  [[nodiscard]] ys::EngineOptions engine_options(const CliOptions& opts) const {
+    return {budget_or_null(), opts.threads, opts.cache_dir, opts.gc_threshold};
   }
-}
+};
 
 /// Post-FIB state (ingress ACLs, transform rules) — everything that
 /// FibBuilder::build wipes and that must be reinstalled per FIB rebuild.
-void install_post_fib_state(const CliOptions& opts, const BuiltTopology& t,
-                            net::Network& network,
+void install_post_fib_state(const CliOptions& opts, const Setup& s, net::Network& network,
                             const routing::RoutingConfig& routing) {
   if (opts.with_acl) {
     std::vector<net::DeviceId> alive;
-    alive.reserve(t.tors.size());
-    for (const net::DeviceId tor : t.tors) {
+    alive.reserve(s.tors.size());
+    for (const net::DeviceId tor : s.tors) {
       if (!routing.failed_devices.contains(tor)) alive.push_back(tor);
     }
     topo::install_ingress_acls(network, alive);
   }
-  if (!t.transforms.empty()) {
-    topo::install_transform_rules(network, t.transforms, routing);
+  if (!s.transforms.empty()) {
+    topo::install_transform_rules(network, s.transforms, routing);
   }
 }
 
-nettest::TestSuite build_suite(const CliOptions& opts,
-                               const std::unordered_set<net::DeviceId>& excluded) {
+nettest::TestSuite build_suite(const CliOptions& opts, const routing::RoutingConfig& routing) {
+  const std::unordered_set<net::DeviceId> excluded(routing.no_default_devices.begin(),
+                                                   routing.no_default_devices.end());
   nettest::TestSuite suite(opts.suite);
   const bool original = opts.suite == "original" || opts.suite == "final";
   const bool fresh = opts.suite == "new" || opts.suite == "final";
@@ -395,6 +379,45 @@ nettest::TestSuite build_suite(const CliOptions& opts,
   return suite;
 }
 
+/// `route` computes the forwarding state (unless the network file carried
+/// it) and installs the post-FIB state; scenario mode leaves both to the
+/// runner, which recomputes them per scenario.
+void set_up(const CliOptions& opts, Setup& s, bool route = true) {
+  if (opts.topology == "fattree") {
+    s.fattree = topo::make_fat_tree({.k = opts.k});
+    s.network = &s.fattree.network;
+    s.routing = &s.fattree.routing;
+    s.tors = s.fattree.tors;
+  } else if (opts.topology == "regional") {
+    s.regional = topo::make_regional(opts.regional);
+    s.network = &s.regional.network;
+    s.routing = &s.regional.routing;
+    s.tors = s.regional.tors;
+  } else {
+    s.from_file = netio::load_network_file(opts.network_file);
+    s.network = &s.from_file.network;
+    s.routing = &s.from_file.routing;
+    s.tors = s.network->devices_with_role(net::Role::ToR);
+    s.state_loaded = s.from_file.has_forwarding_state;
+  }
+  if (opts.transforms > 0) {
+    if (opts.topology != "regional") {
+      throw ys::InvalidInputError("--transforms requires the regional topology");
+    }
+    // Must run before FIB computation: tunnel endpoints are BGP-originated.
+    s.transforms = topo::plan_transforms(
+        s.regional, {.tunnels = opts.transforms, .nat_rules_per_wan = opts.transforms});
+  }
+  if (route && !s.state_loaded) {
+    routing::FibBuilder::compute_and_build(*s.network, *s.routing);
+    install_post_fib_state(opts, s, *s.network, *s.routing);
+  }
+  if (opts.deadline_s > 0.0) s.budget.with_deadline(opts.deadline_s);
+  if (opts.max_bdd_nodes > 0) s.budget.with_max_bdd_nodes(opts.max_bdd_nodes);
+  s.budgeted = opts.deadline_s > 0.0 || opts.max_bdd_nodes > 0;
+  s.suite = build_suite(opts, *s.routing);
+}
+
 /// Maps the error taxonomy onto the documented exit codes.
 int exit_code_for(ys::Error code) {
   switch (code) {
@@ -416,44 +439,36 @@ void write_file(const std::string& path, const std::string& content) {
 }
 
 int run_impl(const CliOptions& opts) {
-
-  // Build topology + forwarding state.
-  BuiltTopology built;
-  build_topology(opts, built);
-  net::Network* network = built.network;
-  routing::RoutingConfig* routing = built.routing;
-  if (!built.state_loaded) {
-    routing::FibBuilder::compute_and_build(*network, *routing);
-    install_post_fib_state(opts, built, *network, *routing);
-  }
-  if (!opts.json) std::printf("%s\n", network->summary().c_str());
+  Setup s;
+  set_up(opts, s);
+  net::Network& network = *s.network;
+  if (!opts.json) std::printf("%s\n", network.summary().c_str());
 
   bdd::BddManager mgr(packet::kNumHeaderBits);
-  ys::ResourceBudget budget;
-  if (opts.deadline_s > 0.0) budget.with_deadline(opts.deadline_s);
-  if (opts.max_bdd_nodes > 0) budget.with_max_bdd_nodes(opts.max_bdd_nodes);
-  const bool budgeted = opts.deadline_s > 0.0 || opts.max_bdd_nodes > 0;
   ys::CoverageTracker tracker;
-  size_t failures = 0;
-
   if (opts.load_trace) {
     obs::Span span("trace.load", "io");
     coverage::CoverageTrace loaded = ys::load_trace(*opts.load_trace, mgr);
     tracker.mark_packet(loaded.marked_packets());
     for (const net::RuleId rid : loaded.marked_rules()) tracker.mark_rule(rid);
     if (!opts.json) std::printf("loaded trace from %s\n", opts.load_trace->c_str());
-  } else {
-    const dataplane::MatchSetIndex match_sets(mgr, *network);
-    const dataplane::Transfer transfer(match_sets);
-    const std::unordered_set<net::DeviceId> excluded(routing->no_default_devices.begin(),
-                                                     routing->no_default_devices.end());
-    const nettest::TestSuite suite = build_suite(opts, excluded);
-    const auto results = [&] {
-      obs::Span span("suite.run", "online");
-      span.arg("tests", suite.size());
-      return suite.run_all(transfer, tracker);
-    }();
-    for (const auto& r : results) failures += r.failures;
+  }
+  // The tests run on the engine's own index, between its steps 1 and 2.
+  std::vector<nettest::TestResult> results;
+  const ys::CoverageEngine engine(
+      mgr, network,
+      [&](const dataplane::Transfer& transfer) -> const coverage::CoverageTrace& {
+        if (!opts.load_trace) {
+          obs::Span span("suite.run", "online");
+          span.arg("tests", s.suite.size());
+          results = s.suite.run_all(transfer, tracker);
+        }
+        return tracker.trace();
+      },
+      s.engine_options(opts));
+  size_t failures = 0;
+  for (const auto& r : results) failures += r.failures;
+  if (!opts.load_trace) {
     if (opts.json) {
       std::printf("{\"tests\":%s,", ys::results_to_json(results).c_str());
     } else {
@@ -463,15 +478,13 @@ int run_impl(const CliOptions& opts) {
       }
     }
     if (opts.analyze && !opts.json) {
-      const ys::SuiteAnalyzer analyzer(mgr, *network, budgeted ? &budget : nullptr,
-                                       opts.threads);
-      const ys::SuiteAnalysis analysis = analyzer.analyze(transfer, suite);
-      if (analysis.truncated) {
+      const ys::SuiteCoverageMatrix matrix = ys::build_suite_matrix(
+          engine.transfer(), s.suite, s.budget_or_null(), opts.threads);
+      if (matrix.truncated) {
         std::fprintf(stderr, "warning: budget exhausted; suite analysis is partial\n");
       }
-      std::printf("\nsuite analysis (fractional rule coverage, %.3fs):\n",
-                  analysis.analyze_seconds);
-      for (const auto& t : analysis.tests) {
+      std::printf("\nsuite analysis (fractional rule coverage):\n");
+      for (const ys::TestContribution& t : ys::test_contributions(matrix)) {
         std::printf("  %-24s solo %6.1f%%  marginal %6.1f%%  %7.3fs  %s\n",
                     t.name.c_str(), t.solo * 100.0, t.marginal * 100.0, t.seconds,
                     t.redundant ? "REDUNDANT" : "keep");
@@ -479,10 +492,6 @@ int run_impl(const CliOptions& opts) {
     }
   }
 
-  const ys::CoverageEngine engine(
-      mgr, *network, tracker.trace(),
-      ys::EngineOptions{budgeted ? &budget : nullptr, opts.threads, opts.cache_dir,
-                        opts.gc_threshold});
   // Cache telemetry goes to stderr so stdout (human or JSON report) stays
   // byte-identical to a from-scratch run — which is what CI diffs.
   if (const ys::CacheStats* cs = engine.cache_stats()) {
@@ -531,9 +540,16 @@ int run_impl(const CliOptions& opts) {
   if (opts.json) std::printf("}\n");
 
   if (opts.suggest > 0 && !opts.json) {
+    // The gap report's first packet witnesses, as ready-to-inject probes.
     std::printf("\nsuggested probes for untested rules:\n");
-    for (const ys::TestSuggestion& s : ys::suggest_tests(engine, opts.suggest)) {
-      std::printf("  %s\n", s.to_string(*network).c_str());
+    size_t shown = 0;
+    for (const ys::DeviceGaps& d : ys::build_gap_report(engine).devices) {
+      for (const ys::GapWitness& g : d.gaps) {
+        if (g.state_only || shown == opts.suggest) continue;
+        ++shown;
+        std::printf("  inject at %s: %s (exercises %s)\n", d.name.c_str(),
+                    g.witness.to_string().c_str(), network.rule(g.rule).to_string().c_str());
+      }
     }
   }
 
@@ -581,33 +597,20 @@ int observed(const CliOptions& opts, int (*mode)(const CliOptions&)) {
 /// forwarding state is always recomputed per scenario, so hand-authored
 /// state in `file` topologies is replaced by the BGP substrate's output.
 int scenarios_impl(const CliOptions& opts) {
-  BuiltTopology built;
-  build_topology(opts, built);
-  if (!opts.json) std::printf("%s\n", built.network->summary().c_str());
+  Setup s;
+  set_up(opts, s, /*route=*/false);
+  if (!opts.json) std::printf("%s\n", s.network->summary().c_str());
 
   const scenario::ScenarioSpec spec =
       opts.scenario_spec.empty()
-          ? scenario::random_link_scenarios(*built.network, opts.random_links,
+          ? scenario::random_link_scenarios(*s.network, opts.random_links,
                                             opts.scenario_seed, opts.links_per_scenario)
           : scenario::ScenarioSpec::load(opts.scenario_spec);
 
-  ys::ResourceBudget budget;
-  if (opts.deadline_s > 0.0) budget.with_deadline(opts.deadline_s);
-  if (opts.max_bdd_nodes > 0) budget.with_max_bdd_nodes(opts.max_bdd_nodes);
-  const bool budgeted = opts.deadline_s > 0.0 || opts.max_bdd_nodes > 0;
-
-  scenario::ScenarioRunnerOptions ropts;
-  ropts.engine = ys::EngineOptions{budgeted ? &budget : nullptr, opts.threads,
-                                   opts.cache_dir, opts.gc_threshold};
-
-  const std::unordered_set<net::DeviceId> excluded(
-      built.routing->no_default_devices.begin(), built.routing->no_default_devices.end());
-  const nettest::TestSuite suite = build_suite(opts, excluded);
-
-  scenario::ScenarioRunner runner(*built.network, *built.routing, suite, ropts);
+  scenario::ScenarioRunner runner(*s.network, *s.routing, s.suite, {s.engine_options(opts)});
   runner.set_post_fib_hook(
-      [&opts, &built](net::Network& network, const routing::RoutingConfig& routing) {
-        install_post_fib_state(opts, built, network, routing);
+      [&opts, &s](net::Network& network, const routing::RoutingConfig& routing) {
+        install_post_fib_state(opts, s, network, routing);
       });
   const scenario::ScenarioReport report = runner.run(spec);
 
@@ -639,47 +642,29 @@ int run_scenarios(int argc, char** argv) {
 /// `yardstick optimize <topology> [...] --minimize|--prioritize|--gap-report`
 ///
 /// Reuses the main option grammar (argv[0] is skipped by parse()). Runs the
-/// suite twice over the same match-set index: once per-test in isolation
-/// (the coverage matrix the optimizers fold over) and once merged (the
-/// engine the gap report and the recomputation cross-check read).
+/// suite twice over the engine's match-set index: once merged, inside the
+/// engine (the gap report and the recomputation cross-check read it), and
+/// once per-test in isolation (the coverage matrix the optimizers fold
+/// over).
 int optimize_impl(const CliOptions& opts) {
-  BuiltTopology built;
-  build_topology(opts, built);
-  net::Network* network = built.network;
-  if (!built.state_loaded) {
-    routing::FibBuilder::compute_and_build(*network, *built.routing);
-    install_post_fib_state(opts, built, *network, *built.routing);
-  }
-  if (!opts.json) std::printf("%s\n", network->summary().c_str());
-
-  ys::ResourceBudget budget;
-  if (opts.deadline_s > 0.0) budget.with_deadline(opts.deadline_s);
-  if (opts.max_bdd_nodes > 0) budget.with_max_bdd_nodes(opts.max_bdd_nodes);
-  const bool budgeted = opts.deadline_s > 0.0 || opts.max_bdd_nodes > 0;
+  Setup s;
+  set_up(opts, s);
+  net::Network& network = *s.network;
+  if (!opts.json) std::printf("%s\n", network.summary().c_str());
 
   bdd::BddManager mgr(packet::kNumHeaderBits);
-  if (budgeted) mgr.set_budget(&budget);
-  const dataplane::MatchSetIndex match_sets(mgr, *network,
-                                            budgeted ? &budget : nullptr);
-  const dataplane::Transfer transfer(match_sets);
-  const std::unordered_set<net::DeviceId> excluded(
-      built.routing->no_default_devices.begin(),
-      built.routing->no_default_devices.end());
-  const nettest::TestSuite suite = build_suite(opts, excluded);
-
+  ys::CoverageTracker tracker;
+  const ys::CoverageEngine engine(
+      mgr, network,
+      [&](const dataplane::Transfer& transfer) -> const coverage::CoverageTrace& {
+        (void)s.suite.run_all(transfer, tracker);
+        return tracker.trace();
+      },
+      s.engine_options(opts));
   // Per-test coverage matrix: the substrate minimization/prioritization
   // fold over (bit-identical at any --threads value).
   const ys::SuiteCoverageMatrix matrix =
-      ys::build_suite_matrix(transfer, suite, budgeted ? &budget : nullptr,
-                             opts.threads);
-
-  // Merged full-suite run for the engine-side artifacts.
-  ys::CoverageTracker tracker;
-  (void)suite.run_all(transfer, tracker);
-  const ys::CoverageEngine engine(
-      mgr, *network, tracker.trace(),
-      ys::EngineOptions{budgeted ? &budget : nullptr, opts.threads, opts.cache_dir,
-                        opts.gc_threshold});
+      ys::build_suite_matrix(engine.transfer(), s.suite, s.budget_or_null(), opts.threads);
 
   std::optional<ys::MinimizeResult> minimized;
   std::optional<ys::PrioritizeResult> prioritized;
@@ -690,13 +675,12 @@ int optimize_impl(const CliOptions& opts) {
     // merged trace through a fresh engine — the recomputed fractional rule
     // coverage must equal the full suite's bit-for-bit at min-coverage 1.
     ys::CoverageTracker subset_tracker;
-    for (const ys::SelectedTest& s : minimized->selected) {
-      (void)suite.test(s.index).run(transfer, subset_tracker);
+    for (const ys::SelectedTest& t : minimized->selected) {
+      (void)s.suite.test(t.index).run(engine.transfer(), subset_tracker);
     }
     const ys::CoverageEngine subset_engine(
-        mgr, *network, subset_tracker.trace(),
-        ys::EngineOptions{budgeted ? &budget : nullptr, opts.threads, "",
-                          opts.gc_threshold});
+        mgr, network, subset_tracker.trace(),
+        ys::EngineOptions{s.budget_or_null(), opts.threads, "", opts.gc_threshold});
     minimized->recomputed_full = engine.metrics().rule_fractional;
     minimized->recomputed_subset = subset_engine.metrics().rule_fractional;
   }
@@ -947,40 +931,22 @@ int run_ingest(int argc, char** argv) {
   }
   if (copts.socket_path.empty() && copts.tcp_port == 0) return ingest_usage(argv[0]);
 
-  // Run the suite locally into a trace, exactly like the in-process path.
+  // Run the suite locally into a trace, on one plain index: no engine
+  // runs here, the daemon's consumer computes the metrics.
   CliOptions sopts;
   sopts.topology = topology;
   sopts.k = k;
   sopts.suite = suite_name;
   sopts.with_acl = with_acl;
-  net::Network* network = nullptr;
-  routing::RoutingConfig* routing = nullptr;
-  std::vector<net::DeviceId> tors;
-  topo::FatTree fattree;
-  topo::RegionalNetwork regional;
-  if (topology == "fattree") {
-    fattree = topo::make_fat_tree({.k = k});
-    network = &fattree.network;
-    routing = &fattree.routing;
-    tors = fattree.tors;
-  } else {
-    regional = topo::make_regional(sopts.regional);
-    network = &regional.network;
-    routing = &regional.routing;
-    tors = regional.tors;
-  }
-  routing::FibBuilder::compute_and_build(*network, *routing);
-  if (with_acl) topo::install_ingress_acls(*network, tors);
+  Setup s;
+  set_up(sopts, s);
 
   bdd::BddManager mgr(packet::kNumHeaderBits);
   ys::CoverageTracker tracker;
-  const dataplane::MatchSetIndex match_sets(mgr, *network);
+  const dataplane::MatchSetIndex match_sets(mgr, *s.network);
   const dataplane::Transfer transfer(match_sets);
-  const std::unordered_set<net::DeviceId> excluded(routing->no_default_devices.begin(),
-                                                   routing->no_default_devices.end());
-  const nettest::TestSuite suite = build_suite(sopts, excluded);
   size_t failures = 0;
-  for (const auto& r : suite.run_all(transfer, tracker)) failures += r.failures;
+  for (const auto& r : s.suite.run_all(transfer, tracker)) failures += r.failures;
   const coverage::CoverageTrace& trace = tracker.trace();
 
   // Stream the trace to the daemon, optionally as one deterministic
