@@ -6,6 +6,11 @@
 // the trace viewers render them. The canonical hierarchy:
 //
 //   cli.run
+//   ├─ cli.setup                       (topology, forwarding state, budget,
+//   │  │                                suite)
+//   │  ├─ routing.bgp                  (eBGP fixpoint; args devices,
+//   │  │                                prefixes, rib_entries, rounds)
+//   │  └─ routing.fib                  (FIB build; arg rules)
 //   ├─ match_sets.build                (offline step 1)
 //   │  ├─ parallel.worker (×N)         (sharded device builds)
 //   │  └─ match_sets.merge             (deterministic import)
@@ -19,6 +24,11 @@
 //   ├─ path_coverage.sweep             (offline step 3, DFS sweep)
 //   │  └─ parallel.worker (×N)         (clone + ingress drain)
 //   ├─ analysis.suite_matrix           (--analyze, optimize)
+//   ├─ scenario.evaluate (×N+1)        (scenarios mode; arg scenario,
+//   │                                   0 = baseline: its own routing.bgp,
+//   │                                   routing.fib and engine spans; the
+//   │                                   baseline restore's routing spans
+//   │                                   follow the last one)
 //   └─ trace.save / trace.load
 //
 // Cost model: a Span in disabled mode is two relaxed atomic loads and no

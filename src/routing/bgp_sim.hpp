@@ -10,7 +10,10 @@
 // count instead of a full AS path (there are only five tier ASNs), which
 // keeps memory linear in |devices| x |prefixes| even on large fat-trees.
 // Selection is monotone Bellman-Ford over path length, so iteration reaches
-// a fixpoint in O(network diameter) synchronous rounds.
+// a fixpoint in O(network diameter) synchronous rounds. A round allocates
+// nothing per advertisement: prefixes get dense ids, candidates accumulate
+// in one reused array indexed by id, and RIBs are double-buffered
+// (DESIGN.md §17).
 #pragma once
 
 #include <array>
@@ -65,7 +68,9 @@ class BgpSimulator {
   [[nodiscard]] SimRib originated_entries(const net::Device& dev) const;
   [[nodiscard]] bool export_allowed(const SimRibEntry& entry, const net::Device& exporter,
                                     const net::Device& receiver) const;
-  [[nodiscard]] bool import_allowed(const SimRibEntry& advert,
+  /// Import policy for `entry` as offered by an exporter of tier index
+  /// `exporter_tier_idx`, judged as if the exporter's ASN were prepended.
+  [[nodiscard]] bool import_allowed(const SimRibEntry& entry, int exporter_tier_idx,
                                     const net::Device& receiver) const;
 
   const net::Network& network_;

@@ -1,7 +1,9 @@
 #include "routing/fib_builder.hpp"
 
 #include <algorithm>
-#include <unordered_map>
+#include <tuple>
+
+#include "obs/trace.hpp"
 
 namespace yardstick::routing {
 
@@ -27,12 +29,10 @@ constexpr int kAdEbgp = 20;
 
 void install_device(net::Network& network, const net::Device& dev, const SimRib& rib,
                     const RoutingConfig& config) {
-  std::unordered_map<uint64_t, Candidate> chosen;
-  const auto offer = [&](Candidate c) {
-    const uint64_t key = prefix_key(c.prefix);
-    auto [it, inserted] = chosen.try_emplace(key, c);
-    if (!inserted && c.admin_distance < it->second.admin_distance) it->second = c;
-  };
+  // Every offer in arrival order. A prefix's rule is its earliest offer of
+  // the lowest administrative distance.
+  std::vector<Candidate> offers;
+  const auto offer = [&](Candidate&& c) { offers.push_back(std::move(c)); };
 
   const auto link_up = [&](net::InterfaceId iid) { return config.link_usable(network, iid); };
 
@@ -111,18 +111,28 @@ void install_device(net::Network& network, const net::Device& dev, const SimRib&
   }
 
   // Emit in longest-prefix-first order: priority = 32 - length, so the
-  // ordered table realizes LPM under first-match semantics.
-  std::vector<Candidate> final_entries;
-  final_entries.reserve(chosen.size());
-  for (auto& [key, c] : chosen) final_entries.push_back(std::move(c));
-  std::sort(final_entries.begin(), final_entries.end(),
-            [](const Candidate& a, const Candidate& b) {
-              if (a.prefix.length() != b.prefix.length()) {
-                return a.prefix.length() > b.prefix.length();
-              }
-              return prefix_key(a.prefix) < prefix_key(b.prefix);
-            });
-  for (Candidate& c : final_entries) {
+  // ordered table realizes LPM under first-match semantics. Offers are
+  // sorted by (length descending, prefix key, distance, arrival) through a
+  // compact index; the first of each prefix wins.
+  struct Rank {
+    uint64_t order;  // (32 - length) << 38 | prefix_key: one key per prefix
+    int admin_distance;
+    uint32_t offer;
+  };
+  std::vector<Rank> ranks;
+  ranks.reserve(offers.size());
+  for (uint32_t i = 0; i < offers.size(); ++i) {
+    const Ipv4Prefix& p = offers[i].prefix;
+    ranks.push_back({(uint64_t{32u - p.length()} << 38) | prefix_key(p),
+                     offers[i].admin_distance, i});
+  }
+  std::sort(ranks.begin(), ranks.end(), [](const Rank& a, const Rank& b) {
+    return std::tie(a.order, a.admin_distance, a.offer) <
+           std::tie(b.order, b.admin_distance, b.offer);
+  });
+  for (size_t i = 0; i < ranks.size(); ++i) {
+    if (i > 0 && ranks[i].order == ranks[i - 1].order) continue;
+    Candidate& c = offers[ranks[i].offer];
     network.add_rule(dev.id, MatchSpec::for_dst(c.prefix), std::move(c.action), c.kind,
                      32u - c.prefix.length());
   }
@@ -132,11 +142,13 @@ void install_device(net::Network& network, const net::Device& dev, const SimRib&
 
 void FibBuilder::build(net::Network& network, const std::vector<SimRib>& ribs,
                        const RoutingConfig& config) {
+  obs::Span span("routing.fib", "routing");
   network.clear_rules();
   for (const net::Device& dev : network.devices()) {
     if (config.failed_devices.contains(dev.id)) continue;  // empty FIB
     install_device(network, dev, ribs[dev.id.value], config);
   }
+  span.arg("rules", network.rule_count());
 }
 
 std::vector<SimRib> FibBuilder::compute_and_build(net::Network& network,

@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "dataplane/transfer.hpp"
+#include "obs/trace.hpp"
 #include "packet/fields.hpp"
 #include "routing/fib_builder.hpp"
 #include "yardstick/tracker.hpp"
@@ -71,7 +72,10 @@ struct ScenarioRunner::Evaluation {
   bool truncated = false;
 };
 
-ScenarioRunner::Evaluation ScenarioRunner::evaluate(const routing::RoutingConfig& config) {
+ScenarioRunner::Evaluation ScenarioRunner::evaluate(const routing::RoutingConfig& config,
+                                                    size_t scenario) {
+  obs::Span span("scenario.evaluate", "scenario");
+  span.arg("scenario", scenario);
   routing::FibBuilder::compute_and_build(network_, config);
   if (post_fib_) post_fib_(network_, config);
 
@@ -122,7 +126,7 @@ ScenarioReport ScenarioRunner::run(const ScenarioSpec& spec) {
   resolved.reserve(spec.scenarios.size());
   for (const Scenario& s : spec.scenarios) resolved.push_back(resolve(s, network_));
 
-  const Evaluation base = evaluate(baseline_);
+  const Evaluation base = evaluate(baseline_, 0);
 
   ScenarioReport report;
   report.baseline_metrics = base.metrics;
@@ -132,11 +136,12 @@ ScenarioReport ScenarioRunner::run(const ScenarioSpec& spec) {
     if (!passed) report.baseline_failing_tests.push_back(name);
   }
 
-  for (const ResolvedScenario& rs : resolved) {
+  for (size_t i = 0; i < resolved.size(); ++i) {
+    const ResolvedScenario& rs = resolved[i];
     routing::RoutingConfig config = baseline_;
     config.failed_devices.insert(rs.devices.begin(), rs.devices.end());
     config.failed_links.insert(rs.links.begin(), rs.links.end());
-    const Evaluation cur = evaluate(config);
+    const Evaluation cur = evaluate(config, i + 1);
 
     ScenarioDiff diff;
     diff.name = rs.name;

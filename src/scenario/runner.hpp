@@ -108,7 +108,9 @@ class ScenarioRunner {
 
  private:
   struct Evaluation;
-  [[nodiscard]] Evaluation evaluate(const routing::RoutingConfig& config);
+  /// One FIB rebuild plus coverage run; `scenario` numbers it in the trace
+  /// (0 = baseline, i = the spec's i-th scenario).
+  [[nodiscard]] Evaluation evaluate(const routing::RoutingConfig& config, size_t scenario);
 
   net::Network& network_;
   const routing::RoutingConfig& baseline_;

@@ -1,11 +1,17 @@
 // Tests for the BGP path-vector simulator and FIB builder on small
-// hand-built Clos topologies.
+// hand-built Clos topologies, and a differential check of the fixpoint
+// against the reference loop in bgp_reference.hpp on generated networks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
+#include "bgp_reference.hpp"
 #include "routing/fib_builder.hpp"
+#include "topo/fattree.hpp"
+#include "topo/regional.hpp"
 #include "topo/subnets.hpp"
+#include "topo/transforms.hpp"
 
 namespace yardstick::routing {
 namespace {
@@ -292,6 +298,180 @@ TEST_F(FibBuilderTest, RebuildIsIdempotent) {
   const size_t rules_before = clos_.net.rule_count();
   FibBuilder::compute_and_build(clos_.net, clos_.config);
   EXPECT_EQ(clos_.net.rule_count(), rules_before);
+}
+
+
+// --- differential: BgpSimulator::run against the reference fixpoint --------
+
+/// The first field in which `got` differs from `want`, or "" when every
+/// entry of every RIB is equal.
+std::string first_difference(const std::vector<SimRib>& got, const std::vector<SimRib>& want) {
+  if (got.size() != want.size()) return "device count";
+  for (size_t v = 0; v < got.size(); ++v) {
+    const std::string at = "device " + std::to_string(v);
+    if (got[v].size() != want[v].size()) return at + ": entry count";
+    for (size_t i = 0; i < got[v].size(); ++i) {
+      const SimRibEntry& a = got[v][i];
+      const SimRibEntry& b = want[v][i];
+      const std::string entry = at + " entry " + std::to_string(i) + ": ";
+      if (a.prefix_key != b.prefix_key) return entry + "prefix_key";
+      if (a.prefix != b.prefix) return entry + "prefix";
+      if (a.kind != b.kind) return entry + "kind";
+      if (a.path_length != b.path_length) return entry + "path_length";
+      if (a.originated != b.originated) return entry + "originated";
+      if (a.asn_counts != b.asn_counts) return entry + "asn_counts";
+      if (a.originator != b.originator) return entry + "originator";
+      if (a.next_hops != b.next_hops) return entry + "next_hops";
+    }
+  }
+  return "";
+}
+
+/// Runs both fixpoints and compares every SimRibEntry field and the round
+/// count. Returns the RIB entry total so callers can rule out a vacuous pass.
+size_t expect_matches_reference(const net::Network& network, const RoutingConfig& config,
+                                const std::string& label) {
+  BgpSimulator sim(network, config);
+  const std::vector<SimRib> ribs = sim.run();
+  const reference::Fixpoint want = reference::run(network, config);
+  EXPECT_EQ(sim.rounds_used(), want.rounds_used) << label;
+  EXPECT_EQ(first_difference(ribs, want.ribs), "") << label;
+  size_t entries = 0;
+  for (const SimRib& rib : ribs) entries += rib.size();
+  return entries;
+}
+
+TEST(BgpDifferential, FatTrees) {
+  for (const int k : {4, 6, 8}) {
+    for (const auto& [label, params] :
+         {std::pair<std::string, topo::FatTreeParams>{"default", {.k = k}},
+          {"loopbacks", {.k = k, .with_loopbacks = true}},
+          {"no-wan", {.k = k, .with_wan = false}}}) {
+      const topo::FatTree ft = topo::make_fat_tree(params);
+      EXPECT_GT(expect_matches_reference(ft.network, ft.routing,
+                                         "k=" + std::to_string(k) + " " + label),
+                0u);
+    }
+  }
+}
+
+TEST(BgpDifferential, RegionalDefaultAndWithTransforms) {
+  topo::RegionalNetwork region = topo::make_regional({});
+  EXPECT_GT(expect_matches_reference(region.network, region.routing, "default"), 0u);
+  // Tunnel endpoints are BGP-originated, as under `--transforms 2`.
+  (void)topo::plan_transforms(region, {.tunnels = 2, .nat_rules_per_wan = 2});
+  EXPECT_GT(expect_matches_reference(region.network, region.routing, "transforms 2"), 0u);
+}
+
+TEST(BgpDifferential, EverySingleLinkFailureOfK4) {
+  const topo::FatTree ft = topo::make_fat_tree({.k = 4});
+  ASSERT_FALSE(ft.network.links().empty());
+  for (const net::Link& link : ft.network.links()) {
+    RoutingConfig config = ft.routing;
+    config.failed_links.insert(link.id);
+    expect_matches_reference(ft.network, config, "link " + std::to_string(link.id.value));
+  }
+}
+
+TEST(BgpDifferential, FailedSpineHubAndWan) {
+  const topo::RegionalNetwork region = topo::make_regional({});
+  for (const auto& [label, dev] : {std::pair<std::string, DeviceId>{"spine", region.spines[0]},
+                                   {"hub", region.hubs[0]},
+                                   {"wan", region.wans[0]}}) {
+    RoutingConfig config = region.routing;
+    config.failed_devices.insert(dev);
+    EXPECT_GT(expect_matches_reference(region.network, config, label), 0u);
+  }
+}
+
+TEST(BgpDifferential, DefaultRoutePolicies) {
+  const topo::RegionalNetwork region = topo::make_regional({});
+  RoutingConfig null_default = region.routing;
+  null_default.null_default_devices.insert(region.spines[0]);
+  null_default.null_default_devices.insert(region.aggs[0]);
+  expect_matches_reference(region.network, null_default, "regional null default");
+
+  const topo::FatTree ft = topo::make_fat_tree({.k = 4});
+  RoutingConfig no_default = ft.routing;
+  no_default.no_default_devices.insert(ft.cores[0]);
+  no_default.no_default_devices.insert(ft.aggs[1]);
+  expect_matches_reference(ft.network, no_default, "fat-tree no default");
+  RoutingConfig both = no_default;
+  both.null_default_devices.insert(ft.aggs[0]);
+  expect_matches_reference(ft.network, both, "fat-tree null and no default");
+}
+
+TEST(BgpDifferential, AllowAsInOnSmallClos) {
+  for (const bool peering : {false, true}) {
+    for (const int allow : {0, 1, 2}) {
+      SmallClos s = make_small_clos();
+      if (peering) {
+        // A same-tier link: the exporter prepends the receiver's own ASN.
+        s.net.add_link(s.net.add_interface(s.tor1, "peer0"),
+                       s.net.add_interface(s.tor2, "peer0"));
+      }
+      s.config.allow_as_in = allow;
+      EXPECT_GT(expect_matches_reference(s.net, s.config,
+                                         "allow-as-in " + std::to_string(allow) +
+                                             (peering ? " with tor peering" : "")),
+                0u);
+    }
+  }
+}
+
+TEST(BgpDifferential, WideAreaRoutesUnconfined) {
+  const topo::RegionalNetwork region = topo::make_regional({});
+  RoutingConfig config = region.routing;
+  config.limit_wan_routes_to_upper_layers = false;
+  expect_matches_reference(region.network, config, "regional");
+  const topo::FatTree ft = topo::make_fat_tree({.k = 4});
+  RoutingConfig ft_config = ft.routing;
+  ft_config.limit_wan_routes_to_upper_layers = false;
+  expect_matches_reference(ft.network, ft_config, "fat-tree");
+}
+
+TEST(BgpDifferential, TruncatedFixpoints) {
+  const topo::RegionalNetwork region = topo::make_regional({});
+  const topo::FatTree ft = topo::make_fat_tree({.k = 4});
+  for (const int rounds : {0, 1, 2}) {
+    RoutingConfig config = region.routing;
+    config.max_rounds = rounds;
+    expect_matches_reference(region.network, config,
+                             "regional max_rounds " + std::to_string(rounds));
+    RoutingConfig ft_config = ft.routing;
+    ft_config.max_rounds = rounds;
+    expect_matches_reference(ft.network, ft_config,
+                             "fat-tree max_rounds " + std::to_string(rounds));
+  }
+  // Without links no RIB moves: the first round is also the last.
+  net::Network isolated;
+  isolated.device(isolated.add_device("a", Role::ToR, role_asn(Role::ToR)))
+      .host_prefixes.push_back(Ipv4Prefix::parse("10.0.0.0/24"));
+  isolated.add_device("b", Role::Wan, role_asn(Role::Wan));
+  EXPECT_GT(expect_matches_reference(isolated, RoutingConfig{}, "no links"), 0u);
+}
+
+TEST(BgpDifferential, DuplicateOriginations) {
+  // tor1 originates its host prefix twice, tor2 announces the same prefix
+  // as a loopback (anycast), and the WAN announces it both as a hosted and
+  // as a wide-area route: the first origination of a duplicate wins, and
+  // equal-length offers from different origins merge into one ECMP entry.
+  SmallClos s = make_small_clos();
+  const Ipv4Prefix p = s.net.device(s.tor1).host_prefixes.front();
+  s.net.device(s.tor1).host_prefixes.push_back(p);
+  s.net.device(s.tor2).loopbacks.push_back(p);
+  s.net.device(s.wan).host_prefixes.push_back(p);
+  s.config.wide_area_prefixes[s.wan].push_back(p);
+  s.config.limit_wan_routes_to_upper_layers = false;
+  // An isolated device keeps its duplicated originations unmerged.
+  const DeviceId lone = s.net.add_device("lone", Role::ToR, role_asn(Role::ToR));
+  s.net.device(lone).host_prefixes = {p, p};
+  for (const int rounds : {1, 128}) {
+    s.config.max_rounds = rounds;
+    EXPECT_GT(expect_matches_reference(s.net, s.config,
+                                       "max_rounds " + std::to_string(rounds)),
+              0u);
+  }
 }
 
 }  // namespace

@@ -7,6 +7,8 @@
 
 #include <memory>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "common/status.hpp"
 #include "dataplane/simulator.hpp"
@@ -245,6 +247,28 @@ TEST_F(ScenarioTest, EncapEcmpGroupRehashesUnderLinkFailure) {
   EXPECT_EQ(encap->action.type, net::ActionType::Drop);
 }
 
+/// One rule as the data plane sees it: device, table, priority, match,
+/// action and kind. The id is left out: it is only a position.
+auto rule_fields(const net::Rule& r) {
+  const net::MatchSpec& m = r.match;
+  return std::tuple(r.device, r.table, r.priority, m.dst_prefix, m.src_prefix, m.proto,
+                    m.src_port, m.dst_port, m.in_interfaces, r.action.type,
+                    r.action.out_interfaces, r.action.rewrites, r.kind);
+}
+
+/// Every device's ACL and FIB rules, in table order.
+auto rules_in_table_order(const net::Network& n) {
+  std::vector<decltype(rule_fields(net::Rule{}))> out;
+  for (const net::Device& dev : n.devices()) {
+    for (const net::TableKind table : {net::TableKind::Acl, net::TableKind::Fib}) {
+      for (const net::RuleId rid : n.table(dev.id, table)) {
+        out.push_back(rule_fields(n.rule(rid)));
+      }
+    }
+  }
+  return out;
+}
+
 /// Spec used by the runner tests: a spine failure (sheds that device's
 /// rules), a double link failure isolating tunnel 0's ingress uplinks (the
 /// tunnel check goes dark), and the egress ToR failing outright (its decap
@@ -270,7 +294,12 @@ TEST_F(ScenarioTest, RunnerDiffsBaselineAgainstScenarios) {
                                   const routing::RoutingConfig& routing) {
     topo::install_transform_rules(network, state_, routing);
   });
+  const auto rules_before = rules_in_table_order(region_.network);
   const scenario::ScenarioReport report = runner.run(spec);
+  // The runner restored the baseline forwarding state, rule for rule (the
+  // re-run below cannot tell: every evaluation routes from scratch).
+  ASSERT_FALSE(rules_before.empty());
+  EXPECT_TRUE(rules_in_table_order(region_.network) == rules_before);
 
   EXPECT_TRUE(report.baseline_failing_tests.empty());
   EXPECT_GT(report.baseline_rule_count, 0u);

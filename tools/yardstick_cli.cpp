@@ -383,6 +383,7 @@ nettest::TestSuite build_suite(const CliOptions& opts, const routing::RoutingCon
 /// it) and installs the post-FIB state; scenario mode leaves both to the
 /// runner, which recomputes them per scenario.
 void set_up(const CliOptions& opts, Setup& s, bool route = true) {
+  obs::Span span("cli.setup", "cli");
   if (opts.topology == "fattree") {
     s.fattree = topo::make_fat_tree({.k = opts.k});
     s.network = &s.fattree.network;
