@@ -31,12 +31,12 @@ namespace yardstick::ys {
 }
 
 /// Resolve a requested worker count: 0 = one per hardware thread, always
-/// at least 1, never more than the number of work items.
+/// at least 1, never more than the number of work items (so an empty work
+/// list starts no worker thread).
 [[nodiscard]] inline unsigned resolve_threads(unsigned requested, size_t work_items) {
   unsigned n = requested != 0 ? requested : std::thread::hardware_concurrency();
-  if (n == 0) n = 1;
-  if (work_items > 0 && work_items < n) n = static_cast<unsigned>(work_items);
-  return n;
+  if (work_items < n) n = static_cast<unsigned>(work_items);
+  return n == 0 ? 1 : n;
 }
 
 /// Run fn(worker_index) on `workers` threads and join them all. Every

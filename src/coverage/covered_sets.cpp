@@ -1,11 +1,8 @@
 #include "coverage/covered_sets.hpp"
 
-#include <memory>
-
-#include "common/parallel.hpp"
+#include "dataplane/sharded_build.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "packet/gc_roots.hpp"
 
 namespace yardstick::coverage {
 
@@ -13,60 +10,69 @@ using packet::PacketSet;
 
 namespace {
 
-/// Per-worker shard of the parallel Algorithm 1: a private manager, an
-/// importer pulling inputs (trace slices, match sets) from the primary
-/// manager, and covered sets for the rules of the devices this worker owns.
-struct CoverShard {
-  std::unique_ptr<bdd::BddManager> mgr;
-  std::vector<PacketSet> covered;
-  bool truncated = false;
-};
+/// Algorithm 1 as the shard-and-merge driver sees it (sharded_build.hpp).
+struct CoverBuild {
+  using Slots = CoverSlots;
+  static constexpr const char* kBuildSpan = "covered_sets.build";
+  static constexpr const char* kMergeSpan = "covered_sets.merge";
+  static constexpr const char* kActivity = "covered-set computation";
 
-/// Algorithm 1 for one device. `import` maps a primary-manager set into
-/// the manager the computation runs in (identity for the serial path).
-/// Marked rules are skipped when `skip_marked` — the parallel merge
-/// assigns them straight from the primary index, avoiding a pointless
-/// round-trip through the shard.
-template <typename ImportFn>
-void cover_device(bdd::BddManager& mgr, const dataplane::MatchSetIndex& index,
-                  const CoverageTrace& trace, const net::Device& dev,
-                  const ImportFn& import, bool skip_marked,
-                  std::vector<PacketSet>& covered) {
-  const net::Network& network = index.network();
-  // One device-level P_T slice shared by all rules of the device,
-  // computed lazily (devices with no unmarked rules skip the unions).
-  PacketSet at_device;
-  bool at_device_computed = false;
-  const auto device_headers = [&]() -> const PacketSet& {
-    if (!at_device_computed) {
-      PacketSet acc = PacketSet::none(mgr);
-      const PacketSet local = trace.marked_packets().at(net::device_location(dev.id));
-      if (local.valid()) acc = acc.union_with(import(local));
-      for (const net::InterfaceId intf : network.device(dev.id).interfaces) {
-        const PacketSet at = trace.marked_packets().at(net::to_location(intf));
-        if (at.valid()) acc = acc.union_with(import(at));
+  const dataplane::MatchSetIndex& index;
+  const CoverageTrace& trace;
+
+  /// Algorithm 1 for one device, intersecting in `mgr`; `input` brings the
+  /// trace slices, match sets and ACL spaces over from the index's manager.
+  /// A shard skips state-inspected rules: the merge assigns them M[r]
+  /// straight from the index, with no round trip through the shard.
+  void build(bdd::BddManager& mgr, const net::Device& dev, CoverSlots& out,
+             const dataplane::PrimaryInput& input) const {
+    const net::Network& network = index.network();
+    // One device-level P_T slice shared by all rules of the device,
+    // computed lazily (devices with no unmarked rules skip the unions).
+    PacketSet at_device;
+    bool at_device_computed = false;
+    const auto device_headers = [&]() -> const PacketSet& {
+      if (!at_device_computed) {
+        PacketSet acc = PacketSet::none(mgr);
+        const PacketSet local = trace.marked_packets().at(net::device_location(dev.id));
+        if (local.valid()) acc = acc.union_with(input(local));
+        for (const net::InterfaceId intf : network.device(dev.id).interfaces) {
+          const PacketSet at = trace.marked_packets().at(net::to_location(intf));
+          if (at.valid()) acc = acc.union_with(input(at));
+        }
+        at_device = acc;
+        at_device_computed = true;
       }
-      at_device = acc;
-      at_device_computed = true;
-    }
-    return at_device;
-  };
-  for (const net::TableKind table : {net::TableKind::Acl, net::TableKind::Fib}) {
-    for (const net::RuleId rid : network.table(dev.id, table)) {
-      if (trace.rule_marked(rid)) {
-        if (!skip_marked) covered[rid.value] = index.match_set(rid);
-        continue;
+      return at_device;
+    };
+    for (const net::TableKind table : {net::TableKind::Acl, net::TableKind::Fib}) {
+      for (const net::RuleId rid : network.table(dev.id, table)) {
+        if (trace.rule_marked(rid)) {
+          if (!input.in_shard()) out.covered[rid.value] = index.match_set(rid);
+          continue;
+        }
+        PacketSet headers = device_headers();
+        // Packets the ingress ACL denies never reach the forwarding
+        // table, so they cannot exercise FIB rules behaviorally.
+        if (table == net::TableKind::Fib && network.has_acl(dev.id)) {
+          headers = headers.intersect(input(index.acl_permitted_space(dev.id)));
+        }
+        out.covered[rid.value] = headers.intersect(input(index.match_set(rid)));
       }
-      PacketSet headers = device_headers();
-      // Packets the ingress ACL denies never reach the forwarding
-      // table, so they cannot exercise FIB rules behaviorally.
-      if (table == net::TableKind::Fib && network.has_acl(dev.id)) {
-        headers = headers.intersect(import(index.acl_permitted_space(dev.id)));
-      }
-      covered[rid.value] = headers.intersect(import(index.match_set(rid)));
     }
   }
-}
+
+  void merge(const net::Device& dev, CoverSlots& primary, const CoverSlots& shard,
+             bdd::BddImporter& import) const {
+    for (const net::TableKind table : {net::TableKind::Acl, net::TableKind::Fib}) {
+      for (const net::RuleId rid : index.network().table(dev.id, table)) {
+        primary.covered[rid.value] = trace.rule_marked(rid)
+                                         ? index.match_set(rid)
+                                         : dataplane::imported(import, shard.covered[rid.value]);
+      }
+    }
+  }
+};
 
 }  // namespace
 
@@ -74,185 +80,22 @@ CoveredSets::CoveredSets(const dataplane::MatchSetIndex& index, const CoverageTr
                          const ys::ResourceBudget* budget, unsigned threads,
                          const CoverPrefill* prefill, double gc_threshold)
     : index_(index), trace_(trace), truncated_(index.truncated()) {
-  obs::Span build_span("covered_sets.build", "offline");
-  bdd::BddManager& mgr = index.manager();
-  const net::Network& network = index.network();
-  covered_.resize(network.rule_count());
-
-  // Adopt cached devices; only the misses form the work list. Prefilled
-  // covered sets already live in the index's manager, so adoption copies
-  // handles without any BDD operation.
-  const std::vector<net::Device>& devices = network.devices();
-  std::vector<const net::Device*> work;
-  work.reserve(devices.size());
-  for (const net::Device& dev : devices) {
-    if (prefill != nullptr && prefill->hit(dev.id)) {
-      for (const net::TableKind table : {net::TableKind::Acl, net::TableKind::Fib}) {
-        for (const net::RuleId rid : network.table(dev.id, table)) {
-          covered_[rid.value] = prefill->covered[rid.value];
-        }
-      }
-    } else {
-      work.push_back(&dev);
-    }
-  }
-
-  const unsigned workers = ys::resolve_threads(threads, work.size());
-  build_span.arg("devices", devices.size());
-  build_span.arg("prefilled", devices.size() - work.size());
-  build_span.arg("rules", network.rule_count());
-  build_span.arg("workers", workers);
-
-  // As in MatchSetIndex: GC runs only on shard managers, so an armed
-  // threshold forces the sharded path even at one thread.
-  const bool sharded = workers > 1 || (gc_threshold > 0.0 && !work.empty());
-
-  if (!sharded) {
-    const auto identity = [](const PacketSet& ps) -> const PacketSet& { return ps; };
-    try {
-      for (const net::Device* dev : work) {
-        if (budget != nullptr) budget->poll("covered-set computation");
-        cover_device(mgr, index, trace, *dev, identity, /*skip_marked=*/false, covered_);
-      }
-    } catch (const ys::StatusError& e) {
-      if (!ys::is_resource_exhaustion(e.code())) throw;
-      truncated_ = true;
-    }
-  } else {
-    // Sharded Algorithm 1: worker w owns work items w, w+T, ..., importing
-    // its inputs (trace slices, match sets, ACL spaces) from the quiescent
-    // primary manager and intersecting in a private one; the main thread
-    // merges per-rule results back in device order.
-    std::vector<CoverShard> shards(workers);
-    ys::run_workers(workers, [&](unsigned w) {
-      CoverShard& shard = shards[w];
-      shard.mgr = std::make_unique<bdd::BddManager>(mgr.num_vars());
-      // Attached manually (not ScopedBudget): the charge must stay until
-      // the main thread finishes the merge below.
-      if (budget != nullptr) shard.mgr->set_budget(budget);
-      shard.covered.resize(network.rule_count());
-      bdd::BddImporter from_primary(*shard.mgr, mgr);
-      const auto import = [&from_primary](const PacketSet& ps) {
-        return PacketSet(from_primary.import(ps.raw()));
-      };
-      // shard.covered is fully sized above and never reallocates, so the
-      // tracker may hold raw pointers into it across the whole build.
-      if (gc_threshold > 0.0) shard.mgr->set_gc_threshold(gc_threshold);
-      packet::GcRootTracker gc_roots(*shard.mgr);
-      try {
-        for (size_t d = w; d < work.size(); d += workers) {
-          if (budget != nullptr) budget->poll("covered-set computation");
-          const net::Device& dev = *work[d];
-          cover_device(*shard.mgr, index, trace, dev, import,
-                       /*skip_marked=*/true, shard.covered);
-          if (gc_threshold > 0.0) {
-            for (const net::TableKind table :
-                 {net::TableKind::Acl, net::TableKind::Fib}) {
-              for (const net::RuleId rid : network.table(dev.id, table)) {
-                gc_roots.track(shard.covered[rid.value]);
-              }
-            }
-            if (gc_roots.due()) {
-              // The input importer's memo values live in this manager:
-              // collect() renumbers them (dead entries re-import later).
-              obs::Span gc_span("bdd.gc", "offline");
-              const bdd::GcResult gc = gc_roots.collect(&from_primary);
-              gc_span.arg("reclaimed", gc.reclaimed);
-              gc_span.arg("live", gc.live_nodes);
-            }
-          }
-        }
-      } catch (const ys::StatusError& e) {
-        if (!ys::is_resource_exhaustion(e.code())) throw;
-        shard.truncated = true;
-      }
-    });
-
-    // Queue occupancy: worker w owns the work items ≡ w (mod workers).
-    for (unsigned w = 0; w < workers; ++w) {
-      ys::worker_items_histogram().observe(
-          static_cast<double>((work.size() - w + workers - 1) / workers));
-    }
-
-    obs::Span merge_span("covered_sets.merge", "offline");
-    std::vector<std::unique_ptr<bdd::BddImporter>> importers;
-    importers.reserve(workers);
-    for (CoverShard& shard : shards) {
-      truncated_ = truncated_ || shard.truncated;
-      importers.push_back(std::make_unique<bdd::BddImporter>(mgr, *shard.mgr));
-    }
-    try {
-      for (size_t d = 0; d < work.size(); ++d) {
-        const net::Device& dev = *work[d];
-        CoverShard& shard = shards[d % workers];
-        bdd::BddImporter& imp = *importers[d % workers];
-        for (const net::TableKind table : {net::TableKind::Acl, net::TableKind::Fib}) {
-          for (const net::RuleId rid : network.table(dev.id, table)) {
-            if (trace.rule_marked(rid)) {
-              covered_[rid.value] = index.match_set(rid);
-            } else if (shard.covered[rid.value].valid()) {
-              covered_[rid.value] = PacketSet(imp.import(shard.covered[rid.value].raw()));
-            }
-          }
-        }
-      }
-    } catch (const ys::StatusError& e) {
-      if (!ys::is_resource_exhaustion(e.code())) throw;
-      truncated_ = true;
-    }
-    if (obs::enabled()) {
-      static obs::Counter& imported = obs::metrics().counter(
-          "ys.bdd.imported_nodes", "nodes copied across BDD managers");
-      size_t total = 0;
-      for (const auto& imp : importers) total += imp->imported_nodes();
-      imported.add(total);
-      static obs::Counter& gc_runs = obs::metrics().counter(
-          "ys.bdd.gc.runs", "phase-boundary mark-compact collections");
-      static obs::Counter& gc_reclaimed = obs::metrics().counter(
-          "ys.bdd.gc.reclaimed_nodes", "dead BDD nodes reclaimed by GC");
-      static obs::Counter& shard_hits = obs::metrics().counter(
-          "ys.bdd.shard_cache_hits", "apply-cache hits across shard managers");
-      static obs::Counter& shard_misses = obs::metrics().counter(
-          "ys.bdd.shard_cache_misses", "apply-cache misses across shard managers");
-      for (const CoverShard& shard : shards) {
-        const bdd::BddManager::Stats s = shard.mgr->stats();
-        gc_runs.add(s.gc_runs);
-        gc_reclaimed.add(s.gc_reclaimed_nodes);
-        shard_hits.add(s.cache_hits);
-        shard_misses.add(s.cache_misses);
-      }
-    }
-    // Release the shards' node accounting before their managers die.
-    for (CoverShard& shard : shards) shard.mgr->set_budget(nullptr);
+  if (dataplane::sharded_build(CoverBuild{index, trace}, index.manager(), index.network(),
+                               sets_, prefill, budget, threads, gc_threshold)
+          .truncated) {
+    truncated_ = true;
   }
   if (obs::enabled()) {
     static obs::Counter& covered_rules = obs::metrics().counter(
         "ys.covered_sets.rules_computed", "rules given covered sets T[r] (Algorithm 1)");
-    covered_rules.add(network.rule_count());
-  }
-
-  // Degraded completion: rules never reached get empty (terminal-only)
-  // covered sets so metric queries stay well-formed.
-  if (truncated_) {
-    for (PacketSet& ps : covered_) {
-      if (!ps.valid()) ps = PacketSet::none(mgr);
-    }
+    covered_rules.add(index.network().rule_count());
   }
 }
 
 CoveredSets::CoveredSets(const dataplane::MatchSetIndex& index, const CoveredSets& other)
     : index_(index), trace_(other.trace_), truncated_(other.truncated_) {
   obs::Span span("covered_sets.clone", "offline");
-  bdd::BddImporter imp(index.manager(), other.manager());
-  covered_.reserve(other.covered_.size());
-  for (const PacketSet& ps : other.covered_) {
-    covered_.push_back(ps.valid() ? PacketSet(imp.import(ps.raw())) : PacketSet{});
-  }
-  if (obs::enabled()) {
-    obs::metrics()
-        .counter("ys.bdd.imported_nodes", "nodes copied across BDD managers")
-        .add(imp.imported_nodes());
-  }
+  dataplane::clone_slots(index.manager(), other.manager(), other.sets_, sets_);
 }
 
 PacketSet CoveredSets::covered_on_interface(net::RuleId rule, net::InterfaceId intf) const {

@@ -12,6 +12,7 @@
 // reaches).
 #pragma once
 
+#include <array>
 #include <vector>
 
 #include "coverage/trace.hpp"
@@ -19,14 +20,24 @@
 
 namespace yardstick::coverage {
 
+/// Step 2's output: every rule's covered set T[r]. The covered sets, each
+/// shard of a parallel build and a cache prefill hold one each
+/// (dataplane/sharded_build.hpp).
+struct CoverSlots {
+  std::vector<packet::PacketSet> covered;  // indexed by RuleId
+
+  static constexpr size_t kRuleColumns = 1;
+  auto columns() { return std::array{&covered}; }
+  auto columns() const { return std::array{&covered}; }
+};
+
 /// Per-device Algorithm-1 results restored from the incremental cache
 /// (src/yardstick/cache.*). Devices with `device_hit` set have the covered
 /// sets of all their rules already present in `covered` (living in the
 /// index's manager); the constructor adopts them and runs Algorithm 1 only
 /// for the remaining devices.
-struct CoverPrefill {
-  std::vector<char> device_hit;             // indexed by DeviceId
-  std::vector<packet::PacketSet> covered;   // indexed by RuleId
+struct CoverPrefill : CoverSlots {
+  std::vector<char> device_hit;  // indexed by DeviceId
 
   [[nodiscard]] bool hit(net::DeviceId id) const {
     return id.value < device_hit.size() && device_hit[id.value] != 0;
@@ -41,23 +52,12 @@ class CoveredSets {
   /// trips mid-walk the remaining rules get empty covered sets, truncated()
   /// flips to true, and construction completes without throwing.
   ///
-  /// `threads` > 1 shards the per-device walks across worker threads, each
-  /// intersecting in its own BddManager (trace slices and match sets are
-  /// structurally imported in), and merges the covered sets back into the
-  /// index's manager. Merged sets are canonical there and semantically
-  /// identical to a serial run, so covered-set sizes are bit-identical
-  /// regardless of thread count (0 = one worker per hardware thread).
-  ///
-  /// `prefill` (non-owning, may be null) supplies cached covered sets for
-  /// a subset of devices; Algorithm 1 runs only over the misses, and the
-  /// result is bit-identical to a full run (cached sets are canonical in
-  /// the index's manager).
-  ///
-  /// `gc_threshold` in (0, 1] arms phase-boundary mark-compact GC on the
-  /// per-worker shard managers (collected between devices against the
-  /// covered sets built so far; the input importer's memo follows the
-  /// renumbering). Enabling GC forces the sharded path even at one thread;
-  /// the primary manager is never collected. 0 disables.
+  /// `threads` (0 = one per hardware thread), `prefill` (cached covered
+  /// sets for a subset of devices, may be null) and `gc_threshold` (0
+  /// disables) are the shard-and-merge driver's: see
+  /// dataplane/sharded_build.hpp. Every covered set is canonical in the
+  /// index's manager, so the result is bit-identical at any thread count,
+  /// GC on or off, prefilled or not.
   CoveredSets(const dataplane::MatchSetIndex& index, const CoverageTrace& trace,
               const ys::ResourceBudget* budget = nullptr, unsigned threads = 1,
               const CoverPrefill* prefill = nullptr, double gc_threshold = 0.0);
@@ -74,12 +74,12 @@ class CoveredSets {
 
   /// T[r]: packets with which the suite exercised rule r.
   [[nodiscard]] const packet::PacketSet& covered(net::RuleId rule) const {
-    return covered_[rule.value];
+    return sets_.covered[rule.value];
   }
 
   /// |T[r]| (exact).
   [[nodiscard]] bdd::Uint128 covered_size(net::RuleId rule) const {
-    return covered_[rule.value].count();
+    return sets_.covered[rule.value].count();
   }
 
   /// Covered set of rule r restricted to packets arriving on `intf` —
@@ -96,7 +96,7 @@ class CoveredSets {
  private:
   const dataplane::MatchSetIndex& index_;
   const CoverageTrace& trace_;
-  std::vector<packet::PacketSet> covered_;  // indexed by RuleId
+  CoverSlots sets_;
   bool truncated_ = false;
 };
 

@@ -9,6 +9,7 @@
 // of how a device implementation would scan the table.
 #pragma once
 
+#include <array>
 #include <vector>
 
 #include "bdd/bdd.hpp"
@@ -17,18 +18,31 @@
 
 namespace yardstick::dataplane {
 
+/// Step 1's outputs: every rule's match field and disjoint match set, and
+/// every device's matched and ACL-permitted spaces. The index, each shard of
+/// a parallel build and a cache prefill hold one each
+/// (dataplane/sharded_build.hpp).
+struct MatchSlots {
+  std::vector<packet::PacketSet> match_fields;   // indexed by RuleId
+  std::vector<packet::PacketSet> match_sets;     // indexed by RuleId
+  std::vector<packet::PacketSet> matched_space;  // indexed by DeviceId
+  std::vector<packet::PacketSet> acl_permitted;  // indexed by DeviceId
+
+  /// The rule-indexed vectors first, then the device-indexed ones.
+  static constexpr size_t kRuleColumns = 2;
+  auto columns() { return std::array{&match_fields, &match_sets, &matched_space, &acl_permitted}; }
+  auto columns() const {
+    return std::array{&match_fields, &match_sets, &matched_space, &acl_permitted};
+  }
+};
+
 /// Per-device step-1 results restored from the incremental cache
 /// (src/yardstick/cache.*). Devices with `device_hit` set have all four
-/// outputs already present in the vectors below, as packet sets living in
-/// the destination manager; the constructor adopts them verbatim and walks
-/// only the remaining devices. Every vector is sized like the
-/// corresponding index member (rule- or device-indexed).
-struct MatchPrefill {
-  std::vector<char> device_hit;                   // indexed by DeviceId
-  std::vector<packet::PacketSet> match_fields;    // indexed by RuleId
-  std::vector<packet::PacketSet> match_sets;      // indexed by RuleId
-  std::vector<packet::PacketSet> matched_space;   // indexed by DeviceId
-  std::vector<packet::PacketSet> acl_permitted;   // indexed by DeviceId
+/// outputs already present, as packet sets living in the destination
+/// manager; the constructor adopts them verbatim and walks only the
+/// remaining devices. Every vector is sized like the index's.
+struct MatchPrefill : MatchSlots {
+  std::vector<char> device_hit;  // indexed by DeviceId
 
   [[nodiscard]] bool hit(net::DeviceId id) const {
     return id.value < device_hit.size() && device_hit[id.value] != 0;
@@ -46,25 +60,11 @@ class MatchSetIndex {
   /// true, and construction completes without throwing — partial results
   /// instead of a runaway.
   ///
-  /// `threads` > 1 shards the per-device walks across that many worker
-  /// threads, each building in its own BddManager, and merges the results
-  /// into `mgr` via memoized structural import. The merged sets are
-  /// canonical in `mgr` and semantically identical to a serial build, so
-  /// every size/count downstream is bit-identical regardless of thread
-  /// count (0 = one worker per hardware thread).
-  ///
-  /// `prefill` (non-owning, may be null) supplies cached step-1 results
-  /// for a subset of devices; only the misses are walked (serially or
-  /// sharded). Because both cached and recomputed sets are canonical in
-  /// `mgr`, a prefilled build is bit-identical to a full one.
-  ///
-  /// `gc_threshold` in (0, 1] arms phase-boundary mark-compact GC on the
-  /// per-worker shard managers: after each device's walk, a shard whose
-  /// dead fraction may have reached the threshold is collected against the
-  /// results built so far. Enabling GC forces the sharded build path even
-  /// at one thread (the primary manager is never collected — it holds
-  /// handles this builder does not own), which is bit-identical to the
-  /// serial path by the merge-canonicalization argument above. 0 disables.
+  /// `threads` (0 = one per hardware thread), `prefill` (cached results for
+  /// a subset of devices, may be null) and `gc_threshold` (0 disables) are
+  /// the shard-and-merge driver's: see dataplane/sharded_build.hpp. Every
+  /// set is canonical in `mgr`, so the index is bit-identical at any thread
+  /// count, GC on or off, prefilled or not.
   MatchSetIndex(bdd::BddManager& mgr, const net::Network& network,
                 const ys::ResourceBudget* budget = nullptr, unsigned threads = 1,
                 const MatchPrefill* prefill = nullptr, double gc_threshold = 0.0);
@@ -88,23 +88,23 @@ class MatchSetIndex {
 
   /// The raw match field of the rule (what the table entry says).
   [[nodiscard]] const packet::PacketSet& match_field(net::RuleId id) const {
-    return match_fields_[id.value];
+    return sets_.match_fields[id.value];
   }
 
   /// The disjoint match set M[r] (match field minus earlier rules).
   [[nodiscard]] const packet::PacketSet& match_set(net::RuleId id) const {
-    return match_sets_[id.value];
+    return sets_.match_sets[id.value];
   }
 
   /// Exact size |M[r]| of the disjoint match set.
   [[nodiscard]] bdd::Uint128 match_set_size(net::RuleId id) const {
-    return match_sets_[id.value].count();
+    return sets_.match_sets[id.value].count();
   }
 
   /// Union of all match sets in the device's forwarding table: the packet
   /// space the FIB handles at all (unmatched packets drop ruleless-ly).
   [[nodiscard]] const packet::PacketSet& matched_space(net::DeviceId id) const {
-    return matched_space_[id.value];
+    return sets_.matched_space[id.value];
   }
 
   /// Packets the device's ingress ACL lets through to the FIB: the union
@@ -113,7 +113,7 @@ class MatchSetIndex {
   /// clipped by this space — packets the ACL denies never exercise the
   /// FIB (§4.1 multi-table extension).
   [[nodiscard]] const packet::PacketSet& acl_permitted_space(net::DeviceId id) const {
-    return acl_permitted_[id.value];
+    return sets_.acl_permitted[id.value];
   }
 
   [[nodiscard]] bdd::BddManager& manager() const { return mgr_; }
@@ -127,10 +127,7 @@ class MatchSetIndex {
  private:
   bdd::BddManager& mgr_;
   const net::Network& network_;
-  std::vector<packet::PacketSet> match_fields_;  // indexed by RuleId
-  std::vector<packet::PacketSet> match_sets_;    // indexed by RuleId
-  std::vector<packet::PacketSet> matched_space_;  // indexed by DeviceId
-  std::vector<packet::PacketSet> acl_permitted_;  // indexed by DeviceId
+  MatchSlots sets_;
   std::vector<char> unreached_;  // indexed by RuleId; empty unless truncated
   bool truncated_ = false;
 };

@@ -1,0 +1,300 @@
+// Shard-and-merge driver for the per-device offline builds: match sets
+// (§5.2 step 1, MatchSetIndex) and covered sets (step 2, CoveredSets).
+//
+// Both builds are one walk per device that writes PacketSets into rule- and
+// device-indexed slots. A builder supplies only that walk, the layout of its
+// slots and how one device's shard slots merge into the primary; this driver
+// owns the parallel build policy (DESIGN.md §8, §12):
+//
+//   * Work list. Devices a cache prefill hit are adopted as handle copies
+//     (no BDD operation, no budget charge); only the rest are walked.
+//   * Where devices are built. One worker with GC off builds in the primary
+//     manager. More workers, or an armed GC, build in per-worker shard
+//     managers, worker w taking work items w, w+T, w+2T, ... GC needs
+//     shards because the primary holds handles no builder owns, so it is
+//     never collected.
+//   * Budget. One budget governs the primary and every shard. A shard's
+//     node charge is held until the merge completes and released when the
+//     shard dies, on every exit path, exceptions included. The budget is
+//     polled before each device; resource exhaustion in a worker or in the
+//     merge degrades the build to `truncated` with the results built so far.
+//   * GC. After each device a shard tracks that device's slots as roots and
+//     collects when due, rekeying its primary-to-shard input importer.
+//   * Merge. Shard slots are imported into the primary in device order, so
+//     merged sets are canonical there and every count is bit-identical at
+//     any worker count, GC on or off.
+//   * Telemetry. `<step>.build` encloses the workers' `parallel.worker`
+//     spans (each with its `bdd.gc` spans) and `<step>.merge`; the merge
+//     feeds ys.parallel.items_per_worker and the ys.bdd.* shard counters.
+//   * Degraded completion. Slots a truncated build never wrote become empty
+//     sets, so every query stays well-formed and under-reports.
+//
+// A builder (MatchBuild in match_sets.cpp, CoverBuild in covered_sets.cpp)
+// provides:
+//   Slots        its output vectors. `columns()` lists the first
+//                `Slots::kRuleColumns` (indexed by RuleId), then the ones
+//                indexed by DeviceId. The builder's owner, every shard and
+//                the cache prefill (derived from Slots) hold one each.
+//   kBuildSpan, kMergeSpan, kActivity: span names and the budget-poll label.
+//   build(mgr, dev, slots, input): walks `dev`, building in `mgr`.
+//   merge(dev, primary, shard, import): moves `dev`'s shard slots into the
+//                primary through `import` (shard → primary).
+#pragma once
+
+#include <memory>
+#include <type_traits>
+#include <vector>
+
+#include "bdd/bdd.hpp"
+#include "common/budget.hpp"
+#include "common/parallel.hpp"
+#include "netmodel/network.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
+#include "packet/gc_roots.hpp"
+#include "packet/packet_set.hpp"
+
+namespace yardstick::dataplane {
+
+/// A primary-manager set as seen from the manager a device is built in: the
+/// set itself in the primary, a memoized structural import in a shard. The
+/// primary is quiescent while workers run, so every shard may read it.
+class PrimaryInput {
+ public:
+  explicit PrimaryInput(bdd::BddImporter* into_shard = nullptr) : into_shard_(into_shard) {}
+
+  [[nodiscard]] packet::PacketSet operator()(const packet::PacketSet& ps) const {
+    return into_shard_ == nullptr ? ps : packet::PacketSet(into_shard_->import(ps.raw()));
+  }
+  [[nodiscard]] bool in_shard() const { return into_shard_ != nullptr; }
+
+ private:
+  bdd::BddImporter* into_shard_;
+};
+
+/// `ps` copied through `imp`; a slot never written stays invalid.
+inline packet::PacketSet imported(bdd::BddImporter& imp, const packet::PacketSet& ps) {
+  return ps.valid() ? packet::PacketSet(imp.import(ps.raw())) : packet::PacketSet{};
+}
+
+/// Sizes every column of `slots` for `network`.
+template <typename Slots>
+void size_slots(Slots& slots, const net::Network& network) {
+  const auto cols = slots.columns();
+  for (size_t c = 0; c < cols.size(); ++c) {
+    cols[c]->resize(c < Slots::kRuleColumns ? network.rule_count() : network.device_count());
+  }
+}
+
+/// Calls fn(to_slot, from_slot) for every output slot of `dev`, pairing two
+/// slot sets of one layout: each rule of the device's ACL and FIB tables in
+/// table order, then the device itself.
+template <typename Slots, typename Fn>
+void for_each_slot(const net::Network& network, const net::Device& dev, Slots& to,
+                   const std::type_identity_t<Slots>& from, Fn&& fn) {
+  const auto out = to.columns();
+  const auto in = from.columns();
+  for (const net::TableKind table : {net::TableKind::Acl, net::TableKind::Fib}) {
+    for (const net::RuleId rid : network.table(dev.id, table)) {
+      for (size_t c = 0; c < Slots::kRuleColumns; ++c) {
+        fn((*out[c])[rid.value], (*in[c])[rid.value]);
+      }
+    }
+  }
+  for (size_t c = Slots::kRuleColumns; c < out.size(); ++c) {
+    fn((*out[c])[dev.id.value], (*in[c])[dev.id.value]);
+  }
+}
+
+/// Structural clone, column by column: imports every slot of `from`
+/// (living in `src`) into `dst`. Read-only on `from` and `src`, so
+/// concurrent workers may each clone the same slots into a private manager.
+template <typename Slots>
+void clone_slots(bdd::BddManager& dst, const bdd::BddManager& src, const Slots& from,
+                 Slots& to) {
+  bdd::BddImporter imp(dst, src);
+  const auto in = from.columns();
+  const auto out = to.columns();
+  for (size_t c = 0; c < in.size(); ++c) {
+    out[c]->reserve(in[c]->size());
+    for (const packet::PacketSet& ps : *in[c]) out[c]->push_back(imported(imp, ps));
+  }
+  if (obs::enabled()) {
+    obs::metrics()
+        .counter("ys.bdd.imported_nodes", "nodes copied across BDD managers")
+        .add(imp.imported_nodes());
+  }
+}
+
+struct ShardedBuildResult {
+  bool truncated = false;       ///< a resource budget stopped the build early
+  size_t built_devices = 0;     ///< devices walked; the others were prefilled
+  std::vector<char> unreached;  ///< by RuleId: never built; empty unless truncated
+};
+
+namespace detail {
+
+/// Runs fn. Returns true when a resource budget stopped it; any other
+/// failure propagates.
+template <typename Fn>
+bool exhausted_during(Fn&& fn) {
+  try {
+    fn();
+  } catch (const ys::StatusError& e) {
+    if (!ys::is_resource_exhaustion(e.code())) throw;
+    return true;
+  }
+  return false;
+}
+
+template <typename Slots>
+struct Shard {
+  Shard(const bdd::BddManager& primary, const ys::ResourceBudget* budget)
+      : mgr(primary.num_vars()), charge(mgr, budget) {}
+
+  bdd::BddManager mgr;
+  bdd::ScopedBudget charge;  // released when the shard dies: after the merge, or unwinding
+  Slots slots;               // sized once, so GC may track raw pointers into it
+  bool truncated = false;
+};
+
+/// Builds `work` in per-worker shard managers and merges the shards into
+/// `out` in device order. Returns true when the build was truncated.
+template <typename Builder>
+bool build_in_shards(const Builder& builder, bdd::BddManager& primary,
+                     const net::Network& network, typename Builder::Slots& out,
+                     const std::vector<const net::Device*>& work, unsigned workers,
+                     const ys::ResourceBudget* budget, double gc_threshold) {
+  using Slots = typename Builder::Slots;
+  std::vector<std::unique_ptr<Shard<Slots>>> shards(workers);
+  ys::run_workers(workers, [&](unsigned w) {
+    Shard<Slots>& shard = *(shards[w] = std::make_unique<Shard<Slots>>(primary, budget));
+    size_slots(shard.slots, network);
+    if (gc_threshold > 0.0) shard.mgr.set_gc_threshold(gc_threshold);
+    bdd::BddImporter into_shard(shard.mgr, primary);
+    packet::GcRootTracker gc_roots(shard.mgr);
+    shard.truncated = exhausted_during([&] {
+      for (size_t d = w; d < work.size(); d += workers) {
+        if (budget != nullptr) budget->poll(Builder::kActivity);
+        const net::Device& dev = *work[d];
+        builder.build(shard.mgr, dev, shard.slots, PrimaryInput(&into_shard));
+        if (gc_threshold <= 0.0) continue;
+        for_each_slot(network, dev, shard.slots, shard.slots,
+                      [&gc_roots](packet::PacketSet& slot, const packet::PacketSet&) {
+                        gc_roots.track(slot);
+                      });
+        if (gc_roots.due()) {
+          // The input importer's memo values live in this manager, so the
+          // collection renumbers them (dead entries re-import later).
+          obs::Span gc_span("bdd.gc", "offline");
+          const bdd::GcResult gc = gc_roots.collect(&into_shard);
+          gc_span.arg("reclaimed", gc.reclaimed);
+          gc_span.arg("live", gc.live_nodes);
+        }
+      }
+    });
+  });
+
+  // Queue occupancy: worker w owns the work items ≡ w (mod workers).
+  for (unsigned w = 0; w < workers; ++w) {
+    ys::worker_items_histogram().observe(
+        static_cast<double>((work.size() - w + workers - 1) / workers));
+  }
+
+  obs::Span merge_span(Builder::kMergeSpan, "offline");
+  bool truncated = false;
+  std::vector<std::unique_ptr<bdd::BddImporter>> into_primary;
+  into_primary.reserve(workers);
+  for (const auto& shard : shards) {
+    truncated = truncated || shard->truncated;
+    into_primary.push_back(std::make_unique<bdd::BddImporter>(primary, shard->mgr));
+  }
+  if (exhausted_during([&] {
+        for (size_t d = 0; d < work.size(); ++d) {
+          builder.merge(*work[d], out, shards[d % workers]->slots, *into_primary[d % workers]);
+        }
+      })) {
+    truncated = true;
+  }
+  if (obs::enabled()) {
+    obs::MetricsRegistry& reg = obs::metrics();
+    size_t imported_nodes = 0;
+    for (const auto& imp : into_primary) imported_nodes += imp->imported_nodes();
+    reg.counter("ys.bdd.imported_nodes", "nodes copied across BDD managers").add(imported_nodes);
+    for (const auto& shard : shards) {
+      const bdd::BddManager::Stats s = shard->mgr.stats();
+      reg.counter("ys.bdd.gc.runs", "phase-boundary mark-compact collections").add(s.gc_runs);
+      reg.counter("ys.bdd.gc.reclaimed_nodes", "dead BDD nodes reclaimed by GC")
+          .add(s.gc_reclaimed_nodes);
+      reg.counter("ys.bdd.shard_cache_hits", "apply-cache hits across shard managers")
+          .add(s.cache_hits);
+      reg.counter("ys.bdd.shard_cache_misses", "apply-cache misses across shard managers")
+          .add(s.cache_misses);
+    }
+  }
+  return truncated;
+}
+
+}  // namespace detail
+
+/// Runs `builder` over every device of `network` into `out`, sized here,
+/// building in `primary` or in shards merged into it (see the top of this
+/// file). `prefill` (may be null) supplies cached slots for the devices it
+/// hits; `threads` 0 means one worker per hardware thread; `gc_threshold`
+/// in (0, 1] arms shard GC, 0 disables it.
+template <typename Builder, typename Prefill>
+ShardedBuildResult sharded_build(const Builder& builder, bdd::BddManager& primary,
+                                 const net::Network& network, typename Builder::Slots& out,
+                                 const Prefill* prefill, const ys::ResourceBudget* budget,
+                                 unsigned threads, double gc_threshold) {
+  obs::Span build_span(Builder::kBuildSpan, "offline");
+  size_slots(out, network);
+  std::vector<const net::Device*> work;
+  work.reserve(network.device_count());
+  for (const net::Device& dev : network.devices()) {
+    if (prefill != nullptr && prefill->hit(dev.id)) {
+      for_each_slot(network, dev, out, *prefill,
+                    [](packet::PacketSet& to, const packet::PacketSet& from) { to = from; });
+    } else {
+      work.push_back(&dev);
+    }
+  }
+
+  const unsigned workers = ys::resolve_threads(threads, work.size());
+  build_span.arg("devices", network.device_count());
+  build_span.arg("prefilled", network.device_count() - work.size());
+  build_span.arg("rules", network.rule_count());
+  build_span.arg("workers", workers);
+
+  ShardedBuildResult result;
+  result.built_devices = work.size();
+  if (workers > 1 || (gc_threshold > 0.0 && !work.empty())) {
+    result.truncated = detail::build_in_shards(builder, primary, network, out, work, workers,
+                                               budget, gc_threshold);
+  } else {
+    result.truncated = detail::exhausted_during([&] {
+      for (const net::Device* dev : work) {
+        if (budget != nullptr) budget->poll(Builder::kActivity);
+        builder.build(primary, *dev, out, PrimaryInput());
+      }
+    });
+  }
+
+  // Degraded completion: empty sets are terminal-only, so filling them in
+  // cannot trip the budget again.
+  if (result.truncated) {
+    const auto cols = out.columns();
+    result.unreached.assign(network.rule_count(), 0);
+    for (size_t c = 0; c < cols.size(); ++c) {
+      for (size_t i = 0; i < cols[c]->size(); ++i) {
+        packet::PacketSet& ps = (*cols[c])[i];
+        if (ps.valid()) continue;
+        ps = packet::PacketSet::none(primary);
+        if (c < Builder::Slots::kRuleColumns) result.unreached[i] = 1;
+      }
+    }
+  }
+  return result;
+}
+
+}  // namespace yardstick::dataplane

@@ -1,12 +1,12 @@
 #include "scenario/runner.hpp"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "dataplane/transfer.hpp"
 #include "obs/trace.hpp"
 #include "packet/fields.hpp"
 #include "routing/fib_builder.hpp"
+#include "yardstick/json.hpp"
 #include "yardstick/tracker.hpp"
 
 namespace yardstick::scenario {
@@ -16,33 +16,11 @@ namespace {
 /// Cap on per-scenario collapsed/lost rule listings in the report.
 constexpr size_t kMaxRuleDeltas = 20;
 
-std::string format_double(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.6f", v);
-  return buf;
-}
-
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-      continue;
-    }
-    out += c;
-  }
-  return out;
-}
-
 std::string metric_row_json(const ys::MetricRow& m) {
-  return "{\"device_fractional\":" + format_double(m.device_fractional) +
-         ",\"interface_fractional\":" + format_double(m.interface_fractional) +
-         ",\"rule_fractional\":" + format_double(m.rule_fractional) +
-         ",\"rule_weighted\":" + format_double(m.rule_weighted) +
+  return "{\"device_fractional\":" + ys::format_double(m.device_fractional) +
+         ",\"interface_fractional\":" + ys::format_double(m.interface_fractional) +
+         ",\"rule_fractional\":" + ys::format_double(m.rule_fractional) +
+         ",\"rule_weighted\":" + ys::format_double(m.rule_weighted) +
          ",\"truncated\":" + (m.truncated ? "true" : "false") + "}";
 }
 
@@ -50,7 +28,7 @@ std::string string_array_json(const std::vector<std::string>& v) {
   std::string out = "[";
   for (size_t i = 0; i < v.size(); ++i) {
     if (i) out += ",";
-    out += "\"" + escape(v[i]) + "\"";
+    out += "\"" + ys::json_escape(v[i]) + "\"";
   }
   return out + "]";
 }
@@ -199,10 +177,10 @@ std::string ScenarioReport::to_text() const {
                     " scenario(s), baseline rules=" +
                     std::to_string(baseline_rule_count) + "\n";
   const auto row = [](const ys::MetricRow& m) {
-    return "device " + format_double(m.device_fractional) + "  interface " +
-           format_double(m.interface_fractional) + "  rule " +
-           format_double(m.rule_fractional) + "  weighted " +
-           format_double(m.rule_weighted) + (m.truncated ? "  [truncated]" : "");
+    return "device " + ys::format_double(m.device_fractional) + "  interface " +
+           ys::format_double(m.interface_fractional) + "  rule " +
+           ys::format_double(m.rule_fractional) + "  weighted " +
+           ys::format_double(m.rule_weighted) + (m.truncated ? "  [truncated]" : "");
   };
   out += "baseline: " + row(baseline_metrics) + "\n";
   if (!baseline_failing_tests.empty()) {
@@ -224,8 +202,8 @@ std::string ScenarioReport::to_text() const {
       out += "\n";
     }
     for (const RuleDelta& d : s.top_deltas) {
-      out += "  " + d.key + "  " + format_double(d.baseline_coverage) + " -> " +
-             format_double(d.scenario_coverage) +
+      out += "  " + d.key + "  " + ys::format_double(d.baseline_coverage) + " -> " +
+             ys::format_double(d.scenario_coverage) +
              "  atus=" + bdd::to_string(d.baseline_atus) + "\n";
     }
   }
@@ -242,7 +220,7 @@ std::string report_to_json(const ScenarioReport& report) {
   for (size_t i = 0; i < report.scenarios.size(); ++i) {
     const ScenarioDiff& s = report.scenarios[i];
     if (i) out += ",";
-    out += "{\"name\":\"" + escape(s.name) + "\"";
+    out += "{\"name\":\"" + ys::json_escape(s.name) + "\"";
     out += ",\"rules\":" + std::to_string(s.scenario_rule_count);
     out += ",\"lost\":" + std::to_string(s.rules_lost);
     out += ",\"gained\":" + std::to_string(s.rules_gained);
@@ -254,10 +232,10 @@ std::string report_to_json(const ScenarioReport& report) {
     for (size_t j = 0; j < s.top_deltas.size(); ++j) {
       const RuleDelta& d = s.top_deltas[j];
       if (j) out += ",";
-      out += "{\"rule\":\"" + escape(d.key) + "\"";
+      out += "{\"rule\":\"" + ys::json_escape(d.key) + "\"";
       out += ",\"kind\":\"" + std::string(net::to_string(d.kind)) + "\"";
-      out += ",\"baseline_coverage\":" + format_double(d.baseline_coverage);
-      out += ",\"scenario_coverage\":" + format_double(d.scenario_coverage);
+      out += ",\"baseline_coverage\":" + ys::format_double(d.baseline_coverage);
+      out += ",\"scenario_coverage\":" + ys::format_double(d.scenario_coverage);
       out += ",\"baseline_atus\":\"" + bdd::to_string(d.baseline_atus) + "\"}";
     }
     out += "]";

@@ -1,12 +1,10 @@
 #include "yardstick/analysis.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <exception>
-#include <mutex>
-#include <thread>
+#include <optional>
 
+#include "common/parallel.hpp"
 #include "coverage/covered_sets.hpp"
 #include "dataplane/match_sets.hpp"
 #include "obs/trace.hpp"
@@ -85,9 +83,7 @@ SuiteCoverageMatrix build_suite_matrix(const dataplane::Transfer& transfer,
 
   for (size_t i = 0; i < n; ++i) m.names[i] = suite.test(i).name();
 
-  const unsigned resolved =
-      threads == 0 ? std::max(1u, std::thread::hardware_concurrency()) : threads;
-  const size_t workers = std::min<size_t>(resolved, n);
+  const unsigned workers = resolve_threads(threads, n);
   if (workers <= 1) {
     try {
       for (size_t i = 0; i < n; ++i) {
@@ -103,51 +99,40 @@ SuiteCoverageMatrix build_suite_matrix(const dataplane::Transfer& transfer,
       m.truncated = true;
     }
   } else {
-    // Whole-test sharding: each worker owns a private manager, match-set
-    // index and transfer, and pulls tests off a shared counter. Rows are
-    // emptiness facts about canonical sets, so they do not depend on which
-    // worker (or manager) computed them — the serial and parallel paths
-    // agree bit for bit.
-    std::atomic<size_t> next{0};
+    // Whole-test sharding: each worker clones the engine's index into a
+    // private manager charged to the budget, then pulls tests off a shared
+    // cursor. Rows are emptiness facts about canonical sets, so they do not
+    // depend on which worker (or manager) computed them — the serial and
+    // parallel paths agree bit for bit.
+    std::atomic<size_t> cursor{0};
     std::atomic<bool> truncated{false};
-    std::mutex error_mu;
-    std::exception_ptr first_error;
-    auto work = [&] {
+    run_workers(workers, [&](unsigned /*worker*/) {
+      bdd::BddManager worker_mgr(index.manager().num_vars());
+      const bdd::ScopedBudget attach(worker_mgr, budget);
+      std::optional<dataplane::MatchSetIndex> worker_index;
       try {
-        bdd::BddManager worker_mgr(packet::kNumHeaderBits);
-        const dataplane::MatchSetIndex worker_index(worker_mgr, network, budget);
-        const dataplane::Transfer worker_transfer(worker_index);
-        if (worker_index.truncated()) truncated.store(true, std::memory_order_relaxed);
-        for (size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
-          try {
-            if (evaluate_test(worker_index, worker_transfer, suite.test(i), budget, 1,
-                              m, i)) {
-              truncated.store(true, std::memory_order_relaxed);
-            }
-          } catch (const StatusError& e) {
-            if (!is_resource_exhaustion(e.code())) throw;
+        worker_index.emplace(worker_mgr, index);
+      } catch (const StatusError& e) {
+        // A budget too tight to even clone the index: this worker evaluates
+        // nothing and the matrix reports truncated.
+        if (!is_resource_exhaustion(e.code())) throw;
+        truncated.store(true, std::memory_order_relaxed);
+        return;
+      }
+      const dataplane::Transfer worker_transfer(*worker_index);
+      uint64_t drained = 0;
+      for (size_t i = cursor.fetch_add(1); i < n; i = cursor.fetch_add(1), ++drained) {
+        try {
+          if (evaluate_test(*worker_index, worker_transfer, suite.test(i), budget, 1, m, i)) {
             truncated.store(true, std::memory_order_relaxed);
           }
-        }
-      } catch (const StatusError& e) {
-        if (is_resource_exhaustion(e.code())) {
+        } catch (const StatusError& e) {
+          if (!is_resource_exhaustion(e.code())) throw;
           truncated.store(true, std::memory_order_relaxed);
-        } else {
-          const std::lock_guard<std::mutex> lock(error_mu);
-          if (!first_error) first_error = std::current_exception();
         }
-      } catch (...) {
-        // First non-budget failure wins; remaining tests of this worker
-        // are abandoned (their rows backfill to zero below).
-        const std::lock_guard<std::mutex> lock(error_mu);
-        if (!first_error) first_error = std::current_exception();
       }
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (size_t w = 0; w < workers; ++w) pool.emplace_back(work);
-    for (std::thread& t : pool) t.join();
-    if (first_error) std::rethrow_exception(first_error);
+      if (obs::enabled()) worker_items_histogram().observe(static_cast<double>(drained));
+    });
     if (truncated.load(std::memory_order_relaxed)) m.truncated = true;
   }
   for (std::vector<char>& row : m.covers) {

@@ -74,8 +74,8 @@ struct SuiteCoverageMatrix {
 ///
 /// With `threads` > 1 the isolated runs themselves fan out across a
 /// per-worker BddManager pool (the §8 sharding idiom, lifted from rules to
-/// whole tests): each worker owns a private manager, match-set index and
-/// transfer, and tests are pulled off a shared queue. The matrix rows are
+/// whole tests): each worker clones `transfer.index()` into a private
+/// manager, and tests are pulled off a shared queue. The matrix rows are
 /// set-emptiness facts about canonically-constructed BDDs, which no
 /// manager renumbering can change — so the matrix, and everything derived
 /// from it, is bit-identical at any thread count (`seconds` carries real
@@ -83,8 +83,9 @@ struct SuiteCoverageMatrix {
 /// golden comparisons). Contract on the suite: at `threads` > 1 a test
 /// must derive all symbolic state from the transfer it is handed (every
 /// test in src/nettest does); a test closing over PacketSets bound to the
-/// caller's manager requires `threads` == 1. Worker index builds charge
-/// `budget`, so a budgeted run trips earlier at higher thread counts.
+/// caller's manager requires `threads` == 1. Worker managers (the index
+/// clone and every covered-set build in it) charge `budget`, so a budgeted
+/// run trips earlier at higher thread counts.
 /// This is deliberately outside the incremental cache (DESIGN.md §11):
 /// every per-test trace has a distinct content key, so caching would churn
 /// the artifact without ever producing a warm hit.

@@ -65,8 +65,8 @@ struct DeviceKeys {
 };
 
 /// Hash a device's tables (Acl then Fib, each in priority order): every
-/// input build_device_tables reads, nothing it doesn't (RouteKind and rule
-/// ids are metadata and excluded — renumbering must not invalidate).
+/// input step 1's per-device walk reads, nothing it doesn't (RouteKind and
+/// rule ids are metadata and excluded — renumbering must not invalidate).
 [[nodiscard]] uint64_t hash_device_tables(const net::Network& network, net::DeviceId dev);
 
 /// Hash a packet set by canonical BDD structure. Equal functions hash

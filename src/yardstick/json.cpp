@@ -1,6 +1,7 @@
 #include "yardstick/json.hpp"
 
 #include <cmath>
+#include <cstdio>
 #include <sstream>
 
 namespace yardstick::ys {
@@ -19,8 +20,21 @@ void finite(std::ostringstream& out, double v) {
   }
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-std::string escape(const std::string& s) {
+void metric_row(std::ostringstream& out, const MetricRow& m) {
+  out << "{\"device_fractional\":";
+  finite(out, m.device_fractional);
+  out << ",\"interface_fractional\":";
+  finite(out, m.interface_fractional);
+  out << ",\"rule_fractional\":";
+  finite(out, m.rule_fractional);
+  out << ",\"rule_weighted\":";
+  finite(out, m.rule_weighted);
+  out << "}";
+}
+
+}  // namespace
+
+std::string json_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size() + 2);
   for (const char c : s) {
@@ -42,19 +56,11 @@ std::string escape(const std::string& s) {
   return out;
 }
 
-void metric_row(std::ostringstream& out, const MetricRow& m) {
-  out << "{\"device_fractional\":";
-  finite(out, m.device_fractional);
-  out << ",\"interface_fractional\":";
-  finite(out, m.interface_fractional);
-  out << ",\"rule_fractional\":";
-  finite(out, m.rule_fractional);
-  out << ",\"rule_weighted\":";
-  finite(out, m.rule_weighted);
-  out << "}";
+std::string format_double(double v) {
+  char buf[48];
+  std::snprintf(buf, sizeof(buf), "%.6f", v);
+  return buf;
 }
-
-}  // namespace
 
 std::string report_to_json(const CoverageReport& report) {
   std::ostringstream out;
@@ -95,13 +101,13 @@ std::string results_to_json(const std::vector<nettest::TestResult>& results) {
   for (size_t i = 0; i < results.size(); ++i) {
     const nettest::TestResult& r = results[i];
     if (i) out << ",";
-    out << "{\"name\":\"" << escape(r.name) << "\",\"category\":\""
+    out << "{\"name\":\"" << json_escape(r.name) << "\",\"category\":\""
         << to_string(r.category) << "\",\"checks\":" << r.checks
         << ",\"failures\":" << r.failures << ",\"passed\":" << (r.passed() ? "true" : "false")
         << ",\"messages\":[";
     for (size_t j = 0; j < r.failure_messages.size(); ++j) {
       if (j) out << ",";
-      out << "\"" << escape(r.failure_messages[j]) << "\"";
+      out << "\"" << json_escape(r.failure_messages[j]) << "\"";
     }
     out << "]}";
   }

@@ -11,6 +11,14 @@
 
 namespace yardstick::ys {
 
+/// `s` as the body of a JSON string: quotes and backslashes escaped, `\n`
+/// and `\t` as two-character escapes, other control characters as `\u00XX`.
+[[nodiscard]] std::string json_escape(const std::string& s);
+
+/// `v` in fixed notation with six decimals (printf "%.6f"), the rendering
+/// of the optimize and scenarios reports.
+[[nodiscard]] std::string format_double(double v);
+
 /// Serialize a coverage report as a JSON object (stable key order).
 [[nodiscard]] std::string report_to_json(const CoverageReport& report);
 

@@ -5,32 +5,11 @@
 #include <map>
 
 #include "obs/trace.hpp"
+#include "yardstick/json.hpp"
 
 namespace yardstick::ys {
 
 namespace {
-
-std::string format_double(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.6f", v);
-  return buf;
-}
-
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-      continue;
-    }
-    out += c;
-  }
-  return out;
-}
 
 /// Non-vacuous rules covered by the whole suite (the set-cover universe).
 size_t union_covered(const SuiteCoverageMatrix& m) {
@@ -312,7 +291,7 @@ std::string optimize_to_json(const SuiteCoverageMatrix& m,
   out += ",\"tests\":[";
   for (size_t i = 0; i < m.test_count(); ++i) {
     if (i) out += ",";
-    out += "{\"name\":\"" + escape(m.names[i]) +
+    out += "{\"name\":\"" + json_escape(m.names[i]) +
            "\",\"seconds\":" + format_double(m.seconds[i]) + "}";
   }
   out += "]";
@@ -325,14 +304,14 @@ std::string optimize_to_json(const SuiteCoverageMatrix& m,
       const SelectedTest& s = minimize->selected[i];
       if (i) out += ",";
       out += "{\"index\":" + std::to_string(s.index) + ",\"name\":\"" +
-             escape(s.name) + "\",\"added_rules\":" + std::to_string(s.added_rules) +
+             json_escape(s.name) + "\",\"added_rules\":" + std::to_string(s.added_rules) +
              ",\"cumulative_coverage\":" + format_double(s.cumulative_coverage) + "}";
     }
     out += "],\"dropped\":[";
     const std::vector<std::string> drop = minimize->dropped(m);
     for (size_t i = 0; i < drop.size(); ++i) {
       if (i) out += ",";
-      out += "\"" + escape(drop[i]) + "\"";
+      out += "\"" + json_escape(drop[i]) + "\"";
     }
     out += "]";
     if (minimize->recomputed_full >= 0.0) {
@@ -353,7 +332,7 @@ std::string optimize_to_json(const SuiteCoverageMatrix& m,
       const PrioritizedTest& t = prioritize->order[i];
       if (i) out += ",";
       out += "{\"index\":" + std::to_string(t.index) + ",\"name\":\"" +
-             escape(t.name) + "\",\"marginal\":" + format_double(t.marginal) +
+             json_escape(t.name) + "\",\"marginal\":" + format_double(t.marginal) +
              ",\"seconds\":" + format_double(t.seconds) +
              ",\"cumulative_coverage\":" + format_double(t.cumulative_coverage) +
              ",\"cumulative_seconds\":" + format_double(t.cumulative_seconds) + "}";
@@ -370,12 +349,12 @@ std::string optimize_to_json(const SuiteCoverageMatrix& m,
     for (size_t i = 0; i < gaps->devices.size(); ++i) {
       const DeviceGaps& d = gaps->devices[i];
       if (i) out += ",";
-      out += "{\"device\":\"" + escape(d.name) +
+      out += "{\"device\":\"" + json_escape(d.name) +
              "\",\"rules\":" + std::to_string(d.rule_count) + ",\"gaps\":[";
       for (size_t j = 0; j < d.gaps.size(); ++j) {
         const GapWitness& g = d.gaps[j];
         if (j) out += ",";
-        out += "{\"rule\":\"" + escape(g.content_key) + "\",\"kind\":\"" +
+        out += "{\"rule\":\"" + json_escape(g.content_key) + "\",\"kind\":\"" +
                std::string(net::to_string(g.kind)) + "\",\"collapsed\":" +
                std::to_string(g.collapsed) + ",\"state_only\":" +
                (g.state_only ? "true" : "false");

@@ -9,13 +9,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <random>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/budget.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "test_util.hpp"
 #include "yardstick/cache.hpp"
 #include "yardstick/delta.hpp"
@@ -68,6 +72,48 @@ void expect_same_results(const net::Network& network, const CoverageEngine& want
   EXPECT_EQ(a.rule_fractional, b.rule_fractional);
   EXPECT_EQ(a.rule_weighted, b.rule_weighted);
   EXPECT_EQ(a.truncated, b.truncated);
+}
+
+/// Records spans for one scope; tracing is off and empty again after it.
+class ScopedTracing {
+ public:
+  ScopedTracing() {
+    obs::Tracer::global().clear();
+    obs::set_enabled(true);
+  }
+  ~ScopedTracing() {
+    obs::set_enabled(false);
+    obs::Tracer::global().clear();
+    obs::metrics().reset_values();
+  }
+  ScopedTracing(const ScopedTracing&) = delete;
+  ScopedTracing& operator=(const ScopedTracing&) = delete;
+};
+
+/// The step-1/2 build spans recorded so far, and the `parallel.worker`
+/// spans that fall inside one of them.
+struct BuildSpans {
+  size_t builds = 0;
+  size_t workers_inside = 0;
+};
+
+BuildSpans recorded_build_spans() {
+  const std::vector<obs::TraceEvent> events = obs::Tracer::global().snapshot();
+  BuildSpans out;
+  for (const obs::TraceEvent& build : events) {
+    if (std::strcmp(build.name, "match_sets.build") != 0 &&
+        std::strcmp(build.name, "covered_sets.build") != 0) {
+      continue;
+    }
+    ++out.builds;
+    for (const obs::TraceEvent& w : events) {
+      if (std::strcmp(w.name, "parallel.worker") == 0 && w.ts_us >= build.ts_us &&
+          w.ts_us + w.dur_us <= build.ts_us + build.dur_us) {
+        ++out.workers_inside;
+      }
+    }
+  }
+  return out;
 }
 
 class IncrementalTest : public ::testing::Test {
@@ -134,8 +180,14 @@ TEST_F(IncrementalTest, WarmResultsBitIdenticalAtEveryThreadCount) {
     const std::string dir = dir_ + "_t" + std::to_string(threads);
     std::remove((dir + "/coverage.cache").c_str());
     const EngineRun cold = run_engine(tiny_.net, trace, dir, threads);
+    const ScopedTracing tracing;
     const EngineRun warm = run_engine(tiny_.net, trace, dir, threads);
     EXPECT_EQ(warm.engine->cache_stats()->match_hits, 3u) << threads << " threads";
+    EXPECT_EQ(warm.engine->cache_stats()->cover_hits, 3u) << threads << " threads";
+    // A full hit leaves no device to build, so neither step starts a worker.
+    const BuildSpans spans = recorded_build_spans();
+    EXPECT_EQ(spans.builds, 2u) << threads << " threads";
+    EXPECT_EQ(spans.workers_inside, 0u) << threads << " threads";
     expect_same_results(tiny_.net, *serial_scratch.engine, *cold.engine);
     expect_same_results(tiny_.net, *serial_scratch.engine, *warm.engine);
     std::remove((dir + "/coverage.cache").c_str());

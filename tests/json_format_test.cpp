@@ -157,6 +157,20 @@ TEST(JsonFormatTest, WellFormedOnNormalReport) {
   EXPECT_TRUE(JsonChecker(json).well_formed()) << json;
 }
 
+TEST(JsonFormatTest, StringEscapeAndFixedDoubleRendering) {
+  // The one rendering every JSON writer (report, optimize, scenarios) uses.
+  EXPECT_EQ(json_escape("ToRContract"), "ToRContract");
+  EXPECT_EQ(json_escape("say \"hi\" \\o/"), "say \\\"hi\\\" \\\\o/");
+  EXPECT_EQ(json_escape("a\nb\tc"), "a\\nb\\tc");
+  EXPECT_EQ(json_escape(std::string("\x01\x1f", 2)), "\\u0001\\u001f");
+  const std::string quoted = "[\"" + json_escape("x\"\n\x02") + "\"]";
+  EXPECT_TRUE(JsonChecker(quoted).well_formed()) << quoted;
+
+  EXPECT_EQ(format_double(0.5), "0.500000");
+  EXPECT_EQ(format_double(1.0 / 3.0), "0.333333");
+  EXPECT_EQ(format_double(1.0), "1.000000");
+}
+
 TEST(JsonFormatTest, NonFiniteMetricsSerializeAsZero) {
   // Degraded aggregations can hand the serializer NaN and ±infinity;
   // the document must stay parseable and free of nan/inf tokens.

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 
+#include "fault_injection.hpp"
 #include "nettest/contract_checks.hpp"
 #include "nettest/reachability.hpp"
 #include "nettest/state_checks.hpp"
@@ -195,6 +197,30 @@ TEST_F(ParallelDeterminismTest, GcUnderBudgetKeepsAccountingBalanced) {
   EXPECT_FALSE(run.engine->truncated());
   EXPECT_EQ(budget.used_bdd_nodes(), run.mgr->arena_size());
   EXPECT_GE(budget.peak_bdd_nodes(), budget.used_bdd_nodes());
+
+  // A failure other than the budget, in step 1 or in step 2, aborts the
+  // engine; the shards must still hand their charge back, leaving only the
+  // primary manager's own.
+  for (const bool in_step_2 : {false, true}) {
+    ys::ResourceBudget failing;
+    failing.with_max_bdd_nodes(50'000'000);
+    bdd::BddManager mgr(packet::kNumHeaderBits);
+    const coverage::CoverageTrace local = trace.imported_into(mgr);
+    std::optional<testutil::ScopedFault> boom;
+    const auto arm = [&boom] {
+      boom.emplace("bdd.make", testutil::throw_io("injected allocation failure"), 50);
+    };
+    if (!in_step_2) arm();
+    const auto online = [&](const dataplane::Transfer&) -> const coverage::CoverageTrace& {
+      if (in_step_2) arm();
+      return local;
+    };
+    EXPECT_THROW(ys::CoverageEngine(mgr, tree.network, online,
+                                    ys::EngineOptions{&failing, 4, "", 0.05}),
+                 ys::IoError)
+        << (in_step_2 ? "step 2" : "step 1");
+    EXPECT_EQ(failing.used_bdd_nodes(), mgr.arena_size()) << (in_step_2 ? "step 2" : "step 1");
+  }
 }
 
 TEST_F(ParallelDeterminismTest, TrippingBudgetTruncatesInEveryMode) {

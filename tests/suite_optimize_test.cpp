@@ -4,6 +4,8 @@
 // of everything derived from the coverage matrix.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "nettest/contract_checks.hpp"
 #include "nettest/reachability.hpp"
 #include "nettest/state_checks.hpp"
@@ -337,6 +339,46 @@ TEST_F(SuiteOptimizeTest, MatrixAndMinimizationAreBitIdenticalAcrossThreadCounts
     EXPECT_EQ(r1.selected[i].cumulative_coverage, r4.selected[i].cumulative_coverage);
   }
   EXPECT_EQ(r1.achieved_coverage, r4.achieved_coverage);
+}
+
+TEST_F(SuiteOptimizeTest, MatrixWorkersChargeTheBudget) {
+  topo::FatTree tree = topo::make_fat_tree({.k = 4});
+  routing::FibBuilder::compute_and_build(tree.network, tree.routing);
+  nettest::TestSuite suite("s");
+  suite.add(std::make_unique<nettest::DefaultRouteCheck>());
+  suite.add(std::make_unique<nettest::ToRContract>());
+  suite.add(std::make_unique<nettest::ToRPingmesh>());
+  suite.add(std::make_unique<nettest::DefaultRouteCheck>());
+
+  struct Run {
+    bdd::BddManager mgr{packet::kNumHeaderBits};
+    CoverageTracker tracker;
+    std::optional<CoverageEngine> engine;
+  };
+  const auto run_engine = [&](Run& run, const ResourceBudget* budget) {
+    run.engine.emplace(
+        run.mgr, tree.network,
+        [&](const dataplane::Transfer& transfer) -> const coverage::CoverageTrace& {
+          (void)suite.run_all(transfer, run.tracker);
+          return run.tracker.trace();
+        },
+        EngineOptions{budget, 1, "", 0.0});
+  };
+  Run unbudgeted;
+  run_engine(unbudgeted, nullptr);
+  const size_t engine_nodes = unbudgeted.mgr.arena_size();
+
+  // A cap with a quarter to spare fits the engine, but not four workers'
+  // index clones on top of it.
+  ResourceBudget budget;
+  budget.with_max_bdd_nodes(engine_nodes + engine_nodes / 4);
+  Run budgeted;
+  run_engine(budgeted, &budget);
+  ASSERT_FALSE(budgeted.engine->truncated());
+  EXPECT_TRUE(build_suite_matrix(budgeted.engine->transfer(), suite, &budget, 4).truncated);
+  // The workers returned their charge, and without a budget nothing trips.
+  EXPECT_EQ(budget.used_bdd_nodes(), budgeted.mgr.arena_size());
+  EXPECT_FALSE(build_suite_matrix(budgeted.engine->transfer(), suite, nullptr, 4).truncated);
 }
 
 TEST_F(SuiteOptimizeTest, GapReportJsonIsBitIdenticalAcrossThreadCounts) {
