@@ -55,23 +55,6 @@ class CoverageTrace {
     return marked_rules_.contains(rule);
   }
 
-  /// All headers reported at a device, regardless of ingress interface:
-  /// the union of the device-local injection location and every interface
-  /// of the device. This is the P_T slice Algorithm 1 intersects with a
-  /// rule's match set.
-  [[nodiscard]] packet::PacketSet headers_at_device(bdd::BddManager& mgr,
-                                                    const net::Network& network,
-                                                    net::DeviceId device) const {
-    packet::PacketSet acc = packet::PacketSet::none(mgr);
-    const packet::PacketSet local = marked_packets_.at(net::device_location(device));
-    if (local.valid()) acc = acc.union_with(local);
-    for (const net::InterfaceId intf : network.device(device).interfaces) {
-      const packet::PacketSet at = marked_packets_.at(net::to_location(intf));
-      if (at.valid()) acc = acc.union_with(at);
-    }
-    return acc;
-  }
-
   /// Structural copy of this trace into another manager: every located
   /// packet set is imported into `dst` (memoized per source manager, so
   /// shared subgraphs copy once); marked rules carry over verbatim.

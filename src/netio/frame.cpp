@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/fnv1a.hpp"
 #include "common/status.hpp"
 
 namespace yardstick::netio {
@@ -107,16 +108,6 @@ class DeltaEmitter {
 
 }  // namespace
 
-uint64_t fnv1a_64(const void* data, size_t size) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (size_t i = 0; i < size; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 void put_u8(std::string& out, uint8_t v) { out.push_back(static_cast<char>(v)); }
 
 void put_u32(std::string& out, uint32_t v) {
@@ -161,7 +152,7 @@ std::string encode_frame(FrameType type, uint64_t seq, std::string_view body) {
   put_u8(out, static_cast<uint8_t>(type));
   put_u64(out, seq);
   put_u32(out, static_cast<uint32_t>(body.size()));
-  put_u64(out, fnv1a_64(body.data(), body.size()));
+  put_u64(out, ys::fnv1a64(body.data(), body.size()));
   out.append(body);
   return out;
 }
@@ -196,7 +187,7 @@ DecodeResult decode_frame(std::string_view buffer) {
   }
   if (buffer.size() < kFrameHeaderBytes + body_len) return r;  // NeedMore
   const std::string_view body = buffer.substr(kFrameHeaderBytes, body_len);
-  if (fnv1a_64(body.data(), body.size()) != get_u64(p + 18)) {
+  if (ys::fnv1a64(body.data(), body.size()) != get_u64(p + 18)) {
     r.status = DecodeStatus::Corrupt;
     r.error = "frame body checksum mismatch";
     return r;

@@ -42,10 +42,7 @@
 
 namespace yardstick::netio {
 
-// --- checksums and integer packing (shared with the WAL) ---------------
-
-/// FNV-1a 64 over a byte range; same function as the persist-v2 trailer.
-[[nodiscard]] uint64_t fnv1a_64(const void* data, size_t size);
+// --- integer packing, shared with the WAL (checksums: common/fnv1a.hpp) ---
 
 void put_u8(std::string& out, uint8_t v);
 void put_u32(std::string& out, uint32_t v);

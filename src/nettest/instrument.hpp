@@ -25,12 +25,14 @@ inline void mark_local_injection(ys::CoverageTracker& tracker, net::DeviceId dev
   tracker.mark_packet(net::device_location(device), packets);
 }
 
-/// End-to-end concrete tests: report one hop of a concrete trace.
-inline void mark_concrete_hop(ys::CoverageTracker& tracker, bdd::BddManager& mgr,
-                              const dataplane::ConcreteHop& hop) {
+/// End-to-end concrete tests: report one hop of a concrete trace, given
+/// the singleton set of the hop's packet (a caller reuses it across hops
+/// that carry the same packet).
+inline void mark_concrete_hop(ys::CoverageTracker& tracker, const dataplane::ConcreteHop& hop,
+                              const packet::PacketSet& packet) {
   tracker.mark_packet(hop.in_interface.valid() ? net::to_location(hop.in_interface)
                                                : net::device_location(hop.device),
-                      packet::PacketSet::from_packet(mgr, hop.packet));
+                      packet);
 }
 
 /// End-to-end symbolic tests: adapt the tracker into the symbolic

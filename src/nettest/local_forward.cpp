@@ -31,8 +31,7 @@ TestResult LocalForwardCheck::run(const dataplane::Transfer& transfer,
         if (dist[dev.id.value] <= 0) continue;  // no contract at the origin
         ++result.checks;
         // Report the single concrete packet injected at this device.
-        tracker.mark_packet(net::device_location(dev.id),
-                            PacketSet::from_packet(mgr, pkt));
+        mark_local_injection(tracker, dev.id, PacketSet::from_packet(mgr, pkt));
 
         const net::RuleId rid = transfer.lookup(dev.id, net::InterfaceId{}, pkt);
         if (!rid.valid()) {

@@ -158,9 +158,7 @@ dataplane::ConcreteTrace probe(const dataplane::Transfer& transfer,
       singleton = PacketSet::from_packet(mgr, hop.packet);
       built_for = &hop.packet;
     }
-    tracker.mark_packet(hop.in_interface.valid() ? net::to_location(hop.in_interface)
-                                                 : net::device_location(hop.device),
-                        singleton);
+    mark_concrete_hop(tracker, hop, singleton);
   }
   return trace;
 }

@@ -40,15 +40,4 @@ inline constexpr FieldSpec spec(Field f) {
   return kDstIp;  // unreachable
 }
 
-inline constexpr const char* field_name(Field f) {
-  switch (f) {
-    case Field::DstIp: return "dstIp";
-    case Field::SrcIp: return "srcIp";
-    case Field::Proto: return "proto";
-    case Field::SrcPort: return "srcPort";
-    case Field::DstPort: return "dstPort";
-  }
-  return "?";
-}
-
 }  // namespace yardstick::packet

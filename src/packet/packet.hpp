@@ -20,17 +20,6 @@ struct ConcretePacket {
 
   friend auto operator<=>(const ConcretePacket&, const ConcretePacket&) = default;
 
-  [[nodiscard]] uint64_t field_value(Field f) const {
-    switch (f) {
-      case Field::DstIp: return dst_ip;
-      case Field::SrcIp: return src_ip;
-      case Field::Proto: return proto;
-      case Field::SrcPort: return src_port;
-      case Field::DstPort: return dst_port;
-    }
-    return 0;
-  }
-
   void set_field(Field f, uint64_t value) {
     switch (f) {
       case Field::DstIp: dst_ip = static_cast<uint32_t>(value); break;

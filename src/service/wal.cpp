@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include "common/fault.hpp"
+#include "common/fnv1a.hpp"
 #include "common/status.hpp"
 #include "netio/frame.hpp"
 
@@ -47,7 +48,7 @@ void Wal::append(std::string_view payload) {
   std::string record;
   record.reserve(kRecordHeaderBytes + payload.size());
   netio::put_u32(record, static_cast<uint32_t>(payload.size()));
-  netio::put_u64(record, netio::fnv1a_64(payload.data(), payload.size()));
+  netio::put_u64(record, ys::fnv1a64(payload.data(), payload.size()));
   record.append(payload);
   // One write_full for the whole record: a crash (or injected fault)
   // mid-way leaves a torn tail that replay() detects and discards.
@@ -109,7 +110,7 @@ Wal::ReplayStats Wal::replay(const std::string& path,
       stats.torn_tail = true;  // crash mid payload
       break;
     }
-    if (netio::fnv1a_64(payload.data(), payload.size()) != checksum) {
+    if (ys::fnv1a64(payload.data(), payload.size()) != checksum) {
       stats.bad_tail = true;  // bit rot or a torn rewrite; stop trusting
       break;
     }

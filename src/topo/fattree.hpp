@@ -31,12 +31,6 @@ struct FatTree {
   std::vector<net::DeviceId> aggs;
   std::vector<net::DeviceId> cores;
   net::DeviceId wan;  // invalid when with_wan == false
-
-  /// The hosted prefix of a ToR (one per ToR, §8.1).
-  [[nodiscard]] const packet::Ipv4Prefix& tor_prefix(const net::Network& n,
-                                                     net::DeviceId tor) const {
-    return n.device(tor).host_prefixes.front();
-  }
 };
 
 /// Build the topology and its routing configuration. Call

@@ -1,11 +1,9 @@
 #include "yardstick/analysis.hpp"
 
-#include <atomic>
 #include <chrono>
-#include <optional>
 
-#include "common/parallel.hpp"
 #include "coverage/covered_sets.hpp"
+#include "dataplane/clone_and_drain.hpp"
 #include "dataplane/match_sets.hpp"
 #include "obs/trace.hpp"
 #include "yardstick/tracker.hpp"
@@ -14,25 +12,42 @@ namespace yardstick::ys {
 
 namespace {
 
-/// One isolated test evaluation against `index`: timed run, covered-set
-/// build, reduction to a boolean row. Shared by the serial and the
-/// per-worker parallel paths — the row only records set emptiness, so it
-/// is identical whichever manager `index` lives in. Returns true when the
-/// covered-set build was budget-truncated (the caller owns m.truncated;
-/// workers write only their own i-th slots of seconds/covers).
-[[nodiscard]] bool evaluate_test(const dataplane::MatchSetIndex& index,
-                                 const dataplane::Transfer& transfer,
-                                 const nettest::NetworkTest& test,
-                                 const ResourceBudget* budget, unsigned build_threads,
-                                 SuiteCoverageMatrix& m, size_t i) {
+/// What one test evaluation reads: a transfer over the engine's index or
+/// over a worker's clone of it, and the threads its covered-set build uses.
+struct MatrixInputs {
+  const dataplane::Transfer& transfer;
+  unsigned build_threads;
+};
+
+/// A worker's private copy of the engine's index (dataplane/clone_and_drain.hpp).
+/// Its covered-set builds run on one thread: the workers already use the
+/// caller's threads.
+struct MatrixClone {
+  MatrixClone(bdd::BddManager& mgr, const MatrixInputs& from)
+      : index(mgr, from.transfer.index()), transfer(index) {}
+  [[nodiscard]] MatrixInputs inputs() const { return {transfer, 1}; }
+
+  dataplane::MatchSetIndex index;
+  dataplane::Transfer transfer;
+};
+
+/// One isolated test evaluation: timed run, covered-set build, reduction to
+/// a boolean row. The row only records set emptiness, so it is identical
+/// whichever manager the transfer's index lives in. Writes only the i-th
+/// slots of seconds/covers; returns true when the covered-set build was
+/// budget-truncated.
+[[nodiscard]] bool evaluate_test(const MatrixInputs& in, const nettest::NetworkTest& test,
+                                 const ResourceBudget* budget, SuiteCoverageMatrix& m,
+                                 size_t i) {
   CoverageTracker tracker;
   // Time the isolated run only: trace bookkeeping and the covered-set
   // build below are analysis overhead, not test cost.
   const auto test_start = ResourceBudget::Clock::now();
-  (void)test.run(transfer, tracker);
+  (void)test.run(in.transfer, tracker);
   m.seconds[i] =
       std::chrono::duration<double>(ResourceBudget::Clock::now() - test_start).count();
-  const coverage::CoveredSets covered(index, tracker.trace(), budget, build_threads);
+  const coverage::CoveredSets covered(in.transfer.index(), tracker.trace(), budget,
+                                      in.build_threads);
   std::vector<char> row(m.rule_count, 0);
   for (size_t r = 0; r < m.rule_count; ++r) {
     if (m.vacuous[r]) continue;
@@ -83,58 +98,15 @@ SuiteCoverageMatrix build_suite_matrix(const dataplane::Transfer& transfer,
 
   for (size_t i = 0; i < n; ++i) m.names[i] = suite.test(i).name();
 
-  const unsigned workers = resolve_threads(threads, n);
-  if (workers <= 1) {
-    try {
-      for (size_t i = 0; i < n; ++i) {
-        if (evaluate_test(index, transfer, suite.test(i), budget, threads, m, i)) {
-          m.truncated = true;
-        }
-      }
-    } catch (const StatusError& e) {
-      // A budget tripping outside the degradable covered-set builds (e.g.
-      // while running a test) leaves the rows computed so far; never-built
-      // rows stay all-zero (coverage under-reported, flagged truncated).
-      if (!is_resource_exhaustion(e.code())) throw;
-      m.truncated = true;
-    }
-  } else {
-    // Whole-test sharding: each worker clones the engine's index into a
-    // private manager charged to the budget, then pulls tests off a shared
-    // cursor. Rows are emptiness facts about canonical sets, so they do not
-    // depend on which worker (or manager) computed them — the serial and
-    // parallel paths agree bit for bit.
-    std::atomic<size_t> cursor{0};
-    std::atomic<bool> truncated{false};
-    run_workers(workers, [&](unsigned /*worker*/) {
-      bdd::BddManager worker_mgr(index.manager().num_vars());
-      const bdd::ScopedBudget attach(worker_mgr, budget);
-      std::optional<dataplane::MatchSetIndex> worker_index;
-      try {
-        worker_index.emplace(worker_mgr, index);
-      } catch (const StatusError& e) {
-        // A budget too tight to even clone the index: this worker evaluates
-        // nothing and the matrix reports truncated.
-        if (!is_resource_exhaustion(e.code())) throw;
-        truncated.store(true, std::memory_order_relaxed);
-        return;
-      }
-      const dataplane::Transfer worker_transfer(*worker_index);
-      uint64_t drained = 0;
-      for (size_t i = cursor.fetch_add(1); i < n; i = cursor.fetch_add(1), ++drained) {
-        try {
-          if (evaluate_test(*worker_index, worker_transfer, suite.test(i), budget, 1, m, i)) {
-            truncated.store(true, std::memory_order_relaxed);
-          }
-        } catch (const StatusError& e) {
-          if (!is_resource_exhaustion(e.code())) throw;
-          truncated.store(true, std::memory_order_relaxed);
-        }
-      }
-      if (obs::enabled()) worker_items_histogram().observe(static_cast<double>(drained));
-    });
-    if (truncated.load(std::memory_order_relaxed)) m.truncated = true;
-  }
+  // Tests are the clone-and-drain driver's items. A test the stop rule
+  // skipped, or whose run tripped the budget, keeps an all-zero row below.
+  const dataplane::DrainResult drain = dataplane::clone_and_drain<MatrixClone>(
+      index.manager(), MatrixInputs{transfer, threads}, n, threads, budget,
+      [] { return false; },
+      [&](const MatrixInputs& in, size_t i) {
+        return evaluate_test(in, suite.test(i), budget, m, i);
+      });
+  m.truncated = m.truncated || drain.truncated;
   for (std::vector<char>& row : m.covers) {
     if (row.empty()) row.assign(m.rule_count, 0);
   }

@@ -72,26 +72,25 @@ struct SuiteCoverageMatrix {
 /// builds against `transfer.index()` — not O(n^2): every subset evaluation
 /// downstream is pure integer work on the matrix.
 ///
-/// With `threads` > 1 the isolated runs themselves fan out across a
-/// per-worker BddManager pool (the §8 sharding idiom, lifted from rules to
-/// whole tests): each worker clones `transfer.index()` into a private
-/// manager, and tests are pulled off a shared queue. The matrix rows are
-/// set-emptiness facts about canonically-constructed BDDs, which no
-/// manager renumbering can change — so the matrix, and everything derived
-/// from it, is bit-identical at any thread count (`seconds` carries real
-/// wall-clock and is exempt, which is why prioritization is excluded from
-/// golden comparisons). Contract on the suite: at `threads` > 1 a test
+/// Tests are the items of the clone-and-drain driver
+/// (dataplane/clone_and_drain.hpp), which owns the worker policy and the
+/// stop rule. Worker managers (the index clone and every covered-set build
+/// in it) charge `budget`, so a budgeted run trips earlier at higher
+/// thread counts. The matrix rows are set-emptiness facts about
+/// canonically-constructed BDDs, which no manager renumbering can change —
+/// so the matrix, and everything derived from it, is bit-identical at any
+/// thread count (`seconds` carries real wall-clock and is exempt, which is
+/// why prioritization is excluded from golden comparisons). Contract on the suite: at `threads` > 1 a test
 /// must derive all symbolic state from the transfer it is handed (every
 /// test in src/nettest does); a test closing over PacketSets bound to the
-/// caller's manager requires `threads` == 1. Worker managers (the index
-/// clone and every covered-set build in it) charge `budget`, so a budgeted
-/// run trips earlier at higher thread counts.
+/// caller's manager requires `threads` == 1.
 /// This is deliberately outside the incremental cache (DESIGN.md §11):
 /// every per-test trace has a distinct content key, so caching would churn
 /// the artifact without ever producing a warm hit.
 ///
-/// `budget` (non-owning, may be null) bounds the work; a budget tripping
-/// mid-build surfaces as `truncated` with the rows built so far.
+/// `budget` (non-owning, may be null) bounds the work; a tripped budget
+/// surfaces as `truncated`, and every test that did not complete keeps an
+/// all-zero row.
 [[nodiscard]] SuiteCoverageMatrix build_suite_matrix(
     const dataplane::Transfer& transfer, const nettest::TestSuite& suite,
     const ResourceBudget* budget = nullptr, unsigned threads = 1);

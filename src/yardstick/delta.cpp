@@ -8,13 +8,7 @@ namespace yardstick::ys {
 
 using packet::PacketSet;
 
-void ContentHasher::bytes(const void* data, size_t size) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < size; ++i) {
-    h_ ^= p[i];
-    h_ *= 0x100000001b3ULL;
-  }
-}
+void ContentHasher::bytes(const void* data, size_t size) { h_ = fnv1a64(data, size, h_); }
 
 void ContentHasher::u64(uint64_t v) {
   // Explicit little-endian bytes: the hash must not depend on host layout
@@ -88,10 +82,10 @@ uint64_t structural_hash(const bdd::BddManager& mgr, bdd::NodeIndex root,
   constexpr uint64_t kFalseHash = 0x61c8864680b583ebULL;
   constexpr uint64_t kTrueHash = 0x3c79ac492ba7b653ULL;
   const auto mix = [](uint64_t var, uint64_t lo, uint64_t hi) {
-    uint64_t h = 0xcbf29ce484222325ULL;
-    h = (h ^ var) * 0x100000001b3ULL;
-    h = (h ^ lo) * 0x100000001b3ULL;
-    h = (h ^ hi) * 0x100000001b3ULL;
+    uint64_t h = kFnv1aOffsetBasis;
+    h = (h ^ var) * kFnv1aPrime;
+    h = (h ^ lo) * kFnv1aPrime;
+    h = (h ^ hi) * kFnv1aPrime;
     return h;
   };
   if (memo.size() < mgr.arena_size()) memo.resize(mgr.arena_size(), 0);

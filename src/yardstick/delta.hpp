@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "bdd/bdd.hpp"
+#include "common/fnv1a.hpp"
 #include "coverage/trace.hpp"
 #include "netmodel/network.hpp"
 
@@ -53,7 +54,7 @@ class ContentHasher {
   [[nodiscard]] uint64_t value() const { return h_; }
 
  private:
-  uint64_t h_ = 0xcbf29ce484222325ULL;  // FNV offset basis
+  uint64_t h_ = kFnv1aOffsetBasis;
 };
 
 /// The two content keys of one device's offline-phase results.

@@ -2,9 +2,8 @@
 
 #include <atomic>
 #include <chrono>
-#include <optional>
 
-#include "common/parallel.hpp"
+#include "dataplane/clone_and_drain.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "packet/packet_set.hpp"
@@ -314,49 +313,57 @@ double CoverageEngine::interfaces_coverage(const coverage::Aggregator& aggregate
 
 namespace {
 
-/// Partial sweep results for one ingress port. Serial and parallel runs
-/// both compute per-ingress partials with identical arithmetic and fold
-/// them in ingress order, so the final counts/ratios are bit-identical
-/// regardless of thread count.
+/// Partial sweep results for one ingress port. Every worker count computes
+/// the same per-ingress partials and folds them in ingress order, so the
+/// final counts/ratios are bit-identical regardless of thread count.
 struct IngressSweep {
   uint64_t total_paths = 0;
   uint64_t covered_paths = 0;
   double ratio_sum = 0.0;
-  bool truncated = false;
 };
 
-/// Run the streamed DFS for one ingress port. `emitted_total` is the
-/// sweep-global path counter enforcing options.max_paths across every
-/// ingress (and every worker); the per-explorer cap is disabled.
-IngressSweep sweep_ingress(const dataplane::Transfer& transfer,
-                           const coverage::CoveredSets& covered,
-                           const coverage::PathExplorerOptions& options,
-                           const net::Interface& intf,
-                           std::atomic<uint64_t>& emitted_total) {
-  IngressSweep sweep;
+/// What one ingress sweep reads: the engine's transfer and covered sets, or
+/// a worker's clone of both.
+struct SweepInputs {
+  const dataplane::Transfer& transfer;
+  const coverage::CoveredSets& covered;
+};
+
+/// A worker's private copy of the sweep's inputs (dataplane/clone_and_drain.hpp).
+struct SweepClone {
+  SweepClone(bdd::BddManager& mgr, const SweepInputs& from)
+      : index(mgr, from.transfer.index()), transfer(index), covered(index, from.covered) {}
+  [[nodiscard]] SweepInputs inputs() const { return {transfer, covered}; }
+
+  dataplane::MatchSetIndex index;
+  dataplane::Transfer transfer;
+  coverage::CoveredSets covered;
+};
+
+/// Run the streamed DFS for one ingress port into `sweep`, which keeps the
+/// paths emitted before a budget trips mid-ingress. Returns true when the
+/// explorer cut a path short. `emitted_total` is the sweep-global path
+/// counter enforcing options.max_paths across every ingress (and every
+/// worker); the per-explorer cap is disabled.
+bool sweep_ingress(const SweepInputs& in, const coverage::PathExplorerOptions& options,
+                   const net::Interface& intf, std::atomic<uint64_t>& emitted_total,
+                   IngressSweep& sweep) {
   coverage::PathExplorerOptions local = options;
   local.max_paths = 0;  // the global cap below governs, not the per-DFS one
-  const coverage::PathExplorer explorer(transfer, &covered, local);
-  const packet::PacketSet all =
-      packet::PacketSet::all(transfer.index().manager());
-  try {
-    explorer.explore(intf.device, intf.id, all, [&](const coverage::ExploredPath& path) {
-      ++sweep.total_paths;
-      if (path.covered_ratio > 0.0) ++sweep.covered_paths;
-      sweep.ratio_sum += path.covered_ratio;
-      // The explorer marks paths it had to cut short when the cooperative
-      // budget or the deadline tripped mid-DFS.
-      if (path.end == coverage::PathEnd::BudgetExceeded) sweep.truncated = true;
-      const uint64_t emitted = emitted_total.fetch_add(1, std::memory_order_relaxed) + 1;
-      return options.max_paths == 0 || emitted < options.max_paths;
-    });
-  } catch (const StatusError& e) {
-    // The BDD node cap throws from inside set operations; everything
-    // emitted so far is a valid partial sweep.
-    if (!is_resource_exhaustion(e.code())) throw;
-    sweep.truncated = true;
-  }
-  return sweep;
+  const coverage::PathExplorer explorer(in.transfer, &in.covered, local);
+  const packet::PacketSet all = packet::PacketSet::all(in.transfer.index().manager());
+  bool cut_short = false;
+  explorer.explore(intf.device, intf.id, all, [&](const coverage::ExploredPath& path) {
+    ++sweep.total_paths;
+    if (path.covered_ratio > 0.0) ++sweep.covered_paths;
+    sweep.ratio_sum += path.covered_ratio;
+    // The explorer marks paths it had to cut short when the cooperative
+    // budget or the deadline tripped mid-DFS.
+    if (path.end == coverage::PathEnd::BudgetExceeded) cut_short = true;
+    const uint64_t emitted = emitted_total.fetch_add(1, std::memory_order_relaxed) + 1;
+    return options.max_paths == 0 || emitted < options.max_paths;
+  });
+  return cut_short;
 }
 
 }  // namespace
@@ -385,84 +392,32 @@ PathCoverageResult CoverageEngine::path_coverage(coverage::PathExplorerOptions o
     }
   }
 
-  const unsigned workers = ys::resolve_threads(threads_, frontier.size());
   std::vector<IngressSweep> sweeps(frontier.size());
   std::atomic<uint64_t> emitted_total{0};
-  std::atomic<bool> stopped_early{false};
-  const auto out_of_time = [&options] {
-    return (options.budget != nullptr && options.budget->exhausted()) ||
-           (options.has_deadline &&
-            ResourceBudget::Clock::now() >= options.deadline);
-  };
-  const auto out_of_paths = [&options, &emitted_total] {
-    return options.max_paths != 0 &&
-           emitted_total.load(std::memory_order_relaxed) >= options.max_paths;
-  };
-
-  if (workers <= 1) {
-    for (size_t i = 0; i < frontier.size(); ++i) {
-      if (out_of_time() || out_of_paths()) {
-        stopped_early.store(true, std::memory_order_relaxed);
-        break;
-      }
-      sweeps[i] = sweep_ingress(transfer_, covered_, options, *frontier[i], emitted_total);
-    }
-  } else {
-    // Parallel sweep: workers clone the offline-phase products into private
-    // managers (read-only imports from the quiescent primary) and drain a
-    // shared ingress cursor; partials land in per-ingress slots.
-    std::atomic<size_t> cursor{0};
-    std::atomic<bool> clone_failed{false};
-    ys::run_workers(workers, [&](unsigned /*worker*/) {
-      bdd::BddManager local_mgr(index_.manager().num_vars());
-      const bdd::ScopedBudget attach(local_mgr, options.budget);
-      std::optional<dataplane::MatchSetIndex> local_index;
-      std::optional<dataplane::Transfer> local_transfer;
-      std::optional<coverage::CoveredSets> local_covered;
-      try {
-        local_index.emplace(local_mgr, index_);
-        local_transfer.emplace(*local_index);
-        local_covered.emplace(*local_index, covered_);
-      } catch (const StatusError& e) {
-        // A budget too tight to even clone the inputs: this worker
-        // contributes nothing and the sweep reports truncated.
-        if (!is_resource_exhaustion(e.code())) throw;
-        clone_failed.store(true, std::memory_order_relaxed);
-        return;
-      }
-      uint64_t drained = 0;
-      while (true) {
-        if (out_of_time() || out_of_paths()) {
-          stopped_early.store(true, std::memory_order_relaxed);
-          break;
-        }
-        const size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-        if (i >= frontier.size()) break;
-        sweeps[i] =
-            sweep_ingress(*local_transfer, *local_covered, options, *frontier[i],
-                          emitted_total);
-        ++drained;
-      }
-      // Queue-occupancy signal: how evenly did workers drain the ingress
-      // cursor? A skewed histogram means one giant ingress dominated.
-      if (obs::enabled()) ys::worker_items_histogram().observe(static_cast<double>(drained));
-    });
-    if (clone_failed.load(std::memory_order_relaxed)) result.truncated = true;
-  }
+  const dataplane::DrainResult drain = dataplane::clone_and_drain<SweepClone>(
+      index_.manager(), SweepInputs{transfer_, covered_}, frontier.size(), threads_,
+      options.budget,
+      [&] {
+        return (options.has_deadline && ResourceBudget::Clock::now() >= options.deadline) ||
+               (options.max_paths != 0 &&
+                emitted_total.load(std::memory_order_relaxed) >= options.max_paths);
+      },
+      [&](const SweepInputs& in, size_t i) {
+        return sweep_ingress(in, options, *frontier[i], emitted_total, sweeps[i]);
+      });
+  if (drain.truncated) result.truncated = true;
 
   // Deterministic fold in ingress order.
   for (const IngressSweep& s : sweeps) {
     result.total_paths += s.total_paths;
     result.covered_paths += s.covered_paths;
     result.mean += s.ratio_sum;
-    result.truncated = result.truncated || s.truncated;
   }
-  if (stopped_early.load(std::memory_order_relaxed)) result.truncated = true;
   if (options.max_paths != 0 && result.total_paths >= options.max_paths) {
     result.truncated = true;
   }
-  // A budget that tripped between paths (or before the first ingress) makes
-  // the sweep stop silently; the result is still partial.
+  // A budget that tripped while the sweep ran leaves it partial, even when
+  // no path was cut short.
   if (options.budget != nullptr && options.budget->exhausted()) result.truncated = true;
   if (result.total_paths > 0) {
     result.fractional = static_cast<double>(result.covered_paths) /
@@ -473,7 +428,7 @@ PathCoverageResult CoverageEngine::path_coverage(coverage::PathExplorerOptions o
       std::chrono::duration<double>(ResourceBudget::Clock::now() - sweep_start).count();
   sweep_span.arg("total_paths", result.total_paths);
   sweep_span.arg("covered_paths", result.covered_paths);
-  sweep_span.arg("workers", workers);
+  sweep_span.arg("workers", drain.workers);
   sweep_span.arg("truncated", result.truncated ? 1 : 0);
   sample_engine_gauges(index_.manager(), options.budget);
   return result;

@@ -70,10 +70,11 @@ struct EngineOptions {
   /// constructor docs for degradation semantics.
   const ResourceBudget* budget = nullptr;
   /// Worker threads for the offline phase (match sets, covered sets and
-  /// path-universe sweeps): 1 = serial, 0 = one per hardware thread.
-  /// Unbounded results are bit-identical across thread counts — workers
-  /// build in private BDD managers, results merge canonically into the
-  /// engine's manager, and floating-point folds run in a fixed order.
+  /// path-universe sweeps): 1 = serial, 0 = one per hardware thread. The
+  /// drivers in dataplane/sharded_build.hpp and clone_and_drain.hpp own
+  /// the worker policy. Unbounded results are bit-identical across thread
+  /// counts — results merge canonically into the engine's manager, and
+  /// floating-point folds run in a fixed order.
   unsigned threads = 1;
   /// Directory for the incremental result cache (DESIGN.md §11). Empty =
   /// no cross-run caching. When set, construction loads cached per-device
@@ -152,9 +153,11 @@ class CoverageEngine {
       const coverage::Aggregator& aggregate, const DeviceFilter& filter = nullptr,
       coverage::InterfaceDirection direction = coverage::InterfaceDirection::Outgoing) const;
 
-  /// Full path-universe sweep; expensive (§8.2). `options.max_paths`
-  /// bounds the work; `deadline_seconds` stops the sweep after a wall-time
-  /// budget (0 = none), reporting the result truncated.
+  /// Full path-universe sweep; expensive (§8.2), one item per edge ingress
+  /// port on the clone-and-drain driver (dataplane/clone_and_drain.hpp).
+  /// `options.max_paths` bounds the work; `deadline_seconds` stops the
+  /// sweep after a wall-time budget (0 = none), reporting the result
+  /// truncated.
   [[nodiscard]] PathCoverageResult path_coverage(coverage::PathExplorerOptions options = {},
                                                  double deadline_seconds = 0.0) const;
 

@@ -13,6 +13,7 @@
 #include <utility>
 
 #include "common/fault.hpp"
+#include "common/fnv1a.hpp"
 
 namespace yardstick::ys {
 
@@ -31,15 +32,6 @@ constexpr const char* kHeaderV2 = "yardstick-trace v2";
 constexpr const char* kTraceSource = "yardstick trace";
 
 }  // namespace
-
-uint64_t fnv1a64(const char* data, size_t size) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (size_t i = 0; i < size; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
 
 std::string hash_hex(uint64_t v) {
   char buf[17];

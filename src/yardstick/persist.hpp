@@ -73,12 +73,8 @@ void save_trace(const std::string& path, const coverage::CoverageTrace& trace,
 
 // --- Shared persistence primitives --------------------------------------
 
-/// FNV-1a 64 over a byte range: the integrity trailer of every persisted
-/// artifact, and the primitive behind the incremental layer's content
-/// hashes (src/yardstick/delta.*).
-[[nodiscard]] uint64_t fnv1a64(const char* data, size_t size);
-
-/// 16-digit lowercase hex rendering of a 64-bit hash.
+/// 16-digit lowercase hex rendering of a 64-bit hash (common/fnv1a.hpp's
+/// FNV-1a 64 is the integrity trailer of every persisted artifact).
 [[nodiscard]] std::string hash_hex(uint64_t v);
 
 /// Append the "checksum <16-hex>\n" trailer over everything in `body`.

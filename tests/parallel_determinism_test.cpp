@@ -6,6 +6,8 @@
 // flags under a tripping resource budget.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstring>
 #include <memory>
 #include <optional>
 
@@ -13,9 +15,12 @@
 #include "nettest/contract_checks.hpp"
 #include "nettest/reachability.hpp"
 #include "nettest/state_checks.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "routing/fib_builder.hpp"
 #include "topo/fattree.hpp"
 #include "topo/regional.hpp"
+#include "yardstick/analysis.hpp"
 #include "yardstick/engine.hpp"
 #include "yardstick/tracker.hpp"
 
@@ -65,6 +70,43 @@ void expect_same_metrics(const ys::MetricRow& serial, const ys::MetricRow& paral
 }
 
 constexpr unsigned kThreadCounts[] = {2, 4, 0};
+
+/// Runs the wrapped test unchanged, counting its runs.
+class CountingTest final : public nettest::NetworkTest {
+ public:
+  CountingTest(std::unique_ptr<nettest::NetworkTest> inner, std::atomic<size_t>& runs)
+      : inner_(std::move(inner)), runs_(runs) {}
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+  [[nodiscard]] nettest::TestCategory category() const override { return inner_->category(); }
+  [[nodiscard]] nettest::TestResult run(const dataplane::Transfer& transfer,
+                                        ys::CoverageTracker& tracker) const override {
+    runs_.fetch_add(1);
+    return inner_->run(transfer, tracker);
+  }
+
+ private:
+  std::unique_ptr<nettest::NetworkTest> inner_;
+  std::atomic<size_t>& runs_;
+};
+
+/// Records the spans `fn` opens and returns how many of them are named
+/// `parallel.worker`, `match_sets.clone` or `covered_sets.clone`.
+template <typename Fn>
+size_t fan_out_spans(Fn&& fn) {
+  obs::Tracer::global().clear();
+  obs::set_enabled(true);
+  fn();
+  obs::set_enabled(false);
+  size_t count = 0;
+  for (const obs::TraceEvent& e : obs::Tracer::global().snapshot()) {
+    for (const char* name : {"parallel.worker", "match_sets.clone", "covered_sets.clone"}) {
+      count += std::strcmp(e.name, name) == 0 ? 1 : 0;
+    }
+  }
+  obs::Tracer::global().clear();
+  obs::metrics().reset_values();
+  return count;
+}
 
 class ParallelDeterminismTest : public ::testing::Test {
  protected:
@@ -240,6 +282,55 @@ TEST_F(ParallelDeterminismTest, TrippingBudgetTruncatesInEveryMode) {
     EXPECT_TRUE(row.truncated) << threads << " threads";
     EXPECT_GE(row.rule_fractional, 0.0);
     EXPECT_LE(row.rule_fractional, 1.0);
+  }
+
+  // A budget already exhausted when the path sweep or the suite matrix
+  // starts stops either fan-out before its first item: no test runs, no
+  // path is emitted, no worker starts and nothing is cloned.
+  std::atomic<size_t> runs{0};
+  nettest::TestSuite suite("counted");
+  for (int copy = 0; copy < 3; ++copy) {
+    suite.add(std::make_unique<CountingTest>(std::make_unique<nettest::DefaultRouteCheck>(),
+                                             runs));
+    suite.add(std::make_unique<CountingTest>(std::make_unique<nettest::ToRContract>(), runs));
+  }
+  for (const unsigned threads : {1u, 4u}) {
+    const EngineRun run = run_engine(tree.network, trace, threads);
+    for (const bool cancelled : {true, false}) {
+      ys::ResourceBudget exhausted;
+      if (cancelled) {
+        exhausted.request_cancel();
+      } else {
+        exhausted.with_deadline(0.0);
+      }
+      const std::string label = std::string(cancelled ? "cancelled" : "past deadline") +
+                                " at " + std::to_string(threads) + " threads";
+      std::optional<ys::SuiteCoverageMatrix> matrix;
+      EXPECT_EQ(fan_out_spans([&] {
+                  matrix = ys::build_suite_matrix(run.engine->transfer(), suite, &exhausted,
+                                                  threads);
+                }),
+                0u)
+          << label;
+      EXPECT_EQ(runs.load(), 0u) << label;
+      EXPECT_TRUE(matrix->truncated) << label;
+      for (size_t i = 0; i < matrix->test_count(); ++i) {
+        EXPECT_EQ(matrix->covered_by(i), 0u) << label;
+      }
+
+      coverage::PathExplorerOptions options;
+      options.budget = &exhausted;
+      std::optional<ys::PathCoverageResult> paths;
+      EXPECT_EQ(fan_out_spans([&] { paths = run.engine->path_coverage(options); }), 0u)
+          << label;
+      EXPECT_EQ(paths->total_paths, 0u) << label;
+      EXPECT_TRUE(paths->truncated) << label;
+    }
+    // Without a budget the same fan-outs run every test once, untruncated.
+    EXPECT_FALSE(ys::build_suite_matrix(run.engine->transfer(), suite, nullptr, threads)
+                     .truncated);
+    EXPECT_EQ(runs.exchange(0), suite.size());
+    EXPECT_GT(run.engine->path_coverage().total_paths, 0u);
   }
 }
 
