@@ -73,7 +73,7 @@ bool PathExplorer::dfs(DfsState& state, net::DeviceId device,
   const std::vector<dataplane::RuleSplit> acl_splits =
       transfer_.split(device, in_interface, flowing, net::TableKind::Acl);
 
-  if (options_.include_unmatched && !state.stack.empty()) {
+  if (!state.stack.empty()) {
     PacketSet matched = PacketSet::none(mgr);
     for (const dataplane::RuleSplit& s : acl_splits) matched = matched.union_with(s.packets);
     const PacketSet implicit_deny = flowing.minus(matched);
@@ -116,7 +116,7 @@ bool PathExplorer::fib_stage(DfsState& state, net::DeviceId device,
       transfer_.split(device, in_interface, flowing);
 
   // Ruleless drops terminate the path at the previous rule (§4.3.2).
-  if (options_.include_unmatched && !state.stack.empty()) {
+  if (!state.stack.empty()) {
     PacketSet matched = PacketSet::none(mgr);
     for (const dataplane::RuleSplit& s : splits) matched = matched.union_with(s.packets);
     const PacketSet unmatched = flowing.minus(matched);

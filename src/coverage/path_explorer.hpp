@@ -66,8 +66,6 @@ struct PathExplorerOptions {
   int max_depth = 32;
   /// Stop after emitting this many paths (0 = unlimited).
   uint64_t max_paths = 0;
-  /// Emit paths that end in a ruleless drop.
-  bool include_unmatched = true;
   /// Cooperative resource budget (non-owning, may be null). When the
   /// deadline or cancel flag trips, the in-flight path is emitted with
   /// PathEnd::BudgetExceeded and the DFS unwinds; the BDD node cap

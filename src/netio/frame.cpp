@@ -8,6 +8,7 @@
 
 #include "common/fnv1a.hpp"
 #include "common/status.hpp"
+#include "coverage/node_list.hpp"
 
 namespace yardstick::netio {
 
@@ -20,12 +21,14 @@ using bdd::NodeIndex;
 
 using Detail = ys::CorruptTraceError::Detail;
 
+constexpr const char* kDeltaSource = "trace delta";
+
 [[noreturn]] void truncated(const std::string& why) {
-  throw ys::CorruptTraceError(Detail::Truncated, why, {.source = "trace delta"});
+  throw ys::CorruptTraceError(Detail::Truncated, why, {.source = kDeltaSource});
 }
 
 [[noreturn]] void corrupted(const std::string& why) {
-  throw ys::CorruptTraceError(Detail::Corrupted, why, {.source = "trace delta"});
+  throw ys::CorruptTraceError(Detail::Corrupted, why, {.source = kDeltaSource});
 }
 
 /// Bounds-checked cursor over an untrusted byte buffer. Underruns raise
@@ -235,29 +238,12 @@ std::string encode_trace_delta(const coverage::CoverageTrace& trace) {
 coverage::CoverageTrace decode_trace_delta(std::string_view bytes, BddManager& mgr) {
   Reader in(bytes);
   const size_t node_count = in.count("node", 9);
-  std::vector<NodeIndex> by_ref;  // file ref -> manager node index
-  by_ref.reserve(node_count + 2);
-  by_ref.push_back(kFalse);
-  by_ref.push_back(kTrue);
+  coverage::NodeList nodes(mgr, node_count, kDeltaSource);
   for (size_t i = 0; i < node_count; ++i) {
     const uint8_t var = in.u8("node list");
     const uint32_t low = in.u32("node list");
     const uint32_t high = in.u32("node list");
-    if (var >= mgr.num_vars()) {
-      corrupted("node variable " + std::to_string(var) + " out of range");
-    }
-    if (low >= by_ref.size() || high >= by_ref.size()) {
-      // References may only point backwards; anything else could knit
-      // cycles or dangling structure into the arena.
-      corrupted("forward/out-of-range node reference at node " + std::to_string(i));
-    }
-    const auto level = [&](NodeIndex n) {
-      return n <= kTrue ? mgr.num_vars() : mgr.node(n).var;
-    };
-    if (var >= level(by_ref[low]) || var >= level(by_ref[high])) {
-      corrupted("variable-ordering violation at node " + std::to_string(i));
-    }
-    by_ref.push_back(mgr.make(var, by_ref[low], by_ref[high]));
+    nodes.add(var, low, high);
   }
 
   coverage::CoverageTrace trace;
@@ -269,10 +255,7 @@ coverage::CoverageTrace decode_trace_delta(std::string_view bytes, BddManager& m
   for (size_t i = 0; i < loc_count; ++i) {
     const uint32_t loc = in.u32("location list");
     const uint32_t root = in.u32("location list");
-    if (root >= by_ref.size()) {
-      corrupted("location root reference " + std::to_string(root) + " out of range");
-    }
-    trace.mark_packet(loc, packet::PacketSet(bdd::Bdd(&mgr, by_ref[root])));
+    trace.mark_packet(loc, packet::PacketSet(bdd::Bdd(&mgr, nodes.root(root))));
   }
   if (in.remaining() != 0) corrupted("trailing garbage after locations section");
   return trace;

@@ -16,6 +16,9 @@ using netio::DecodeStatus;
 using netio::Frame;
 using netio::FrameType;
 
+/// Upper bound on one retry's backoff, before jitter.
+constexpr uint64_t kBackoffCapMs = 2000;
+
 void sleep_ms(uint64_t ms) {
   if (ms > 0) std::this_thread::sleep_for(std::chrono::milliseconds(ms));
 }
@@ -48,7 +51,7 @@ uint64_t IngestClient::jitter_next() {
 void IngestClient::backoff(uint32_t attempt) {
   const uint32_t shift = std::min(attempt, 16u);
   const uint64_t base =
-      std::min<uint64_t>(opts_.backoff_cap_ms,
+      std::min<uint64_t>(kBackoffCapMs,
                          static_cast<uint64_t>(opts_.backoff_base_ms) << shift);
   // Up to +50% jitter so retrying shards do not stampede in lockstep.
   sleep_ms(base + (base > 0 ? jitter_next() % (base / 2 + 1) : 0));

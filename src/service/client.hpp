@@ -44,9 +44,8 @@ struct ClientOptions {
   uint32_t ack_timeout_ms = 5000;
   /// Attempts per batch before flush() gives up with ys::IoError.
   uint32_t max_attempts = 8;
-  /// Exponential backoff: min(cap, base << attempt) plus jitter.
+  /// Exponential backoff: min(2 s, base << attempt) plus jitter.
   uint32_t backoff_base_ms = 10;
-  uint32_t backoff_cap_ms = 2000;
   /// Seed for the jitter PRNG (deterministic for tests; vary per shard).
   uint64_t jitter_seed = 0x9e3779b97f4a7c15ull;
   /// Must match the daemon's variable universe (checked at Hello).

@@ -54,6 +54,47 @@ bool send_frame(int fd, FrameType type, uint64_t seq, std::string_view body = {}
   return io_write_full(fd, wire.data(), wire.size(), "net.write");
 }
 
+using Sessions = std::map<uint64_t, coverage::CoverageTrace>;
+
+/// Start-up recovery, the daemon's and `ingest-replay`'s: the snapshot (if
+/// present) into session 0, then every journal record into its session.
+/// A corrupt snapshot throws CorruptTraceError: silently dropping
+/// acknowledged coverage would be worse than refusing to come up. Returns
+/// the recovery half of the stats.
+DaemonStats recover_sessions(const std::string& snapshot_path, const std::string& wal_path,
+                             bdd::BddManager& mgr, Sessions& sessions) {
+  DaemonStats s;
+  if (!snapshot_path.empty() && ::access(snapshot_path.c_str(), F_OK) == 0) {
+    sessions[0].merge(ys::load_trace(snapshot_path, mgr));
+    s.recovered_snapshot = true;
+  }
+  if (!wal_path.empty()) {
+    const Wal::ReplayStats rs = Wal::replay(wal_path, [&](std::string_view rec) {
+      if (rec.size() < 8) return;  // malformed but checksum-valid: skip
+      const uint64_t session = netio::get_u64(rec.data());
+      try {
+        sessions[session].merge(netio::decode_trace_delta(rec.substr(8), mgr));
+      } catch (const ys::CorruptTraceError&) {
+        // Validated before journaling, so this means version skew or
+        // on-disk damage the checksum missed; skip the record rather
+        // than refuse every restart.
+        ++s.rejected_batches;
+      }
+    });
+    s.recovered_records = rs.records;
+    s.recovered_torn_tail = rs.torn_tail || rs.bad_tail;
+  }
+  s.sessions = sessions.size();
+  return s;
+}
+
+/// Every session's trace, merged in session-id order (deterministic).
+coverage::CoverageTrace merge_sessions(const Sessions& sessions) {
+  coverage::CoverageTrace out;
+  for (const auto& [id, trace] : sessions) out.merge(trace);
+  return out;
+}
+
 }  // namespace
 
 struct Daemon::Impl {
@@ -86,7 +127,7 @@ struct Daemon::Impl {
   bdd::BddManager mgr;
   // Per-session traces; merged deterministically in key order. Session 0
   // holds what recovery loaded from a snapshot.
-  std::map<uint64_t, coverage::CoverageTrace> sessions;
+  Sessions sessions;
   Wal wal;
   BoundedQueue<QueuedBatch> queue;
 
@@ -132,32 +173,16 @@ struct Daemon::Impl {
 };
 
 void Daemon::Impl::recover() {
-  if (!opts.snapshot_path.empty() && ::access(opts.snapshot_path.c_str(), F_OK) == 0) {
-    // A corrupt snapshot is a hard start failure (CorruptTraceError
-    // propagates): silently dropping acknowledged coverage would be
-    // worse than refusing to come up.
-    sessions[0].merge(ys::load_trace(opts.snapshot_path, mgr));
-    recovered_snapshot = true;
-  }
+  const DaemonStats r = recover_sessions(opts.snapshot_path, opts.wal_path, mgr, sessions);
+  recovered_snapshot = r.recovered_snapshot;
+  recovered_records = r.recovered_records;
+  recovered_torn_tail = r.recovered_torn_tail;
+  rejected_batches.fetch_add(r.rejected_batches, std::memory_order_relaxed);
   if (!opts.wal_path.empty()) {
-    const Wal::ReplayStats rs = Wal::replay(opts.wal_path, [&](std::string_view rec) {
-      if (rec.size() < 8) return;  // malformed but checksum-valid: skip
-      const uint64_t session = netio::get_u64(rec.data());
-      try {
-        sessions[session].merge(netio::decode_trace_delta(rec.substr(8), mgr));
-      } catch (const ys::CorruptTraceError&) {
-        // Validated before journaling, so this means version skew or
-        // on-disk damage the checksum missed; skip the record rather
-        // than refuse every restart.
-        rejected_batches.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-    recovered_records = rs.records;
-    recovered_torn_tail = rs.torn_tail || rs.bad_tail;
     wal.open_for_append();
     // Fold the replayed journal into a fresh snapshot right away: a
     // crash loop must not grow the WAL without bound.
-    if (rs.records > 0 && !opts.snapshot_path.empty()) {
+    if (r.recovered_records > 0 && !opts.snapshot_path.empty()) {
       save_snapshot();
       wal.reset();
       compactions.fetch_add(1, std::memory_order_relaxed);
@@ -167,11 +192,7 @@ void Daemon::Impl::recover() {
   g_sessions.set(static_cast<double>(sessions.size()));
 }
 
-coverage::CoverageTrace Daemon::Impl::merged() const {
-  coverage::CoverageTrace out;
-  for (const auto& [id, trace] : sessions) out.merge(trace);  // id order: deterministic
-  return out;
-}
+coverage::CoverageTrace Daemon::Impl::merged() const { return merge_sessions(sessions); }
 
 void Daemon::Impl::save_snapshot() {
   const coverage::CoverageTrace all = merged();
@@ -508,30 +529,10 @@ uint16_t Daemon::tcp_port() const {
 coverage::CoverageTrace recover_trace(const std::string& snapshot_path,
                                       const std::string& wal_path,
                                       bdd::BddManager& mgr, DaemonStats* stats) {
-  std::map<uint64_t, coverage::CoverageTrace> sessions;
-  DaemonStats s;
-  if (!snapshot_path.empty() && ::access(snapshot_path.c_str(), F_OK) == 0) {
-    sessions[0].merge(ys::load_trace(snapshot_path, mgr));
-    s.recovered_snapshot = true;
-  }
-  if (!wal_path.empty()) {
-    const Wal::ReplayStats rs = Wal::replay(wal_path, [&](std::string_view rec) {
-      if (rec.size() < 8) return;
-      const uint64_t session = netio::get_u64(rec.data());
-      try {
-        sessions[session].merge(netio::decode_trace_delta(rec.substr(8), mgr));
-      } catch (const ys::CorruptTraceError&) {
-        ++s.rejected_batches;
-      }
-    });
-    s.recovered_records = rs.records;
-    s.recovered_torn_tail = rs.torn_tail || rs.bad_tail;
-  }
-  s.sessions = sessions.size();
+  Sessions sessions;
+  const DaemonStats s = recover_sessions(snapshot_path, wal_path, mgr, sessions);
   if (stats != nullptr) *stats = s;
-  coverage::CoverageTrace out;
-  for (const auto& [id, trace] : sessions) out.merge(trace);
-  return out;
+  return merge_sessions(sessions);
 }
 
 }  // namespace yardstick::service

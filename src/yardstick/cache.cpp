@@ -150,16 +150,15 @@ void IncrementalSession::load() {
     // parse failure past this point leaves orphan (unreferenced) nodes in
     // the arena, which is safe — this engine has no GC and the rebuild
     // proceeds as if the cache were absent.
-    std::vector<bdd::NodeIndex> by_ref;
-    {
+    const coverage::NodeList nodes = [&] {
       obs::Span nodes_span("cache.load.nodes", "offline");
-      by_ref = reader.node_section(mgr_);
-    }
+      return reader.node_section(mgr_);
+    }();
     const auto checked_ref = [&](uint32_t ref, const char* what) {
-      if (ref >= by_ref.size()) {
+      if (ref >= nodes.size()) {
         reader.fail_corrupted(std::string("node reference out of range in ") + what);
       }
-      return by_ref[ref];
+      return nodes[ref];
     };
 
     reader.keyword("match-records");

@@ -119,11 +119,6 @@ uint64_t structural_hash(const bdd::BddManager& mgr, bdd::NodeIndex root,
 
 }  // namespace
 
-void hash_packet_set(ContentHasher& hasher, const PacketSet& ps) {
-  std::vector<uint64_t> memo;
-  hasher.u64(structural_hash(*ps.raw().manager(), ps.raw().index(), memo));
-}
-
 std::vector<DeviceKeys> compute_table_keys(const net::Network& network) {
   std::vector<DeviceKeys> out(network.device_count());
   for (const net::Device& dev : network.devices()) {
@@ -167,19 +162,6 @@ void add_trace_keys(const net::Network& network, const coverage::CoverageTrace& 
     }
     keys.cov_hash = h.value();
   }
-}
-
-std::vector<net::DeviceId> invalidation_frontier(const std::vector<DeviceKeys>& before,
-                                                 const std::vector<DeviceKeys>& after) {
-  std::vector<net::DeviceId> stale;
-  const size_t n = std::max(before.size(), after.size());
-  for (size_t d = 0; d < n; ++d) {
-    if (d >= before.size() || d >= after.size() ||
-        before[d].cov_hash != after[d].cov_hash) {
-      stale.push_back(net::DeviceId{static_cast<uint32_t>(d)});
-    }
-  }
-  return stale;
 }
 
 }  // namespace yardstick::ys

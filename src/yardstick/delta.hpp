@@ -70,11 +70,6 @@ struct DeviceKeys {
 /// rule ids are metadata and excluded — renumbering must not invalidate).
 [[nodiscard]] uint64_t hash_device_tables(const net::Network& network, net::DeviceId dev);
 
-/// Hash a packet set by canonical BDD structure. Equal functions hash
-/// equal in any manager (structure is manager-independent); the walk is
-/// read-only and charges nothing against a resource budget.
-void hash_packet_set(ContentHasher& hasher, const packet::PacketSet& ps);
-
 /// fib_hash for every device (indexed by DeviceId), cov_hash still 0: the
 /// half of the keys the trace does not enter, known before any test runs.
 [[nodiscard]] std::vector<DeviceKeys> compute_table_keys(const net::Network& network);
@@ -83,12 +78,5 @@ void hash_packet_set(ContentHasher& hasher, const packet::PacketSet& ps);
 /// this trace.
 void add_trace_keys(const net::Network& network, const coverage::CoverageTrace& trace,
                     std::vector<DeviceKeys>& keys);
-
-/// Devices whose offline-phase results are stale between two snapshots:
-/// cov_hash changed, or the device exists on only one side. This is the
-/// *invalidation frontier* — with per-device factoring there are no
-/// cross-device dependencies, so recomputation never propagates past it.
-[[nodiscard]] std::vector<net::DeviceId> invalidation_frontier(
-    const std::vector<DeviceKeys>& before, const std::vector<DeviceKeys>& after);
 
 }  // namespace yardstick::ys

@@ -172,40 +172,20 @@ void FormatReader::expect_end(const char* what) {
   }
 }
 
-std::vector<NodeIndex> FormatReader::node_section(BddManager& mgr) {
+coverage::NodeList FormatReader::node_section(BddManager& mgr) {
   keyword("nodes");
   const size_t node_count = count("node");
   // The header announces the section size: pre-grow the arena and unique
   // table once instead of rehash-doubling through a bulk rebuild.
   mgr.reserve_nodes(node_count);
-  std::vector<NodeIndex> by_ref;  // file ref -> manager node index
-  by_ref.reserve(node_count + 2);
-  by_ref.push_back(kFalse);
-  by_ref.push_back(kTrue);
+  coverage::NodeList nodes(mgr, node_count, source_);
   for (size_t i = 0; i < node_count; ++i) {
     const uint32_t var = u32("node list");
     const uint32_t low = u32("node list");
     const uint32_t high = u32("node list");
-    if (var >= mgr.num_vars()) {
-      fail_corrupted("node variable " + std::to_string(var) + " out of range");
-    }
-    if (low >= by_ref.size() || high >= by_ref.size()) {
-      // References may only point backwards; anything else could knit
-      // cycles or dangling structure into the arena.
-      fail_corrupted("forward/out-of-range node reference at node " + std::to_string(i));
-    }
-    // A well-formed ROBDD is strictly ordered: children sit at deeper
-    // levels than their parent. Violations would produce non-canonical
-    // diagrams whose model counts are silently wrong — reject them.
-    const auto level = [&](NodeIndex n) {
-      return n <= kTrue ? mgr.num_vars() : mgr.node(n).var;
-    };
-    if (var >= level(by_ref[low]) || var >= level(by_ref[high])) {
-      fail_corrupted("variable-ordering violation at node " + std::to_string(i));
-    }
-    by_ref.push_back(mgr.make(var, by_ref[low], by_ref[high]));
+    nodes.add(var, low, high);
   }
-  return by_ref;
+  return nodes;
 }
 
 void append_uint(std::string& out, uint64_t v) {
@@ -291,7 +271,7 @@ coverage::CoverageTrace deserialize_trace(const std::string& text, BddManager& m
                                          : rest.substr(header_end + 1);
   FormatReader reader(rest, kTraceSource);
 
-  const std::vector<NodeIndex> by_ref = reader.node_section(mgr);
+  const coverage::NodeList nodes = reader.node_section(mgr);
 
   coverage::CoverageTrace trace;
   reader.keyword("rules");
@@ -303,13 +283,9 @@ coverage::CoverageTrace deserialize_trace(const std::string& text, BddManager& m
   reader.keyword("locations");
   const size_t location_count = reader.count("location");
   for (size_t i = 0; i < location_count; ++i) {
-    const auto loc = static_cast<packet::LocationId>(reader.u64("location list"));
+    const packet::LocationId loc = reader.u32("location list");
     const uint32_t root = reader.u32("location list");
-    if (root >= by_ref.size()) {
-      reader.fail_corrupted("location root reference " + std::to_string(root) +
-                            " out of range");
-    }
-    trace.mark_packet(loc, packet::PacketSet(Bdd(&mgr, by_ref[root])));
+    trace.mark_packet(loc, packet::PacketSet(Bdd(&mgr, nodes.root(root))));
   }
 
   if (v2) reader.expect_end("locations section");

@@ -43,6 +43,7 @@
 
 #include "bdd/bdd.hpp"
 #include "common/status.hpp"
+#include "coverage/node_list.hpp"
 #include "coverage/trace.hpp"
 
 namespace yardstick::ys {
@@ -139,11 +140,10 @@ class FormatReader {
 
   void keyword(const char* kw);
 
-  /// Read a "nodes <k>" section, validating structure (backward refs
-  /// only, strict variable ordering) and materializing every node into
-  /// `mgr`. Returns the file-ref -> manager-node mapping (entries 0/1 are
-  /// the terminals).
-  std::vector<bdd::NodeIndex> node_section(bdd::BddManager& mgr);
+  /// Read a "nodes <k>" section, validating structure (coverage::NodeList:
+  /// backward refs only, strict variable ordering) and materializing every
+  /// node into `mgr`. Returns the file-ref -> manager-node mapping.
+  coverage::NodeList node_section(bdd::BddManager& mgr);
 
   /// Throws (corruption) if any token remains.
   void expect_end(const char* what);

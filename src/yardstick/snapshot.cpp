@@ -44,7 +44,7 @@ std::vector<SnapshotAlert> SnapshotMonitor::record(SnapshotStats stats) {
     const double universe_shift = relative_change(
         static_cast<double>(prev.path_universe_size),
         static_cast<double>(stats.path_universe_size));
-    if (std::abs(universe_shift) > options_.universe_shift_threshold) {
+    if (std::abs(universe_shift) > kUniverseShiftThreshold) {
       std::ostringstream msg;
       msg << "path universe changed " << percent(universe_shift) << " (" << prev.label
           << ": " << prev.path_universe_size << " -> " << stats.label << ": "
@@ -55,7 +55,7 @@ std::vector<SnapshotAlert> SnapshotMonitor::record(SnapshotStats stats) {
 
     const double rule_shift = relative_change(static_cast<double>(prev.rule_count),
                                               static_cast<double>(stats.rule_count));
-    if (std::abs(rule_shift) > options_.rule_shift_threshold) {
+    if (std::abs(rule_shift) > kRuleShiftThreshold) {
       std::ostringstream msg;
       msg << "forwarding state size changed " << percent(rule_shift) << " ("
           << prev.rule_count << " -> " << stats.rule_count << " rules)";
@@ -63,8 +63,7 @@ std::vector<SnapshotAlert> SnapshotMonitor::record(SnapshotStats stats) {
     }
 
     std::vector<std::string> regressions;
-    check_row(regressions, "overall", prev.coverage, stats.coverage,
-              options_.coverage_drop_tolerance);
+    check_row(regressions, "overall", prev.coverage, stats.coverage, kCoverageDropTolerance);
     for (const std::string& r : regressions) {
       alerts.push_back({SnapshotAlert::Kind::CoverageRegression, r});
     }

@@ -52,22 +52,16 @@ struct SnapshotAlert {
   return "?";
 }
 
-struct SnapshotMonitorOptions {
+class SnapshotMonitor {
+ public:
   /// Relative change in path-universe size considered dramatic ("absent
   /// major operational changes, this universe is not expected to change
   /// significantly from day-to-day", §5.2).
-  double universe_shift_threshold = 0.2;
+  static constexpr double kUniverseShiftThreshold = 0.2;
   /// Relative change in rule count considered dramatic.
-  double rule_shift_threshold = 0.2;
+  static constexpr double kRuleShiftThreshold = 0.2;
   /// Absolute drop in a coverage headline considered a regression.
-  double coverage_drop_tolerance = 0.01;
-};
-
-class SnapshotMonitor {
- public:
-  using Options = SnapshotMonitorOptions;
-
-  explicit SnapshotMonitor(Options options = {}) : options_(options) {}
+  static constexpr double kCoverageDropTolerance = 0.01;
 
   /// Record a snapshot and return alerts relative to the previous one.
   std::vector<SnapshotAlert> record(SnapshotStats stats);
@@ -80,7 +74,6 @@ class SnapshotMonitor {
     return (after - before) / before;
   }
 
-  Options options_;
   std::vector<SnapshotStats> history_;
 };
 

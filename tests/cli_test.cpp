@@ -7,6 +7,7 @@
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <vector>
 
 namespace {
 
@@ -51,6 +52,32 @@ TEST(CliTest, UsageOnBadArguments) {
   EXPECT_EQ(run_cli("").exit_code, 2);
   EXPECT_NE(run_cli("fattree --k").exit_code, 0);
   EXPECT_NE(run_cli("regional --suite").exit_code, 0);
+  // --suite names only the suites the CLI builds, a flag is accepted only
+  // by the modes that read it, and a shape flag only with its topology.
+  const std::string file = ::testing::TempDir() + "/cli_never_written";
+  for (const std::string& args : std::vector<std::string>{
+           "fattree --suite finale", "scenarios fattree --suite finale --random-links 1",
+           "optimize fattree --suite finale --minimize",
+           "ingest fattree --suite finale --socket " + file,
+           "scenarios fattree --k 4 --random-links 1 --save-trace " + file,
+           "optimize fattree --k 4 --minimize --load-trace " + file, "fattree --k 4 --minimize",
+           "regional --k 8", "fattree --datacenters 3", "fattree --transforms 1"}) {
+    EXPECT_EQ(run_cli(args).exit_code, 2) << args;
+  }
+  EXPECT_FALSE(std::ifstream(file).good());
+}
+
+TEST(CliTest, IngestReadsTheSharedTopologyGrammar) {
+  REQUIRE_CLI();
+  // ingest takes the regional shape flags and --transforms like the other
+  // topology modes: with no daemon listening, the run gets as far as the
+  // client and fails with the I/O exit code, not a usage error.
+  const std::string socket = ::testing::TempDir() + "/cli_nobody_listens.sock";
+  std::remove(socket.c_str());
+  const CommandResult r = run_cli(
+      "ingest regional --datacenters 1 --pods 1 --tors 2 --transforms 1 --max-attempts 1 "
+      "--backoff-base-ms 1 --socket " + socket);
+  EXPECT_EQ(r.exit_code, 5) << r.output;
 }
 
 TEST(CliTest, FatTreeSuitePasses) {
@@ -60,6 +87,20 @@ TEST(CliTest, FatTreeSuitePasses) {
   EXPECT_NE(r.output.find("ToRReachability"), std::string::npos);
   EXPECT_NE(r.output.find("coverage report"), std::string::npos);
   EXPECT_EQ(r.output.find("FAIL"), std::string::npos);
+}
+
+TEST(CliTest, BenchmarkWorkloadShapesRun) {
+  REQUIRE_CLI();
+  // The three perfbench/run.py workloads, flag for flag, on smaller
+  // networks; --random-links stands in for the generated scenario spec.
+  for (const std::string args :
+       {"fattree --k 4 --suite final --json --threads 2",
+        "scenarios regional --datacenters 1 --pods 2 --tors 2 --acl --transforms 2 --suite final "
+        "--random-links 2 --json --threads 2",
+        "optimize fattree --k 4 --suite fattree --minimize --gap-report --json --threads 2"}) {
+    const CommandResult r = run_cli(args);
+    EXPECT_EQ(r.exit_code, 0) << args << "\n" << r.output;
+  }
 }
 
 TEST(CliTest, JsonOutputIsWellFormedish) {

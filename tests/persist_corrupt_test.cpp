@@ -82,6 +82,12 @@ class PersistCorruptTest : public ::testing::Test {
     out.push_back({"variable-ordering violation",
                    "yardstick-trace v1\nnodes 2\n3 0 1\n5 2 1\nrules 0\nlocations 0\n",
                    Detail::Corrupted});
+    out.push_back({"location over 32 bits (would wrap to 7)",
+                   "yardstick-trace v1\nnodes 0\nrules 0\nlocations 1\n4294967303 1\n",
+                   Detail::Corrupted});
+    out.push_back({"location far over 32 bits",
+                   "yardstick-trace v1\nnodes 0\nrules 0\nlocations 1\n99999999999 1\n",
+                   Detail::Corrupted});
     out.push_back({"bad location root",
                    "yardstick-trace v1\nnodes 0\nrules 0\nlocations 1\n7 9\n",
                    Detail::Corrupted});

@@ -1,8 +1,9 @@
 // yardstick — command-line front end.
 //
-// Builds a synthetic topology (fat-tree or multi-DC regional network),
-// computes its forwarding state with the eBGP substrate, runs a test
-// suite with coverage tracking, and prints the coverage report.
+// Builds a synthetic topology (fat-tree or multi-DC regional network) or
+// loads one from a file, computes its forwarding state with the eBGP
+// substrate, runs a test suite with coverage tracking, and prints the
+// coverage report.
 //
 //   yardstick fattree --k 8 --suite fattree --paths
 //   yardstick regional --suite original --json
@@ -14,22 +15,34 @@
 //   yardstick ingest fattree --k 8 --socket /run/ys.sock --session 1
 //   yardstick ingest-replay --wal ys.wal --save-trace recovered.trace
 //
+// The grammar is data: one flag table whose rows are tagged by group
+// (topology, suite, resources, observability, one group per mode), and one
+// mode table listing the groups each mode reads; a topology mode also
+// reads the group named after its topology, so `--k` goes only with
+// `fattree`, the shape flags and `--transforms` only with `regional`. One
+// parser walks the tables and usage is printed from them, so a flag is
+// accepted exactly by the modes that read it; anything else is a usage
+// error.
+//
 // Exit codes map the error taxonomy so scripts can dispatch on failures:
 //   0 all tests passed          4 corrupt trace file
 //   1 test failures             5 I/O error
 //   2 usage error               6 resource budget exceeded
 //   3 invalid input             7 cancelled
 //                              10 internal error
+#include <algorithm>
 #include <cerrno>
+#include <cfloat>
 #include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "common/budget.hpp"
 #include "common/status.hpp"
@@ -61,7 +74,7 @@ using namespace yardstick;
 
 namespace {
 
-// --- strict numeric flag parsing ----------------------------------------
+// --- strict flag values ---------------------------------------------------
 //
 // atoi/atof silently turn garbage into 0 and saturate nothing: "--port
 // 70000" used to pass a `> 0` check and wrap through a uint16_t cast to
@@ -69,38 +82,37 @@ namespace {
 // token must parse, and the value must sit inside the flag's range —
 // anything else is a usage error (exit 2), never a silent reinterpretation.
 
-/// Parse a complete base-10 integer token. Rejects empty strings, trailing
-/// garbage ("5x"), and values outside long long.
-bool parse_i64(const char* s, long long& out) {
-  if (s == nullptr || *s == '\0') return false;
+/// A complete base-10 integer token in [lo, hi], stored into `out`.
+/// Rejects empty strings, trailing garbage ("5x"), and values outside
+/// long long.
+template <typename T>
+bool parse_range(const char* s, long long lo, long long hi, T& out) {
   errno = 0;
   char* end = nullptr;
-  out = std::strtoll(s, &end, 10);
-  return errno == 0 && end != s && *end == '\0';
-}
-
-/// Parse a complete finite floating-point token.
-bool parse_f64(const char* s, double& out) {
-  if (s == nullptr || *s == '\0') return false;
-  errno = 0;
-  char* end = nullptr;
-  out = std::strtod(s, &end);
-  return errno == 0 && end != s && *end == '\0' && std::isfinite(out);
-}
-
-/// Integer token constrained to [lo, hi].
-bool parse_range(const char* s, long long lo, long long hi, long long& out) {
-  return parse_i64(s, out) && out >= lo && out <= hi;
-}
-
-/// TCP port: 1..65535, no wrapping.
-bool parse_port(const char* s, uint16_t& out) {
-  long long v = 0;
-  if (!parse_range(s, 1, 65535, v)) return false;
-  out = static_cast<uint16_t>(v);
+  const long long v = std::strtoll(s, &end, 10);
+  if (errno != 0 || end == s || *end != '\0' || v < lo || v > hi) return false;
+  out = static_cast<T>(v);
   return true;
 }
 
+/// A complete finite floating-point token in (0, hi], stored into `out`.
+bool parse_f64(const char* s, double hi, double& out) {
+  errno = 0;
+  char* end = nullptr;
+  const double v = std::strtod(s, &end);
+  if (errno != 0 || end == s || *end != '\0' || !(v > 0.0 && v <= hi)) return false;
+  out = v;
+  return true;
+}
+
+/// A string or path value: any token.
+template <typename T>
+bool set_text(const char* s, T& out) {
+  out = s;
+  return true;
+}
+
+/// Everything a command line can set; each mode reads its own part.
 struct CliOptions {
   std::string topology;       // "fattree" | "regional" | "file"
   std::string network_file;   // for topology == "file"
@@ -133,177 +145,173 @@ struct CliOptions {
   bool prioritize = false;       // cost-aware ordering + coverage/cost curve
   bool gap_report = false;       // exhaustive gap witnesses
   double min_coverage = 1.0;     // minimization slack knob (fraction of full)
+  // Daemon modes: `serve` (and the journal `ingest-replay` reads), `ingest`.
+  service::DaemonOptions daemon;
+  service::ClientOptions client = [] {
+    service::ClientOptions c;
+    c.batch_events = 64;  // ingest's default; the library's is 1024
+    return c;
+  }();
+  size_t shard = 0, shards = 1;  // ingest: send only shard `shard` of `shards`
 };
 
-int usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s <fattree|regional|file PATH> [options]\n"
-               "  --k N                fat-tree arity (default 4)\n"
-               "  --datacenters N      regional: datacenter count\n"
-               "  --pods N             regional: pods per datacenter\n"
-               "  --tors N             regional: ToRs per pod\n"
-               "  --suite NAME         original|new|final|fattree (default final)\n"
-               "  --acl                install ToR ingress ACLs and ACL tests\n"
-               "  --json               JSON output\n"
-               "  --paths [SECONDS]    also compute path coverage (budget)\n"
-               "  --analyze            per-test contributions + redundancy\n"
-               "  --suggest N          synthesize probes for N untested rules\n"
-               "  --save-trace FILE    persist the coverage trace\n"
-               "  --load-trace FILE    skip testing; compute metrics from FILE\n"
-               "  --deadline SECONDS   overall wall-clock budget (partial results)\n"
-               "  --max-bdd-nodes N    cap BDD arena size (partial results)\n"
-               "  --threads N          offline-phase worker threads (default: all\n"
-               "                       hardware threads; results are identical)\n"
-               "  --gc-threshold F     collect shard BDD arenas when the dead fraction\n"
-               "                       may exceed F in (0,1] (default off; results are\n"
-               "                       identical, peak memory shrinks)\n"
-               "  --incremental        cache offline-phase results in .yardstick-cache\n"
-               "                       and recompute only what changed (bit-identical)\n"
-               "  --cache-dir DIR      like --incremental, with an explicit cache directory\n"
-               "  --trace-out FILE     write a Chrome trace-event JSON span timeline\n"
-               "                       (open in about:tracing or ui.perfetto.dev)\n"
-               "  --metrics-out FILE   write engine metrics as JSON to FILE and\n"
-               "                       Prometheus text exposition to FILE.prom\n"
-               "  --transforms N       regional: N tunnels (VIP encap/decap across ToRs)\n"
-               "                       and N NAT rules per WAN, plus their checks\n"
-               "Scenario mode (coverage under failure, DESIGN.md §13):\n"
-               "  %s scenarios <topology> [options] --scenario-spec FILE\n"
-               "  %s scenarios <topology> [options] --random-links N [--seed S]\n"
-               "  --scenario-spec FILE named device/link failure sets (see DESIGN.md)\n"
-               "  --random-links N     N seeded random link-down scenarios instead\n"
-               "  --seed S             PRNG seed for --random-links (default 1)\n"
-               "  --links-per-scenario L  failed links per random scenario (default 1)\n"
-               "Optimize mode (suite minimization / prioritization / gap witnesses,\n"
-               "DESIGN.md §14):\n"
-               "  %s optimize <topology> [options] --minimize [--min-coverage F]\n"
-               "  %s optimize <topology> [options] --prioritize --gap-report --json\n"
-               "  --minimize           smallest subset preserving full-suite coverage\n"
-               "  --min-coverage F     keep >= F of the full suite's fractional rule\n"
-               "                       coverage, F in (0,1] (default 1.0 = exact)\n"
-               "  --prioritize         marginal-coverage-per-second order + cost curve\n"
-               "  --gap-report         witness packet (or state-only marker) for every\n"
-               "                       uncovered rule, grouped by device\n",
-               argv0, argv0, argv0, argv0, argv0);
-  return 2;
-}
+// --- the grammar ------------------------------------------------------------
 
-std::optional<CliOptions> parse(int argc, char** argv) {
-  if (argc < 2) return std::nullopt;
-  CliOptions opts;
-  opts.topology = argv[1];
-  int first_option = 2;
-  if (opts.topology == "file") {
-    if (argc < 3) return std::nullopt;
-    opts.network_file = argv[2];
-    first_option = 3;
-  } else if (opts.topology != "fattree" && opts.topology != "regional") {
-    return std::nullopt;
-  }
+/// One flag: the group it belongs to, its name, its value as usage spells
+/// it, its help line, and what it sets. The spelling is also the arity: ""
+/// takes no value, "[SECONDS]" an optional one (consumed unless the next
+/// token is absent or starts with '-'), "I M" two, anything else one. `set`
+/// gets the values (null when absent) and returns false on a bad one.
+struct Flag {
+  std::string_view group;
+  std::string_view name;
+  std::string_view value;
+  const char* help;
+  bool (*set)(CliOptions& o, const char* v, const char* w);
+};
 
-  for (int i = first_option; i < argc; ++i) {
-    const std::string arg = argv[i];
-    // Positive int / positive size flag values, strictly parsed.
-    const auto next_int = [&](int& out) {
-      long long v = 0;
-      if (i + 1 >= argc || !parse_range(argv[++i], 1, INT_MAX, v)) return false;
-      out = static_cast<int>(v);
-      return true;
-    };
-    const auto next_size = [&](size_t& out) {
-      long long v = 0;
-      if (i + 1 >= argc || !parse_range(argv[++i], 1, LLONG_MAX, v)) return false;
-      out = static_cast<size_t>(v);
-      return true;
-    };
-    if (arg == "--k") {
-      if (!next_int(opts.k)) return std::nullopt;
-    } else if (arg == "--datacenters") {
-      if (!next_int(opts.regional.datacenters)) return std::nullopt;
-    } else if (arg == "--pods") {
-      if (!next_int(opts.regional.pods_per_dc)) return std::nullopt;
-    } else if (arg == "--tors") {
-      if (!next_int(opts.regional.tors_per_pod)) return std::nullopt;
-    } else if (arg == "--suite") {
-      if (i + 1 >= argc) return std::nullopt;
-      opts.suite = argv[++i];
-    } else if (arg == "--acl") {
-      opts.with_acl = true;
-    } else if (arg == "--json") {
-      opts.json = true;
-    } else if (arg == "--paths") {
-      opts.paths = true;
-      if (i + 1 < argc && argv[i + 1][0] != '-') {
-        if (!parse_f64(argv[++i], opts.path_budget_s) || opts.path_budget_s <= 0.0) {
-          return std::nullopt;
-        }
-      }
-    } else if (arg == "--analyze") {
-      opts.analyze = true;
-    } else if (arg == "--suggest") {
-      if (!next_size(opts.suggest)) return std::nullopt;
-    } else if (arg == "--save-trace") {
-      if (i + 1 >= argc) return std::nullopt;
-      opts.save_trace = argv[++i];
-    } else if (arg == "--load-trace") {
-      if (i + 1 >= argc) return std::nullopt;
-      opts.load_trace = argv[++i];
-    } else if (arg == "--deadline") {
-      if (i + 1 >= argc || !parse_f64(argv[++i], opts.deadline_s) ||
-          opts.deadline_s <= 0.0) {
-        return std::nullopt;
-      }
-    } else if (arg == "--max-bdd-nodes") {
-      if (!next_size(opts.max_bdd_nodes)) return std::nullopt;
-    } else if (arg == "--threads") {
-      int n = 0;
-      if (!next_int(n)) return std::nullopt;
-      opts.threads = static_cast<unsigned>(n);
-    } else if (arg == "--gc-threshold") {
-      if (i + 1 >= argc || !parse_f64(argv[++i], opts.gc_threshold) ||
-          opts.gc_threshold <= 0.0 || opts.gc_threshold > 1.0) {
-        return std::nullopt;
-      }
-    } else if (arg == "--incremental") {
-      if (opts.cache_dir.empty()) opts.cache_dir = ".yardstick-cache";
-    } else if (arg == "--cache-dir") {
-      if (i + 1 >= argc) return std::nullopt;
-      opts.cache_dir = argv[++i];
-    } else if (arg == "--trace-out") {
-      if (i + 1 >= argc) return std::nullopt;
-      opts.trace_out = argv[++i];
-    } else if (arg == "--metrics-out") {
-      if (i + 1 >= argc) return std::nullopt;
-      opts.metrics_out = argv[++i];
-    } else if (arg == "--transforms") {
-      if (!next_int(opts.transforms)) return std::nullopt;
-    } else if (arg == "--scenario-spec") {
-      if (i + 1 >= argc) return std::nullopt;
-      opts.scenario_spec = argv[++i];
-    } else if (arg == "--random-links") {
-      if (!next_int(opts.random_links)) return std::nullopt;
-    } else if (arg == "--seed") {
-      long long v = 0;
-      if (i + 1 >= argc || !parse_range(argv[++i], 0, LLONG_MAX, v)) return std::nullopt;
-      opts.scenario_seed = static_cast<uint64_t>(v);
-    } else if (arg == "--links-per-scenario") {
-      if (!next_int(opts.links_per_scenario)) return std::nullopt;
-    } else if (arg == "--minimize") {
-      opts.minimize = true;
-    } else if (arg == "--prioritize") {
-      opts.prioritize = true;
-    } else if (arg == "--gap-report") {
-      opts.gap_report = true;
-    } else if (arg == "--min-coverage") {
-      if (i + 1 >= argc || !parse_f64(argv[++i], opts.min_coverage) ||
-          opts.min_coverage <= 0.0 || opts.min_coverage > 1.0) {
-        return std::nullopt;
-      }
-    } else {
-      return std::nullopt;
-    }
-  }
-  return opts;
-}
+/// Every flag, by group. A mode reads the groups it lists; a topology mode
+/// also reads the group named after its topology.
+constexpr Flag kFlags[] = {
+    {"fattree", "--k", "N", "fat-tree arity (default 4)",
+     [](auto& o, auto v, auto) { return parse_range(v, 1, INT_MAX, o.k); }},
+    {"regional", "--datacenters", "N", "datacenter count (default 2)",
+     [](auto& o, auto v, auto) { return parse_range(v, 1, INT_MAX, o.regional.datacenters); }},
+    {"regional", "--pods", "N", "pods per datacenter (default 2)",
+     [](auto& o, auto v, auto) { return parse_range(v, 1, INT_MAX, o.regional.pods_per_dc); }},
+    {"regional", "--tors", "N", "ToRs per pod (default 4)",
+     [](auto& o, auto v, auto) { return parse_range(v, 1, INT_MAX, o.regional.tors_per_pod); }},
+    {"regional", "--transforms", "N",
+     "N tunnels (VIP encap/decap across ToRs) and N NAT rules per WAN, plus their checks",
+     [](auto& o, auto v, auto) { return parse_range(v, 1, INT_MAX, o.transforms); }},
+    {"suite", "--suite", "NAME", "original|new|final|fattree (default final)",
+     [](auto& o, auto v, auto) {
+       o.suite = v;
+       return o.suite == "original" || o.suite == "new" || o.suite == "final" ||
+              o.suite == "fattree";
+     }},
+    {"suite", "--acl", "", "install ToR ingress ACLs and ACL tests",
+     [](auto& o, auto, auto) { return o.with_acl = true; }},
+    {"report", "--paths", "[SECONDS]", "also compute path coverage (budget, default 60)",
+     [](auto& o, auto v, auto) {
+       o.paths = true;
+       return v == nullptr || parse_f64(v, DBL_MAX, o.path_budget_s);
+     }},
+    {"report", "--analyze", "", "per-test contributions + redundancy",
+     [](auto& o, auto, auto) { return o.analyze = true; }},
+    {"report", "--suggest", "N", "synthesize probes for N untested rules",
+     [](auto& o, auto v, auto) { return parse_range(v, 1, LLONG_MAX, o.suggest); }},
+    {"report", "--load-trace", "FILE", "skip testing; compute metrics from FILE",
+     [](auto& o, auto v, auto) { return set_text(v, o.load_trace); }},
+    {"trace", "--save-trace", "FILE", "persist the coverage trace",
+     [](auto& o, auto v, auto) { return set_text(v, o.save_trace); }},
+    {"scenario", "--scenario-spec", "FILE", "named device/link failure sets (DESIGN.md §13)",
+     [](auto& o, auto v, auto) { return set_text(v, o.scenario_spec); }},
+    {"scenario", "--random-links", "N", "N seeded random link-down scenarios instead",
+     [](auto& o, auto v, auto) { return parse_range(v, 1, INT_MAX, o.random_links); }},
+    {"scenario", "--seed", "S", "PRNG seed for --random-links (default 1)",
+     [](auto& o, auto v, auto) { return parse_range(v, 0, LLONG_MAX, o.scenario_seed); }},
+    {"scenario", "--links-per-scenario", "L", "failed links per random scenario (default 1)",
+     [](auto& o, auto v, auto) { return parse_range(v, 1, INT_MAX, o.links_per_scenario); }},
+    {"optimize", "--minimize", "", "smallest subset preserving full-suite coverage",
+     [](auto& o, auto, auto) { return o.minimize = true; }},
+    {"optimize", "--min-coverage", "F",
+     "keep >= F of the full suite's fractional rule coverage, F in (0,1] (default 1.0)",
+     [](auto& o, auto v, auto) { return parse_f64(v, 1.0, o.min_coverage); }},
+    {"optimize", "--prioritize", "", "marginal-coverage-per-second order + cost curve",
+     [](auto& o, auto, auto) { return o.prioritize = true; }},
+    {"optimize", "--gap-report", "", "witness packet (or state-only marker) per uncovered rule",
+     [](auto& o, auto, auto) { return o.gap_report = true; }},
+    {"resources", "--deadline", "SECONDS", "overall wall-clock budget (partial results)",
+     [](auto& o, auto v, auto) { return parse_f64(v, DBL_MAX, o.deadline_s); }},
+    {"resources", "--max-bdd-nodes", "N", "cap BDD arena size (partial results)",
+     [](auto& o, auto v, auto) { return parse_range(v, 1, LLONG_MAX, o.max_bdd_nodes); }},
+    {"resources", "--threads", "N",
+     "offline-phase worker threads, N >= 1 (default: all hardware threads; same results)",
+     [](auto& o, auto v, auto) { return parse_range(v, 1, INT_MAX, o.threads); }},
+    {"resources", "--gc-threshold", "F",
+     "collect shard BDD arenas once the dead fraction may exceed F in (0,1] (default off)",
+     [](auto& o, auto v, auto) { return parse_f64(v, 1.0, o.gc_threshold); }},
+    {"resources", "--incremental", "",
+     "cache offline-phase results in .yardstick-cache; recompute only what changed",
+     [](auto& o, auto, auto) {
+       if (o.cache_dir.empty()) o.cache_dir = ".yardstick-cache";
+       return true;
+     }},
+    {"resources", "--cache-dir", "DIR", "like --incremental, with an explicit cache directory",
+     [](auto& o, auto v, auto) { return set_text(v, o.cache_dir); }},
+    {"timeline", "--trace-out", "FILE", "write a Chrome trace-event JSON span timeline",
+     [](auto& o, auto v, auto) { return set_text(v, o.trace_out); }},
+    {"metrics", "--metrics-out", "FILE",
+     "write metrics as JSON to FILE and Prometheus text to FILE.prom",
+     [](auto& o, auto v, auto) { return set_text(v, o.metrics_out); }},
+    {"output", "--json", "", "JSON output",
+     [](auto& o, auto, auto) { return o.json = true; }},
+    {"daemon", "--socket", "PATH", "unix-domain listener",
+     [](auto& o, auto v, auto) { return set_text(v, o.daemon.socket_path); }},
+    {"daemon", "--tcp", "PORT", "TCP listener on 127.0.0.1",
+     [](auto& o, auto v, auto) { return parse_range(v, 1, 65535, o.daemon.tcp_port); }},
+    {"daemon", "--queue", "N", "ingress queue bound (default 1024)",
+     [](auto& o, auto v, auto) { return parse_range(v, 1, LLONG_MAX, o.daemon.queue_capacity); }},
+    {"daemon", "--compact-bytes", "N", "compact once the WAL exceeds N bytes",
+     [](auto& o, auto v, auto) {
+       return parse_range(v, 1, LLONG_MAX, o.daemon.compact_wal_bytes);
+     }},
+    {"daemon", "--no-fsync", "", "skip per-append fsync (throughput over durability)",
+     [](auto& o, auto, auto) {
+       o.daemon.wal_fsync = false;
+       return true;
+     }},
+    {"journal", "--wal", "FILE", "write-ahead journal (appended before every ack)",
+     [](auto& o, auto v, auto) { return set_text(v, o.daemon.wal_path); }},
+    {"journal", "--snapshot", "FILE", "snapshot the journal compacts into",
+     [](auto& o, auto v, auto) { return set_text(v, o.daemon.snapshot_path); }},
+    {"client", "--socket", "PATH", "daemon unix socket",
+     [](auto& o, auto v, auto) { return set_text(v, o.client.socket_path); }},
+    {"client", "--tcp-port", "N", "daemon TCP port (127.0.0.1)",
+     [](auto& o, auto v, auto) { return parse_range(v, 1, 65535, o.client.tcp_port); }},
+    {"client", "--session", "ID", "session identity (default 1)",
+     [](auto& o, auto v, auto) {
+       if (!parse_range(v, 1, LLONG_MAX, o.client.session_id)) return false;
+       o.client.jitter_seed = o.client.session_id * 0x9e3779b97f4a7c15ull + 1;
+       return true;
+     }},
+    {"client", "--shard", "I M", "send only shard I of M (deterministic split)",
+     [](auto& o, auto v, auto w) {
+       return parse_range(v, 0, LLONG_MAX, o.shard) && parse_range(w, 1, LLONG_MAX, o.shards) &&
+              o.shard < o.shards;
+     }},
+    {"client", "--batch-events", "N", "auto-flush threshold (default 64)",
+     [](auto& o, auto v, auto) { return parse_range(v, 1, LLONG_MAX, o.client.batch_events); }},
+    {"client", "--max-attempts", "N", "per-batch retry cap (default 8)",
+     [](auto& o, auto v, auto) { return parse_range(v, 1, UINT32_MAX, o.client.max_attempts); }},
+    {"client", "--backoff-base-ms", "N", "first retry delay (default 10)",
+     [](auto& o, auto v, auto) {
+       return parse_range(v, 1, UINT32_MAX, o.client.backoff_base_ms);
+     }},
+    {"client", "--ack-timeout-ms", "N", "per-reply wait (default 5000)",
+     [](auto& o, auto v, auto) {
+       return parse_range(v, 1, UINT32_MAX, o.client.ack_timeout_ms);
+     }},
+};
+
+/// The topology modes' first argument; `file` takes a PATH after it.
+constexpr std::string_view kTopologies[] = {"fattree", "regional", "file"};
+
+/// One subcommand: its name (empty for the run mode, whose first argument
+/// is the topology), what it does, the flag groups it reads, the
+/// requirement it puts on their combination, and what runs it.
+struct Mode {
+  const char* name;
+  const char* what;
+  bool topology;
+  std::vector<std::string_view> groups;
+  const char* needs;                       // the requirement, for usage
+  bool (*satisfied)(const CliOptions& o);  // null: no requirement
+  int (*run)(const CliOptions& o);
+};
+
+// --- set-up shared by the topology modes ----------------------------------
 
 /// What every in-process mode sets up before its first BDD: the topology
 /// (routing config, optional transform plan), its forwarding state, the
@@ -402,9 +410,6 @@ void set_up(const CliOptions& opts, Setup& s, bool route = true) {
     s.state_loaded = s.from_file.has_forwarding_state;
   }
   if (opts.transforms > 0) {
-    if (opts.topology != "regional") {
-      throw ys::InvalidInputError("--transforms requires the regional topology");
-    }
     // Must run before FIB computation: tunnel endpoints are BGP-originated.
     s.transforms = topo::plan_transforms(
         s.regional, {.tunnels = opts.transforms, .nat_rules_per_wan = opts.transforms});
@@ -438,6 +443,14 @@ void write_file(const std::string& path, const std::string& content) {
   out.flush();
   if (!out) throw ys::IoError("cannot write " + path);
 }
+
+/// --metrics-out: the registry as JSON to `path`, Prometheus text to `path`.prom.
+void write_metrics(const std::string& path) {
+  write_file(path, obs::metrics().to_json());
+  write_file(path + ".prom", obs::metrics().to_prometheus());
+}
+
+// --- run mode ---------------------------------------------------------------
 
 int run_impl(const CliOptions& opts) {
   Setup s;
@@ -580,8 +593,7 @@ int observed(const CliOptions& opts, int (*mode)(const CliOptions&)) {
     if (!opts.json) std::printf("trace timeline written to %s\n", opts.trace_out->c_str());
   }
   if (opts.metrics_out) {
-    write_file(*opts.metrics_out, obs::metrics().to_json());
-    write_file(*opts.metrics_out + ".prom", obs::metrics().to_prometheus());
+    write_metrics(*opts.metrics_out);
     if (!opts.json) {
       std::printf("metrics written to %s (+ %s.prom)\n", opts.metrics_out->c_str(),
                   opts.metrics_out->c_str());
@@ -594,8 +606,7 @@ int observed(const CliOptions& opts, int (*mode)(const CliOptions&)) {
 
 /// `yardstick scenarios <topology> [...] --scenario-spec FILE | --random-links N`
 ///
-/// Reuses the main option grammar (argv[0] is skipped by parse()); the
-/// forwarding state is always recomputed per scenario, so hand-authored
+/// The forwarding state is always recomputed per scenario, so hand-authored
 /// state in `file` topologies is replaced by the BGP substrate's output.
 int scenarios_impl(const CliOptions& opts) {
   Setup s;
@@ -626,27 +637,14 @@ int scenarios_impl(const CliOptions& opts) {
   return 0;
 }
 
-int run_scenarios(int argc, char** argv) {
-  const std::optional<CliOptions> parsed = parse(argc - 1, argv + 1);
-  if (!parsed) return usage(argv[0]);
-  const bool have_spec = !parsed->scenario_spec.empty();
-  if (have_spec == (parsed->random_links > 0)) {
-    std::fprintf(stderr,
-                 "error: scenarios needs exactly one of --scenario-spec / --random-links\n");
-    return usage(argv[0]);
-  }
-  return observed(*parsed, scenarios_impl);
-}
-
 // --- optimize mode -------------------------------------------------------
 
 /// `yardstick optimize <topology> [...] --minimize|--prioritize|--gap-report`
 ///
-/// Reuses the main option grammar (argv[0] is skipped by parse()). Runs the
-/// suite twice over the engine's match-set index: once merged, inside the
-/// engine (the gap report and the recomputation cross-check read it), and
-/// once per-test in isolation (the coverage matrix the optimizers fold
-/// over).
+/// Runs the suite twice over the engine's match-set index: once merged,
+/// inside the engine (the gap report and the recomputation cross-check read
+/// it), and once per-test in isolation (the coverage matrix the optimizers
+/// fold over).
 int optimize_impl(const CliOptions& opts) {
   Setup s;
   set_up(opts, s);
@@ -706,88 +704,13 @@ int optimize_impl(const CliOptions& opts) {
   return 0;
 }
 
-int run_optimize(int argc, char** argv) {
-  const std::optional<CliOptions> parsed = parse(argc - 1, argv + 1);
-  if (!parsed) return usage(argv[0]);
-  if (!parsed->minimize && !parsed->prioritize && !parsed->gap_report) {
-    std::fprintf(stderr,
-                 "error: optimize needs at least one of --minimize / --prioritize / "
-                 "--gap-report\n");
-    return usage(argv[0]);
-  }
-  return observed(*parsed, optimize_impl);
-}
-
 // --- daemon-mode subcommands --------------------------------------------
 
-int serve_usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s serve [options]\n"
-               "  --socket PATH        unix-domain listener (default: none)\n"
-               "  --tcp PORT           TCP listener on 127.0.0.1\n"
-               "  --wal FILE           write-ahead journal (durable-before-ack)\n"
-               "  --snapshot FILE      snapshot for compaction + graceful shutdown\n"
-               "  --queue N            ingress queue bound (default 1024)\n"
-               "  --compact-bytes N    compact once the WAL exceeds N bytes\n"
-               "  --no-fsync           skip per-append fsync (throughput over durability)\n"
-               "  --metrics-out FILE   write ingest metrics JSON (+ FILE.prom) at exit\n"
-               "  --json               machine-readable stats on shutdown\n"
-               "At least one of --socket/--tcp is required. SIGTERM/SIGINT drain\n"
-               "accepted batches, snapshot, truncate the WAL and exit 0; a second\n"
-               "signal aborts immediately.\n",
-               argv0);
-  return 2;
-}
-
-int run_serve(int argc, char** argv) {
-  service::DaemonOptions dopts;
-  bool json = false;
-  std::optional<std::string> metrics_out;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
-    if (arg == "--socket") {
-      const char* v = next();
-      if (v == nullptr) return serve_usage(argv[0]);
-      dopts.socket_path = v;
-    } else if (arg == "--tcp") {
-      const char* v = next();
-      if (v == nullptr || !parse_port(v, dopts.tcp_port)) return serve_usage(argv[0]);
-    } else if (arg == "--wal") {
-      const char* v = next();
-      if (v == nullptr) return serve_usage(argv[0]);
-      dopts.wal_path = v;
-    } else if (arg == "--snapshot") {
-      const char* v = next();
-      if (v == nullptr) return serve_usage(argv[0]);
-      dopts.snapshot_path = v;
-    } else if (arg == "--queue") {
-      const char* v = next();
-      long long n = 0;
-      if (v == nullptr || !parse_range(v, 1, LLONG_MAX, n)) return serve_usage(argv[0]);
-      dopts.queue_capacity = static_cast<size_t>(n);
-    } else if (arg == "--compact-bytes") {
-      const char* v = next();
-      long long n = 0;
-      if (v == nullptr || !parse_range(v, 1, LLONG_MAX, n)) return serve_usage(argv[0]);
-      dopts.compact_wal_bytes = static_cast<uint64_t>(n);
-    } else if (arg == "--no-fsync") {
-      dopts.wal_fsync = false;
-    } else if (arg == "--metrics-out") {
-      const char* v = next();
-      if (v == nullptr) return serve_usage(argv[0]);
-      metrics_out = v;
-    } else if (arg == "--json") {
-      json = true;
-    } else {
-      return serve_usage(argv[0]);
-    }
-  }
-  if (dopts.socket_path.empty() && dopts.tcp_port == 0) return serve_usage(argv[0]);
-  if (metrics_out) obs::set_enabled(true);
+int run_serve(const CliOptions& opts) {
+  if (opts.metrics_out) obs::set_enabled(true);
 
   service::ShutdownSignal& sig = service::ShutdownSignal::install();
-  service::Daemon daemon(std::move(dopts));
+  service::Daemon daemon(opts.daemon);
   daemon.start();
   const service::DaemonStats at_start = daemon.stats();
   // The readiness line is the CI handshake: once it appears (flushed),
@@ -803,7 +726,7 @@ int run_serve(int argc, char** argv) {
   daemon.shutdown();
 
   const service::DaemonStats s = daemon.stats();
-  if (json) {
+  if (opts.json) {
     std::printf("{\"connections\":%llu,\"frames\":%llu,\"batches\":%llu,"
                 "\"events\":%llu,\"busy_rejections\":%llu,\"rejected_batches\":%llu,"
                 "\"corrupt_frames\":%llu,\"accept_failures\":%llu,"
@@ -830,117 +753,15 @@ int run_serve(int argc, char** argv) {
                 static_cast<unsigned long long>(s.sessions),
                 static_cast<unsigned long long>(s.busy_rejections));
   }
-  if (metrics_out) {
-    write_file(*metrics_out, obs::metrics().to_json());
-    write_file(*metrics_out + ".prom", obs::metrics().to_prometheus());
-  }
+  if (opts.metrics_out) write_metrics(*opts.metrics_out);
   return 0;
 }
 
-int ingest_usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s ingest <fattree|regional> [options]\n"
-               "  --k N                fat-tree arity (default 4)\n"
-               "  --suite NAME         original|new|final|fattree (default final)\n"
-               "  --acl                install ToR ingress ACLs and ACL tests\n"
-               "  --socket PATH        daemon unix socket\n"
-               "  --tcp-port N         daemon TCP port (127.0.0.1)\n"
-               "  --session ID         session identity (default 1)\n"
-               "  --shard I M          send only shard I of M (deterministic split)\n"
-               "  --batch-events N     auto-flush threshold (default 64)\n"
-               "  --max-attempts N     per-batch retry cap (default 8)\n"
-               "  --backoff-base-ms N  first retry delay (default 10)\n"
-               "  --ack-timeout-ms N   per-reply wait (default 5000)\n"
-               "  --json               machine-readable stats\n",
-               argv0);
-  return 2;
-}
-
-int run_ingest(int argc, char** argv) {
-  if (argc < 3) return ingest_usage(argv[0]);
-  const std::string topology = argv[2];
-  if (topology != "fattree" && topology != "regional") return ingest_usage(argv[0]);
-  int k = 4;
-  std::string suite_name = "final";
-  bool with_acl = false;
-  bool json = false;
-  size_t shard = 0, shards = 1;
-  service::ClientOptions copts;
-  copts.batch_events = 64;
-  for (int i = 3; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
-    if (arg == "--k") {
-      const char* v = next();
-      long long n = 0;
-      if (v == nullptr || !parse_range(v, 1, INT_MAX, n)) return ingest_usage(argv[0]);
-      k = static_cast<int>(n);
-    } else if (arg == "--suite") {
-      const char* v = next();
-      if (v == nullptr) return ingest_usage(argv[0]);
-      suite_name = v;
-    } else if (arg == "--acl") {
-      with_acl = true;
-    } else if (arg == "--socket") {
-      const char* v = next();
-      if (v == nullptr) return ingest_usage(argv[0]);
-      copts.socket_path = v;
-    } else if (arg == "--tcp-port") {
-      const char* v = next();
-      if (v == nullptr || !parse_port(v, copts.tcp_port)) return ingest_usage(argv[0]);
-    } else if (arg == "--session") {
-      const char* v = next();
-      long long n = 0;
-      if (v == nullptr || !parse_range(v, 1, LLONG_MAX, n)) return ingest_usage(argv[0]);
-      copts.session_id = static_cast<uint64_t>(n);
-      copts.jitter_seed = copts.session_id * 0x9e3779b97f4a7c15ull + 1;
-    } else if (arg == "--shard") {
-      const char* a = next();
-      const char* b = next();
-      long long index = 0, total = 0;
-      if (a == nullptr || b == nullptr || !parse_range(a, 0, LLONG_MAX, index) ||
-          !parse_range(b, 1, LLONG_MAX, total) || index >= total) {
-        return ingest_usage(argv[0]);
-      }
-      shard = static_cast<size_t>(index);
-      shards = static_cast<size_t>(total);
-    } else if (arg == "--batch-events") {
-      const char* v = next();
-      long long n = 0;
-      if (v == nullptr || !parse_range(v, 1, LLONG_MAX, n)) return ingest_usage(argv[0]);
-      copts.batch_events = static_cast<size_t>(n);
-    } else if (arg == "--max-attempts") {
-      const char* v = next();
-      long long n = 0;
-      if (v == nullptr || !parse_range(v, 1, UINT32_MAX, n)) return ingest_usage(argv[0]);
-      copts.max_attempts = static_cast<uint32_t>(n);
-    } else if (arg == "--backoff-base-ms") {
-      const char* v = next();
-      long long n = 0;
-      if (v == nullptr || !parse_range(v, 1, UINT32_MAX, n)) return ingest_usage(argv[0]);
-      copts.backoff_base_ms = static_cast<uint32_t>(n);
-    } else if (arg == "--ack-timeout-ms") {
-      const char* v = next();
-      long long n = 0;
-      if (v == nullptr || !parse_range(v, 1, UINT32_MAX, n)) return ingest_usage(argv[0]);
-      copts.ack_timeout_ms = static_cast<uint32_t>(n);
-    } else if (arg == "--json") {
-      json = true;
-    } else {
-      return ingest_usage(argv[0]);
-    }
-  }
-  if (copts.socket_path.empty() && copts.tcp_port == 0) return ingest_usage(argv[0]);
-
+int run_ingest(const CliOptions& opts) {
   // Run the suite locally into a trace, on one plain index: no engine
   // runs here, the daemon's consumer computes the metrics.
-  CliOptions sopts;
-  sopts.topology = topology;
-  sopts.k = k;
-  sopts.suite = suite_name;
-  sopts.with_acl = with_acl;
   Setup s;
-  set_up(sopts, s);
+  set_up(opts, s);
 
   bdd::BddManager mgr(packet::kNumHeaderBits);
   ys::CoverageTracker tracker;
@@ -953,22 +774,22 @@ int run_ingest(int argc, char** argv) {
   // Stream the trace to the daemon, optionally as one deterministic
   // shard: locations in map order, then rules sorted — so shard i of m
   // from concurrent processes unions back to exactly the full trace.
-  service::IngestClient client(copts);
+  service::IngestClient client(opts.client);
   size_t index = 0;
   for (const auto& [loc, ps] : trace.marked_packets().entries()) {
-    if (index++ % shards == shard) client.mark_packet(loc, ps);
+    if (index++ % opts.shards == opts.shard) client.mark_packet(loc, ps);
   }
   std::vector<uint32_t> rules;
   rules.reserve(trace.marked_rules().size());
   for (const net::RuleId rid : trace.marked_rules()) rules.push_back(rid.value);
   std::sort(rules.begin(), rules.end());
   for (const uint32_t rid : rules) {
-    if (index++ % shards == shard) client.mark_rule(net::RuleId{rid});
+    if (index++ % opts.shards == opts.shard) client.mark_rule(net::RuleId{rid});
   }
   client.close();
 
   const service::ClientStats& cs = client.stats();
-  if (json) {
+  if (opts.json) {
     std::printf("{\"flushes\":%llu,\"events_sent\":%llu,\"retries\":%llu,"
                 "\"busy_backoffs\":%llu,\"reconnects\":%llu,\"test_failures\":%zu}\n",
                 static_cast<unsigned long long>(cs.flushes),
@@ -988,48 +809,14 @@ int run_ingest(int argc, char** argv) {
   return failures == 0 ? 0 : 1;
 }
 
-int ingest_replay_usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s ingest-replay --wal FILE [--snapshot FILE] "
-               "--save-trace OUT [--json]\n"
-               "Offline recovery: rebuild the merged trace a daemon would\n"
-               "recover from the snapshot plus journal, and persist it.\n",
-               argv0);
-  return 2;
-}
-
-int run_ingest_replay(int argc, char** argv) {
-  std::string wal_path, snapshot_path, out_path;
-  bool json = false;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
-    if (arg == "--wal") {
-      const char* v = next();
-      if (v == nullptr) return ingest_replay_usage(argv[0]);
-      wal_path = v;
-    } else if (arg == "--snapshot") {
-      const char* v = next();
-      if (v == nullptr) return ingest_replay_usage(argv[0]);
-      snapshot_path = v;
-    } else if (arg == "--save-trace") {
-      const char* v = next();
-      if (v == nullptr) return ingest_replay_usage(argv[0]);
-      out_path = v;
-    } else if (arg == "--json") {
-      json = true;
-    } else {
-      return ingest_replay_usage(argv[0]);
-    }
-  }
-  if (wal_path.empty() && snapshot_path.empty()) return ingest_replay_usage(argv[0]);
-
+int run_ingest_replay(const CliOptions& opts) {
+  const std::string out_path = opts.save_trace.value_or("");
   bdd::BddManager mgr(packet::kNumHeaderBits);
   service::DaemonStats stats;
-  const coverage::CoverageTrace trace =
-      service::recover_trace(snapshot_path, wal_path, mgr, &stats);
+  const coverage::CoverageTrace trace = service::recover_trace(
+      opts.daemon.snapshot_path, opts.daemon.wal_path, mgr, &stats);
   if (!out_path.empty()) ys::save_trace(out_path, trace, mgr);
-  if (json) {
+  if (opts.json) {
     std::printf("{\"recovered_records\":%llu,\"sessions\":%llu,"
                 "\"recovered_snapshot\":%s,\"torn_tail\":%s,"
                 "\"rejected_records\":%llu}\n",
@@ -1049,33 +836,135 @@ int run_ingest_replay(int argc, char** argv) {
   return 0;
 }
 
+// --- modes, parser, usage ---------------------------------------------------
+
+const std::vector<Mode>& modes() {
+  static const std::vector<Mode> kModes = {
+      {"", "run a suite on one network and report its coverage", true,
+       {"suite", "report", "trace", "resources", "timeline", "metrics", "output"}, nullptr,
+       nullptr, [](const CliOptions& o) { return observed(o, run_impl); }},
+      {"scenarios", "coverage under failure: recompute FIBs per scenario (DESIGN.md §13)", true,
+       {"suite", "scenario", "resources", "timeline", "metrics", "output"},
+       "exactly one of --scenario-spec / --random-links",
+       [](const CliOptions& o) { return o.scenario_spec.empty() == (o.random_links > 0); },
+       [](const CliOptions& o) { return observed(o, scenarios_impl); }},
+      {"optimize", "minimize / prioritize the suite, witness its gaps (DESIGN.md §14)", true,
+       {"suite", "optimize", "resources", "timeline", "metrics", "output"},
+       "at least one of --minimize / --prioritize / --gap-report",
+       [](const CliOptions& o) { return o.minimize || o.prioritize || o.gap_report; },
+       [](const CliOptions& o) { return observed(o, optimize_impl); }},
+      {"serve", "run yardstickd; SIGTERM/SIGINT drain, snapshot, truncate the WAL, exit 0",
+       false, {"daemon", "journal", "metrics", "output"}, "at least one of --socket / --tcp",
+       [](const CliOptions& o) { return !o.daemon.socket_path.empty() || o.daemon.tcp_port; },
+       run_serve},
+      {"ingest", "run a suite locally and stream its trace to a daemon", true,
+       {"suite", "client", "output"}, "one of --socket / --tcp-port",
+       [](const CliOptions& o) { return !o.client.socket_path.empty() || o.client.tcp_port; },
+       run_ingest},
+      {"ingest-replay", "rebuild the trace a daemon would recover from snapshot + journal",
+       false, {"journal", "trace", "output"}, "at least one of --wal / --snapshot",
+       [](const CliOptions& o) {
+         return !o.daemon.wal_path.empty() || !o.daemon.snapshot_path.empty();
+       },
+       run_ingest_replay},
+  };
+  return kModes;
+}
+
+bool is_topology(std::string_view name) {
+  return std::find(std::begin(kTopologies), std::end(kTopologies), name) !=
+         std::end(kTopologies);
+}
+
+/// Usage for `only`, or for every mode: each mode's synopsis and the groups
+/// it reads, then those groups' flags from the table.
+int usage(const Mode* only) {
+  std::vector<std::string_view> shown;
+  for (const Mode& m : modes()) {
+    if (only != nullptr && only != &m) continue;
+    std::fprintf(stderr, "usage: yardstick%s%s%s [flags]\n  %s\n", *m.name ? " " : "", m.name,
+                 m.topology ? " <fattree|regional|file PATH>" : "", m.what);
+    if (m.needs != nullptr) std::fprintf(stderr, "  requires %s\n", m.needs);
+    std::string line = m.topology ? "<topology>" : "";
+    if (m.topology) shown.insert(shown.end(), std::begin(kTopologies), std::end(kTopologies));
+    for (const std::string_view g : m.groups) {
+      line += (line.empty() ? "" : ", ") + std::string(g);
+      shown.push_back(g);
+    }
+    std::fprintf(stderr, "  flags: %s\n", line.c_str());
+  }
+  std::string_view group;
+  for (const Flag& f : kFlags) {
+    if (std::find(shown.begin(), shown.end(), f.group) == shown.end()) continue;
+    if (f.group != group) std::fprintf(stderr, "%s flags:\n", std::string(f.group).c_str());
+    group = f.group;
+    const std::string spelled =
+        std::string(f.name) + (f.value.empty() ? "" : " ") + std::string(f.value);
+    std::fprintf(stderr, "  %-22s %s\n", spelled.c_str(), f.help);
+  }
+  return 2;
+}
+
+/// Parses argv (argv[1] names the mode or, for the run mode, the topology)
+/// against the flag groups `mode` reads, plus the group named after the
+/// topology. Returns what is wrong with the command line, or "".
+std::string parse(const Mode& mode, int argc, char** argv, CliOptions& opts) {
+  int i = *mode.name ? 2 : 1;
+  std::vector<std::string_view> groups = mode.groups;
+  std::string label = mode.name;
+  if (mode.topology) {
+    if (i >= argc || !is_topology(argv[i])) return "expected fattree, regional or file PATH";
+    opts.topology = argv[i++];
+    if (opts.topology == "file") {
+      if (i >= argc) return "file needs a PATH";
+      opts.network_file = argv[i++];
+    }
+    groups.push_back(opts.topology);
+    label += (label.empty() ? "" : " ") + opts.topology;
+  }
+  for (; i < argc; ++i) {
+    const auto read = [&](const Flag& f) {
+      return f.name == argv[i] && std::find(groups.begin(), groups.end(), f.group) != groups.end();
+    };
+    const Flag* flag = std::find_if(std::begin(kFlags), std::end(kFlags), read);
+    if (flag == std::end(kFlags)) return "'" + std::string(argv[i]) + "' is not a flag of " + label;
+    const std::string spelled = std::string(flag->name) + " " + std::string(flag->value);
+    const char* v = nullptr;
+    const char* w = nullptr;
+    if (flag->value.starts_with('[')) {
+      if (i + 1 < argc && argv[i + 1][0] != '-') v = argv[++i];
+    } else if (!flag->value.empty()) {
+      const int count = flag->value.find(' ') == std::string_view::npos ? 1 : 2;
+      if (i + count >= argc) return spelled + ": missing value";
+      v = argv[++i];
+      if (count == 2) w = argv[++i];
+    }
+    if (!flag->set(opts, v, w)) return spelled + ": bad value";
+  }
+  if (mode.satisfied != nullptr && !mode.satisfied(opts)) return label + " needs " + mode.needs;
+  return {};
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Daemon-mode subcommands dispatch before the topology grammar.
-  if (argc >= 2) {
-    const std::string cmd = argv[1];
-    try {
-      if (cmd == "serve") return run_serve(argc, argv);
-      if (cmd == "ingest") return run_ingest(argc, argv);
-      if (cmd == "ingest-replay") return run_ingest_replay(argc, argv);
-      if (cmd == "scenarios") return run_scenarios(argc, argv);
-      if (cmd == "optimize") return run_optimize(argc, argv);
-    } catch (const ys::StatusError& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return exit_code_for(e.code());
-    } catch (const ys::InvalidInputError& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return exit_code_for(e.code());
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "internal error: %s\n", e.what());
-      return 10;
-    }
+  // argv[1] names a subcommand, or a topology for the run mode.
+  const std::string_view first = argc >= 2 ? argv[1] : "";
+  const Mode* mode = &modes().front();
+  for (const Mode& m : modes()) {
+    if (*m.name && first == m.name) mode = &m;
   }
-  const std::optional<CliOptions> parsed = parse(argc, argv);
-  if (!parsed) return usage(argv[0]);
+  if (!*mode->name && !is_topology(first)) {
+    if (argc >= 2) std::fprintf(stderr, "error: unknown mode '%s'\n", argv[1]);
+    return usage(nullptr);
+  }
+  CliOptions opts;
+  if (const std::string error = parse(*mode, argc, argv, opts); !error.empty()) {
+    std::fprintf(stderr, "error: %s\n", error.c_str());
+    return usage(mode);
+  }
   try {
-    return observed(*parsed, run_impl);
+    return mode->run(opts);
   } catch (const ys::StatusError& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return exit_code_for(e.code());
