@@ -4,7 +4,9 @@
 // regional network: for each test-suite stage, per-router-role bars of
 // device (fractional), interface (fractional), rule (fractional) and rule
 // (weighted) coverage — Fig. 6a-6d — followed by the Fig. 7 whole-network
-// progression and the §7.3 headline improvement numbers.
+// progression and the §7.3 headline improvement numbers. Each suite runs
+// inside the engine, on its own index, the way the CLI runs it; the times
+// printed are the run's `suite.run` span and its offline-phase spans.
 //
 // Expected shapes vs. the paper (absolute values depend on the synthetic
 // topology; see EXPERIMENTS.md):
@@ -16,11 +18,11 @@
 //       interfaces stay low (host ports untested).
 #include <cstdio>
 #include <memory>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "nettest/contract_checks.hpp"
 #include "nettest/state_checks.hpp"
-#include "routing/fib_builder.hpp"
 #include "topo/regional.hpp"
 #include "yardstick/engine.hpp"
 
@@ -28,126 +30,96 @@ using namespace yardstick;
 
 namespace {
 
-enum class Stage { Original, InternalOnly, ConnectedOnly, Final };
+enum Tests : unsigned { kOriginal = 1, kInternal = 2, kConnected = 4 };
 
-const char* stage_name(Stage s) {
-  switch (s) {
-    case Stage::Original: return "fig6a-original-suite";
-    case Stage::InternalOnly: return "fig6b-internal-route-check";
-    case Stage::ConnectedOnly: return "fig6c-connected-route-check";
-    case Stage::Final: return "fig6d-final-suite";
-  }
-  return "?";
-}
+/// One suite iteration: a Fig. 6 panel, a Fig. 7 row, or both.
+struct Stage {
+  const char* panel;  // null: Fig. 7 only
+  unsigned tests;
+  const char* fig7;  // null: Fig. 6 only
+};
 
-nettest::TestSuite make_suite(Stage stage, const topo::RegionalNetwork& region) {
-  const std::unordered_set<net::DeviceId> excluded(
-      region.routing.no_default_devices.begin(), region.routing.no_default_devices.end());
-  nettest::TestSuite suite(stage_name(stage));
-  if (stage == Stage::Original || stage == Stage::Final) {
-    suite.add(std::make_unique<nettest::DefaultRouteCheck>(excluded));
+// Fig. 7 plots the suite iterations: original, +internal, final.
+constexpr Stage kStages[] = {
+    {"fig6a-original-suite", kOriginal, "start: original suite"},
+    {nullptr, kOriginal | kInternal, "add: internal route check"},
+    {"fig6b-internal-route-check", kInternal, nullptr},
+    {"fig6c-connected-route-check", kConnected, nullptr},
+    {"fig6d-final-suite", kOriginal | kInternal | kConnected, "add: connected route check"},
+};
+
+nettest::TestSuite make_suite(const Stage& stage, const topo::RegionalNetwork& region) {
+  nettest::TestSuite suite(stage.panel != nullptr ? stage.panel : "fig7");
+  if (stage.tests & kOriginal) {
+    suite.add(std::make_unique<nettest::DefaultRouteCheck>(std::unordered_set<net::DeviceId>(
+        region.routing.no_default_devices.begin(), region.routing.no_default_devices.end())));
     suite.add(std::make_unique<nettest::AggCanReachTorLoopback>());
   }
-  if (stage == Stage::InternalOnly || stage == Stage::Final) {
-    suite.add(std::make_unique<nettest::InternalRouteCheck>());
-  }
-  if (stage == Stage::ConnectedOnly || stage == Stage::Final) {
-    suite.add(std::make_unique<nettest::ConnectedRouteCheck>());
-  }
+  if (stage.tests & kInternal) suite.add(std::make_unique<nettest::InternalRouteCheck>());
+  if (stage.tests & kConnected) suite.add(std::make_unique<nettest::ConnectedRouteCheck>());
   return suite;
 }
 
-void print_panel(const char* panel, const ys::CoverageReport& report) {
-  std::printf("%s\n", panel);
-  std::printf("  %-14s %10s %10s %10s %10s\n", "role", "device(f)", "iface(f)", "rule(f)",
-              "rule(w)");
-  for (const auto& row : report.by_role) {
-    if (row.role == net::Role::Wan) continue;  // the paper plots router roles only
-    std::printf("  %-14s %9.1f%% %9.1f%% %9.1f%% %9.1f%%\n", to_string(row.role),
-                row.metrics.device_fractional * 100.0,
-                row.metrics.interface_fractional * 100.0,
-                row.metrics.rule_fractional * 100.0, row.metrics.rule_weighted * 100.0);
-  }
+void print_metrics(int width, const char* label, const ys::MetricRow& m) {
+  std::printf("  %-*s %9.1f%% %9.1f%% %9.1f%% %9.1f%%\n", width, label, m.device_fractional * 100.0,
+              m.interface_fractional * 100.0, m.rule_fractional * 100.0,
+              m.rule_weighted * 100.0);
 }
 
 }  // namespace
 
 int main() {
-  topo::RegionalParams params;
-  topo::RegionalNetwork region = topo::make_regional(params);
+  topo::RegionalNetwork region = topo::make_regional(topo::RegionalParams{});
   routing::FibBuilder::compute_and_build(region.network, region.routing);
   std::printf("# bench_case_study: %s\n\n", region.network.summary().c_str());
 
-  bdd::BddManager mgr(packet::kNumHeaderBits);
-  const dataplane::MatchSetIndex match_sets(mgr, region.network);
-  const dataplane::Transfer transfer(match_sets);
-
-  std::vector<ys::MetricRow> fig7;
-  std::vector<const char*> fig7_labels;
-
-  for (const Stage stage :
-       {Stage::Original, Stage::InternalOnly, Stage::ConnectedOnly, Stage::Final}) {
-    ys::CoverageTracker tracker;
+  std::vector<std::pair<const char*, ys::MetricRow>> fig7;
+  for (const Stage& stage : kStages) {
     const nettest::TestSuite suite = make_suite(stage, region);
-    benchutil::Stopwatch watch;
-    const auto results = suite.run_all(transfer, tracker);
-    const double test_time = watch.seconds();
+    ys::CoverageReport report;
     size_t failures = 0;
-    for (const auto& r : results) failures += r.failures;
+    const bench::Run run = bench::measure([&] {
+      bdd::BddManager mgr(packet::kNumHeaderBits);
+      ys::CoverageTracker tracker;
+      const ys::CoverageEngine engine(
+          mgr, region.network,
+          [&](const dataplane::Transfer& transfer) -> const coverage::CoverageTrace& {
+            for (const auto& r : suite.run_all(transfer, tracker)) failures += r.failures;
+            return tracker.trace();
+          });
+      report = engine.report();
+    });
+    if (stage.fig7 != nullptr) fig7.emplace_back(stage.fig7, report.overall);
+    if (stage.panel == nullptr) continue;
 
-    watch.reset();
-    const ys::CoverageEngine engine(mgr, region.network, tracker.trace());
-    const ys::CoverageReport report = engine.report();
-    const double metric_time = watch.seconds();
-
-    print_panel(stage_name(stage), report);
-    std::printf("  (tests: %.2fs, %zu failures; metrics: %.2fs)\n\n", test_time, failures,
-                metric_time);
-
-    if (stage != Stage::InternalOnly && stage != Stage::ConnectedOnly) {
-      // Fig. 7 plots the suite iterations: original, +internal, final.
-      if (stage == Stage::Original) {
-        fig7.push_back(report.overall);
-        fig7_labels.push_back("start: original suite");
-        // Intermediate iteration: original + InternalRouteCheck.
-        ys::CoverageTracker mid_tracker;
-        nettest::TestSuite mid("mid");
-        const std::unordered_set<net::DeviceId> excluded(
-            region.routing.no_default_devices.begin(),
-            region.routing.no_default_devices.end());
-        mid.add(std::make_unique<nettest::DefaultRouteCheck>(excluded));
-        mid.add(std::make_unique<nettest::AggCanReachTorLoopback>());
-        mid.add(std::make_unique<nettest::InternalRouteCheck>());
-        (void)mid.run_all(transfer, mid_tracker);
-        const ys::CoverageEngine mid_engine(mgr, region.network, mid_tracker.trace());
-        fig7.push_back(mid_engine.report().overall);
-        fig7_labels.push_back("add: internal route check");
-      } else {
-        fig7.push_back(report.overall);
-        fig7_labels.push_back("add: connected route check");
-      }
+    std::printf("%s\n", stage.panel);
+    std::printf("  %-14s %10s %10s %10s %10s\n", "role", "device(f)", "iface(f)", "rule(f)",
+                "rule(w)");
+    for (const auto& row : report.by_role) {
+      if (row.role == net::Role::Wan) continue;  // the paper plots router roles only
+      print_metrics(14, to_string(row.role), row.metrics);
     }
+    std::printf("  (tests: %.6fs, %zu failures; offline phase + report: %.6fs)\n\n",
+                run.seconds({"suite.run"}), failures,
+                run.offline_seconds() + run.seconds({"analysis.report"}));
   }
 
   std::printf("fig7-suite-iterations (all devices)\n");
   std::printf("  %-28s %10s %10s %10s %10s\n", "iteration", "device(f)", "iface(f)",
               "rule(f)", "rule(w)");
-  for (size_t i = 0; i < fig7.size(); ++i) {
-    std::printf("  %-28s %9.1f%% %9.1f%% %9.1f%% %9.1f%%\n", fig7_labels[i],
-                fig7[i].device_fractional * 100.0, fig7[i].interface_fractional * 100.0,
-                fig7[i].rule_fractional * 100.0, fig7[i].rule_weighted * 100.0);
-  }
+  for (const auto& [label, row] : fig7) print_metrics(28, label, row);
 
+  const ys::MetricRow& start = fig7.front().second;
+  const ys::MetricRow& end = fig7.back().second;
   const auto rel = [](double now, double was) {
     return was == 0.0 ? 0.0 : (now - was) / was * 100.0;
   };
   std::printf("\nheadline (paper: +89%% rules, +17%% interfaces within the first month)\n");
   std::printf("  rule coverage improvement:      +%.0f%% relative (%.1f%% -> %.1f%%)\n",
-              rel(fig7.back().rule_fractional, fig7.front().rule_fractional),
-              fig7.front().rule_fractional * 100.0, fig7.back().rule_fractional * 100.0);
+              rel(end.rule_fractional, start.rule_fractional), start.rule_fractional * 100.0,
+              end.rule_fractional * 100.0);
   std::printf("  interface coverage improvement: +%.0f%% relative (%.1f%% -> %.1f%%)\n",
-              rel(fig7.back().interface_fractional, fig7.front().interface_fractional),
-              fig7.front().interface_fractional * 100.0,
-              fig7.back().interface_fractional * 100.0);
+              rel(end.interface_fractional, start.interface_fractional),
+              start.interface_fractional * 100.0, end.interface_fractional * 100.0);
   return 0;
 }

@@ -1,19 +1,20 @@
 // yardstickd ingestion throughput: what the daemon boundary costs.
 //
-// Concurrent IngestClients stream batched mark events over a Unix socket
-// at an in-process daemon, across the durability ladder: no journal, a
-// journal without fsync, and the full durable-before-ack contract
-// (fsync per batch). Reports events/second, batches, Busy rejections and
-// peak RSS, so CI can watch for ingestion-path regressions.
+// Concurrent IngestClients stream batched mark events (batches of 1024)
+// over a Unix socket at an in-process daemon, across the durability
+// ladder: no journal, a journal without fsync, and the full
+// durable-before-ack contract (fsync per batch). Each configuration gets a
+// fresh daemon in a fresh directory; its streaming time is the harness's
+// `bench.run` span from the first connect to the last close. Reports
+// events/second, batches, Busy rejections and peak RSS per configuration.
 //
 // Knobs: YS_INGEST_EVENTS (per client, default 200000), YS_INGEST_CLIENTS
-// (default 4), YS_INGEST_BATCH (events per batch, default 1024), and
-// YS_INGEST_MIN_EPS — when set, the run exits nonzero if the fastest
-// configuration falls below this events/second floor (the CI gate).
+// (default 4). Gates: every configuration merges exactly the events the
+// clients sent, and, when YS_INGEST_MIN_EPS is set, the fastest
+// configuration streams at least that many events/second. Results go to
+// stdout and BENCH_ingest.json.
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,28 +27,7 @@ using namespace yardstick;
 
 namespace {
 
-size_t env_size(const char* name, size_t fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr) return fallback;
-  const long long n = std::atoll(v);
-  return n > 0 ? static_cast<size_t>(n) : fallback;
-}
-
-/// Peak resident set (VmHWM) in MiB, from /proc/self/status.
-double peak_rss_mib() {
-  std::FILE* f = std::fopen("/proc/self/status", "r");
-  if (f == nullptr) return 0.0;
-  char line[256];
-  long kb = 0;
-  while (std::fgets(line, sizeof(line), f) != nullptr) {
-    if (std::strncmp(line, "VmHWM:", 6) == 0) {
-      kb = std::atol(line + 6);
-      break;
-    }
-  }
-  std::fclose(f);
-  return static_cast<double>(kb) / 1024.0;
-}
+constexpr size_t kBatch = 1024;
 
 struct Config {
   const char* label;
@@ -55,107 +35,77 @@ struct Config {
   bool fsync;
 };
 
-struct Result {
-  double seconds = 0.0;
-  double events_per_sec = 0.0;
-  uint64_t events = 0;
-  uint64_t batches = 0;
-  uint64_t busy = 0;
-};
-
-Result run_config(const Config& cfg, size_t clients, size_t events_per_client,
-                  size_t batch) {
-  const std::string dir = "/tmp/ys_bench_ingest_" + std::to_string(::getpid());
-  std::system(("rm -rf " + dir + " && mkdir -p " + dir).c_str());
-
-  service::DaemonOptions dopts;
-  dopts.socket_path = dir + "/ys.sock";
-  if (cfg.wal) dopts.wal_path = dir + "/ys.wal";
-  dopts.wal_fsync = cfg.fsync;
-  dopts.snapshot_path = dir + "/ys.trace";
-  service::Daemon daemon(std::move(dopts));
-  daemon.start();
-  std::thread runner([&] { daemon.run(); });
-
-  benchutil::Stopwatch watch;
-  std::vector<std::thread> workers;
-  workers.reserve(clients);
-  for (size_t c = 0; c < clients; ++c) {
-    workers.emplace_back([&, c] {
-      service::ClientOptions copts;
-      copts.socket_path = dir + "/ys.sock";
-      copts.session_id = c + 1;
-      copts.jitter_seed = (c + 1) * 0x9e3779b97f4a7c15ull;
-      copts.batch_events = batch;
-      // Distinct rule ids per client: every mark is a new event, so the
-      // daemon-side count matches what the clients pushed.
-      const uint32_t base = static_cast<uint32_t>(c * events_per_client);
-      service::IngestClient client(copts);
-      for (size_t i = 0; i < events_per_client; ++i) {
-        client.mark_rule(net::RuleId{base + static_cast<uint32_t>(i)});
-      }
-      client.close();
-    });
-  }
-  for (auto& w : workers) w.join();
-  const double seconds = watch.seconds();
-
-  daemon.request_stop();
-  runner.join();
-  daemon.shutdown();
-  const service::DaemonStats stats = daemon.stats();
-
-  Result r;
-  r.seconds = seconds;
-  r.events = stats.events;
-  r.batches = stats.batches;
-  r.busy = stats.busy_rejections;
-  r.events_per_sec = seconds > 0.0 ? static_cast<double>(stats.events) / seconds : 0.0;
-  std::system(("rm -rf " + dir).c_str());
-  return r;
-}
-
 }  // namespace
 
 int main() {
-  const size_t clients = env_size("YS_INGEST_CLIENTS", 4);
-  const size_t events_per_client = env_size("YS_INGEST_EVENTS", 200000);
-  const size_t batch = env_size("YS_INGEST_BATCH", 1024);
+  const auto clients = static_cast<size_t>(std::max(1.0, bench::knob("YS_INGEST_CLIENTS", 4)));
+  const auto events_per_client =
+      static_cast<size_t>(std::max(1.0, bench::knob("YS_INGEST_EVENTS", 200000)));
   const size_t total = clients * events_per_client;
+  bench::Envelope envelope("ingest");
 
-  std::printf("# bench_ingest: %zu clients x %zu events, batch %zu (%zu total)\n",
-              clients, events_per_client, batch, total);
-  std::printf("%-22s %10s %14s %10s %8s\n", "config", "time(s)", "events/s",
-              "batches", "busy");
-
-  const Config configs[] = {
-      {"no-wal", false, false},
-      {"wal-nofsync", true, false},
-      {"wal-fsync (durable)", true, true},
-  };
+  std::printf("# bench_ingest: %zu clients x %zu events, batch %zu (%zu total)\n", clients,
+              events_per_client, kBatch, total);
+  std::printf("%-22s %10s %14s %10s %8s %10s\n", "config", "time(s)", "events/s", "batches",
+              "busy", "rss(MiB)");
   double best_eps = 0.0;
-  for (const Config& cfg : configs) {
-    const Result r = run_config(cfg, clients, events_per_client, batch);
-    if (r.events != total) {
-      std::printf("!! %s merged %llu events, expected %zu\n", cfg.label,
-                  static_cast<unsigned long long>(r.events), total);
-      return 1;
-    }
-    if (r.events_per_sec > best_eps) best_eps = r.events_per_sec;
-    std::printf("%-22s %10.3f %14.0f %10llu %8llu\n", cfg.label, r.seconds,
-                r.events_per_sec, static_cast<unsigned long long>(r.batches),
-                static_cast<unsigned long long>(r.busy));
-  }
-  std::printf("# peak RSS %.1f MiB\n", peak_rss_mib());
+  for (const Config& cfg : {Config{"no-wal", false, false}, Config{"wal-nofsync", true, false},
+                            Config{"wal-fsync (durable)", true, true}}) {
+    const bench::ScratchDir dir;
+    service::DaemonOptions options;
+    options.socket_path = dir.path() + "/ys.sock";
+    if (cfg.wal) options.wal_path = dir.path() + "/ys.wal";
+    options.wal_fsync = cfg.fsync;
+    options.snapshot_path = dir.path() + "/ys.trace";
+    service::Daemon daemon(std::move(options));
+    daemon.start();
+    std::thread runner([&] { daemon.run(); });
 
-  if (const char* floor = std::getenv("YS_INGEST_MIN_EPS")) {
-    const double min_eps = std::atof(floor);
-    if (best_eps < min_eps) {
-      std::printf("!! best throughput %.0f events/s below floor %.0f\n", best_eps,
-                  min_eps);
-      return 1;
-    }
-    std::printf("# throughput floor %.0f events/s: ok\n", min_eps);
+    const bench::Run run = bench::measure([&] {
+      std::vector<std::thread> workers;
+      workers.reserve(clients);
+      for (size_t c = 0; c < clients; ++c) {
+        workers.emplace_back([&, c] {
+          service::ClientOptions copts;
+          copts.socket_path = dir.path() + "/ys.sock";
+          copts.session_id = c + 1;
+          copts.jitter_seed = (c + 1) * 0x9e3779b97f4a7c15ull;
+          copts.batch_events = kBatch;
+          // Distinct rule ids per client: every mark is a new event, so the
+          // daemon-side count matches what the clients pushed.
+          const auto base = static_cast<uint32_t>(c * events_per_client);
+          service::IngestClient client(copts);
+          for (size_t i = 0; i < events_per_client; ++i) {
+            client.mark_rule(net::RuleId{base + static_cast<uint32_t>(i)});
+          }
+          client.close();
+        });
+      }
+      for (std::thread& w : workers) w.join();
+    });
+    daemon.request_stop();
+    runner.join();
+    daemon.shutdown();
+    const service::DaemonStats stats = daemon.stats();
+
+    const double seconds = run.seconds({"bench.run"});
+    const double eps = static_cast<double>(stats.events) / seconds;
+    best_eps = std::max(best_eps, eps);
+    std::printf("%-22s %10.6f %14.0f %10llu %8llu %10.1f\n", cfg.label, seconds, eps,
+                static_cast<unsigned long long>(stats.batches),
+                static_cast<unsigned long long>(stats.busy_rejections),
+                static_cast<double>(run.peak_rss_kb) / 1024.0);
+    envelope.config(cfg.label, run,
+                    {{"events", static_cast<double>(stats.events)},
+                     {"events_per_sec", eps},
+                     {"batches", static_cast<double>(stats.batches)},
+                     {"busy_rejections", static_cast<double>(stats.busy_rejections)}});
+    envelope.gate(std::string(cfg.label) + ": events merged", static_cast<double>(stats.events),
+                  static_cast<double>(total), stats.events == total);
   }
-  return 0;
+  const double min_eps = bench::knob("YS_INGEST_MIN_EPS", 0.0);
+  if (min_eps > 0.0) {
+    envelope.gate("best events/s", best_eps, min_eps, best_eps >= min_eps);
+  }
+  return envelope.write("BENCH_ingest.json");
 }

@@ -1,333 +1,167 @@
-// Scaling trajectory: the offline phase across fat-tree arities, with the
-// shard-manager garbage collector on vs off (ROADMAP item 1).
+// Scaling trajectory (DESIGN.md §12): the offline phase across fat-tree
+// arities, shard-manager garbage collection on vs off.
 //
-// For each k the full offline phase (trace -> match sets -> covered sets ->
-// all-local metrics) runs twice on fresh managers: GC armed at
-// YS_SCALING_GC_THRESHOLD (default 0.5) and GC off. Per run we record wall
-// time, the budget's peak concurrent node charge across every manager
-// (primary + shards — the memory number GC is meant to shrink), process
-// peak RSS, apply-cache hit rate, and the GC's own work counters; the two
-// runs' metric rows must be bit-identical (GC only renumbers shard-private
-// nodes). Results go to stdout and BENCH_scaling.json so every PR has a
-// visible scaling trajectory.
+// For each k of YS_SCALING_KS (default "4 8 16 32 48") the trace of
+// DefaultRouteCheck + ToRContract goes through steps 1-3 and the local
+// metrics twice, on fresh managers with 4 worker threads: GC at threshold
+// 0.5, then GC off. Each run records its stage spans, its own peak RSS, the
+// peak arena nodes of a cap-less budget attached for its cross-manager node
+// accounting (primary + shards: the number GC exists to shrink), the
+// apply-cache hit rate and the GC's work counters. The two runs' metric
+// rows must be bit-identical: GC only renumbers shard-private nodes.
 //
-// Gates (all env-driven so CI can tighten without a rebuild; unset = off):
-//   YS_SCALING_KS                sweep arities (default "4 8 16 32 48")
-//   YS_SCALING_GATE_K            require GC-on peak arena nodes strictly
-//                                below GC-off at this k (plus
-//                                YS_SCALING_MIN_REDUCTION_PCT, default 0)
-//   YS_SCALING_MAX_OVERHEAD_PCT  fail if arming the GC machinery with a
-//                                never-firing threshold costs more than
-//                                this vs GC-off (min-of-2 alternating
-//                                reps, same idiom as bench_tracking_overhead)
-//
-// Peak-RSS caveat: VmHWM is process-monotone, so within each k the GC-on
-// run goes first and later ks inherit earlier highs — peak_arena_nodes is
-// the comparable signal; RSS is recorded for absolute context only.
+// Gates:
+//   always                       metrics identical with GC on and off
+//   YS_SCALING_GATE_K            GC-on peak arena nodes strictly below
+//                                GC-off at this k
+//   YS_SCALING_MAX_OVERHEAD_PCT  arming the GC with a threshold that never
+//                                fires (1.0) costs at most this much
+//                                offline time over GC off, at k=16 under
+//                                the harness's timing rule
+// Results go to stdout and BENCH_scaling.json.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "bench_util.hpp"
 #include "nettest/contract_checks.hpp"
 #include "nettest/state_checks.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
-#include "routing/fib_builder.hpp"
-#include "topo/fattree.hpp"
 #include "yardstick/engine.hpp"
 
 using namespace yardstick;
 
 namespace {
 
-double env_f64(const char* name, double fallback) {
-  const char* env = std::getenv(name);
-  return env == nullptr ? fallback : std::atof(env);
-}
+constexpr unsigned kThreads = 4;
+constexpr double kGcThreshold = 0.5;
+constexpr int kOverheadK = 16;
 
-int env_int(const char* name, int fallback) {
-  const char* env = std::getenv(name);
-  return env == nullptr ? fallback : std::atoi(env);
-}
-
-/// Process high-water RSS in kB (VmHWM from /proc/self/status; 0 when the
-/// file is unavailable, e.g. non-Linux).
-size_t peak_rss_kb() {
-  std::FILE* f = std::fopen("/proc/self/status", "r");
-  if (f == nullptr) return 0;
-  char line[256];
-  size_t kb = 0;
-  while (std::fgets(line, sizeof(line), f) != nullptr) {
-    if (std::sscanf(line, "VmHWM: %zu", &kb) == 1) break;
-  }
-  std::fclose(f);
-  return kb;
-}
-
-uint64_t counter_value(const char* name) {
-  return obs::metrics().counter(name).value();
-}
-
-struct RunResult {
-  double wall_s = 0.0;
+struct Offline {
+  bench::Run run;
+  ys::MetricRow row;
   size_t peak_arena_nodes = 0;
-  size_t peak_rss_kb = 0;
-  double cache_hit_rate = 0.0;  // apply-cache, primary + shard managers
   uint64_t gc_runs = 0;
   uint64_t gc_reclaimed_nodes = 0;
-  size_t op_cache_entries = 0;  // primary manager, after the run
-  ys::MetricRow row;
+  bench::Values values;
 };
 
-/// One full offline phase on fresh managers. The budget carries no caps —
-/// it is attached purely for its cross-manager node accounting, whose
-/// high-water mark is the "peak arena nodes" this bench reports.
-RunResult run_offline(const topo::FatTree& tree, const coverage::CoverageTrace& trace,
-                      unsigned threads, double gc_threshold) {
-  RunResult out;
-  const uint64_t gc_runs0 = counter_value("ys.bdd.gc.runs");
-  const uint64_t gc_reclaimed0 = counter_value("ys.bdd.gc.reclaimed_nodes");
-  const uint64_t shard_hits0 = counter_value("ys.bdd.shard_cache_hits");
-  const uint64_t shard_misses0 = counter_value("ys.bdd.shard_cache_misses");
-
+/// One offline phase on a fresh manager.
+Offline run_offline(const bench::TracedFatTree& t, double gc_threshold) {
+  const auto counter = [](const char* name) { return obs::metrics().counter(name).value(); };
+  const uint64_t gc_runs = counter("ys.bdd.gc.runs");
+  const uint64_t reclaimed = counter("ys.bdd.gc.reclaimed_nodes");
+  const uint64_t shard_hits = counter("ys.bdd.shard_cache_hits");
+  const uint64_t shard_misses = counter("ys.bdd.shard_cache_misses");
+  Offline out;
   bdd::BddManager mgr(packet::kNumHeaderBits);
-  const coverage::CoverageTrace local_trace = trace.imported_into(mgr);
+  const coverage::CoverageTrace local = t.trace.imported_into(mgr);
   ys::ResourceBudget budget;  // accounting only: no caps, no deadline
-  benchutil::Stopwatch watch;
-  const ys::CoverageEngine engine(mgr, tree.network, local_trace,
-                                  ys::EngineOptions{&budget, threads, "", gc_threshold});
-  out.row = engine.metrics();
-  out.wall_s = watch.seconds();
-
-  out.peak_arena_nodes = budget.peak_bdd_nodes();
-  out.peak_rss_kb = peak_rss_kb();
+  out.run = bench::measure([&] {
+    const ys::CoverageEngine engine(mgr, t.tree.network, local,
+                                    ys::EngineOptions{&budget, kThreads, "", gc_threshold});
+    out.row = engine.metrics();
+  });
   const bdd::BddManager::Stats primary = mgr.stats();
-  out.op_cache_entries = primary.op_cache_entries;
-  const uint64_t hits =
-      primary.cache_hits + (counter_value("ys.bdd.shard_cache_hits") - shard_hits0);
-  const uint64_t misses =
-      primary.cache_misses + (counter_value("ys.bdd.shard_cache_misses") - shard_misses0);
-  out.cache_hit_rate =
-      hits + misses == 0 ? 0.0
-                         : static_cast<double>(hits) / static_cast<double>(hits + misses);
-  out.gc_runs = counter_value("ys.bdd.gc.runs") - gc_runs0;
-  out.gc_reclaimed_nodes = counter_value("ys.bdd.gc.reclaimed_nodes") - gc_reclaimed0;
+  const double hits =
+      static_cast<double>(primary.cache_hits + counter("ys.bdd.shard_cache_hits") - shard_hits);
+  const double misses = static_cast<double>(
+      primary.cache_misses + counter("ys.bdd.shard_cache_misses") - shard_misses);
+  out.peak_arena_nodes = budget.peak_bdd_nodes();
+  out.gc_runs = counter("ys.bdd.gc.runs") - gc_runs;
+  out.gc_reclaimed_nodes = counter("ys.bdd.gc.reclaimed_nodes") - reclaimed;
+  out.values = {{"gc_threshold", gc_threshold},
+                {"peak_arena_nodes", static_cast<double>(out.peak_arena_nodes)},
+                {"cache_hit_rate", hits + misses == 0 ? 0.0 : hits / (hits + misses)},
+                {"gc_runs", static_cast<double>(out.gc_runs)},
+                {"gc_reclaimed_nodes", static_cast<double>(out.gc_reclaimed_nodes)},
+                {"op_cache_entries", static_cast<double>(primary.op_cache_entries)}};
   return out;
 }
 
-bool rows_equal(const ys::MetricRow& a, const ys::MetricRow& b) {
-  return a.device_fractional == b.device_fractional &&
-         a.interface_fractional == b.interface_fractional &&
-         a.rule_fractional == b.rule_fractional && a.rule_weighted == b.rule_weighted;
-}
-
-struct SweepPoint {
-  int k = 0;
-  size_t routers = 0;
-  size_t rules = 0;
-  RunResult gc_on;
-  RunResult gc_off;
-  bool identical = false;
-  double reduction_pct = 0.0;  // peak-arena-node reduction, GC on vs off
-};
-
-void emit_json(const std::vector<SweepPoint>& sweep, unsigned threads,
-               double gc_threshold, double overhead_pct, int overhead_k) {
-  std::FILE* f = std::fopen("BENCH_scaling.json", "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_scaling: cannot write BENCH_scaling.json\n");
-    return;
-  }
-  const auto emit_run = [f](const char* key, const RunResult& r) {
-    std::fprintf(f,
-                 "      \"%s\": {\"wall_s\": %.6f, \"peak_arena_nodes\": %zu, "
-                 "\"peak_rss_kb\": %zu, \"cache_hit_rate\": %.6f, \"gc_runs\": %llu, "
-                 "\"gc_reclaimed_nodes\": %llu, \"op_cache_entries\": %zu}",
-                 key, r.wall_s, r.peak_arena_nodes, r.peak_rss_kb, r.cache_hit_rate,
-                 static_cast<unsigned long long>(r.gc_runs),
-                 static_cast<unsigned long long>(r.gc_reclaimed_nodes),
-                 r.op_cache_entries);
-  };
-  std::fprintf(f, "{\n  \"bench\": \"scaling\",\n  \"threads\": %u,\n", threads);
-  std::fprintf(f, "  \"gc_threshold\": %.3f,\n  \"sweep\": [\n", gc_threshold);
-  for (size_t i = 0; i < sweep.size(); ++i) {
-    const SweepPoint& p = sweep[i];
-    std::fprintf(f, "    {\n      \"k\": %d, \"routers\": %zu, \"rules\": %zu,\n", p.k,
-                 p.routers, p.rules);
-    emit_run("gc_on", p.gc_on);
-    std::fprintf(f, ",\n");
-    emit_run("gc_off", p.gc_off);
-    std::fprintf(f, ",\n      \"peak_node_reduction_pct\": %.2f,", p.reduction_pct);
-    std::fprintf(f, "\n      \"outputs_identical\": %s\n    }%s\n", p.identical ? "true" : "false",
-                 i + 1 < sweep.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"gc_armed_overhead\": {\"k\": %d, \"overhead_pct\": %.2f}\n}\n",
-               overhead_k, overhead_pct);
-  std::fclose(f);
+bench::TracedFatTree traced(int k) {
+  return bench::TracedFatTree(bench::routed_fat_tree(k),
+                              bench::suite<nettest::DefaultRouteCheck, nettest::ToRContract>());
 }
 
 }  // namespace
 
 int main() {
-  const unsigned threads = benchutil::bench_threads();
-  const double gc_threshold = env_f64("YS_SCALING_GC_THRESHOLD", 0.5);
-  const std::vector<int> ks = [] {
-    const char* env = std::getenv("YS_SCALING_KS");
-    if (env == nullptr) return std::vector<int>{4, 8, 16, 32, 48};
-    std::vector<int> out;
-    for (const char* p = env; *p != '\0';) {
-      char* end = nullptr;
-      const long v = std::strtol(p, &end, 10);
-      if (end == p) break;
-      out.push_back(static_cast<int>(v));
-      p = end;
-    }
-    return out.empty() ? std::vector<int>{4, 8, 16, 32, 48} : out;
-  }();
+  const std::vector<int> ks = bench::knob_list("YS_SCALING_KS", {4, 8, 16, 32, 48});
+  const int gate_k = static_cast<int>(bench::knob("YS_SCALING_GATE_K", 0));
+  const double max_overhead = bench::knob("YS_SCALING_MAX_OVERHEAD_PCT", 0.0);
+  bench::Envelope envelope("scaling");
 
-  // Counters (GC work, shard cache traffic) feed the per-run numbers.
-  obs::set_enabled(true);
-
-  std::printf("# bench_scaling: offline phase, GC on (threshold %.2f) vs off, "
-              "%u worker thread(s)\n",
-              gc_threshold, threads);
-  std::printf("%6s %8s %9s | %10s %12s %8s %7s %9s | %10s %12s %8s | %7s %5s\n", "k",
-              "routers", "rules", "on-wall(s)", "on-peaknode", "on-hit%", "gc-runs",
-              "reclaimed", "off-wall(s)", "off-peaknode", "off-hit%", "peak-red", "same");
-
-  std::vector<SweepPoint> sweep;
+  std::printf("# bench_scaling: offline phase, GC on (threshold %.2f) vs off, %u worker "
+              "threads\n",
+              kGcThreshold, kThreads);
+  std::printf("%4s %7s %9s | %10s %11s %8s %7s %10s | %10s %11s %8s | %8s %4s\n", "k",
+              "routers", "rules", "on-wall(s)", "on-peaknode", "on-rss(M)", "gc-runs",
+              "reclaimed", "off-wall(s)", "off-peaknode", "off-rss(M)", "peak-red", "same");
   for (const int k : ks) {
-    topo::FatTree tree = topo::make_fat_tree({.k = k});
-    routing::FibBuilder::compute_and_build(tree.network, tree.routing);
-
-    // Collect the trace once per k; both runs import it, so neither pays
-    // trace construction. The trace manager must outlive the runs — the
-    // trace's handles live in it until imported_into() copies them out.
-    bdd::BddManager trace_mgr(packet::kNumHeaderBits);
-    ys::CoverageTracker tracker;
-    {
-      const dataplane::MatchSetIndex match_sets(trace_mgr, tree.network);
-      const dataplane::Transfer transfer(match_sets);
-      nettest::TestSuite suite("scaling");
-      suite.add(std::make_unique<nettest::DefaultRouteCheck>());
-      suite.add(std::make_unique<nettest::ToRContract>());
-      (void)suite.run_all(transfer, tracker);
-    }
-
-    SweepPoint p;
-    p.k = k;
-    p.routers = tree.network.device_count();
-    p.rules = tree.network.rule_count();
-    // GC-on first: VmHWM is process-monotone, so this order keeps the
-    // GC-on RSS reading untainted by the larger GC-off run.
-    p.gc_on = run_offline(tree, tracker.trace(), threads, gc_threshold);
-    p.gc_off = run_offline(tree, tracker.trace(), threads, 0.0);
-    p.identical = rows_equal(p.gc_on.row, p.gc_off.row);
-    p.reduction_pct =
-        p.gc_off.peak_arena_nodes == 0
+    const bench::TracedFatTree t = traced(k);
+    const Offline on = run_offline(t, kGcThreshold);
+    const Offline off = run_offline(t, 0.0);
+    const bool identical = on.row.device_fractional == off.row.device_fractional &&
+                           on.row.interface_fractional == off.row.interface_fractional &&
+                           on.row.rule_fractional == off.row.rule_fractional &&
+                           on.row.rule_weighted == off.row.rule_weighted;
+    const double reduction_pct =
+        off.peak_arena_nodes == 0
             ? 0.0
-            : (1.0 - static_cast<double>(p.gc_on.peak_arena_nodes) /
-                         static_cast<double>(p.gc_off.peak_arena_nodes)) *
-                  100.0;
-    std::printf("%6d %8zu %9zu | %10.3f %12zu %7.1f%% %7llu %9llu | %10.3f %12zu "
-                "%7.1f%% | %6.1f%% %5s\n",
-                p.k, p.routers, p.rules, p.gc_on.wall_s, p.gc_on.peak_arena_nodes,
-                p.gc_on.cache_hit_rate * 100.0,
-                static_cast<unsigned long long>(p.gc_on.gc_runs),
-                static_cast<unsigned long long>(p.gc_on.gc_reclaimed_nodes),
-                p.gc_off.wall_s, p.gc_off.peak_arena_nodes,
-                p.gc_off.cache_hit_rate * 100.0, p.reduction_pct,
-                p.identical ? "yes" : "NO");
-    sweep.push_back(std::move(p));
+            : (1.0 - static_cast<double>(on.peak_arena_nodes) /
+                         static_cast<double>(off.peak_arena_nodes)) * 100.0;
+    std::printf("%4d %7zu %9zu | %10.6f %11zu %8.1f %7llu %10llu | %10.6f %11zu %8.1f | "
+                "%7.1f%% %4s\n",
+                k, t.tree.network.device_count(), t.tree.network.rule_count(),
+                on.run.offline_seconds(), on.peak_arena_nodes,
+                static_cast<double>(on.run.peak_rss_kb) / 1024.0,
+                static_cast<unsigned long long>(on.gc_runs),
+                static_cast<unsigned long long>(on.gc_reclaimed_nodes),
+                off.run.offline_seconds(), off.peak_arena_nodes,
+                static_cast<double>(off.run.peak_rss_kb) / 1024.0, reduction_pct,
+                identical ? "yes" : "NO");
+    const std::string name = "k=" + std::to_string(k);
+    const bench::Values size = {{"k", k},
+                                {"routers", static_cast<double>(t.tree.network.device_count())},
+                                {"rules", static_cast<double>(t.tree.network.rule_count())}};
+    for (const auto& [label, result] : {std::pair{", GC on", &on}, std::pair{", GC off", &off}}) {
+      bench::Values values = size;
+      values.insert(values.end(), result->values.begin(), result->values.end());
+      envelope.config(name + label, result->run, values);
+    }
+    envelope.gate(name + ": metrics identical with GC on and off", identical, 1, identical);
+    if (k == gate_k) {
+      envelope.gate(name + ": GC-on peak arena nodes strictly below GC-off",
+                    static_cast<double>(on.peak_arena_nodes),
+                    static_cast<double>(off.peak_arena_nodes),
+                    on.peak_arena_nodes < off.peak_arena_nodes);
+    }
+  }
+  if (gate_k > 0 && std::find(ks.begin(), ks.end(), gate_k) == ks.end()) {
+    envelope.gate("YS_SCALING_GATE_K is in the sweep", 0, gate_k, false);
   }
 
-  int exit_code = 0;
-  for (const SweepPoint& p : sweep) {
-    if (!p.identical) {
-      std::fprintf(stderr,
-                   "bench_scaling: FAIL — coverage output differs with GC on/off "
-                   "at k=%d\n",
-                   p.k);
-      exit_code = 1;
-    }
+  // Overhead probe: arming the GC with a threshold that never fires (1.0)
+  // costs only its bookkeeping (root tracking, gc_due() polls) against a
+  // plain GC-off run. k=16: smaller ks finish in milliseconds, where fixed
+  // costs swamp the percentage.
+  const bench::TracedFatTree t = traced(kOverheadK);
+  const auto [off, armed] = bench::alternate([&] { return run_offline(t, 0.0).run; },
+                                             [&] { return run_offline(t, 1.0).run; });
+  const auto offline_s = [](const bench::Run& run) { return run.offline_seconds(); };
+  const bench::Timing off_t = bench::timing(off, offline_s);
+  const bench::Timing armed_t = bench::timing(armed, offline_s);
+  const double overhead_pct = (bench::median_ratio(armed, off, offline_s) - 1.0) * 100.0;
+  std::printf("\n# GC armed-but-idle overhead (k=%d, %d pairs): medians off %.6fs, armed "
+              "%.6fs; median overhead %+.2f%% (cold pair %.6fs vs %.6fs)\n",
+              kOverheadK, bench::kPairs, off_t.median_s, armed_t.median_s, overhead_pct,
+              off_t.cold_s, armed_t.cold_s);
+  envelope.config("k=16, GC off (overhead probe)", off.timed, off_t.values());
+  bench::Values armed_values = armed_t.values();
+  armed_values.emplace_back("median_overhead_pct", overhead_pct);
+  envelope.config("k=16, GC armed at 1.0 (overhead probe)", armed.timed, armed_values);
+  if (max_overhead > 0.0) {
+    envelope.gate("GC armed-but-idle overhead (%)", overhead_pct, max_overhead,
+                  overhead_pct <= max_overhead);
   }
-
-  // Overhead probe: arming the GC machinery with a threshold that never
-  // fires (1.0) measures pure bookkeeping cost — root tracking, gc_due()
-  // polls — against a plain GC-off run. Min of 3 alternating reps per mode
-  // absorbs scheduler noise (the bench_tracking_overhead idiom). Probes at
-  // the largest sweep k <= YS_SCALING_OVERHEAD_K (default 16): small ks
-  // finish in single-digit milliseconds where fixed costs swamp the
-  // percentage, and the local k=32/48 points would make the probe's 6 extra
-  // runs slower than the sweep itself.
-  const int overhead_cap = env_int("YS_SCALING_OVERHEAD_K", 16);
-  int overhead_k = 0;
-  for (const SweepPoint& p : sweep) {
-    if (p.k <= overhead_cap && p.k > overhead_k) overhead_k = p.k;
-  }
-  if (overhead_k == 0 && !sweep.empty()) overhead_k = sweep.front().k;
-  double overhead_pct = 0.0;
-  if (overhead_k != 0) {
-    topo::FatTree tree = topo::make_fat_tree({.k = overhead_k});
-    routing::FibBuilder::compute_and_build(tree.network, tree.routing);
-    bdd::BddManager trace_mgr(packet::kNumHeaderBits);
-    ys::CoverageTracker tracker;
-    {
-      const dataplane::MatchSetIndex match_sets(trace_mgr, tree.network);
-      const dataplane::Transfer transfer(match_sets);
-      nettest::TestSuite suite("scaling");
-      suite.add(std::make_unique<nettest::DefaultRouteCheck>());
-      suite.add(std::make_unique<nettest::ToRContract>());
-      (void)suite.run_all(transfer, tracker);
-    }
-    double off_s = 0.0;
-    double armed_s = 0.0;
-    for (int rep = 0; rep < 5; ++rep) {
-      const double off = run_offline(tree, tracker.trace(), threads, 0.0).wall_s;
-      const double armed = run_offline(tree, tracker.trace(), threads, 1.0).wall_s;
-      off_s = rep == 0 ? off : std::min(off_s, off);
-      armed_s = rep == 0 ? armed : std::min(armed_s, armed);
-    }
-    overhead_pct = off_s > 0.0 ? (armed_s / off_s - 1.0) * 100.0 : 0.0;
-    std::printf("\n# GC machinery armed-but-idle overhead (k=%d, min of 5): "
-                "off %.3fs, armed %.3fs, %+.2f%%\n",
-                overhead_k, off_s, armed_s, overhead_pct);
-    const double max_overhead = env_f64("YS_SCALING_MAX_OVERHEAD_PCT", 0.0);
-    if (max_overhead > 0.0 && overhead_pct > max_overhead) {
-      std::fprintf(stderr,
-                   "bench_scaling: FAIL — GC-disabled overhead %.2f%% exceeds %.2f%%\n",
-                   overhead_pct, max_overhead);
-      exit_code = 1;
-    }
-  }
-
-  const int gate_k = env_int("YS_SCALING_GATE_K", 0);
-  if (gate_k > 0) {
-    const double min_reduction = env_f64("YS_SCALING_MIN_REDUCTION_PCT", 0.0);
-    bool found = false;
-    for (const SweepPoint& p : sweep) {
-      if (p.k != gate_k) continue;
-      found = true;
-      if (p.gc_on.peak_arena_nodes >= p.gc_off.peak_arena_nodes ||
-          p.reduction_pct < min_reduction) {
-        std::fprintf(stderr,
-                     "bench_scaling: FAIL — at k=%d GC-on peak %zu vs GC-off %zu "
-                     "(%.1f%% reduction, need strict drop and >= %.1f%%)\n",
-                     gate_k, p.gc_on.peak_arena_nodes, p.gc_off.peak_arena_nodes,
-                     p.reduction_pct, min_reduction);
-        exit_code = 1;
-      }
-    }
-    if (!found) {
-      std::fprintf(stderr, "bench_scaling: FAIL — gate k=%d not in sweep\n", gate_k);
-      exit_code = 1;
-    }
-  }
-
-  emit_json(sweep, threads, gc_threshold, overhead_pct, overhead_k);
-  return exit_code;
+  return envelope.write("BENCH_scaling.json");
 }

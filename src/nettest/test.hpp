@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "dataplane/transfer.hpp"
+#include "obs/trace.hpp"
 #include "yardstick/tracker.hpp"
 
 namespace yardstick::nettest {
@@ -85,11 +86,20 @@ class TestSuite {
     return *this;
   }
 
+  /// Runs every test in order: one `suite.run` span (arg `tests`) around
+  /// the suite and one `suite.test` span per test (args `index`, `checks`).
   [[nodiscard]] std::vector<TestResult> run_all(const dataplane::Transfer& transfer,
                                                 ys::CoverageTracker& tracker) const {
+    obs::Span span("suite.run", "online");
+    span.arg("tests", tests_.size());
     std::vector<TestResult> results;
     results.reserve(tests_.size());
-    for (const auto& test : tests_) results.push_back(test->run(transfer, tracker));
+    for (size_t i = 0; i < tests_.size(); ++i) {
+      obs::Span test_span("suite.test", "online");
+      test_span.arg("index", i);
+      results.push_back(tests_[i]->run(transfer, tracker));
+      test_span.arg("checks", results.back().checks);
+    }
     return results;
   }
 

@@ -14,8 +14,10 @@
 //   ├─ match_sets.build                (offline step 1)
 //   │  ├─ parallel.worker (×N)         (sharded device builds)
 //   │  └─ match_sets.merge             (deterministic import)
-//   ├─ suite.run                       (online phase: tests execute on
-//   │                                   step 1's index)
+//   ├─ suite.run                       (online phase: every
+//   │  │                                TestSuite::run_all, on step 1's
+//   │  │                                index; arg tests)
+//   │  └─ suite.test (×tests)          (one test; args index, checks)
 //   ├─ covered_sets.build              (offline step 2, Algorithm 1)
 //   │  ├─ parallel.worker (×N)
 //   │  └─ covered_sets.merge
@@ -26,9 +28,9 @@
 //   ├─ analysis.suite_matrix           (--analyze, optimize)
 //   ├─ scenario.evaluate (×N+1)        (scenarios mode; arg scenario,
 //   │                                   0 = baseline: its own routing.bgp,
-//   │                                   routing.fib and engine spans; the
-//   │                                   baseline restore's routing spans
-//   │                                   follow the last one)
+//   │                                   routing.fib, engine and suite.run
+//   │                                   spans; the baseline restore's
+//   │                                   routing spans follow the last one)
 //   └─ trace.save / trace.load
 //
 // Cost model: a Span in disabled mode is two relaxed atomic loads and no

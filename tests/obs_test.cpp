@@ -20,8 +20,14 @@
 #include <thread>
 #include <vector>
 
+#include "nettest/contract_checks.hpp"
+#include "nettest/reachability.hpp"
+#include "nettest/state_checks.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "routing/fib_builder.hpp"
+#include "scenario/runner.hpp"
+#include "topo/fattree.hpp"
 
 // --- Global allocation counting (for the disabled-mode zero-alloc test) ---
 //
@@ -300,6 +306,83 @@ TEST(ObsTracerTest, EventsFromMultipleThreadsAllLand) {
   for (std::thread& t : pool) t.join();
   EXPECT_EQ(Tracer::global().event_count(), kThreads * kSpansPerThread);
   EXPECT_EQ(Tracer::global().dropped_count(), 0u);
+}
+
+/// The spans named `name` in a snapshot, in start order.
+std::vector<TraceEvent> spans_named(const std::vector<TraceEvent>& events, const char* name) {
+  std::vector<TraceEvent> out;
+  for (const TraceEvent& e : events) {
+    if (std::strcmp(e.name, name) == 0) out.push_back(e);
+  }
+  return out;
+}
+
+/// The value of `key` among the span's args; fails the test when absent.
+uint64_t arg_of(const TraceEvent& e, const char* key) {
+  for (int a = 0; a < e.num_args; ++a) {
+    if (std::strcmp(e.args[a].key, key) == 0) return e.args[a].value;
+  }
+  ADD_FAILURE() << e.name << " has no arg " << key;
+  return 0;
+}
+
+bool contains(const TraceEvent& outer, const TraceEvent& inner) {
+  return outer.tid == inner.tid && outer.ts_us <= inner.ts_us &&
+         inner.ts_us + inner.dur_us <= outer.ts_us + outer.dur_us;
+}
+
+nettest::TestSuite three_test_suite() {
+  nettest::TestSuite suite("obs");
+  suite.add(std::make_unique<nettest::DefaultRouteCheck>());
+  suite.add(std::make_unique<nettest::ToRContract>());
+  suite.add(std::make_unique<nettest::ToRPingmesh>());
+  return suite;
+}
+
+TEST(ObsTracerTest, SuiteRunRecordsOneSpanPerTest) {
+  topo::FatTree tree = topo::make_fat_tree({.k = 4});
+  routing::FibBuilder::compute_and_build(tree.network, tree.routing);
+  bdd::BddManager mgr(packet::kNumHeaderBits);
+  const dataplane::MatchSetIndex index(mgr, tree.network);
+  const dataplane::Transfer transfer(index);
+  const nettest::TestSuite suite = three_test_suite();
+  ys::CoverageTracker tracker;
+
+  ScopedObservability on;
+  const std::vector<nettest::TestResult> results = suite.run_all(transfer, tracker);
+  const std::vector<TraceEvent> events = Tracer::global().snapshot();
+
+  const std::vector<TraceEvent> runs = spans_named(events, "suite.run");
+  ASSERT_EQ(runs.size(), 1u);
+  EXPECT_EQ(arg_of(runs[0], "tests"), 3u);
+  const std::vector<TraceEvent> tests = spans_named(events, "suite.test");
+  ASSERT_EQ(tests.size(), 3u);
+  for (size_t i = 0; i < tests.size(); ++i) {
+    EXPECT_TRUE(contains(runs[0], tests[i])) << "suite.test " << i;
+    EXPECT_EQ(arg_of(tests[i], "index"), i);
+    EXPECT_EQ(arg_of(tests[i], "checks"), results[i].checks);
+  }
+}
+
+TEST(ObsTracerTest, EveryScenarioEvaluationRunsItsSuiteInASpan) {
+  topo::FatTree tree = topo::make_fat_tree({.k = 4});
+  routing::FibBuilder::compute_and_build(tree.network, tree.routing);
+  const nettest::TestSuite suite = three_test_suite();
+  scenario::ScenarioRunner runner(tree.network, tree.routing, suite);
+  const scenario::ScenarioSpec spec = scenario::random_link_scenarios(tree.network, 2, 7);
+
+  ScopedObservability on;
+  (void)runner.run(spec);
+  const std::vector<TraceEvent> events = Tracer::global().snapshot();
+
+  const std::vector<TraceEvent> evaluations = spans_named(events, "scenario.evaluate");
+  const std::vector<TraceEvent> runs = spans_named(events, "suite.run");
+  ASSERT_EQ(evaluations.size(), 3u);  // the baseline and two scenarios
+  ASSERT_EQ(runs.size(), 3u);
+  for (size_t i = 0; i < runs.size(); ++i) {
+    EXPECT_TRUE(contains(evaluations[i], runs[i])) << "suite.run " << i;
+    EXPECT_EQ(arg_of(runs[i], "tests"), 3u);
+  }
 }
 
 TEST(ObsTracerTest, DisabledModeAllocatesNothing) {

@@ -472,11 +472,7 @@ int run_impl(const CliOptions& opts) {
   const ys::CoverageEngine engine(
       mgr, network,
       [&](const dataplane::Transfer& transfer) -> const coverage::CoverageTrace& {
-        if (!opts.load_trace) {
-          obs::Span span("suite.run", "online");
-          span.arg("tests", s.suite.size());
-          results = s.suite.run_all(transfer, tracker);
-        }
+        if (!opts.load_trace) results = s.suite.run_all(transfer, tracker);
         return tracker.trace();
       },
       s.engine_options(opts));
