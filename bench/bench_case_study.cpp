@@ -80,13 +80,8 @@ int main() {
     size_t failures = 0;
     const bench::Run run = bench::measure([&] {
       bdd::BddManager mgr(packet::kNumHeaderBits);
-      ys::CoverageTracker tracker;
-      const ys::CoverageEngine engine(
-          mgr, region.network,
-          [&](const dataplane::Transfer& transfer) -> const coverage::CoverageTrace& {
-            for (const auto& r : suite.run_all(transfer, tracker)) failures += r.failures;
-            return tracker.trace();
-          });
+      const ys::CoverageEngine engine(mgr, region.network, suite);
+      for (const auto& r : engine.results()) failures += r.failures;
       report = engine.report();
     });
     if (stage.fig7 != nullptr) fig7.emplace_back(stage.fig7, report.overall);

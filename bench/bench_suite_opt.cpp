@@ -4,8 +4,9 @@
 //      threads under the harness's timing rule, each run on a fresh manager
 //      and index; the two matrices must be bit-identical.
 //   2. The minimized suite's rule coverage, recomputed through fresh
-//      engines the way `yardstick optimize` does it, must EXACTLY equal the
-//      full suite's (the set-cover stop condition's whole point).
+//      engines by the cross-check `yardstick optimize` runs
+//      (ys::recompute_minimized), must EXACTLY equal the full suite's (the
+//      set-cover stop condition's whole point).
 //   3. The prioritized coverage/cost curve and the gap-report totals.
 //
 // Gate: YS_SUITEOPT_MIN_SPEEDUP (CI: 2), the least matrix-build speedup at
@@ -91,20 +92,8 @@ int main() {
   ys::GapReport gaps;
   const bench::Run recompute = bench::measure([&] {
     bdd::BddManager mgr(packet::kNumHeaderBits);
-    ys::CoverageTracker full_tracker;
-    const ys::CoverageEngine full(
-        mgr, tree.network,
-        [&](const dataplane::Transfer& transfer) -> const coverage::CoverageTrace& {
-          (void)suite.run_all(transfer, full_tracker);
-          return full_tracker.trace();
-        });
-    ys::CoverageTracker subset_tracker;
-    for (const ys::SelectedTest& s : min.selected) {
-      (void)suite.test(s.index).run(full.transfer(), subset_tracker);
-    }
-    const ys::CoverageEngine subset(mgr, tree.network, subset_tracker.trace());
-    min.recomputed_full = full.metrics().rule_fractional;
-    min.recomputed_subset = subset.metrics().rule_fractional;
+    const ys::CoverageEngine full(mgr, tree.network, suite);
+    ys::recompute_minimized(min, full, suite);
     gaps = ys::build_gap_report(full);
   });
   const bool exact = min.recomputed_full == min.recomputed_subset &&

@@ -22,17 +22,12 @@ namespace {
 
 ys::CoverageReport run_and_report(const topo::RegionalNetwork& region,
                                   bdd::BddManager& mgr, const nettest::TestSuite& suite) {
-  ys::CoverageTracker tracker;
   std::printf("== suite '%s' ==\n", suite.name().c_str());
-  const ys::CoverageEngine engine(
-      mgr, region.network,
-      [&](const dataplane::Transfer& transfer) -> const coverage::CoverageTrace& {
-        for (const auto& result : suite.run_all(transfer, tracker)) {
-          std::printf("  %-24s %s (%zu checks)\n", result.name.c_str(),
-                      result.passed() ? "PASS" : "FAIL", result.checks);
-        }
-        return tracker.trace();
-      });
+  const ys::CoverageEngine engine(mgr, region.network, suite);
+  for (const auto& result : engine.results()) {
+    std::printf("  %-24s %s (%zu checks)\n", result.name.c_str(),
+                result.passed() ? "PASS" : "FAIL", result.checks);
+  }
   const ys::CoverageReport report = engine.report();
   std::printf("%s\n", report.to_text().c_str());
   return report;

@@ -150,17 +150,13 @@ int main() {
   Figure1Network f = build(/*with_b1=*/true);
   std::printf("figure-1 network: %s\n\n", f.net.summary().c_str());
 
-  ys::CoverageTracker tracker;
   const nettest::TestSuite suite = make_suite(f, mgr);
-  const ys::CoverageEngine engine(
-      mgr, f.net, [&](const dataplane::Transfer& transfer) -> const coverage::CoverageTrace& {
-        std::printf("-- running the three connectivity tests --\n");
-        for (const auto& result : suite.run_all(transfer, tracker)) {
-          std::printf("  %-14s %s (%zu checks)\n", result.name.c_str(),
-                      result.passed() ? "PASS" : "FAIL", result.checks);
-        }
-        return tracker.trace();
-      });
+  const ys::CoverageEngine engine(mgr, f.net, suite);
+  std::printf("-- running the three connectivity tests --\n");
+  for (const auto& result : engine.results()) {
+    std::printf("  %-14s %s (%zu checks)\n", result.name.c_str(),
+                result.passed() ? "PASS" : "FAIL", result.checks);
+  }
 
   std::printf("\n-- all tests pass; now ask Yardstick what they missed --\n");
   const auto default_rule_of = [&](DeviceId border) {

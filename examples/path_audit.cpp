@@ -25,19 +25,14 @@ int main() {
   // Run a mixed suite: pingmesh probes a single packet per ToR pair, the
   // default-route inspection covers the fat default rules.
   bdd::BddManager mgr(packet::kNumHeaderBits);
-  ys::CoverageTracker tracker;
   nettest::TestSuite suite("audit");
   suite.add(std::make_unique<nettest::DefaultRouteCheck>());
   suite.add(std::make_unique<nettest::ToRPingmesh>());
-  const ys::CoverageEngine engine(
-      mgr, tree.network,
-      [&](const dataplane::Transfer& transfer) -> const coverage::CoverageTrace& {
-        for (const auto& result : suite.run_all(transfer, tracker)) {
-          std::printf("test %-18s %s (%zu checks)\n", result.name.c_str(),
-                      result.passed() ? "PASS" : "FAIL", result.checks);
-        }
-        return tracker.trace();
-      });
+  const ys::CoverageEngine engine(mgr, tree.network, suite);
+  for (const auto& result : engine.results()) {
+    std::printf("test %-18s %s (%zu checks)\n", result.name.c_str(),
+                result.passed() ? "PASS" : "FAIL", result.checks);
+  }
 
   // --- Local metrics: cheap ---
   const auto t0 = std::chrono::steady_clock::now();
@@ -75,17 +70,21 @@ int main() {
               bdd::to_string(flow_headers.count()).c_str());
 
   // Now strengthen testing of exactly that flow with a symbolic
-  // reachability query and watch its coverage saturate.
+  // reachability query and watch its coverage saturate: its trace, merged
+  // into the suite's, goes into a second engine.
   std::vector<nettest::ReachabilityQuery> queries;
   nettest::ReachabilityQuery q;
   q.source = src;
   q.source_interface = src_port;
   q.headers = flow_headers;
   queries.push_back(q);
+  ys::CoverageTracker probe;
   (void)nettest::ReachabilityTest("FlowProbe", std::move(queries))
-      .run(engine.transfer(), tracker);
+      .run(engine.transfer(), probe);
+  coverage::CoverageTrace strengthened = engine.trace();
+  strengthened.merge(probe.trace());
 
-  const ys::CoverageEngine engine2(mgr, tree.network, tracker.trace());
+  const ys::CoverageEngine engine2(mgr, tree.network, std::move(strengthened));
   std::printf("after adding a symbolic end-to-end test for the flow: %.1f%%\n",
               engine2.flow_coverage(src, src_port, flow_headers) * 100.0);
   return 0;

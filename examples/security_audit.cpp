@@ -35,7 +35,6 @@ int main() {
   std::printf("network with ToR ingress ACLs: %s\n\n", region.network.summary().c_str());
 
   bdd::BddManager mgr(packet::kNumHeaderBits);
-  ys::CoverageTracker tracker;
 
   // The security suite: state inspection of the deny entries, the local
   // symbolic blocked-port check, and a waypoint obligation (inter-pod
@@ -61,15 +60,11 @@ int main() {
   suite.add(std::make_unique<nettest::TracerouteWaypointCheck>("TracerouteViaSpine",
                                                                waypoints));
 
-  const ys::CoverageEngine engine(
-      mgr, region.network,
-      [&](const dataplane::Transfer& transfer) -> const coverage::CoverageTrace& {
-        for (const auto& result : suite.run_all(transfer, tracker)) {
-          std::printf("test %-24s %s (%zu checks, %zu failures)\n", result.name.c_str(),
-                      result.passed() ? "PASS" : "FAIL", result.checks, result.failures);
-        }
-        return tracker.trace();
-      });
+  const ys::CoverageEngine engine(mgr, region.network, suite);
+  for (const auto& result : engine.results()) {
+    std::printf("test %-24s %s (%zu checks, %zu failures)\n", result.name.c_str(),
+                result.passed() ? "PASS" : "FAIL", result.checks, result.failures);
+  }
   const ys::CoverageReport report = engine.report();
   std::printf("\n%s\n", report.to_text().c_str());
 

@@ -35,13 +35,7 @@ int main() {
 
   // The merged run, on the engine's own match-set index.
   bdd::BddManager mgr(packet::kNumHeaderBits);
-  ys::CoverageTracker tracker;
-  const ys::CoverageEngine engine(
-      mgr, tree.network,
-      [&](const dataplane::Transfer& transfer) -> const coverage::CoverageTrace& {
-        (void)suite.run_all(transfer, tracker);
-        return tracker.trace();
-      });
+  const ys::CoverageEngine engine(mgr, tree.network, suite);
 
   // Each test in isolation, on the same index.
   const ys::SuiteCoverageMatrix matrix = ys::build_suite_matrix(engine.transfer(), suite);

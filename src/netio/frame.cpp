@@ -261,18 +261,4 @@ coverage::CoverageTrace decode_trace_delta(std::string_view bytes, BddManager& m
   return trace;
 }
 
-uint64_t delta_event_count(std::string_view bytes) {
-  Reader in(bytes);
-  const size_t node_count = in.count("node", 9);
-  for (size_t i = 0; i < node_count; ++i) {
-    in.u8("node list");
-    in.u32("node list");
-    in.u32("node list");
-  }
-  const size_t rule_count = in.count("rule", 4);
-  for (size_t i = 0; i < rule_count; ++i) in.u32("rule list");
-  const size_t loc_count = in.count("location", 8);
-  return rule_count + loc_count;
-}
-
 }  // namespace yardstick::netio

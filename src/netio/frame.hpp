@@ -112,9 +112,4 @@ struct DecodeResult {
 [[nodiscard]] coverage::CoverageTrace decode_trace_delta(std::string_view bytes,
                                                          bdd::BddManager& mgr);
 
-/// Number of mark events a delta carries (rules + located packet sets),
-/// without rebuilding any BDDs. Throws CorruptTraceError on malformed
-/// input.
-[[nodiscard]] uint64_t delta_event_count(std::string_view bytes);
-
 }  // namespace yardstick::netio

@@ -21,23 +21,6 @@ std::optional<uint64_t> dst_rewrite(const net::Rule& rule) {
   return std::nullopt;
 }
 
-/// Headers the device's ingress ACL lets through: the union of the Permit
-/// entries' disjoint match sets, with the destination projected out (the
-/// tunnel rewrites dst between the two ACL stages; port/proto policy is
-/// what actually clips the flow). Everything if the device has no ACL.
-PacketSet acl_permitted(const dataplane::Transfer& transfer, net::DeviceId device) {
-  const net::Network& network = transfer.network();
-  bdd::BddManager& mgr = transfer.index().manager();
-  if (!network.has_acl(device)) return PacketSet::all(mgr);
-  PacketSet permitted = PacketSet::none(mgr);
-  for (const net::RuleId rid : network.table(device, net::TableKind::Acl)) {
-    if (network.rule(rid).action.type == net::ActionType::Permit) {
-      permitted = permitted.union_with(transfer.index().match_set(rid));
-    }
-  }
-  return permitted.forget_field(packet::Field::DstIp);
-}
-
 }  // namespace
 
 TestResult TunnelRoundTripCheck::run(const dataplane::Transfer& transfer,
@@ -87,10 +70,14 @@ TestResult TunnelRoundTripCheck::run(const dataplane::Transfer& transfer,
     }
     // Security policy at the ingress/egress ACL stages legitimately clips
     // the flow; forwarding must deliver everything the ACLs let through.
-    const PacketSet expected =
-        PacketSet::field_equals(mgr, packet::Field::DstIp, *inner)
-            .intersect(acl_permitted(transfer, encap->device))
-            .intersect(acl_permitted(transfer, decap.device));
+    // The tunnel rewrites dst between the stages, so only their port/proto
+    // policy clips it: each stage's permitted space forgets DstIp.
+    const auto permitted = [&](net::DeviceId device) {
+      return transfer.index().acl_permitted_space(device).forget_field(packet::Field::DstIp);
+    };
+    const PacketSet expected = PacketSet::field_equals(mgr, packet::Field::DstIp, *inner)
+                                   .intersect(permitted(encap->device))
+                                   .intersect(permitted(decap.device));
     if (!delivered.equal(expected)) {
       result.fail(network.device(encap->device).name + " -> " +
                   network.device(decap.device).name + ": tunnel " +

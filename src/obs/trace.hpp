@@ -8,6 +8,8 @@
 //   cli.run
 //   ├─ cli.setup                       (topology, forwarding state, budget,
 //   │  │                                suite)
+//   │  ├─ cli.topology                 (generator or network-file load,
+//   │  │                                transform plan)
 //   │  ├─ routing.bgp                  (eBGP fixpoint; args devices,
 //   │  │                                prefixes, rib_entries, rounds)
 //   │  └─ routing.fib                  (FIB build; arg rules)
@@ -27,10 +29,12 @@
 //   │  └─ parallel.worker (×N)         (clone + ingress drain)
 //   ├─ analysis.suite_matrix           (--analyze, optimize)
 //   ├─ scenario.evaluate (×N+1)        (scenarios mode; arg scenario,
-//   │                                   0 = baseline: its own routing.bgp,
-//   │                                   routing.fib, engine and suite.run
-//   │                                   spans; the baseline restore's
-//   │                                   routing spans follow the last one)
+//   │  │                                0 = baseline: its own routing.bgp,
+//   │  │                                routing.fib, engine and suite.run
+//   │  │                                spans; the baseline restore's
+//   │  │                                routing spans follow the last one)
+//   │  └─ scenario.rule_keys           (per-rule content keys for the
+//   │                                   diff; arg rules)
 //   └─ trace.save / trace.load
 //
 // Cost model: a Span in disabled mode is two relaxed atomic loads and no

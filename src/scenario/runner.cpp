@@ -2,12 +2,10 @@
 
 #include <algorithm>
 
-#include "dataplane/transfer.hpp"
 #include "obs/trace.hpp"
 #include "packet/fields.hpp"
 #include "routing/fib_builder.hpp"
 #include "yardstick/json.hpp"
-#include "yardstick/tracker.hpp"
 
 namespace yardstick::scenario {
 
@@ -60,20 +58,18 @@ ScenarioRunner::Evaluation ScenarioRunner::evaluate(const routing::RoutingConfig
   // Fresh manager per evaluation: each run's BDD universe is independent,
   // matching what a from-scratch CLI invocation would compute.
   bdd::BddManager mgr(packet::kNumHeaderBits);
-  ys::CoverageTracker tracker;
-  std::vector<nettest::TestResult> results;
-  const ys::CoverageEngine engine(
-      mgr, network_,
-      [&](const dataplane::Transfer& transfer) -> const coverage::CoverageTrace& {
-        results = suite_.run_all(transfer, tracker);
-        return tracker.trace();
-      },
-      options_.engine);
+  const ys::CoverageEngine engine(mgr, network_, suite_, options_.engine);
 
   Evaluation ev;
   ev.metrics = engine.metrics();
   ev.rule_count = network_.rule_count();
   ev.truncated = engine.truncated();
+  for (const nettest::TestResult& r : engine.results()) {
+    auto [it, inserted] = ev.tests.try_emplace(r.name, r.passed());
+    if (!inserted) it->second = it->second && r.passed();
+  }
+  obs::Span keys_span("scenario.rule_keys", "scenario");
+  keys_span.arg("rules", network_.rule_count());
   for (const net::Device& dev : network_.devices()) {
     for (const net::TableKind table : {net::TableKind::Acl, net::TableKind::Fib}) {
       for (const net::RuleId rid : network_.table(dev.id, table)) {
@@ -90,10 +86,6 @@ ScenarioRunner::Evaluation ScenarioRunner::evaluate(const routing::RoutingConfig
                          Evaluation::RuleInfo{rule.kind, m.coverage(), m.covered});
       }
     }
-  }
-  for (const nettest::TestResult& r : results) {
-    auto [it, inserted] = ev.tests.try_emplace(r.name, r.passed());
-    if (!inserted) it->second = it->second && r.passed();
   }
   return ev;
 }

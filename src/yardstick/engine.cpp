@@ -36,19 +36,22 @@ class BudgetDetached {
   const ResourceBudget* budget_;
 };
 
-/// The online phase, between steps 1 and 2: the tests run unbudgeted on the
-/// engine's transfer, then the cache keys its covered-set records by their
-/// trace.
-const coverage::CoverageTrace& run_online(
-    const std::function<const coverage::CoverageTrace&(const dataplane::Transfer&)>& online,
-    const dataplane::Transfer& transfer, IncrementalSession* incremental) {
-  const coverage::CoverageTrace* trace = nullptr;
-  {
+/// The online phase, between steps 1 and 2: with a suite, the tests run
+/// unbudgeted on the engine's transfer and their trace replaces `trace`;
+/// then the cache keys its covered-set records by the trace.
+std::vector<nettest::TestResult> run_online(const nettest::TestSuite* suite,
+                                            const dataplane::Transfer& transfer,
+                                            coverage::CoverageTrace& trace,
+                                            IncrementalSession* incremental) {
+  std::vector<nettest::TestResult> results;
+  if (suite != nullptr) {
     const BudgetDetached detached(transfer.index().manager());
-    trace = &online(transfer);
+    CoverageTracker tracker;
+    results = suite->run_all(transfer, tracker);
+    trace = tracker.take_trace();
   }
-  if (incremental != nullptr) incremental->add_trace(*trace);
-  return *trace;
+  if (incremental != nullptr) incremental->add_trace(trace);
+  return results;
 }
 
 /// Writes the elapsed steady-clock seconds into `out` on scope exit. In a
@@ -139,32 +142,25 @@ std::unique_ptr<IncrementalSession> CoverageEngine::make_incremental(
 }
 
 CoverageEngine::CoverageEngine(bdd::BddManager& mgr, const net::Network& network,
-                               const coverage::CoverageTrace& trace,
-                               const ResourceBudget* budget)
-    : CoverageEngine(mgr, network, trace, EngineOptions{budget, 1}) {}
+                               const nettest::TestSuite& suite, const EngineOptions& options)
+    : CoverageEngine(mgr, network, &suite, {}, options) {}
 
 CoverageEngine::CoverageEngine(bdd::BddManager& mgr, const net::Network& network,
-                               const coverage::CoverageTrace& trace,
-                               const EngineOptions& options)
-    : CoverageEngine(
-          mgr, network,
-          [&trace](const dataplane::Transfer&) -> const coverage::CoverageTrace& {
-            return trace;
-          },
-          options) {}
+                               coverage::CoverageTrace trace, const EngineOptions& options)
+    : CoverageEngine(mgr, network, nullptr, std::move(trace), options) {}
 
-CoverageEngine::CoverageEngine(
-    bdd::BddManager& mgr, const net::Network& network,
-    const std::function<const coverage::CoverageTrace&(const dataplane::Transfer&)>& online,
-    const EngineOptions& options)
+CoverageEngine::CoverageEngine(bdd::BddManager& mgr, const net::Network& network,
+                               const nettest::TestSuite* suite, coverage::CoverageTrace trace,
+                               const EngineOptions& options)
     : network_(network),
       budget_(attach_budget(mgr, options.budget)),
       threads_(options.threads),
       incremental_(make_incremental(mgr, network, options)),
       index_(timed_match_sets(mgr, network, options, timings_, incremental_.get())),
       transfer_(index_),
-      covered_(timed_covered_sets(index_, run_online(online, transfer_, incremental_.get()),
-                                  options, timings_, incremental_.get())),
+      results_(run_online(suite, transfer_, trace, incremental_.get())),
+      trace_(std::move(trace)),
+      covered_(timed_covered_sets(index_, trace_, options, timings_, incremental_.get())),
       factory_(transfer_),
       measures_(build_measures(index_, covered_, factory_)) {
   if (incremental_) {

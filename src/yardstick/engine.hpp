@@ -7,8 +7,10 @@
 //   3. compute the requested component and collection metrics.
 //
 // The online tests read the same match sets step 1 builds, so the engine
-// can also run them itself, between steps 1 and 2, on its own index: one
-// index per snapshot (DESIGN.md §16).
+// runs a suite itself, between steps 1 and 2, on its own index: one index
+// per snapshot (DESIGN.md §16). A trace collected earlier goes in by value
+// instead. Either way the engine owns everything it reads after
+// construction except the manager and the network.
 //
 // Step 3's local metrics (rules, devices, outgoing interfaces) all fold
 // the same per-rule fraction |T[r] ∩ M[r]| / |M[r]|, so construction ends
@@ -32,6 +34,7 @@
 #include "coverage/path_explorer.hpp"
 #include "coverage/trace.hpp"
 #include "dataplane/transfer.hpp"
+#include "nettest/test.hpp"
 #include "yardstick/cache.hpp"
 #include "yardstick/report.hpp"
 
@@ -94,34 +97,34 @@ struct EngineOptions {
 
 class CoverageEngine {
  public:
-  /// Runs steps 1 and 2 (match sets + covered sets) immediately; metric
+  /// Runs the online phase inside steps 1-2: builds the match sets (step
+  /// 1), runs `suite` on the transfer function over them, then computes the
+  /// covered sets of the suite's trace (step 2) on the same index. Metric
   /// queries afterwards are step 3.
   ///
-  /// `budget` (non-owning, may be null; must outlive the engine) bounds
-  /// both construction and later queries. A tripped budget never escapes
-  /// as an exception from the engine: construction completes with partial
-  /// match/covered sets and truncated() == true, and metric queries return
-  /// the values computed so far with their `truncated` flag set.
+  /// `options.budget` bounds steps 1-3 only. It is detached from `mgr`
+  /// while the tests run (re-attached even if one throws), and a step 1 it
+  /// truncated hands the tests the partial data plane. A tripped budget
+  /// never escapes as an exception from the engine: construction completes
+  /// with partial match/covered sets and truncated() == true, and metric
+  /// queries return the values computed so far with their `truncated` flag
+  /// set. The incremental cache is read once before step 1 and keys its
+  /// covered-set records by the suite's trace.
   CoverageEngine(bdd::BddManager& mgr, const net::Network& network,
-                 const coverage::CoverageTrace& trace,
-                 const ResourceBudget* budget = nullptr);
+                 const nettest::TestSuite& suite, const EngineOptions& options = {});
 
-  /// Same, with the full option set (budget + worker threads).
+  /// Steps 1-2 for a trace collected earlier (saved, merged by a daemon,
+  /// or assembled by hand), which the engine keeps; budget and cache as
+  /// above.
   CoverageEngine(bdd::BddManager& mgr, const net::Network& network,
-                 const coverage::CoverageTrace& trace, const EngineOptions& options);
+                 coverage::CoverageTrace trace, const EngineOptions& options = {});
 
-  /// Runs the online phase too: after step 1, `online` gets the transfer
-  /// function over the engine's index, runs the tests on it and returns
-  /// their trace (which must outlive the engine); steps 2 and 3 follow on
-  /// the same index. The budget bounds steps 1-3 only: it is detached
-  /// from `mgr` while `online` runs (re-attached even if it throws), and a
-  /// step 1 it truncated hands the tests the partial data plane. The
-  /// incremental cache is read once before step 1 and keys its covered-set
-  /// records by the returned trace.
-  CoverageEngine(
-      bdd::BddManager& mgr, const net::Network& network,
-      const std::function<const coverage::CoverageTrace&(const dataplane::Transfer&)>& online,
-      const EngineOptions& options = {});
+  /// Pinned: the transfer function, the covered sets and the component
+  /// factory point into the engine's own index and trace.
+  CoverageEngine(const CoverageEngine&) = delete;
+  CoverageEngine(CoverageEngine&&) = delete;
+  CoverageEngine& operator=(const CoverageEngine&) = delete;
+  CoverageEngine& operator=(CoverageEngine&&) = delete;
 
   /// True when a resource budget degraded steps 1-2; all metrics are
   /// lower bounds in that case (a rule step 1 never reached counts as
@@ -187,6 +190,10 @@ class CoverageEngine {
   [[nodiscard]] const dataplane::MatchSetIndex& match_sets() const { return index_; }
   [[nodiscard]] const dataplane::Transfer& transfer() const { return transfer_; }
   [[nodiscard]] const coverage::CoveredSets& covered_sets() const { return covered_; }
+  /// The trace steps 2 and 3 read: the suite's, or the one passed in.
+  [[nodiscard]] const coverage::CoverageTrace& trace() const { return trace_; }
+  /// The suite's results in suite order; empty when a trace was passed in.
+  [[nodiscard]] const std::vector<nettest::TestResult>& results() const { return results_; }
   [[nodiscard]] const coverage::ComponentFactory& components() const { return factory_; }
   [[nodiscard]] const net::Network& network() const { return network_; }
   [[nodiscard]] unsigned threads() const { return threads_; }
@@ -200,6 +207,12 @@ class CoverageEngine {
   }
 
  private:
+  /// Both public constructors: the suite's run replaces `trace` unless
+  /// `suite` is null.
+  CoverageEngine(bdd::BddManager& mgr, const net::Network& network,
+                 const nettest::TestSuite* suite, coverage::CoverageTrace trace,
+                 const EngineOptions& options);
+
   /// Step 3's shared work (DESIGN.md §15): every rule's measures, and each
   /// device's and outgoing interface's weighted mean folded from them in
   /// the framework's string order.
@@ -245,6 +258,10 @@ class CoverageEngine {
   std::unique_ptr<IncrementalSession> incremental_;
   dataplane::MatchSetIndex index_;
   dataplane::Transfer transfer_;
+  // In this order: the suite runs on transfer_ into results_ and hands its
+  // trace to trace_, which covered_ reads.
+  std::vector<nettest::TestResult> results_;
+  coverage::CoverageTrace trace_;
   coverage::CoveredSets covered_;
   coverage::ComponentFactory factory_;
   MeasureTable measures_;

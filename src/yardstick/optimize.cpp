@@ -115,6 +115,19 @@ MinimizeResult minimize_suite(const SuiteCoverageMatrix& m, double min_coverage)
   return out;
 }
 
+void recompute_minimized(MinimizeResult& minimized, const CoverageEngine& full,
+                         const nettest::TestSuite& suite, EngineOptions options) {
+  CoverageTracker tracker;
+  for (const SelectedTest& t : minimized.selected) {
+    (void)suite.test(t.index).run(full.transfer(), tracker);
+  }
+  options.cache_dir.clear();
+  const CoverageEngine subset(full.match_sets().manager(), full.network(), tracker.take_trace(),
+                              options);
+  minimized.recomputed_full = full.metrics().rule_fractional;
+  minimized.recomputed_subset = subset.metrics().rule_fractional;
+}
+
 std::string MinimizeResult::to_text(const SuiteCoverageMatrix& m) const {
   std::string out = "suite minimization: keep " + std::to_string(selected.size()) + "/" +
                     std::to_string(suite_size) + " tests, coverage " +

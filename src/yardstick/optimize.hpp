@@ -52,9 +52,8 @@ struct MinimizeResult {
   double min_coverage = 1.0;
   double full_coverage = 0.0;      ///< fractional rule coverage, whole suite
   double achieved_coverage = 0.0;  ///< fractional rule coverage, subset
-  /// Optionally filled by callers that re-run the subset through a fresh
-  /// CoverageEngine as an end-to-end cross-check (CLI, bench); < 0 when
-  /// not recomputed.
+  /// Filled by recompute_minimized(), the end-to-end cross-check; < 0
+  /// when not recomputed.
   double recomputed_full = -1.0;
   double recomputed_subset = -1.0;
   bool truncated = false;
@@ -74,6 +73,14 @@ struct MinimizeResult {
 /// stricter knob's selection (subset sizes are monotone in min_coverage).
 [[nodiscard]] MinimizeResult minimize_suite(const SuiteCoverageMatrix& m,
                                             double min_coverage = 1.0);
+
+/// The end-to-end cross-check of a minimization: re-runs the kept tests on
+/// `full`'s transfer, pushes their trace through a fresh engine without
+/// the incremental cache (`options.cache_dir` is ignored), and fills
+/// `recomputed_full` from `full` and `recomputed_subset` from the fresh
+/// engine. At min-coverage 1 the two must be equal bit for bit.
+void recompute_minimized(MinimizeResult& minimized, const CoverageEngine& full,
+                         const nettest::TestSuite& suite, EngineOptions options = {});
 
 /// One scheduled test in a prioritized suite.
 struct PrioritizedTest {

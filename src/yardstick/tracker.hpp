@@ -72,6 +72,13 @@ class CoverageTracker {
     return trace_;
   }
 
+  /// Moves the trace out, folded as trace() folds it; the tracker's trace
+  /// is left empty.
+  [[nodiscard]] coverage::CoverageTrace take_trace() {
+    (void)trace();
+    return std::exchange(trace_, {});
+  }
+
   void reset() {
     trace_.clear();
     log_.clear();

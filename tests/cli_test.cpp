@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <regex>
 #include <string>
 #include <vector>
 
@@ -38,6 +40,29 @@ CommandResult run_cli(const std::string& args) {
   const int status = pclose(pipe);
   result.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
   return result;
+}
+
+/// One span of a --trace-out timeline: its name and [ts, ts + dur].
+struct TimelineSpan {
+  std::string name;
+  uint64_t ts = 0;
+  uint64_t dur = 0;
+
+  [[nodiscard]] bool contains(const TimelineSpan& inner) const {
+    return ts <= inner.ts && inner.ts + inner.dur <= ts + dur;
+  }
+};
+
+/// The spans named `name` in the timeline file at `path`, in start order.
+std::vector<TimelineSpan> spans_named(const std::string& path, const std::string& name) {
+  std::ifstream in(path);
+  const std::string json{std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+  static const std::regex event(R"re("name":"([^"]+)"[^}]*?"ts":(\d+),"dur":(\d+))re");
+  std::vector<TimelineSpan> out;
+  for (std::sregex_iterator it(json.begin(), json.end(), event), end; it != end; ++it) {
+    if ((*it)[1] == name) out.push_back({name, std::stoull((*it)[2]), std::stoull((*it)[3])});
+  }
+  return out;
 }
 
 #define REQUIRE_CLI()                                             \
@@ -154,6 +179,31 @@ TEST(CliTest, EveryModeWritesObservabilityOutputs) {
       std::remove(path.c_str());
     }
   }
+}
+
+TEST(CliTest, TimelineCoversTopologyAndRuleKeys) {
+  REQUIRE_CLI();
+  const std::string trace = ::testing::TempDir() + "/cli_span_trace.json";
+  std::remove(trace.c_str());
+  CommandResult r = run_cli("fattree --k 4 --suite fattree --trace-out " + trace);
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  const std::vector<TimelineSpan> setup = spans_named(trace, "cli.setup");
+  const std::vector<TimelineSpan> topology = spans_named(trace, "cli.topology");
+  ASSERT_EQ(setup.size(), 1u);
+  ASSERT_EQ(topology.size(), 1u);
+  EXPECT_TRUE(setup[0].contains(topology[0]));
+
+  std::remove(trace.c_str());
+  r = run_cli("scenarios fattree --k 4 --random-links 2 --trace-out " + trace);
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  const std::vector<TimelineSpan> evaluations = spans_named(trace, "scenario.evaluate");
+  const std::vector<TimelineSpan> keys = spans_named(trace, "scenario.rule_keys");
+  ASSERT_EQ(evaluations.size(), 3u);  // the baseline and two scenarios
+  ASSERT_EQ(keys.size(), 3u);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_TRUE(evaluations[i].contains(keys[i])) << "scenario.rule_keys " << i;
+  }
+  std::remove(trace.c_str());
 }
 
 TEST(CliTest, NetworkFileMode) {
@@ -309,6 +359,23 @@ TEST(CliTest, AnalyzeAndSuggestFlags) {
     ++probes;
   }
   EXPECT_EQ(probes, 2u);
+}
+
+TEST(CliTest, RunModeRejectsTheFlagsItWouldIgnore) {
+  REQUIRE_CLI();
+  // --analyze and --suggest print text only, and --analyze reads the suite
+  // run a loaded trace replaces: each combination is a usage error.
+  const std::string trace = ::testing::TempDir() + "/cli_ignored_flags.trace";
+  ASSERT_EQ(run_cli("fattree --k 4 --suite original --save-trace " + trace).exit_code, 0);
+  for (const std::string& args : std::vector<std::string>{
+           "fattree --k 4 --analyze --json", "fattree --k 4 --suggest 2 --json",
+           "fattree --k 4 --analyze --load-trace " + trace}) {
+    const CommandResult r = run_cli(args);
+    EXPECT_EQ(r.exit_code, 2) << args << "\n" << r.output;
+    EXPECT_NE(r.output.find("--analyze and --suggest without --json"), std::string::npos)
+        << args << "\n" << r.output;
+  }
+  std::remove(trace.c_str());
 }
 
 }  // namespace

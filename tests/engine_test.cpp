@@ -1,13 +1,23 @@
 // Tests for the Yardstick engine (phase 2) and tracker (phase 1).
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <type_traits>
+
+#include "nettest/reachability.hpp"
 #include "nettest/state_checks.hpp"
 #include "test_util.hpp"
 #include "yardstick/engine.hpp"
+#include "yardstick/json.hpp"
 #include "yardstick/tracker.hpp"
 
 namespace yardstick::ys {
 namespace {
+
+// Pinned: the engine's transfer, covered sets and component factory point
+// into its own index and trace.
+static_assert(!std::is_move_constructible_v<CoverageEngine>);
+static_assert(!std::is_copy_constructible_v<CoverageEngine>);
 
 using packet::Ipv4Prefix;
 using packet::PacketSet;
@@ -191,6 +201,42 @@ TEST_F(EngineTest, ReportShapesAndText) {
     }
   }
   EXPECT_TRUE(has_default_gap);
+}
+
+TEST_F(EngineTest, EngineOwnsThePassedTrace) {
+  tracker_.mark_packet(net::to_location(tiny_.l1_host), dst(tiny_.p2));
+  const CoverageEngine reference(mgr_, tiny_.net, tracker_.trace());
+  auto trace = std::make_unique<coverage::CoverageTrace>(tracker_.trace());
+  const CoverageEngine engine(mgr_, tiny_.net, *trace);
+  trace.reset();
+  // Incoming-interface coverage reads the trace after construction.
+  const auto incoming = coverage::InterfaceDirection::Incoming;
+  EXPECT_GT(engine.interface_coverage(tiny_.l1_host, incoming), 0.0);
+  EXPECT_EQ(engine.interface_coverage(tiny_.l1_host, incoming),
+            reference.interface_coverage(tiny_.l1_host, incoming));
+  EXPECT_EQ(engine.trace().marked_packets(), tracker_.trace().marked_packets());
+  EXPECT_TRUE(engine.results().empty());
+}
+
+TEST_F(EngineTest, SuiteConstructorRunsTheSuiteLikeAPlainIndex) {
+  nettest::ReachabilityQuery q;
+  q.source = tiny_.leaf1;
+  q.source_interface = tiny_.l1_host;
+  q.headers = dst(tiny_.p2);
+  nettest::TestSuite suite("s");
+  suite.add(std::make_unique<nettest::ReachabilityTest>("HostToP2", std::vector{std::move(q)}));
+  suite.add(std::make_unique<nettest::DefaultRouteCheck>());
+
+  const dataplane::MatchSetIndex index(mgr_, tiny_.net);
+  const dataplane::Transfer transfer(index);
+  const std::vector<nettest::TestResult> want = suite.run_all(transfer, tracker_);
+
+  const CoverageEngine engine(mgr_, tiny_.net, suite);
+  EXPECT_EQ(results_to_json(engine.results()), results_to_json(want));
+  EXPECT_FALSE(engine.trace().marked_packets().empty());
+  EXPECT_FALSE(engine.trace().marked_rules().empty());
+  EXPECT_EQ(engine.trace().marked_packets(), tracker_.trace().marked_packets());
+  EXPECT_EQ(engine.trace().marked_rules(), tracker_.trace().marked_rules());
 }
 
 TEST_F(EngineTest, MonotonicityAcrossEngineRuns) {

@@ -34,11 +34,10 @@ using packet::PacketSet;
 using testutil::make_tiny;
 using testutil::TinyNetwork;
 
-/// One engine construction, self-contained: its own manager, its own
-/// structural copy of the shared trace.
+/// One engine construction, self-contained: its own manager and its own
+/// engine, which keeps its structural copy of the shared trace.
 struct EngineRun {
   std::unique_ptr<bdd::BddManager> mgr;
-  coverage::CoverageTrace trace;
   std::unique_ptr<CoverageEngine> engine;
 };
 
@@ -47,9 +46,8 @@ EngineRun run_engine(const net::Network& network, const coverage::CoverageTrace&
                const ResourceBudget* budget = nullptr) {
   EngineRun run;
   run.mgr = std::make_unique<bdd::BddManager>(packet::kNumHeaderBits);
-  run.trace = trace.imported_into(*run.mgr);
   run.engine = std::make_unique<CoverageEngine>(
-      *run.mgr, network, run.trace, EngineOptions{budget, threads, cache_dir});
+      *run.mgr, network, trace.imported_into(*run.mgr), EngineOptions{budget, threads, cache_dir});
   return run;
 }
 

@@ -199,7 +199,7 @@ TEST(JsonFormatTest, BudgetTruncatedReportStaysParseable) {
   ResourceBudget budget;
   budget.with_max_bdd_nodes(64);
   CoverageTracker tracker;
-  const CoverageEngine engine(mgr, tree.network, tracker.trace(), &budget);
+  const CoverageEngine engine(mgr, tree.network, tracker.trace(), EngineOptions{&budget, 1, ""});
   ASSERT_TRUE(engine.truncated());
 
   const std::string json = report_to_json(engine.report());

@@ -173,11 +173,10 @@ class MeasureTableTest : public ::testing::TestWithParam<Case> {
   ~MeasureTableTest() override { std::remove((cache_dir_ + "/coverage.cache").c_str()); }
 
   /// One engine construction in its own manager over the shared cache dir.
-  [[nodiscard]] std::unique_ptr<CoverageEngine> engine(bdd::BddManager& mgr,
-                                                       coverage::CoverageTrace& trace) const {
-    trace = subject_.trace.imported_into(mgr);
-    return std::make_unique<CoverageEngine>(
-        mgr, *subject_.network, trace, EngineOptions{nullptr, GetParam().threads, cache_dir_});
+  [[nodiscard]] std::unique_ptr<CoverageEngine> engine(bdd::BddManager& mgr) const {
+    return std::make_unique<CoverageEngine>(mgr, *subject_.network,
+                                            subject_.trace.imported_into(mgr),
+                                            EngineOptions{nullptr, GetParam().threads, cache_dir_});
   }
 
   bdd::BddManager scratch_{packet::kNumHeaderBits};
@@ -189,11 +188,9 @@ TEST_P(MeasureTableTest, EqualsFrameworkExactly) {
   // Declared before the engine so they outlive it.
   bdd::BddManager cold_mgr(packet::kNumHeaderBits);
   bdd::BddManager warm_mgr(packet::kNumHeaderBits);
-  coverage::CoverageTrace cold_trace;
-  coverage::CoverageTrace warm_trace;
-  std::unique_ptr<CoverageEngine> built = engine(cold_mgr, cold_trace);
+  std::unique_ptr<CoverageEngine> built = engine(cold_mgr);
   if (GetParam().warm_cache) {
-    built = engine(warm_mgr, warm_trace);
+    built = engine(warm_mgr);
     ASSERT_TRUE(built->cache_stats()->loaded);
     EXPECT_EQ(built->cache_stats()->match_hits, built->cache_stats()->devices);
   }

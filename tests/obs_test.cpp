@@ -385,6 +385,28 @@ TEST(ObsTracerTest, EveryScenarioEvaluationRunsItsSuiteInASpan) {
   }
 }
 
+TEST(ObsTracerTest, EveryScenarioEvaluationKeysItsRulesInASpan) {
+  topo::FatTree tree = topo::make_fat_tree({.k = 4});
+  routing::FibBuilder::compute_and_build(tree.network, tree.routing);
+  const nettest::TestSuite suite = three_test_suite();
+  scenario::ScenarioRunner runner(tree.network, tree.routing, suite);
+  const scenario::ScenarioSpec spec = scenario::random_link_scenarios(tree.network, 2, 7);
+
+  ScopedObservability on;
+  const scenario::ScenarioReport report = runner.run(spec);
+  const std::vector<TraceEvent> events = Tracer::global().snapshot();
+
+  const std::vector<TraceEvent> evaluations = spans_named(events, "scenario.evaluate");
+  const std::vector<TraceEvent> keys = spans_named(events, "scenario.rule_keys");
+  ASSERT_EQ(evaluations.size(), 3u);  // the baseline and two scenarios
+  ASSERT_EQ(keys.size(), 3u);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_TRUE(contains(evaluations[i], keys[i])) << "scenario.rule_keys " << i;
+    EXPECT_EQ(arg_of(keys[i], "rules"), i == 0 ? report.baseline_rule_count
+                                               : report.scenarios[i - 1].scenario_rule_count);
+  }
+}
+
 TEST(ObsTracerTest, DisabledModeAllocatesNothing) {
   // Warm the cold paths first: registration allocates by design, and the
   // calling thread's trace buffer is created on first enabled use.

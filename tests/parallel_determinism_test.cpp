@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <optional>
 
@@ -28,10 +29,10 @@ namespace yardstick {
 namespace {
 
 /// One engine run at a given thread count, self-contained: its own
-/// manager, its own structural copy of the shared trace, its own engine.
+/// manager and its own engine, which keeps its structural copy of the
+/// shared trace.
 struct EngineRun {
   std::unique_ptr<bdd::BddManager> mgr;
-  coverage::CoverageTrace trace;
   std::unique_ptr<ys::CoverageEngine> engine;
 };
 
@@ -40,9 +41,8 @@ EngineRun run_engine(const net::Network& network, const coverage::CoverageTrace&
                      double gc_threshold = 0.0) {
   EngineRun run;
   run.mgr = std::make_unique<bdd::BddManager>(packet::kNumHeaderBits);
-  run.trace = trace.imported_into(*run.mgr);
   run.engine = std::make_unique<ys::CoverageEngine>(
-      *run.mgr, network, run.trace,
+      *run.mgr, network, trace.imported_into(*run.mgr),
       ys::EngineOptions{budget, threads, /*cache_dir=*/"", gc_threshold});
   return run;
 }
@@ -87,6 +87,29 @@ class CountingTest final : public nettest::NetworkTest {
  private:
   std::unique_ptr<nettest::NetworkTest> inner_;
   std::atomic<size_t>& runs_;
+};
+
+/// Reports a given trace, then calls `after`: a probe into the engine's
+/// online phase, between its steps 1 and 2.
+class ReplayTest final : public nettest::NetworkTest {
+ public:
+  ReplayTest(const coverage::CoverageTrace& trace, std::function<void()> after)
+      : trace_(trace), after_(std::move(after)) {}
+  [[nodiscard]] std::string name() const override { return "Replay"; }
+  [[nodiscard]] nettest::TestCategory category() const override {
+    return nettest::TestCategory::StateInspection;
+  }
+  [[nodiscard]] nettest::TestResult run(const dataplane::Transfer&,
+                                        ys::CoverageTracker& tracker) const override {
+    tracker.mark_packet(trace_.marked_packets());
+    for (const net::RuleId rid : trace_.marked_rules()) tracker.mark_rule(rid);
+    after_();
+    return make_result();
+  }
+
+ private:
+  const coverage::CoverageTrace& trace_;
+  std::function<void()> after_;
 };
 
 /// Records the spans `fn` opens and returns how many of them are named
@@ -253,11 +276,11 @@ TEST_F(ParallelDeterminismTest, GcUnderBudgetKeepsAccountingBalanced) {
       boom.emplace("bdd.make", testutil::throw_io("injected allocation failure"), 50);
     };
     if (!in_step_2) arm();
-    const auto online = [&](const dataplane::Transfer&) -> const coverage::CoverageTrace& {
+    nettest::TestSuite suite;
+    suite.add(std::make_unique<ReplayTest>(local, [&] {
       if (in_step_2) arm();
-      return local;
-    };
-    EXPECT_THROW(ys::CoverageEngine(mgr, tree.network, online,
+    }));
+    EXPECT_THROW(ys::CoverageEngine(mgr, tree.network, suite,
                                     ys::EngineOptions{&failing, 4, "", 0.05}),
                  ys::IoError)
         << (in_step_2 ? "step 2" : "step 1");

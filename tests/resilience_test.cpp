@@ -86,7 +86,7 @@ TEST_F(ResilienceTest, NodeBudgetTripReturnsTruncatedResults) {
   // carry the truncated flag.
   ResourceBudget budget;
   budget.with_max_bdd_nodes(64);
-  const CoverageEngine engine(mgr_, tiny_.net, trace_, &budget);
+  const CoverageEngine engine(mgr_, tiny_.net, trace_, EngineOptions{&budget, 1, ""});
   EXPECT_TRUE(engine.truncated());
 
   const MetricRow row = engine.metrics();
@@ -104,7 +104,7 @@ TEST_F(ResilienceTest, NodeBudgetTripReturnsTruncatedResults) {
 TEST_F(ResilienceTest, PreCancelledBudgetDegradesConstruction) {
   ResourceBudget budget;
   budget.request_cancel();
-  const CoverageEngine engine(mgr_, tiny_.net, trace_, &budget);
+  const CoverageEngine engine(mgr_, tiny_.net, trace_, EngineOptions{&budget, 1, ""});
   EXPECT_TRUE(engine.truncated());
   EXPECT_TRUE(engine.report().truncated);
 }
@@ -117,7 +117,7 @@ TEST_F(ResilienceTest, TruncatedMetricsStayWellFormed) {
   trace_.mark_rule(tiny_.sp_to_p2);
   ResourceBudget budget;
   budget.with_max_bdd_nodes(64);
-  const CoverageEngine degraded(mgr_, tiny_.net, trace_, &budget);
+  const CoverageEngine degraded(mgr_, tiny_.net, trace_, EngineOptions{&budget, 1, ""});
   const MetricRow partial = degraded.metrics();
   EXPECT_TRUE(partial.truncated);
   for (const double v : {partial.device_fractional, partial.interface_fractional,

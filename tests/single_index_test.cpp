@@ -1,11 +1,12 @@
 // One match-set index per snapshot (DESIGN.md §16). The engine constructor
-// that runs the online phase on its own index must give exactly what the
-// two-index order gives — a serial MatchSetIndex for the tests, then the
-// four-argument engine: the same report JSON, metrics() rows, rule measures
-// and serialized trace, on three networks, at 1 and 4 threads, with GC off
-// and on, and with a cold and a warm incremental cache. The budget bounds
-// steps 1-3 only: a cap that trips step 1 hands the tests a partial data
-// plane, and the run degrades instead of throwing.
+// that runs a suite on its own index must give exactly what the two-index
+// order gives — a serial MatchSetIndex for the tests, then the trace
+// constructor: the same report JSON, metrics() rows, rule measures,
+// serialized trace and test results, on three networks, at 1 and 4
+// threads, with GC off and on, and with a cold and a warm incremental
+// cache. The budget bounds steps 1-3 only: a cap that trips step 1 hands
+// the tests a partial data plane, and the run degrades instead of
+// throwing.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -34,8 +35,6 @@
 
 namespace yardstick::ys {
 namespace {
-
-using OnlinePhase = std::function<const coverage::CoverageTrace&(const dataplane::Transfer&)>;
 
 enum class NetworkKind { Tiny, FatTree, Regional };
 
@@ -77,6 +76,26 @@ class InspectRule final : public nettest::NetworkTest {
 
  private:
   net::RuleId rule_;
+};
+
+/// Runs `body` on the transfer it is handed: a probe into the engine's
+/// online phase.
+class Probe final : public nettest::NetworkTest {
+ public:
+  explicit Probe(std::function<void(const dataplane::Transfer&)> body)
+      : body_(std::move(body)) {}
+  [[nodiscard]] std::string name() const override { return "Probe"; }
+  [[nodiscard]] nettest::TestCategory category() const override {
+    return nettest::TestCategory::StateInspection;
+  }
+  [[nodiscard]] nettest::TestResult run(const dataplane::Transfer& transfer,
+                                        CoverageTracker&) const override {
+    body_(transfer);
+    return make_result();
+  }
+
+ private:
+  std::function<void(const dataplane::Transfer&)> body_;
 };
 
 /// A network with its forwarding state; the suite is built per manager,
@@ -154,8 +173,8 @@ struct Outcome {
   CacheStats cache;
 };
 
-Outcome outcome(const CoverageEngine& engine, const coverage::CoverageTrace& trace,
-                bdd::BddManager& mgr, const std::vector<nettest::TestResult>& results) {
+Outcome outcome(const CoverageEngine& engine, bdd::BddManager& mgr,
+                const std::vector<nettest::TestResult>& results) {
   Outcome o;
   CoverageReport report = engine.report();
   report.timings = {};
@@ -168,7 +187,7 @@ Outcome outcome(const CoverageEngine& engine, const coverage::CoverageTrace& tra
   for (const net::Rule& rule : engine.network().rules()) {
     o.measures.push_back(engine.rule_measure(rule.id));
   }
-  o.trace = serialize_trace(trace, mgr);
+  o.trace = serialize_trace(engine.trace(), mgr);
   o.results_json = results_to_json(results);
   if (const CacheStats* cs = engine.cache_stats()) o.cache = *cs;
   return o;
@@ -186,23 +205,15 @@ Outcome two_indexes(const Subject& s, const EngineOptions& options) {
     results = suite.run_all(transfer, tracker);
   }
   const CoverageEngine engine(mgr, *s.network, tracker.trace(), options);
-  return outcome(engine, tracker.trace(), mgr, results);
+  return outcome(engine, mgr, results);
 }
 
 /// The engine's own index serves the tests.
 Outcome one_index(const Subject& s, const EngineOptions& options) {
   bdd::BddManager mgr(packet::kNumHeaderBits);
   const nettest::TestSuite suite = s.suite(mgr);
-  CoverageTracker tracker;
-  std::vector<nettest::TestResult> results;
-  const CoverageEngine engine(
-      mgr, *s.network,
-      [&](const dataplane::Transfer& transfer) -> const coverage::CoverageTrace& {
-        results = suite.run_all(transfer, tracker);
-        return tracker.trace();
-      },
-      options);
-  return outcome(engine, tracker.trace(), mgr, results);
+  const CoverageEngine engine(mgr, *s.network, suite, options);
+  return outcome(engine, mgr, engine.results());
 }
 
 void expect_same_row(const MetricRow& a, const MetricRow& b) {
@@ -271,18 +282,14 @@ TEST(SingleIndexBudgetTest, StepOneCapHandsTheTestsAPartialDataPlane) {
     ResourceBudget budget;
     budget.with_max_bdd_nodes(300);  // far below the k=4 index
     bdd::BddManager mgr(packet::kNumHeaderBits);
-    const nettest::TestSuite suite = s.suite(mgr);
-    CoverageTracker tracker;
+    nettest::TestSuite suite = s.suite(mgr);
     const ResourceBudget* during_tests = &budget;
+    suite.add(std::make_unique<Probe>([&](const dataplane::Transfer& transfer) {
+      during_tests = transfer.index().manager().budget();
+    }));
     std::optional<CoverageEngine> engine;
-    ASSERT_NO_THROW(engine.emplace(
-        mgr, *s.network,
-        [&](const dataplane::Transfer& transfer) -> const coverage::CoverageTrace& {
-          during_tests = transfer.index().manager().budget();
-          (void)suite.run_all(transfer, tracker);
-          return tracker.trace();
-        },
-        EngineOptions{&budget, threads, "", 0.0}));
+    ASSERT_NO_THROW(
+        engine.emplace(mgr, *s.network, suite, EngineOptions{&budget, threads, "", 0.0}));
     EXPECT_EQ(during_tests, nullptr) << "the tests ran budgeted";
     EXPECT_EQ(mgr.budget(), &budget) << "the budget was not re-attached";
     EXPECT_TRUE(engine->match_sets().truncated());
@@ -302,9 +309,9 @@ TEST(SingleIndexBudgetTest, BudgetIsReattachedWhenTheOnlinePhaseThrows) {
   const testutil::TinyNetwork tiny = testutil::make_tiny();
   ResourceBudget budget;
   bdd::BddManager mgr(packet::kNumHeaderBits);
-  const OnlinePhase failing = [](const dataplane::Transfer&) -> const coverage::CoverageTrace& {
-    throw std::runtime_error("test harness crashed");
-  };
+  nettest::TestSuite failing;
+  failing.add(std::make_unique<Probe>(
+      [](const dataplane::Transfer&) { throw std::runtime_error("test harness crashed"); }));
   const EngineOptions options{&budget, 1, "", 0.0};
   EXPECT_THROW((void)CoverageEngine(mgr, tiny.net, failing, options), std::runtime_error);
   EXPECT_EQ(mgr.budget(), &budget);

@@ -352,17 +352,10 @@ TEST_F(SuiteOptimizeTest, MatrixWorkersChargeTheBudget) {
 
   struct Run {
     bdd::BddManager mgr{packet::kNumHeaderBits};
-    CoverageTracker tracker;
     std::optional<CoverageEngine> engine;
   };
   const auto run_engine = [&](Run& run, const ResourceBudget* budget) {
-    run.engine.emplace(
-        run.mgr, tree.network,
-        [&](const dataplane::Transfer& transfer) -> const coverage::CoverageTrace& {
-          (void)suite.run_all(transfer, run.tracker);
-          return run.tracker.trace();
-        },
-        EngineOptions{budget, 1, "", 0.0});
+    run.engine.emplace(run.mgr, tree.network, suite, EngineOptions{budget, 1, "", 0.0});
   };
   Run unbudgeted;
   run_engine(unbudgeted, nullptr);
@@ -445,6 +438,14 @@ TEST_F(SuiteOptimizeTest, MinimizedFatTreeSuiteRecomputesToFullCoverage) {
   EXPECT_EQ(full_engine.metrics().rule_fractional,
             subset_engine.metrics().rule_fractional);
   EXPECT_EQ(min.achieved_coverage, full_engine.metrics().rule_fractional);
+
+  // The shared cross-check, on an engine that ran the suite itself, gives
+  // the same two numbers.
+  MinimizeResult checked = min;
+  const CoverageEngine engine(mgr, tree.network, suite);
+  recompute_minimized(checked, engine, suite);
+  EXPECT_EQ(checked.recomputed_full, full_engine.metrics().rule_fractional);
+  EXPECT_EQ(checked.recomputed_subset, subset_engine.metrics().rule_fractional);
 }
 
 }  // namespace

@@ -392,27 +392,30 @@ nettest::TestSuite build_suite(const CliOptions& opts, const routing::RoutingCon
 /// runner, which recomputes them per scenario.
 void set_up(const CliOptions& opts, Setup& s, bool route = true) {
   obs::Span span("cli.setup", "cli");
-  if (opts.topology == "fattree") {
-    s.fattree = topo::make_fat_tree({.k = opts.k});
-    s.network = &s.fattree.network;
-    s.routing = &s.fattree.routing;
-    s.tors = s.fattree.tors;
-  } else if (opts.topology == "regional") {
-    s.regional = topo::make_regional(opts.regional);
-    s.network = &s.regional.network;
-    s.routing = &s.regional.routing;
-    s.tors = s.regional.tors;
-  } else {
-    s.from_file = netio::load_network_file(opts.network_file);
-    s.network = &s.from_file.network;
-    s.routing = &s.from_file.routing;
-    s.tors = s.network->devices_with_role(net::Role::ToR);
-    s.state_loaded = s.from_file.has_forwarding_state;
-  }
-  if (opts.transforms > 0) {
-    // Must run before FIB computation: tunnel endpoints are BGP-originated.
-    s.transforms = topo::plan_transforms(
-        s.regional, {.tunnels = opts.transforms, .nat_rules_per_wan = opts.transforms});
+  {
+    obs::Span topology_span("cli.topology", "cli");
+    if (opts.topology == "fattree") {
+      s.fattree = topo::make_fat_tree({.k = opts.k});
+      s.network = &s.fattree.network;
+      s.routing = &s.fattree.routing;
+      s.tors = s.fattree.tors;
+    } else if (opts.topology == "regional") {
+      s.regional = topo::make_regional(opts.regional);
+      s.network = &s.regional.network;
+      s.routing = &s.regional.routing;
+      s.tors = s.regional.tors;
+    } else {
+      s.from_file = netio::load_network_file(opts.network_file);
+      s.network = &s.from_file.network;
+      s.routing = &s.from_file.routing;
+      s.tors = s.network->devices_with_role(net::Role::ToR);
+      s.state_loaded = s.from_file.has_forwarding_state;
+    }
+    if (opts.transforms > 0) {
+      // Must run before FIB computation: tunnel endpoints are BGP-originated.
+      s.transforms = topo::plan_transforms(
+          s.regional, {.tunnels = opts.transforms, .nat_rules_per_wan = opts.transforms});
+    }
   }
   if (route && !s.state_loaded) {
     routing::FibBuilder::compute_and_build(*s.network, *s.routing);
@@ -458,36 +461,30 @@ int run_impl(const CliOptions& opts) {
   net::Network& network = *s.network;
   if (!opts.json) std::printf("%s\n", network.summary().c_str());
 
+  // The tests run on the engine's own index, between its steps 1 and 2; a
+  // loaded trace goes in instead.
   bdd::BddManager mgr(packet::kNumHeaderBits);
-  ys::CoverageTracker tracker;
+  std::optional<coverage::CoverageTrace> loaded;
   if (opts.load_trace) {
     obs::Span span("trace.load", "io");
-    coverage::CoverageTrace loaded = ys::load_trace(*opts.load_trace, mgr);
-    tracker.mark_packet(loaded.marked_packets());
-    for (const net::RuleId rid : loaded.marked_rules()) tracker.mark_rule(rid);
+    loaded = ys::load_trace(*opts.load_trace, mgr);
     if (!opts.json) std::printf("loaded trace from %s\n", opts.load_trace->c_str());
   }
-  // The tests run on the engine's own index, between its steps 1 and 2.
-  std::vector<nettest::TestResult> results;
-  const ys::CoverageEngine engine(
-      mgr, network,
-      [&](const dataplane::Transfer& transfer) -> const coverage::CoverageTrace& {
-        if (!opts.load_trace) results = s.suite.run_all(transfer, tracker);
-        return tracker.trace();
-      },
-      s.engine_options(opts));
+  const ys::CoverageEngine engine =
+      loaded ? ys::CoverageEngine(mgr, network, std::move(*loaded), s.engine_options(opts))
+             : ys::CoverageEngine(mgr, network, s.suite, s.engine_options(opts));
   size_t failures = 0;
-  for (const auto& r : results) failures += r.failures;
+  for (const auto& r : engine.results()) failures += r.failures;
   if (!opts.load_trace) {
     if (opts.json) {
-      std::printf("{\"tests\":%s,", ys::results_to_json(results).c_str());
+      std::printf("{\"tests\":%s,", ys::results_to_json(engine.results()).c_str());
     } else {
-      for (const auto& r : results) {
+      for (const auto& r : engine.results()) {
         std::printf("test %-24s %s (%zu checks, %zu failures)\n", r.name.c_str(),
                     r.passed() ? "PASS" : "FAIL", r.checks, r.failures);
       }
     }
-    if (opts.analyze && !opts.json) {
+    if (opts.analyze) {
       const ys::SuiteCoverageMatrix matrix = ys::build_suite_matrix(
           engine.transfer(), s.suite, s.budget_or_null(), opts.threads);
       if (matrix.truncated) {
@@ -549,7 +546,7 @@ int run_impl(const CliOptions& opts) {
   }
   if (opts.json) std::printf("}\n");
 
-  if (opts.suggest > 0 && !opts.json) {
+  if (opts.suggest > 0) {
     // The gap report's first packet witnesses, as ready-to-inject probes.
     std::printf("\nsuggested probes for untested rules:\n");
     size_t shown = 0;
@@ -565,7 +562,7 @@ int run_impl(const CliOptions& opts) {
 
   if (opts.save_trace) {
     obs::Span span("trace.save", "io");
-    ys::save_trace(*opts.save_trace, tracker.trace(), mgr);
+    ys::save_trace(*opts.save_trace, engine.trace(), mgr);
     if (!opts.json) std::printf("trace saved to %s\n", opts.save_trace->c_str());
   }
   return failures == 0 ? 0 : 1;
@@ -648,14 +645,7 @@ int optimize_impl(const CliOptions& opts) {
   if (!opts.json) std::printf("%s\n", network.summary().c_str());
 
   bdd::BddManager mgr(packet::kNumHeaderBits);
-  ys::CoverageTracker tracker;
-  const ys::CoverageEngine engine(
-      mgr, network,
-      [&](const dataplane::Transfer& transfer) -> const coverage::CoverageTrace& {
-        (void)s.suite.run_all(transfer, tracker);
-        return tracker.trace();
-      },
-      s.engine_options(opts));
+  const ys::CoverageEngine engine(mgr, network, s.suite, s.engine_options(opts));
   // Per-test coverage matrix: the substrate minimization/prioritization
   // fold over (bit-identical at any --threads value).
   const ys::SuiteCoverageMatrix matrix =
@@ -666,18 +656,7 @@ int optimize_impl(const CliOptions& opts) {
   std::optional<ys::GapReport> gaps;
   if (opts.minimize) {
     minimized = ys::minimize_suite(matrix, opts.min_coverage);
-    // End-to-end cross-check: re-run only the retained tests and push the
-    // merged trace through a fresh engine — the recomputed fractional rule
-    // coverage must equal the full suite's bit-for-bit at min-coverage 1.
-    ys::CoverageTracker subset_tracker;
-    for (const ys::SelectedTest& t : minimized->selected) {
-      (void)s.suite.test(t.index).run(engine.transfer(), subset_tracker);
-    }
-    const ys::CoverageEngine subset_engine(
-        mgr, network, subset_tracker.trace(),
-        ys::EngineOptions{s.budget_or_null(), opts.threads, "", opts.gc_threshold});
-    minimized->recomputed_full = engine.metrics().rule_fractional;
-    minimized->recomputed_subset = subset_engine.metrics().rule_fractional;
+    ys::recompute_minimized(*minimized, engine, s.suite, s.engine_options(opts));
   }
   if (opts.prioritize) prioritized = ys::prioritize_suite(matrix);
   if (opts.gap_report) gaps = ys::build_gap_report(engine);
@@ -837,8 +816,12 @@ int run_ingest_replay(const CliOptions& opts) {
 const std::vector<Mode>& modes() {
   static const std::vector<Mode> kModes = {
       {"", "run a suite on one network and report its coverage", true,
-       {"suite", "report", "trace", "resources", "timeline", "metrics", "output"}, nullptr,
-       nullptr, [](const CliOptions& o) { return observed(o, run_impl); }},
+       {"suite", "report", "trace", "resources", "timeline", "metrics", "output"},
+       "--analyze and --suggest without --json, --analyze without --load-trace",
+       [](const CliOptions& o) {
+         return !(o.json && (o.analyze || o.suggest > 0)) && !(o.analyze && o.load_trace);
+       },
+       [](const CliOptions& o) { return observed(o, run_impl); }},
       {"scenarios", "coverage under failure: recompute FIBs per scenario (DESIGN.md §13)", true,
        {"suite", "scenario", "resources", "timeline", "metrics", "output"},
        "exactly one of --scenario-spec / --random-links",
