@@ -56,7 +56,7 @@ Offline offline(const bench::TracedFatTree& t, unsigned threads, double path_bud
   out.run = bench::measure([&] {
     const ys::CoverageEngine engine(mgr, t.tree.network, local, options);
     out.row = engine.metrics();
-    out.paths = engine.path_coverage({}, path_budget);
+    out.paths = engine.path_coverage(path_budget);
   });
   return out;
 }
@@ -113,27 +113,40 @@ int main() {
   // Equation-3 ablation (DESIGN.md §5): survivor sets threaded through the
   // DFS against the naive design, which re-walks every emitted path with
   // path_measure (quadratic in path length), on the same bounded sample
-  // of the smallest topology's universe.
+  // of the smallest topology's universe: its first kSamplePaths paths,
+  // ingress port by ingress port.
   {
     const int k = ks.front();
     bench::TracedFatTree t(bench::routed_fat_tree(k), bench::suite<nettest::ToRPingmesh>());
     const ys::CoverageEngine engine(t.mgr, t.tree.network, t.trace);
-    coverage::PathExplorerOptions options;
-    options.max_paths = 5000;
+    constexpr uint64_t kSamplePaths = 5000;
+    const auto sample_universe = [&](const coverage::CoveredSets* covered, const auto& visit) {
+      const coverage::PathExplorer explorer(engine.transfer(), covered);
+      const packet::PacketSet all = packet::PacketSet::all(t.mgr);
+      uint64_t seen = 0;
+      for (const net::Interface& intf : engine.network().interfaces()) {
+        if (seen == kSamplePaths) break;
+        if (intf.kind != net::PortKind::HostPort && intf.kind != net::PortKind::ExternalPort) {
+          continue;
+        }
+        explorer.explore(intf.device, intf.id, all, [&](const coverage::ExploredPath& path) {
+          visit(path);
+          return ++seen < kSamplePaths;
+        });
+      }
+      return seen;
+    };
     uint64_t sample = 0;
     uint64_t streamed_covered = 0;
     uint64_t naive_covered = 0;
     const bench::Run streamed = bench::measure([&] {
-      const coverage::PathExplorer explorer(engine.transfer(), &engine.covered_sets(), options);
-      sample = explorer.explore_universe([&](const coverage::ExploredPath& path) {
+      sample = sample_universe(&engine.covered_sets(), [&](const coverage::ExploredPath& path) {
         if (path.covered_ratio > 0.0) ++streamed_covered;
-        return true;
       });
     });
     const bench::Run naive = bench::measure([&] {
-      const coverage::PathExplorer enumerator(engine.transfer(), nullptr, options);
       const coverage::Measure measure = coverage::path_measure(engine.transfer());
-      (void)enumerator.explore_universe([&](const coverage::ExploredPath& path) {
+      (void)sample_universe(nullptr, [&](const coverage::ExploredPath& path) {
         // Re-derive the guard and re-walk the path (the naive design).
         packet::PacketSet guard = path.final_set;
         for (auto it = path.rules.rbegin(); it != path.rules.rend(); ++it) {
@@ -143,7 +156,6 @@ int main() {
         }
         const coverage::GuardedString g{guard, path.rules, packet::kNoLocation};
         if (measure(engine.covered_sets(), g).value > 0.0) ++naive_covered;
-        return true;
       });
     });
     const double streamed_s = streamed.seconds({"bench.run"});

@@ -6,108 +6,117 @@
 // computation (match-set intersections, counting). The benchmarks measure
 // them on realistic operands: unions of hundreds of /24 routes, the
 // shapes that appear in data-center FIBs.
-#include <benchmark/benchmark.h>
+//
+// Each operation runs a fixed number of times inside one bench::measure
+// call; the table prints ns/op from that call's `bench.run` span.
+#include <cstdint>
+#include <cstdio>
+#include <string>
 
+#include "bench_util.hpp"
 #include "packet/packet_set.hpp"
+
+using namespace yardstick;
+using packet::Ipv4Prefix;
+using packet::PacketSet;
 
 namespace {
 
-using yardstick::bdd::BddManager;
-using yardstick::packet::Field;
-using yardstick::packet::Ipv4Prefix;
-using yardstick::packet::kNumHeaderBits;
-using yardstick::packet::PacketSet;
+/// The `i`-th /24 destination prefix above `base`.
+PacketSet route(bdd::BddManager& mgr, uint64_t i, uint32_t base = 0x0a000000u) {
+  return PacketSet::dst_prefix(mgr, Ipv4Prefix(base + (static_cast<uint32_t>(i) << 8), 24));
+}
 
 /// A union of `n` distinct /24 destination prefixes (FIB-like operand).
-PacketSet prefixes(BddManager& mgr, int n, uint32_t base = 0x0a000000u) {
+PacketSet prefixes(bdd::BddManager& mgr, int n, uint32_t base = 0x0a000000u) {
   PacketSet acc = PacketSet::none(mgr);
-  for (int i = 0; i < n; ++i) {
-    acc = acc.union_with(
-        PacketSet::dst_prefix(mgr, Ipv4Prefix(base + (static_cast<uint32_t>(i) << 8), 24)));
-  }
+  for (int i = 0; i < n; ++i) acc = acc.union_with(route(mgr, i, base));
   return acc;
 }
 
-void BM_FromRulePrefix(benchmark::State& state) {
-  BddManager mgr(kNumHeaderBits);
-  uint32_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        PacketSet::dst_prefix(mgr, Ipv4Prefix(0x0a000000u + (i++ << 8), 24)));
-  }
+/// Keeps the compiler from discarding a result nothing reads.
+template <class T>
+void keep(const T& value) {
+  asm volatile("" : : "m"(value) : "memory");
 }
-BENCHMARK(BM_FromRulePrefix);
 
-void BM_Union(benchmark::State& state) {
-  BddManager mgr(kNumHeaderBits);
-  const PacketSet a = prefixes(mgr, static_cast<int>(state.range(0)));
-  const PacketSet b = prefixes(mgr, static_cast<int>(state.range(0)), 0x0b000000u);
-  for (auto _ : state) benchmark::DoNotOptimize(a.union_with(b));
-  state.SetLabel(std::to_string(state.range(0)) + " prefixes/operand");
+/// Runs op(i) for i in [0, iterations) inside one measured call and prints
+/// its ns/op.
+template <class Op>
+void row(const std::string& name, const std::string& label, uint64_t iterations, Op&& op) {
+  const bench::Run run = bench::measure([&] {
+    for (uint64_t i = 0; i < iterations; ++i) op(i);
+  });
+  const double ns = run.seconds({"bench.run"}) * 1e9 / static_cast<double>(iterations);
+  std::printf("%-22s %-20s %10llu %12.1f\n", name.c_str(), label.c_str(),
+              static_cast<unsigned long long>(iterations), ns);
 }
-BENCHMARK(BM_Union)->Arg(16)->Arg(128)->Arg(1024);
-
-void BM_Intersect(benchmark::State& state) {
-  BddManager mgr(kNumHeaderBits);
-  const PacketSet a = prefixes(mgr, static_cast<int>(state.range(0)));
-  const PacketSet b =
-      PacketSet::dst_prefix(mgr, Ipv4Prefix::parse("10.0.0.0/9"));
-  for (auto _ : state) benchmark::DoNotOptimize(a.intersect(b));
-}
-BENCHMARK(BM_Intersect)->Arg(16)->Arg(128)->Arg(1024);
-
-void BM_Negate(benchmark::State& state) {
-  BddManager mgr(kNumHeaderBits);
-  const PacketSet a = prefixes(mgr, static_cast<int>(state.range(0)));
-  for (auto _ : state) benchmark::DoNotOptimize(a.negate());
-}
-BENCHMARK(BM_Negate)->Arg(128);
-
-void BM_Equal(benchmark::State& state) {
-  BddManager mgr(kNumHeaderBits);
-  const PacketSet a = prefixes(mgr, 256);
-  const PacketSet b = prefixes(mgr, 256);
-  for (auto _ : state) benchmark::DoNotOptimize(a.equal(b));  // O(1): canonical form
-}
-BENCHMARK(BM_Equal);
-
-void BM_Count(benchmark::State& state) {
-  BddManager mgr(kNumHeaderBits);
-  const PacketSet a = prefixes(mgr, static_cast<int>(state.range(0)));
-  for (auto _ : state) benchmark::DoNotOptimize(a.count());
-}
-BENCHMARK(BM_Count)->Arg(16)->Arg(1024);
-
-void BM_DisjointMatchSetWalk(benchmark::State& state) {
-  // The §5.2 step-1 pattern: walk an ordered table, carving each match
-  // field against everything claimed so far.
-  BddManager mgr(kNumHeaderBits);
-  const int rules = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    PacketSet claimed = PacketSet::none(mgr);
-    for (int i = 0; i < rules; ++i) {
-      const PacketSet field =
-          PacketSet::dst_prefix(mgr, Ipv4Prefix(0x0a000000u + (static_cast<uint32_t>(i) << 8), 24));
-      benchmark::DoNotOptimize(field.minus(claimed));
-      claimed = claimed.union_with(field);
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * rules);
-}
-BENCHMARK(BM_DisjointMatchSetWalk)->Arg(128)->Arg(1024);
-
-void BM_UnionCacheAblation(benchmark::State& state) {
-  // Design-choice ablation: the same FIB-style union workload with the
-  // BDD operation cache disabled.
-  BddManager mgr(kNumHeaderBits);
-  mgr.set_cache_enabled(state.range(0) == 0);
-  const PacketSet a = prefixes(mgr, 256);
-  const PacketSet b = prefixes(mgr, 256, 0x0b000000u);
-  for (auto _ : state) benchmark::DoNotOptimize(a.union_with(b));
-  state.SetLabel(state.range(0) == 0 ? "cache on" : "cache OFF");
-}
-BENCHMARK(BM_UnionCacheAblation)->Arg(0)->Arg(1);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main() {
+  constexpr uint64_t kIterations = 100'000;
+  std::printf("%-22s %-20s %10s %12s\n", "operation", "operand", "iterations", "ns/op");
+
+  {
+    bdd::BddManager mgr(packet::kNumHeaderBits);
+    row("from_rule_prefix", "/24", kIterations, [&](uint64_t i) { keep(route(mgr, i)); });
+  }
+  for (const int n : {16, 128, 1024}) {
+    bdd::BddManager mgr(packet::kNumHeaderBits);
+    const PacketSet a = prefixes(mgr, n);
+    const PacketSet b = prefixes(mgr, n, 0x0b000000u);
+    row("union", std::to_string(n) + " prefixes", kIterations,
+        [&](uint64_t) { keep(a.union_with(b)); });
+  }
+  for (const int n : {16, 128, 1024}) {
+    bdd::BddManager mgr(packet::kNumHeaderBits);
+    const PacketSet a = prefixes(mgr, n);
+    const PacketSet b = PacketSet::dst_prefix(mgr, Ipv4Prefix::parse("10.0.0.0/9"));
+    row("intersect", std::to_string(n) + " prefixes", kIterations,
+        [&](uint64_t) { keep(a.intersect(b)); });
+  }
+  {
+    bdd::BddManager mgr(packet::kNumHeaderBits);
+    const PacketSet a = prefixes(mgr, 128);
+    row("negate", "128 prefixes", kIterations, [&](uint64_t) { keep(a.negate()); });
+  }
+  {
+    bdd::BddManager mgr(packet::kNumHeaderBits);
+    const PacketSet a = prefixes(mgr, 256);
+    const PacketSet b = prefixes(mgr, 256);
+    // O(1): canonical form.
+    row("equal", "256 prefixes", kIterations, [&](uint64_t) { keep(a.equal(b)); });
+  }
+  for (const int n : {16, 1024}) {
+    bdd::BddManager mgr(packet::kNumHeaderBits);
+    const PacketSet a = prefixes(mgr, n);
+    row("count", std::to_string(n) + " prefixes", kIterations,
+        [&](uint64_t) { keep(a.count()); });
+  }
+  // The §5.2 step-1 pattern: walk an ordered table, carving each match
+  // field against everything claimed so far. One op is one whole walk.
+  for (const int rules : {128, 1024}) {
+    bdd::BddManager mgr(packet::kNumHeaderBits);
+    row("disjoint_match_walk", std::to_string(rules) + " rules", kIterations / rules,
+        [&](uint64_t) {
+          PacketSet claimed = PacketSet::none(mgr);
+          for (int i = 0; i < rules; ++i) {
+            const PacketSet field = route(mgr, i);
+            keep(field.minus(claimed));
+            claimed = claimed.union_with(field);
+          }
+        });
+  }
+  // Design-choice ablation: the same FIB-style union workload with the BDD
+  // operation cache disabled.
+  for (const bool cache : {true, false}) {
+    bdd::BddManager mgr(packet::kNumHeaderBits);
+    mgr.set_cache_enabled(cache);
+    const PacketSet a = prefixes(mgr, 256);
+    const PacketSet b = prefixes(mgr, 256, 0x0b000000u);
+    row("union_cache_ablation", cache ? "cache on" : "cache OFF", kIterations,
+        [&](uint64_t) { keep(a.union_with(b)); });
+  }
+  return 0;
+}

@@ -64,7 +64,7 @@ int main() {
     const dataplane::MatchSetIndex index(mgr, tree.network);
     const dataplane::Transfer transfer(index);
     return bench::measure(
-        [&] { out = ys::build_suite_matrix(transfer, suite, nullptr, threads); });
+        [&] { out = ys::build_suite_matrix(transfer, suite, threads); });
   };
   const auto [serial, parallel] = bench::alternate([&] { return build(1, matrices[0]); },
                                                    [&] { return build(kThreads, matrices[1]); });

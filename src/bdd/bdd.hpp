@@ -252,7 +252,8 @@ class BddManager {
   /// sharing one budget are capped collectively. Detaching (nullptr, or
   /// attaching a different budget) releases this manager's charge, and
   /// collect() releases the charge of every node it reclaims. The budget
-  /// must stay alive while attached.
+  /// must stay alive while attached. Callers attach through ScopedBudget
+  /// below; every offline stage reads the budget back from budget().
   void set_budget(const ys::ResourceBudget* budget);
   [[nodiscard]] const ys::ResourceBudget* budget() const { return budget_; }
 
@@ -436,22 +437,28 @@ class BddImporter {
   NodeIndexMap memo_;
 };
 
-/// RAII budget attachment: attaches on construction, detaches on scope
-/// exit (returning the manager's node charge to the shared pool). The
-/// parallel offline phase wraps every short-lived shard manager in one of
-/// these so node accounting stays balanced on every exit path.
+/// The way to attach a budget: installs `budget` on `mgr` (null means
+/// none) and, on scope exit, restores the budget the manager had before,
+/// on every exit path. The engine holds one for its lifetime, its online
+/// phase runs under one that installs none, and every shard and worker
+/// manager holds one installing its primary's budget, so node accounting
+/// stays balanced and no budget outlives its scope. Scopes on one manager
+/// must end in the reverse order they began, as nested scopes do; out of
+/// order, one would restore a budget that may already be gone.
 class ScopedBudget {
  public:
-  ScopedBudget(BddManager& mgr, const ys::ResourceBudget* budget) : mgr_(mgr) {
-    if (budget != nullptr) mgr_.set_budget(budget);
+  ScopedBudget(BddManager& mgr, const ys::ResourceBudget* budget)
+      : mgr_(mgr), previous_(mgr.budget()) {
+    mgr_.set_budget(budget);
   }
-  ~ScopedBudget() { mgr_.set_budget(nullptr); }
+  ~ScopedBudget() { mgr_.set_budget(previous_); }
 
   ScopedBudget(const ScopedBudget&) = delete;
   ScopedBudget& operator=(const ScopedBudget&) = delete;
 
  private:
   BddManager& mgr_;
+  const ys::ResourceBudget* previous_;
 };
 
 }  // namespace yardstick::bdd

@@ -12,8 +12,9 @@
 // records a `truncated` flag and returns partial results instead of
 // running away (see CoverageEngine).
 //
-// Budgets are passed by (non-owning) pointer; nullptr everywhere means
-// "unlimited", which keeps the default paths zero-cost.
+// A budget lives on a BddManager (bdd::ScopedBudget attaches it, non-owning)
+// and every offline stage reads it there; a manager without one is
+// unlimited, which keeps the default paths zero-cost.
 //
 // Thread-safety: one budget may be shared by many threads (the parallel
 // offline phase attaches it to per-thread BddManager shards). The cancel

@@ -77,11 +77,10 @@ struct CoverBuild {
 }  // namespace
 
 CoveredSets::CoveredSets(const dataplane::MatchSetIndex& index, const CoverageTrace& trace,
-                         const ys::ResourceBudget* budget, unsigned threads,
-                         const CoverPrefill* prefill, double gc_threshold)
+                         unsigned threads, const CoverPrefill* prefill, double gc_threshold)
     : index_(index), trace_(trace), truncated_(index.truncated()) {
   if (dataplane::sharded_build(CoverBuild{index, trace}, index.manager(), index.network(),
-                               sets_, prefill, budget, threads, gc_threshold)
+                               sets_, prefill, threads, gc_threshold)
           .truncated) {
     truncated_ = true;
   }

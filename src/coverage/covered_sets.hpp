@@ -48,9 +48,10 @@ class CoveredSets {
  public:
   /// Runs Algorithm 1 for every rule in the network.
   ///
-  /// `budget` (non-owning, may be null) bounds the computation: when it
-  /// trips mid-walk the remaining rules get empty covered sets, truncated()
-  /// flips to true, and construction completes without throwing.
+  /// The index manager's budget (may be null) bounds the computation: when
+  /// it trips mid-walk the remaining rules get empty covered sets,
+  /// truncated() flips to true, and construction completes without
+  /// throwing.
   ///
   /// `threads` (0 = one per hardware thread), `prefill` (cached covered
   /// sets for a subset of devices, may be null) and `gc_threshold` (0
@@ -59,8 +60,8 @@ class CoveredSets {
   /// index's manager, so the result is bit-identical at any thread count,
   /// GC on or off, prefilled or not.
   CoveredSets(const dataplane::MatchSetIndex& index, const CoverageTrace& trace,
-              const ys::ResourceBudget* budget = nullptr, unsigned threads = 1,
-              const CoverPrefill* prefill = nullptr, double gc_threshold = 0.0);
+              unsigned threads = 1, const CoverPrefill* prefill = nullptr,
+              double gc_threshold = 0.0);
 
   /// Structural clone onto another index (itself a clone of the original
   /// index into a different manager): copies every covered set into

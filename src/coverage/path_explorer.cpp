@@ -43,9 +43,7 @@ bool PathExplorer::emit(DfsState& state, const PacketSet& final_set, double rati
   }
 
   ++state.emitted;
-  const bool keep_going = (*state.visit)(path);
-  if (options_.max_paths != 0 && state.emitted >= options_.max_paths) return false;
-  return keep_going;
+  return (*state.visit)(path);
 }
 
 bool PathExplorer::dfs(DfsState& state, net::DeviceId device,
@@ -53,17 +51,18 @@ bool PathExplorer::dfs(DfsState& state, net::DeviceId device,
                        const PacketSet& survivors, double min_ratio, int depth) const {
   ++state.dfs_nodes;
   if (fault::active()) fault::fire("path.dfs");
-  // Cooperative budget gate: a tripped deadline/cancel (budget- or
-  // explorer-level) terminates the in-flight path as BudgetExceeded
-  // (distinguishable from DepthLimit) and unwinds the whole exploration.
-  if ((options_.budget != nullptr && options_.budget->exhausted()) ||
+  const net::Network& network = transfer_.network();
+  bdd::BddManager& mgr = transfer_.index().manager();
+  // Cooperative budget gate: a tripped deadline/cancel (the manager's
+  // budget or the explorer's deadline) terminates the in-flight path as
+  // BudgetExceeded (distinguishable from DepthLimit) and unwinds the whole
+  // exploration.
+  if ((mgr.budget() != nullptr && mgr.budget()->exhausted()) ||
       (options_.has_deadline &&
        ys::ResourceBudget::Clock::now() >= options_.deadline)) {
     emit(state, flowing, min_ratio, PathEnd::BudgetExceeded);
     return false;
   }
-  const net::Network& network = transfer_.network();
-  bdd::BddManager& mgr = transfer_.index().manager();
   if (!network.has_acl(device)) {
     return fib_stage(state, device, in_interface, flowing, survivors, min_ratio, depth);
   }
@@ -176,9 +175,9 @@ bool PathExplorer::fib_stage(DfsState& state, net::DeviceId device,
   return true;
 }
 
-uint64_t PathExplorer::explore(net::DeviceId device, net::InterfaceId in_interface,
-                               const PacketSet& headers,
-                               const std::function<bool(const ExploredPath&)>& visit) const {
+void PathExplorer::explore(net::DeviceId device, net::InterfaceId in_interface,
+                           const PacketSet& headers,
+                           const std::function<bool(const ExploredPath&)>& visit) const {
   DfsState state;
   state.visit = &visit;
   state.origin = in_interface.valid() ? net::to_location(in_interface)
@@ -192,35 +191,6 @@ uint64_t PathExplorer::explore(net::DeviceId device, net::InterfaceId in_interfa
     emitted.add(state.emitted);
     nodes.add(state.dfs_nodes);
   }
-  return state.emitted;
-}
-
-uint64_t PathExplorer::explore_universe(
-    const std::function<bool(const ExploredPath&)>& visit) const {
-  const net::Network& network = transfer_.network();
-  bdd::BddManager& mgr = transfer_.index().manager();
-  const PacketSet all = PacketSet::all(mgr);
-  uint64_t total = 0;
-  for (const net::Interface& intf : network.interfaces()) {
-    const bool ingress = intf.kind == net::PortKind::HostPort ||
-                         intf.kind == net::PortKind::ExternalPort;
-    if (!ingress) continue;
-    DfsState state;
-    state.visit = &visit;
-    state.origin = net::to_location(intf.id);
-    if (options_.max_paths != 0 && total >= options_.max_paths) break;
-    if (options_.budget != nullptr && options_.budget->exhausted()) break;
-    if (options_.has_deadline && ys::ResourceBudget::Clock::now() >= options_.deadline) {
-      break;
-    }
-    Options remaining = options_;
-    if (remaining.max_paths != 0) remaining.max_paths -= total;
-    // Each ingress port gets its own DFS; the per-call budget shrinks as
-    // paths accumulate.
-    PathExplorer scoped(transfer_, covered_, remaining);
-    total += scoped.explore(intf.device, intf.id, all, visit);
-  }
-  return total;
 }
 
 }  // namespace yardstick::coverage

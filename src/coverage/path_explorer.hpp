@@ -64,14 +64,6 @@ struct ExploredPath {
 
 struct PathExplorerOptions {
   int max_depth = 32;
-  /// Stop after emitting this many paths (0 = unlimited).
-  uint64_t max_paths = 0;
-  /// Cooperative resource budget (non-owning, may be null). When the
-  /// deadline or cancel flag trips, the in-flight path is emitted with
-  /// PathEnd::BudgetExceeded and the DFS unwinds; the BDD node cap
-  /// additionally throws from inside set operations (callers catch and
-  /// flag the sweep truncated — see CoverageEngine::path_coverage).
-  const ys::ResourceBudget* budget = nullptr;
   /// Absolute wall-clock deadline for this exploration, active when
   /// `has_deadline` is set. Checked at every DFS node expansion alongside
   /// the budget gate — not merely every N emitted paths — so even a sweep
@@ -92,14 +84,17 @@ class PathExplorer {
 
   /// Visit every maximal path of `headers` injected at `device` (arriving
   /// on `in_interface`, which may be invalid). The callback returns false
-  /// to stop exploration early. Returns the number of paths emitted.
-  uint64_t explore(net::DeviceId device, net::InterfaceId in_interface,
-                   const packet::PacketSet& headers,
-                   const std::function<bool(const ExploredPath&)>& visit) const;
-
-  /// Explore the full path universe: all possible headers injected at
-  /// every edge ingress port (host and external ports).
-  uint64_t explore_universe(const std::function<bool(const ExploredPath&)>& visit) const;
+  /// to stop exploration early.
+  ///
+  /// The budget attached to the transfer's manager bounds the walk: once
+  /// its deadline or cancel flag trips, the in-flight path is emitted with
+  /// PathEnd::BudgetExceeded and the DFS unwinds; its node cap throws from
+  /// inside set operations (CoverageEngine::path_coverage catches that and
+  /// flags the sweep truncated). The whole path universe is the engine's
+  /// sweep: one explore() per edge ingress port.
+  void explore(net::DeviceId device, net::InterfaceId in_interface,
+               const packet::PacketSet& headers,
+               const std::function<bool(const ExploredPath&)>& visit) const;
 
  private:
   struct DfsState;

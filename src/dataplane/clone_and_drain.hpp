@@ -9,14 +9,14 @@
 //
 //   * Workers. resolve_threads(threads, items). One worker runs the items
 //     inline, in order, on the caller's own inputs: nothing is cloned. Each
-//     of more workers gets a private BddManager charged to the budget
-//     (released when the worker ends, on every exit path), clones the
-//     inputs into it and drains a shared cursor. A clone that trips the
-//     budget leaves its worker with nothing to take.
+//     of more workers gets a private BddManager that attaches the primary
+//     manager's budget (released when the worker ends, on every exit path),
+//     clones the inputs into it and drains a shared cursor. A clone that
+//     trips the budget leaves its worker with nothing to take.
 //   * One stop rule, checked before every item at every worker count: stop
-//     when the budget is exhausted (deadline, cancel) or the caller's own
-//     limit is hit. A stop before the first item starts no worker and
-//     clones nothing.
+//     when the primary's budget is exhausted (deadline, cancel) or the
+//     caller's own limit is hit. A stop before the first item starts no
+//     worker and clones nothing.
 //   * Degradation. A stop with items left, a clone that trips the budget,
 //     a resource exhaustion inside an item, or an item that reports its
 //     result partial makes the run `truncated`; after the last two the
@@ -55,12 +55,12 @@ struct DrainResult {
 /// Runs item(in, i) for every i in [0, items) under the policy at the top of
 /// this file: `in` is `inputs` itself for one worker, else that worker's
 /// Clone of it in a private manager. `threads` 0 means one worker per
-/// hardware thread; `budget` (may be null) bounds the run.
+/// hardware thread; `primary`'s budget bounds the run.
 template <typename Clone, typename Inputs, typename Item, typename Limit>
 DrainResult clone_and_drain(const bdd::BddManager& primary, const Inputs& inputs, size_t items,
-                            unsigned threads, const ys::ResourceBudget* budget,
-                            const Limit& limit, const Item& item) {
+                            unsigned threads, const Limit& limit, const Item& item) {
   DrainResult result{ys::resolve_threads(threads, items)};
+  const ys::ResourceBudget* budget = primary.budget();
   std::atomic<bool> truncated{false};
   const auto stop = [&] { return (budget != nullptr && budget->exhausted()) || limit(); };
   // The stop rule, then item i. Returns false when the run stops.

@@ -80,11 +80,10 @@ struct MatchBuild {
 }  // namespace
 
 MatchSetIndex::MatchSetIndex(bdd::BddManager& mgr, const net::Network& network,
-                             const ys::ResourceBudget* budget, unsigned threads,
-                             const MatchPrefill* prefill, double gc_threshold)
+                             unsigned threads, const MatchPrefill* prefill, double gc_threshold)
     : mgr_(mgr), network_(network) {
-  ShardedBuildResult built = sharded_build(MatchBuild{network}, mgr, network, sets_, prefill,
-                                           budget, threads, gc_threshold);
+  ShardedBuildResult built =
+      sharded_build(MatchBuild{network}, mgr, network, sets_, prefill, threads, gc_threshold);
   truncated_ = built.truncated;
   unreached_ = std::move(built.unreached);
   if (obs::enabled()) {

@@ -54,19 +54,18 @@ class MatchSetIndex {
   /// Computes match fields and disjoint match sets for every rule in the
   /// network. Cost is one linear walk per device table.
   ///
-  /// `budget` (non-owning, may be null) bounds the computation: when the
-  /// deadline, node cap or cancel flag trips mid-walk, the remaining rules
-  /// get empty match sets (and reached() == false), truncated() flips to
-  /// true, and construction completes without throwing — partial results
-  /// instead of a runaway.
+  /// `mgr`'s budget (BddManager::budget(), may be null) bounds the
+  /// computation: when the deadline, node cap or cancel flag trips
+  /// mid-walk, the remaining rules get empty match sets (and reached() ==
+  /// false), truncated() flips to true, and construction completes without
+  /// throwing — partial results instead of a runaway.
   ///
   /// `threads` (0 = one per hardware thread), `prefill` (cached results for
   /// a subset of devices, may be null) and `gc_threshold` (0 disables) are
   /// the shard-and-merge driver's: see dataplane/sharded_build.hpp. Every
   /// set is canonical in `mgr`, so the index is bit-identical at any thread
   /// count, GC on or off, prefilled or not.
-  MatchSetIndex(bdd::BddManager& mgr, const net::Network& network,
-                const ys::ResourceBudget* budget = nullptr, unsigned threads = 1,
+  MatchSetIndex(bdd::BddManager& mgr, const net::Network& network, unsigned threads = 1,
                 const MatchPrefill* prefill = nullptr, double gc_threshold = 0.0);
 
   /// Structural clone into another manager: copies every packet set of

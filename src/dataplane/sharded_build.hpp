@@ -13,11 +13,12 @@
 //     managers, worker w taking work items w, w+T, w+2T, ... GC needs
 //     shards because the primary holds handles no builder owns, so it is
 //     never collected.
-//   * Budget. One budget governs the primary and every shard. A shard's
-//     node charge is held until the merge completes and released when the
-//     shard dies, on every exit path, exceptions included. The budget is
-//     polled before each device; resource exhaustion in a worker or in the
-//     merge degrades the build to `truncated` with the results built so far.
+//   * Budget. The primary manager's budget governs the primary and every
+//     shard: each shard attaches it (bdd::ScopedBudget), holds its node
+//     charge until the merge completes and releases it when the shard dies,
+//     on every exit path, exceptions included. The budget is polled before
+//     each device; resource exhaustion in a worker or in the merge degrades
+//     the build to `truncated` with the results built so far.
 //   * GC. After each device a shard tracks that device's slots as roots and
 //     collects when due, rekeying its primary-to-shard input importer.
 //   * Merge. Shard slots are imported into the primary in device order, so
@@ -149,8 +150,8 @@ bool exhausted_during(Fn&& fn) {
 
 template <typename Slots>
 struct Shard {
-  Shard(const bdd::BddManager& primary, const ys::ResourceBudget* budget)
-      : mgr(primary.num_vars()), charge(mgr, budget) {}
+  explicit Shard(const bdd::BddManager& primary)
+      : mgr(primary.num_vars()), charge(mgr, primary.budget()) {}
 
   bdd::BddManager mgr;
   bdd::ScopedBudget charge;  // released when the shard dies: after the merge, or unwinding
@@ -164,18 +165,18 @@ template <typename Builder>
 bool build_in_shards(const Builder& builder, bdd::BddManager& primary,
                      const net::Network& network, typename Builder::Slots& out,
                      const std::vector<const net::Device*>& work, unsigned workers,
-                     const ys::ResourceBudget* budget, double gc_threshold) {
+                     double gc_threshold) {
   using Slots = typename Builder::Slots;
   std::vector<std::unique_ptr<Shard<Slots>>> shards(workers);
   ys::run_workers(workers, [&](unsigned w) {
-    Shard<Slots>& shard = *(shards[w] = std::make_unique<Shard<Slots>>(primary, budget));
+    Shard<Slots>& shard = *(shards[w] = std::make_unique<Shard<Slots>>(primary));
     size_slots(shard.slots, network);
     if (gc_threshold > 0.0) shard.mgr.set_gc_threshold(gc_threshold);
     bdd::BddImporter into_shard(shard.mgr, primary);
     packet::GcRootTracker gc_roots(shard.mgr);
     shard.truncated = exhausted_during([&] {
       for (size_t d = w; d < work.size(); d += workers) {
-        if (budget != nullptr) budget->poll(Builder::kActivity);
+        if (shard.mgr.budget() != nullptr) shard.mgr.budget()->poll(Builder::kActivity);
         const net::Device& dev = *work[d];
         builder.build(shard.mgr, dev, shard.slots, PrimaryInput(&into_shard));
         if (gc_threshold <= 0.0) continue;
@@ -239,14 +240,14 @@ bool build_in_shards(const Builder& builder, bdd::BddManager& primary,
 
 /// Runs `builder` over every device of `network` into `out`, sized here,
 /// building in `primary` or in shards merged into it (see the top of this
-/// file). `prefill` (may be null) supplies cached slots for the devices it
-/// hits; `threads` 0 means one worker per hardware thread; `gc_threshold`
-/// in (0, 1] arms shard GC, 0 disables it.
+/// file), under `primary`'s budget. `prefill` (may be null) supplies cached
+/// slots for the devices it hits; `threads` 0 means one worker per hardware
+/// thread; `gc_threshold` in (0, 1] arms shard GC, 0 disables it.
 template <typename Builder, typename Prefill>
 ShardedBuildResult sharded_build(const Builder& builder, bdd::BddManager& primary,
                                  const net::Network& network, typename Builder::Slots& out,
-                                 const Prefill* prefill, const ys::ResourceBudget* budget,
-                                 unsigned threads, double gc_threshold) {
+                                 const Prefill* prefill, unsigned threads,
+                                 double gc_threshold) {
   obs::Span build_span(Builder::kBuildSpan, "offline");
   size_slots(out, network);
   std::vector<const net::Device*> work;
@@ -269,12 +270,12 @@ ShardedBuildResult sharded_build(const Builder& builder, bdd::BddManager& primar
   ShardedBuildResult result;
   result.built_devices = work.size();
   if (workers > 1 || (gc_threshold > 0.0 && !work.empty())) {
-    result.truncated = detail::build_in_shards(builder, primary, network, out, work, workers,
-                                               budget, gc_threshold);
+    result.truncated =
+        detail::build_in_shards(builder, primary, network, out, work, workers, gc_threshold);
   } else {
     result.truncated = detail::exhausted_during([&] {
       for (const net::Device* dev : work) {
-        if (budget != nullptr) budget->poll(Builder::kActivity);
+        if (primary.budget() != nullptr) primary.budget()->poll(Builder::kActivity);
         builder.build(primary, *dev, out, PrimaryInput());
       }
     });

@@ -37,8 +37,7 @@ struct MatrixClone {
 /// slots of seconds/covers; returns true when the covered-set build was
 /// budget-truncated.
 [[nodiscard]] bool evaluate_test(const MatrixInputs& in, const nettest::NetworkTest& test,
-                                 const ResourceBudget* budget, SuiteCoverageMatrix& m,
-                                 size_t i) {
+                                 SuiteCoverageMatrix& m, size_t i) {
   CoverageTracker tracker;
   // Time the isolated run only: trace bookkeeping and the covered-set
   // build below are analysis overhead, not test cost.
@@ -46,8 +45,7 @@ struct MatrixClone {
   (void)test.run(in.transfer, tracker);
   m.seconds[i] =
       std::chrono::duration<double>(ResourceBudget::Clock::now() - test_start).count();
-  const coverage::CoveredSets covered(in.transfer.index(), tracker.trace(), budget,
-                                      in.build_threads);
+  const coverage::CoveredSets covered(in.transfer.index(), tracker.trace(), in.build_threads);
   std::vector<char> row(m.rule_count, 0);
   for (size_t r = 0; r < m.rule_count; ++r) {
     if (m.vacuous[r]) continue;
@@ -71,9 +69,7 @@ size_t SuiteCoverageMatrix::covered_by(size_t i) const {
 }
 
 SuiteCoverageMatrix build_suite_matrix(const dataplane::Transfer& transfer,
-                                       const nettest::TestSuite& suite,
-                                       const ResourceBudget* budget,
-                                       unsigned threads) {
+                                       const nettest::TestSuite& suite, unsigned threads) {
   const size_t n = suite.size();
   obs::Span span("analysis.suite_matrix", "analysis");
   span.arg("tests", n);
@@ -101,11 +97,8 @@ SuiteCoverageMatrix build_suite_matrix(const dataplane::Transfer& transfer,
   // Tests are the clone-and-drain driver's items. A test the stop rule
   // skipped, or whose run tripped the budget, keeps an all-zero row below.
   const dataplane::DrainResult drain = dataplane::clone_and_drain<MatrixClone>(
-      index.manager(), MatrixInputs{transfer, threads}, n, threads, budget,
-      [] { return false; },
-      [&](const MatrixInputs& in, size_t i) {
-        return evaluate_test(in, suite.test(i), budget, m, i);
-      });
+      index.manager(), MatrixInputs{transfer, threads}, n, threads, [] { return false; },
+      [&](const MatrixInputs& in, size_t i) { return evaluate_test(in, suite.test(i), m, i); });
   m.truncated = m.truncated || drain.truncated;
   for (std::vector<char>& row : m.covers) {
     if (row.empty()) row.assign(m.rule_count, 0);

@@ -17,6 +17,7 @@
 //     minimal subsets, run orders, probes for the gaps — is optimize.hpp.
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -74,26 +75,36 @@ struct SuiteCoverageMatrix {
 ///
 /// Tests are the items of the clone-and-drain driver
 /// (dataplane/clone_and_drain.hpp), which owns the worker policy and the
-/// stop rule. Worker managers (the index clone and every covered-set build
-/// in it) charge `budget`, so a budgeted run trips earlier at higher
-/// thread counts. The matrix rows are set-emptiness facts about
-/// canonically-constructed BDDs, which no manager renumbering can change —
-/// so the matrix, and everything derived from it, is bit-identical at any
-/// thread count (`seconds` carries real wall-clock and is exempt, which is
-/// why prioritization is excluded from golden comparisons). Contract on the suite: at `threads` > 1 a test
-/// must derive all symbolic state from the transfer it is handed (every
-/// test in src/nettest does); a test closing over PacketSets bound to the
-/// caller's manager requires `threads` == 1.
+/// stop rule. The budget attached to the index's manager bounds the work:
+/// the tests and covered-set builds charge it, and so do worker managers
+/// (the index clone and every covered-set build in it), so a budgeted run
+/// trips earlier at higher thread counts. The matrix rows are set-emptiness
+/// facts about canonically-constructed BDDs, which no manager renumbering
+/// can change — so the matrix, and everything derived from it, is
+/// bit-identical at any thread count (`seconds` carries real wall-clock and
+/// is exempt, which is why prioritization is excluded from golden
+/// comparisons). Contract on the suite: at `threads` > 1 a test must derive
+/// all symbolic state from the transfer it is handed (every test in
+/// src/nettest does); a test closing over PacketSets bound to the caller's
+/// manager requires `threads` == 1.
 /// This is deliberately outside the incremental cache (DESIGN.md §11):
 /// every per-test trace has a distinct content key, so caching would churn
 /// the artifact without ever producing a warm hit.
 ///
-/// `budget` (non-owning, may be null) bounds the work; a tripped budget
-/// surfaces as `truncated`, and every test that did not complete keeps an
-/// all-zero row.
-[[nodiscard]] SuiteCoverageMatrix build_suite_matrix(
-    const dataplane::Transfer& transfer, const nettest::TestSuite& suite,
-    const ResourceBudget* budget = nullptr, unsigned threads = 1);
+/// A tripped budget surfaces as `truncated`, and every test that did not
+/// complete keeps an all-zero row.
+[[nodiscard]] SuiteCoverageMatrix build_suite_matrix(const dataplane::Transfer& transfer,
+                                                     const nettest::TestSuite& suite,
+                                                     unsigned threads = 1);
+
+/// Keeps perfbench/layers.cpp compiling: it calls `(transfer, suite,
+/// nullptr, threads)` and changes only with the benchmark. The third
+/// argument can only be null; the budget is the manager's.
+[[nodiscard]] inline SuiteCoverageMatrix build_suite_matrix(const dataplane::Transfer& transfer,
+                                                            const nettest::TestSuite& suite,
+                                                            std::nullptr_t, unsigned threads) {
+  return build_suite_matrix(transfer, suite, threads);
+}
 
 struct TestContribution {
   std::string name;

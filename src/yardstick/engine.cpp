@@ -12,40 +12,17 @@ namespace yardstick::ys {
 
 namespace {
 
-/// Attaches the budget to the manager before any member computation runs
-/// (init-list ordering), so the node cap is enforced from the very first
-/// match-set BDD operation.
-const ResourceBudget* attach_budget(bdd::BddManager& mgr, const ResourceBudget* budget) {
-  if (budget != nullptr) mgr.set_budget(budget);
-  return budget;
-}
-
-/// Detaches the manager's budget for its lifetime and re-attaches it on
-/// scope exit, also when the scope unwinds.
-class BudgetDetached {
- public:
-  explicit BudgetDetached(bdd::BddManager& mgr) : mgr_(mgr), budget_(mgr.budget()) {
-    mgr_.set_budget(nullptr);
-  }
-  ~BudgetDetached() { mgr_.set_budget(budget_); }
-  BudgetDetached(const BudgetDetached&) = delete;
-  BudgetDetached& operator=(const BudgetDetached&) = delete;
-
- private:
-  bdd::BddManager& mgr_;
-  const ResourceBudget* budget_;
-};
-
 /// The online phase, between steps 1 and 2: with a suite, the tests run
-/// unbudgeted on the engine's transfer and their trace replaces `trace`;
-/// then the cache keys its covered-set records by the trace.
+/// unbudgeted on the engine's transfer (the engine's budget is back on the
+/// manager afterwards, also when a test throws) and their trace replaces
+/// `trace`; then the cache keys its covered-set records by the trace.
 std::vector<nettest::TestResult> run_online(const nettest::TestSuite* suite,
                                             const dataplane::Transfer& transfer,
                                             coverage::CoverageTrace& trace,
                                             IncrementalSession* incremental) {
   std::vector<nettest::TestResult> results;
   if (suite != nullptr) {
-    const BudgetDetached detached(transfer.index().manager());
+    const bdd::ScopedBudget unbudgeted(transfer.index().manager(), nullptr);
     CoverageTracker tracker;
     results = suite->run_all(transfer, tracker);
     trace = tracker.take_trace();
@@ -71,10 +48,10 @@ class PhaseTimer {
   ResourceBudget::Clock::time_point start_;
 };
 
-/// Samples the primary manager's engine statistics and the budget's
+/// Samples the primary manager's engine statistics and its budget's
 /// consumption into the metrics registry — called at phase boundaries so
 /// the BDD hot path itself carries no instrumentation.
-void sample_engine_gauges(const bdd::BddManager& mgr, const ResourceBudget* budget) {
+void sample_engine_gauges(const bdd::BddManager& mgr) {
   if (!obs::enabled()) return;
   obs::MetricsRegistry& reg = obs::metrics();
   const bdd::BddManager::Stats stats = mgr.stats();
@@ -96,7 +73,7 @@ void sample_engine_gauges(const bdd::BddManager& mgr, const ResourceBudget* budg
       .set(static_cast<double>(stats.neg_cache_hits));
   reg.gauge("ys.bdd.neg_cache_misses", "complement-memo misses on the primary manager")
       .set(static_cast<double>(stats.neg_cache_misses));
-  if (budget != nullptr) {
+  if (const ResourceBudget* budget = mgr.budget()) {
     reg.gauge("ys.budget.used_bdd_nodes", "nodes charged against the shared budget")
         .set(static_cast<double>(budget->used_bdd_nodes()));
     reg.gauge("ys.budget.peak_bdd_nodes",
@@ -115,10 +92,9 @@ dataplane::MatchSetIndex CoverageEngine::timed_match_sets(
     bdd::BddManager& mgr, const net::Network& network, const EngineOptions& options,
     PhaseTimings& timings, const IncrementalSession* incremental) {
   PhaseTimer timer(timings.match_sets_seconds);
-  return dataplane::MatchSetIndex(mgr, network, options.budget, options.threads,
-                                  incremental != nullptr ? incremental->match_prefill()
-                                                         : nullptr,
-                                  options.gc_threshold);
+  return dataplane::MatchSetIndex(
+      mgr, network, options.threads,
+      incremental != nullptr ? incremental->match_prefill() : nullptr, options.gc_threshold);
 }
 
 coverage::CoveredSets CoverageEngine::timed_covered_sets(
@@ -126,10 +102,9 @@ coverage::CoveredSets CoverageEngine::timed_covered_sets(
     const EngineOptions& options, PhaseTimings& timings,
     const IncrementalSession* incremental) {
   PhaseTimer timer(timings.covered_sets_seconds);
-  return coverage::CoveredSets(index, trace, options.budget, options.threads,
-                               incremental != nullptr ? incremental->cover_prefill()
-                                                      : nullptr,
-                               options.gc_threshold);
+  return coverage::CoveredSets(
+      index, trace, options.threads,
+      incremental != nullptr ? incremental->cover_prefill() : nullptr, options.gc_threshold);
 }
 
 std::unique_ptr<IncrementalSession> CoverageEngine::make_incremental(
@@ -153,7 +128,7 @@ CoverageEngine::CoverageEngine(bdd::BddManager& mgr, const net::Network& network
                                const nettest::TestSuite* suite, coverage::CoverageTrace trace,
                                const EngineOptions& options)
     : network_(network),
-      budget_(attach_budget(mgr, options.budget)),
+      budget_(mgr, options.budget),
       threads_(options.threads),
       incremental_(make_incremental(mgr, network, options)),
       index_(timed_match_sets(mgr, network, options, timings_, incremental_.get())),
@@ -181,7 +156,7 @@ CoverageEngine::CoverageEngine(bdd::BddManager& mgr, const net::Network& network
   }
   // Offline phase (steps 1-2) just finished: snapshot the primary
   // manager's state and the budget consumption into the registry.
-  sample_engine_gauges(mgr, budget_);
+  sample_engine_gauges(mgr);
 }
 
 CoverageEngine::MeasureTable CoverageEngine::build_measures(
@@ -339,14 +314,11 @@ struct SweepClone {
 /// Run the streamed DFS for one ingress port into `sweep`, which keeps the
 /// paths emitted before a budget trips mid-ingress. Returns true when the
 /// explorer cut a path short. `emitted_total` is the sweep-global path
-/// counter enforcing options.max_paths across every ingress (and every
-/// worker); the per-explorer cap is disabled.
+/// counter enforcing `max_paths` across every ingress (and every worker).
 bool sweep_ingress(const SweepInputs& in, const coverage::PathExplorerOptions& options,
-                   const net::Interface& intf, std::atomic<uint64_t>& emitted_total,
-                   IngressSweep& sweep) {
-  coverage::PathExplorerOptions local = options;
-  local.max_paths = 0;  // the global cap below governs, not the per-DFS one
-  const coverage::PathExplorer explorer(in.transfer, &in.covered, local);
+                   uint64_t max_paths, const net::Interface& intf,
+                   std::atomic<uint64_t>& emitted_total, IngressSweep& sweep) {
+  const coverage::PathExplorer explorer(in.transfer, &in.covered, options);
   const packet::PacketSet all = packet::PacketSet::all(in.transfer.index().manager());
   bool cut_short = false;
   explorer.explore(intf.device, intf.id, all, [&](const coverage::ExploredPath& path) {
@@ -357,25 +329,23 @@ bool sweep_ingress(const SweepInputs& in, const coverage::PathExplorerOptions& o
     // budget or the deadline tripped mid-DFS.
     if (path.end == coverage::PathEnd::BudgetExceeded) cut_short = true;
     const uint64_t emitted = emitted_total.fetch_add(1, std::memory_order_relaxed) + 1;
-    return options.max_paths == 0 || emitted < options.max_paths;
+    return max_paths == 0 || emitted < max_paths;
   });
   return cut_short;
 }
 
 }  // namespace
 
-PathCoverageResult CoverageEngine::path_coverage(coverage::PathExplorerOptions options,
-                                                 double deadline_seconds) const {
+PathCoverageResult CoverageEngine::path_coverage(double deadline_seconds,
+                                                 uint64_t max_paths) const {
   obs::Span sweep_span("path_coverage.sweep", "offline");
   const auto sweep_start = ResourceBudget::Clock::now();
   PathCoverageResult result;
   result.truncated = truncated();  // steps 1-2 already degraded: Eq. 3 inputs partial
-  if (options.budget == nullptr) options.budget = budget_;
+  coverage::PathExplorerOptions options;
   if (deadline_seconds > 0.0) {
-    const auto limit = ResourceBudget::Clock::now() +
-                       std::chrono::duration_cast<ResourceBudget::Clock::duration>(
-                           std::chrono::duration<double>(deadline_seconds));
-    if (!options.has_deadline || limit < options.deadline) options.deadline = limit;
+    options.deadline = sweep_start + std::chrono::duration_cast<ResourceBudget::Clock::duration>(
+                                         std::chrono::duration<double>(deadline_seconds));
     options.has_deadline = true;
   }
 
@@ -392,14 +362,12 @@ PathCoverageResult CoverageEngine::path_coverage(coverage::PathExplorerOptions o
   std::atomic<uint64_t> emitted_total{0};
   const dataplane::DrainResult drain = dataplane::clone_and_drain<SweepClone>(
       index_.manager(), SweepInputs{transfer_, covered_}, frontier.size(), threads_,
-      options.budget,
       [&] {
         return (options.has_deadline && ResourceBudget::Clock::now() >= options.deadline) ||
-               (options.max_paths != 0 &&
-                emitted_total.load(std::memory_order_relaxed) >= options.max_paths);
+               (max_paths != 0 && emitted_total.load(std::memory_order_relaxed) >= max_paths);
       },
       [&](const SweepInputs& in, size_t i) {
-        return sweep_ingress(in, options, *frontier[i], emitted_total, sweeps[i]);
+        return sweep_ingress(in, options, max_paths, *frontier[i], emitted_total, sweeps[i]);
       });
   if (drain.truncated) result.truncated = true;
 
@@ -409,12 +377,11 @@ PathCoverageResult CoverageEngine::path_coverage(coverage::PathExplorerOptions o
     result.covered_paths += s.covered_paths;
     result.mean += s.ratio_sum;
   }
-  if (options.max_paths != 0 && result.total_paths >= options.max_paths) {
-    result.truncated = true;
-  }
+  if (max_paths != 0 && result.total_paths >= max_paths) result.truncated = true;
   // A budget that tripped while the sweep ran leaves it partial, even when
   // no path was cut short.
-  if (options.budget != nullptr && options.budget->exhausted()) result.truncated = true;
+  const ResourceBudget* budget = index_.manager().budget();
+  if (budget != nullptr && budget->exhausted()) result.truncated = true;
   if (result.total_paths > 0) {
     result.fractional = static_cast<double>(result.covered_paths) /
                         static_cast<double>(result.total_paths);
@@ -426,7 +393,7 @@ PathCoverageResult CoverageEngine::path_coverage(coverage::PathExplorerOptions o
   sweep_span.arg("covered_paths", result.covered_paths);
   sweep_span.arg("workers", drain.workers);
   sweep_span.arg("truncated", result.truncated ? 1 : 0);
-  sample_engine_gauges(index_.manager(), options.budget);
+  sample_engine_gauges(index_.manager());
   return result;
 }
 

@@ -69,8 +69,10 @@ struct PathCoverageResult {
 
 /// Construction-time knobs for the engine's offline phase.
 struct EngineOptions {
-  /// Non-owning; may be null; must outlive the engine. See the engine
-  /// constructor docs for degradation semantics.
+  /// Non-owning; may be null. Attached to the manager for the engine's
+  /// lifetime (bdd::ScopedBudget); the previous budget is restored
+  /// afterwards, so engines sharing a manager end in the reverse order they
+  /// began. See the engine constructor docs for degradation semantics.
   const ResourceBudget* budget = nullptr;
   /// Worker threads for the offline phase (match sets, covered sets and
   /// path-universe sweeps): 1 = serial, 0 = one per hardware thread. The
@@ -85,7 +87,7 @@ struct EngineOptions {
   /// invalidation frontier, and re-persists the cache afterwards — with
   /// output bit-identical to a from-scratch run. A missing/corrupt/
   /// mismatched cache silently degrades to a full rebuild.
-  std::string cache_dir;
+  std::string cache_dir{};
   /// Dead-fraction trigger in (0, 1] for phase-boundary mark-compact GC on
   /// the per-worker shard managers of steps 1-2 (0 = off). Enabling GC
   /// forces the sharded build path even at threads == 1; output stays
@@ -102,14 +104,17 @@ class CoverageEngine {
   /// covered sets of the suite's trace (step 2) on the same index. Metric
   /// queries afterwards are step 3.
   ///
-  /// `options.budget` bounds steps 1-3 only. It is detached from `mgr`
-  /// while the tests run (re-attached even if one throws), and a step 1 it
-  /// truncated hands the tests the partial data plane. A tripped budget
-  /// never escapes as an exception from the engine: construction completes
-  /// with partial match/covered sets and truncated() == true, and metric
-  /// queries return the values computed so far with their `truncated` flag
-  /// set. The incremental cache is read once before step 1 and keys its
-  /// covered-set records by the suite's trace.
+  /// `options.budget` is the manager's budget for the engine's lifetime,
+  /// so it bounds steps 1-3 and every stage run on the engine's index
+  /// meanwhile; the budget `mgr` had before comes back when the engine
+  /// dies, also when construction throws. The tests run unbudgeted (the
+  /// budget is off the manager while they run), and a step 1 it truncated
+  /// hands them the partial data plane. A tripped budget never escapes as
+  /// an exception from the engine: construction completes with partial
+  /// match/covered sets and truncated() == true, and metric queries return
+  /// the values computed so far with their `truncated` flag set. The
+  /// incremental cache is read once before step 1 and keys its covered-set
+  /// records by the suite's trace.
   CoverageEngine(bdd::BddManager& mgr, const net::Network& network,
                  const nettest::TestSuite& suite, const EngineOptions& options = {});
 
@@ -144,6 +149,11 @@ class CoverageEngine {
   [[nodiscard]] double interface_coverage(
       net::InterfaceId id,
       coverage::InterfaceDirection direction = coverage::InterfaceDirection::Outgoing) const;
+  /// Explores the flow's paths under the manager's budget. Once that
+  /// budget's deadline has passed or its cancel flag is up, the walk stops
+  /// before its first hop: the flow has no path, and the query returns the
+  /// vacuous 1.0, not a lower bound. A node cap that trips mid-query throws
+  /// BudgetExceededError.
   [[nodiscard]] double flow_coverage(net::DeviceId device, net::InterfaceId in_interface,
                                      const packet::PacketSet& headers) const;
 
@@ -158,11 +168,11 @@ class CoverageEngine {
 
   /// Full path-universe sweep; expensive (§8.2), one item per edge ingress
   /// port on the clone-and-drain driver (dataplane/clone_and_drain.hpp).
-  /// `options.max_paths` bounds the work; `deadline_seconds` stops the
-  /// sweep after a wall-time budget (0 = none), reporting the result
-  /// truncated.
-  [[nodiscard]] PathCoverageResult path_coverage(coverage::PathExplorerOptions options = {},
-                                                 double deadline_seconds = 0.0) const;
+  /// `deadline_seconds` stops the sweep after a wall-time budget and
+  /// `max_paths` after that many paths (0 = none for either), as does the
+  /// manager's budget; a stopped sweep reports its result truncated.
+  [[nodiscard]] PathCoverageResult path_coverage(double deadline_seconds = 0.0,
+                                                 uint64_t max_paths = 0) const;
 
   // --- Reports ---
 
@@ -250,7 +260,9 @@ class CoverageEngine {
       bdd::BddManager& mgr, const net::Network& network, const EngineOptions& options);
 
   const net::Network& network_;
-  const ResourceBudget* budget_;
+  // Declared before every member the offline phase builds, so the budget
+  // bounds them from the first BDD operation, and outlives them.
+  bdd::ScopedBudget budget_;
   unsigned threads_;
   PhaseTimings timings_;  // declared before index_/covered_: written during their init
   // Declared before index_: its prefills feed index_'s and covered_'s

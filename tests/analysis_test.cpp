@@ -112,7 +112,7 @@ TEST_F(AnalysisTest, BudgetedAnalysisClampsMarginalsAndFlagsTruncation) {
   // every per-test covered-set computation degrades.
   budget.with_max_bdd_nodes(1000);
   const bdd::ScopedBudget attach(mgr, &budget);
-  const SuiteCoverageMatrix matrix = build_suite_matrix(transfer, suite, &budget);
+  const SuiteCoverageMatrix matrix = build_suite_matrix(transfer, suite);
 
   EXPECT_TRUE(matrix.truncated);
   const std::vector<TestContribution> tests = test_contributions(matrix);

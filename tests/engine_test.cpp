@@ -4,9 +4,12 @@
 #include <memory>
 #include <type_traits>
 
+#include "nettest/contract_checks.hpp"
 #include "nettest/reachability.hpp"
 #include "nettest/state_checks.hpp"
+#include "routing/fib_builder.hpp"
 #include "test_util.hpp"
+#include "topo/fattree.hpp"
 #include "yardstick/engine.hpp"
 #include "yardstick/json.hpp"
 #include "yardstick/tracker.hpp"
@@ -148,11 +151,55 @@ TEST_F(EngineTest, PathCoverageSweep) {
 
 TEST_F(EngineTest, PathCoverageBudgetTruncates) {
   const CoverageEngine engine(mgr_, tiny_.net, tracker_.trace());
-  coverage::PathExplorerOptions options;
-  options.max_paths = 3;
-  const PathCoverageResult result = engine.path_coverage(options);
+  const PathCoverageResult result = engine.path_coverage(0.0, /*max_paths=*/3);
   EXPECT_EQ(result.total_paths, 3u);
   EXPECT_TRUE(result.truncated);
+}
+
+TEST_F(EngineTest, FlowQueryOnASpentBudgetSeesNoPath) {
+  for (const net::RuleId rid : {tiny_.l1_to_p2, tiny_.sp_to_p2, tiny_.l2_to_p2}) {
+    tracker_.mark_rule(rid);
+  }
+  ResourceBudget budget;
+  const CoverageEngine engine(mgr_, tiny_.net, tracker_.trace(), EngineOptions{&budget});
+  EXPECT_DOUBLE_EQ(engine.flow_coverage(tiny_.leaf1, tiny_.l1_host, dst(tiny_.p1)), 0.0);
+  // The flow's walk reads the manager's budget: once it is spent the walk
+  // stops before its first hop, and the flow is vacuously covered.
+  budget.request_cancel();
+  EXPECT_DOUBLE_EQ(engine.flow_coverage(tiny_.leaf1, tiny_.l1_host, dst(tiny_.p1)), 1.0);
+}
+
+TEST_F(EngineTest, BudgetDoesNotOutliveItsEngine) {
+  topo::FatTree tree = topo::make_fat_tree({.k = 8});
+  routing::FibBuilder::compute_and_build(tree.network, tree.routing);
+  nettest::TestSuite suite("s");
+  suite.add(std::make_unique<nettest::DefaultRouteCheck>());
+  suite.add(std::make_unique<nettest::ToRContract>());
+
+  // Engine A's budget is freed once A is gone: a manager still holding it
+  // would charge freed memory.
+  auto budget = std::make_unique<ResourceBudget>();
+  budget->with_max_bdd_nodes(300);
+  {
+    const CoverageEngine a(mgr_, tree.network, suite, EngineOptions{budget.get()});
+    EXPECT_TRUE(a.truncated());
+    EXPECT_EQ(mgr_.budget(), budget.get());
+  }
+  EXPECT_EQ(mgr_.budget(), nullptr);
+  EXPECT_EQ(budget->used_bdd_nodes(), 0u);
+  budget.reset();
+
+  const CoverageEngine b(mgr_, tree.network, suite);
+  bdd::BddManager fresh_mgr(packet::kNumHeaderBits);
+  const CoverageEngine fresh(fresh_mgr, tree.network, suite);
+  const MetricRow got = b.metrics();
+  const MetricRow want = fresh.metrics();
+  EXPECT_FALSE(got.truncated);
+  EXPECT_EQ(got.truncated, want.truncated);
+  EXPECT_EQ(got.device_fractional, want.device_fractional);
+  EXPECT_EQ(got.interface_fractional, want.interface_fractional);
+  EXPECT_EQ(got.rule_fractional, want.rule_fractional);
+  EXPECT_EQ(got.rule_weighted, want.rule_weighted);
 }
 
 TEST_F(EngineTest, UntestedRulesAndInterfaces) {

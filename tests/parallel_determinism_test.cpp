@@ -37,13 +37,11 @@ struct EngineRun {
 };
 
 EngineRun run_engine(const net::Network& network, const coverage::CoverageTrace& trace,
-                     unsigned threads, const ys::ResourceBudget* budget = nullptr,
-                     double gc_threshold = 0.0) {
+                     const ys::EngineOptions& options) {
   EngineRun run;
   run.mgr = std::make_unique<bdd::BddManager>(packet::kNumHeaderBits);
-  run.engine = std::make_unique<ys::CoverageEngine>(
-      *run.mgr, network, trace.imported_into(*run.mgr),
-      ys::EngineOptions{budget, threads, /*cache_dir=*/"", gc_threshold});
+  run.engine = std::make_unique<ys::CoverageEngine>(*run.mgr, network,
+                                                    trace.imported_into(*run.mgr), options);
   return run;
 }
 
@@ -158,12 +156,12 @@ TEST_F(ParallelDeterminismTest, FatTreeSetsAndMetricsBitIdentical) {
   routing::FibBuilder::compute_and_build(tree.network, tree.routing);
   const coverage::CoverageTrace trace = fat_tree_trace(tree);
 
-  const EngineRun serial = run_engine(tree.network, trace, 1);
+  const EngineRun serial = run_engine(tree.network, trace, {.threads = 1});
   ASSERT_FALSE(serial.engine->truncated());
   const ys::MetricRow serial_row = serial.engine->metrics();
 
   for (const unsigned threads : kThreadCounts) {
-    const EngineRun parallel = run_engine(tree.network, trace, threads);
+    const EngineRun parallel = run_engine(tree.network, trace, {.threads = threads});
     EXPECT_FALSE(parallel.engine->truncated());
     expect_same_sets(tree.network, *serial.engine, *parallel.engine, threads);
     expect_same_metrics(serial_row, parallel.engine->metrics(), threads);
@@ -175,13 +173,13 @@ TEST_F(ParallelDeterminismTest, FatTreePathSweepBitIdentical) {
   routing::FibBuilder::compute_and_build(tree.network, tree.routing);
   const coverage::CoverageTrace trace = fat_tree_trace(tree);
 
-  const EngineRun serial = run_engine(tree.network, trace, 1);
+  const EngineRun serial = run_engine(tree.network, trace, {.threads = 1});
   const ys::PathCoverageResult want = serial.engine->path_coverage();
   ASSERT_GT(want.total_paths, 0u);
   ASSERT_FALSE(want.truncated);
 
   for (const unsigned threads : kThreadCounts) {
-    const EngineRun parallel = run_engine(tree.network, trace, threads);
+    const EngineRun parallel = run_engine(tree.network, trace, {.threads = threads});
     const ys::PathCoverageResult got = parallel.engine->path_coverage();
     EXPECT_EQ(want.total_paths, got.total_paths) << threads << " threads";
     EXPECT_EQ(want.covered_paths, got.covered_paths) << threads << " threads";
@@ -217,10 +215,10 @@ TEST_F(ParallelDeterminismTest, RegionalSetsAndMetricsBitIdentical) {
     trace = tracker.trace();
   }
 
-  const EngineRun serial = run_engine(region.network, trace, 1);
+  const EngineRun serial = run_engine(region.network, trace, {.threads = 1});
   const ys::MetricRow serial_row = serial.engine->metrics();
   for (const unsigned threads : kThreadCounts) {
-    const EngineRun parallel = run_engine(region.network, trace, threads);
+    const EngineRun parallel = run_engine(region.network, trace, {.threads = threads});
     expect_same_sets(region.network, *serial.engine, *parallel.engine, threads);
     expect_same_metrics(serial_row, parallel.engine->metrics(), threads);
   }
@@ -232,7 +230,7 @@ TEST_F(ParallelDeterminismTest, GcOnOffBitIdenticalAcrossThreadCounts) {
   const coverage::CoverageTrace trace = fat_tree_trace(tree);
 
   // Ground truth: serial, GC off.
-  const EngineRun serial = run_engine(tree.network, trace, 1);
+  const EngineRun serial = run_engine(tree.network, trace, {.threads = 1});
   ASSERT_FALSE(serial.engine->truncated());
   const ys::MetricRow serial_row = serial.engine->metrics();
 
@@ -241,7 +239,7 @@ TEST_F(ParallelDeterminismTest, GcOnOffBitIdenticalAcrossThreadCounts) {
   // including 1, where an armed GC forces the sharded path.
   for (const unsigned threads : {1u, 4u, 8u}) {
     const EngineRun gc_run =
-        run_engine(tree.network, trace, threads, nullptr, /*gc_threshold=*/0.05);
+        run_engine(tree.network, trace, {.threads = threads, .gc_threshold = 0.05});
     EXPECT_FALSE(gc_run.engine->truncated()) << threads << " threads";
     expect_same_sets(tree.network, *serial.engine, *gc_run.engine, threads);
     expect_same_metrics(serial_row, gc_run.engine->metrics(), threads);
@@ -258,14 +256,14 @@ TEST_F(ParallelDeterminismTest, GcUnderBudgetKeepsAccountingBalanced) {
   ys::ResourceBudget budget;
   budget.with_max_bdd_nodes(50'000'000);
   const EngineRun run =
-      run_engine(tree.network, trace, 4, &budget, /*gc_threshold=*/0.05);
+      run_engine(tree.network, trace, {.budget = &budget, .threads = 4, .gc_threshold = 0.05});
   EXPECT_FALSE(run.engine->truncated());
   EXPECT_EQ(budget.used_bdd_nodes(), run.mgr->arena_size());
   EXPECT_GE(budget.peak_bdd_nodes(), budget.used_bdd_nodes());
 
   // A failure other than the budget, in step 1 or in step 2, aborts the
-  // engine; the shards must still hand their charge back, leaving only the
-  // primary manager's own.
+  // engine; the shards must still hand their charge back, and the engine
+  // its own, leaving the budget off the manager and empty.
   for (const bool in_step_2 : {false, true}) {
     ys::ResourceBudget failing;
     failing.with_max_bdd_nodes(50'000'000);
@@ -284,7 +282,8 @@ TEST_F(ParallelDeterminismTest, GcUnderBudgetKeepsAccountingBalanced) {
                                     ys::EngineOptions{&failing, 4, "", 0.05}),
                  ys::IoError)
         << (in_step_2 ? "step 2" : "step 1");
-    EXPECT_EQ(failing.used_bdd_nodes(), mgr.arena_size()) << (in_step_2 ? "step 2" : "step 1");
+    EXPECT_EQ(mgr.budget(), nullptr) << (in_step_2 ? "step 2" : "step 1");
+    EXPECT_EQ(failing.used_bdd_nodes(), 0u) << (in_step_2 ? "step 2" : "step 1");
   }
 }
 
@@ -299,12 +298,42 @@ TEST_F(ParallelDeterminismTest, TrippingBudgetTruncatesInEveryMode) {
     // metric queries with well-formed partial results.
     ys::ResourceBudget budget;
     budget.with_max_bdd_nodes(2000);
-    const EngineRun run = run_engine(tree.network, trace, threads, &budget);
+    const EngineRun run = run_engine(tree.network, trace, {.budget = &budget, .threads = threads});
     EXPECT_TRUE(run.engine->truncated()) << threads << " threads";
     const ys::MetricRow row = run.engine->metrics();
     EXPECT_TRUE(row.truncated) << threads << " threads";
     EXPECT_GE(row.rule_fractional, 0.0);
     EXPECT_LE(row.rule_fractional, 1.0);
+  }
+
+  // A node cap attached to the manager bounds every stage the same way at
+  // every thread count: the primary charges it at one thread, and every
+  // shard and worker manager attaches it at more. The engines were built
+  // unbudgeted, so their arenas alone already exceed the cap.
+  nettest::TestSuite pair("pair");
+  pair.add(std::make_unique<nettest::DefaultRouteCheck>());
+  pair.add(std::make_unique<nettest::ToRContract>());
+  for (const unsigned threads : {1u, 4u}) {
+    const std::string label = "1,000-node cap at " + std::to_string(threads) + " threads";
+    ys::ResourceBudget cap;
+    cap.with_max_bdd_nodes(1000);
+    bdd::BddManager mgr(packet::kNumHeaderBits);
+    {
+      const bdd::ScopedBudget attach(mgr, &cap);
+      EXPECT_TRUE(dataplane::MatchSetIndex(mgr, tree.network, threads).truncated()) << label;
+    }
+    const EngineRun matrix_run = run_engine(tree.network, trace, {.threads = threads});
+    {
+      const bdd::ScopedBudget attach(*matrix_run.mgr, &cap);
+      EXPECT_TRUE(ys::build_suite_matrix(matrix_run.engine->transfer(), pair, threads).truncated)
+          << label;
+    }
+    const EngineRun sweep_run = run_engine(tree.network, trace, {.threads = threads});
+    {
+      const bdd::ScopedBudget attach(*sweep_run.mgr, &cap);
+      EXPECT_TRUE(sweep_run.engine->path_coverage().truncated) << label;
+    }
+    EXPECT_EQ(cap.used_bdd_nodes(), 0u) << label;
   }
 
   // A budget already exhausted when the path sweep or the suite matrix
@@ -318,7 +347,7 @@ TEST_F(ParallelDeterminismTest, TrippingBudgetTruncatesInEveryMode) {
     suite.add(std::make_unique<CountingTest>(std::make_unique<nettest::ToRContract>(), runs));
   }
   for (const unsigned threads : {1u, 4u}) {
-    const EngineRun run = run_engine(tree.network, trace, threads);
+    const EngineRun run = run_engine(tree.network, trace, {.threads = threads});
     for (const bool cancelled : {true, false}) {
       ys::ResourceBudget exhausted;
       if (cancelled) {
@@ -326,12 +355,12 @@ TEST_F(ParallelDeterminismTest, TrippingBudgetTruncatesInEveryMode) {
       } else {
         exhausted.with_deadline(0.0);
       }
+      const bdd::ScopedBudget attach(*run.mgr, &exhausted);
       const std::string label = std::string(cancelled ? "cancelled" : "past deadline") +
                                 " at " + std::to_string(threads) + " threads";
       std::optional<ys::SuiteCoverageMatrix> matrix;
       EXPECT_EQ(fan_out_spans([&] {
-                  matrix = ys::build_suite_matrix(run.engine->transfer(), suite, &exhausted,
-                                                  threads);
+                  matrix = ys::build_suite_matrix(run.engine->transfer(), suite, threads);
                 }),
                 0u)
           << label;
@@ -341,17 +370,13 @@ TEST_F(ParallelDeterminismTest, TrippingBudgetTruncatesInEveryMode) {
         EXPECT_EQ(matrix->covered_by(i), 0u) << label;
       }
 
-      coverage::PathExplorerOptions options;
-      options.budget = &exhausted;
       std::optional<ys::PathCoverageResult> paths;
-      EXPECT_EQ(fan_out_spans([&] { paths = run.engine->path_coverage(options); }), 0u)
-          << label;
+      EXPECT_EQ(fan_out_spans([&] { paths = run.engine->path_coverage(); }), 0u) << label;
       EXPECT_EQ(paths->total_paths, 0u) << label;
       EXPECT_TRUE(paths->truncated) << label;
     }
     // Without a budget the same fan-outs run every test once, untruncated.
-    EXPECT_FALSE(ys::build_suite_matrix(run.engine->transfer(), suite, nullptr, threads)
-                     .truncated);
+    EXPECT_FALSE(ys::build_suite_matrix(run.engine->transfer(), suite, threads).truncated);
     EXPECT_EQ(runs.exchange(0), suite.size());
     EXPECT_GT(run.engine->path_coverage().total_paths, 0u);
   }

@@ -4,6 +4,7 @@
 #include "coverage/components.hpp"
 #include "coverage/path_explorer.hpp"
 #include "test_util.hpp"
+#include "yardstick/engine.hpp"
 
 namespace yardstick::coverage {
 namespace {
@@ -74,20 +75,10 @@ TEST_F(PathTest, GuardSizesMatchTraffic) {
 }
 
 TEST_F(PathTest, UniverseVisitsAllIngressPorts) {
-  const PathExplorer explorer(transfer_, nullptr);
-  uint64_t count = explorer.explore_universe([](const ExploredPath&) { return true; });
+  const ys::CoverageEngine engine(mgr_, tiny_.net, CoverageTrace{});
   // 3 maximal paths from each of the two host ports (the tiny network is
   // symmetric).
-  EXPECT_EQ(count, 6u);
-}
-
-TEST_F(PathTest, MaxPathsBudgetStopsExploration) {
-  PathExplorerOptions options;
-  options.max_paths = 2;
-  const PathExplorer explorer(transfer_, nullptr, options);
-  const uint64_t count =
-      explorer.explore_universe([](const ExploredPath&) { return true; });
-  EXPECT_EQ(count, 2u);
+  EXPECT_EQ(engine.path_coverage().total_paths, 6u);
 }
 
 TEST_F(PathTest, CallbackFalseStopsEarly) {

@@ -189,10 +189,9 @@ TEST_F(ResilienceTest, BudgetTripAtNthBddAllocationDegradesMatchSets) {
 TEST_F(ResilienceTest, CancelAtNthDfsStepTruncatesPathSweep) {
   const CoverageEngine engine(mgr_, tiny_.net, trace_);
   ResourceBudget budget;
+  const bdd::ScopedBudget attach(mgr_, &budget);
   const ScopedFault boom("path.dfs", testutil::cancel(budget), /*nth=*/2);
-  coverage::PathExplorerOptions options;
-  options.budget = &budget;
-  const PathCoverageResult result = engine.path_coverage(options);
+  const PathCoverageResult result = engine.path_coverage();
   EXPECT_TRUE(result.truncated);
 }
 
@@ -200,9 +199,8 @@ TEST_F(ResilienceTest, PreExpiredDeadlineTruncatesPathSweep) {
   const CoverageEngine engine(mgr_, tiny_.net, trace_);
   ResourceBudget budget;
   budget.with_deadline(0.0);
-  coverage::PathExplorerOptions options;
-  options.budget = &budget;
-  const PathCoverageResult result = engine.path_coverage(options);
+  const bdd::ScopedBudget attach(mgr_, &budget);
+  const PathCoverageResult result = engine.path_coverage();
   EXPECT_TRUE(result.truncated);
 }
 

@@ -364,6 +364,37 @@ TEST_F(ScenarioTest, RunnerReportIsBitIdenticalAcrossThreadCounts) {
   }
 }
 
+TEST_F(ScenarioTest, RunnerCapBoundsEachEvaluationNotTheirSum) {
+  // Every evaluation builds its engine in a fresh manager, so a node cap
+  // must bound each one alone: a dead evaluation's nodes hold no charge.
+  const nettest::TestSuite suite = transform_suite();
+  const auto run = [&](const ys::EngineOptions& engine, const ScenarioSpec& spec) {
+    scenario::ScenarioRunner runner(region_.network, region_.routing, suite, {engine});
+    runner.set_post_fib_hook([this](net::Network& network,
+                                    const routing::RoutingConfig& routing) {
+      topo::install_transform_rules(network, state_, routing);
+    });
+    return runner.run(spec);
+  };
+  // One evaluation's arena: an uncapped budget's peak over the baseline.
+  ys::ResourceBudget probe;
+  (void)run({&probe}, ScenarioSpec{});
+  ASSERT_GT(probe.peak_bdd_nodes(), 0u);
+
+  const ScenarioSpec spec = ScenarioSpec::parse(runner_spec_text(region_));
+  ys::ResourceBudget cap;
+  cap.with_max_bdd_nodes(2 * probe.peak_bdd_nodes());
+  const scenario::ScenarioReport capped = run({&cap}, spec);
+  const scenario::ScenarioReport uncapped = run({}, spec);
+  EXPECT_FALSE(capped.truncated);
+  ASSERT_EQ(capped.scenarios.size(), 3u);
+  for (const scenario::ScenarioDiff& diff : capped.scenarios) {
+    EXPECT_FALSE(diff.truncated) << diff.name;
+  }
+  EXPECT_EQ(scenario::report_to_json(capped), scenario::report_to_json(uncapped));
+  EXPECT_EQ(cap.used_bdd_nodes(), 0u);
+}
+
 TEST_F(ScenarioTest, RunnerRejectsUnknownNamesBeforeTouchingState) {
   const size_t rules_before = region_.network.rule_count();
   const ScenarioSpec spec = ScenarioSpec::parse("scenario bad\ndevice absent-router\n");

@@ -301,21 +301,27 @@ TEST(SingleIndexBudgetTest, StepOneCapHandsTheTestsAPartialDataPlane) {
     EXPECT_LE(row.rule_fractional, full.overall.rule_fractional);
     EXPECT_LE(row.rule_weighted, full.overall.rule_weighted);
     engine.reset();
-    mgr.set_budget(nullptr);
+    EXPECT_EQ(mgr.budget(), nullptr) << "the budget outlived the engine";
+    EXPECT_EQ(budget.used_bdd_nodes(), 0u);
   }
 }
 
 TEST(SingleIndexBudgetTest, BudgetIsReattachedWhenTheOnlinePhaseThrows) {
   const testutil::TinyNetwork tiny = testutil::make_tiny();
+  ResourceBudget outer;
   ResourceBudget budget;
   bdd::BddManager mgr(packet::kNumHeaderBits);
+  const bdd::ScopedBudget attach(mgr, &outer);
   nettest::TestSuite failing;
   failing.add(std::make_unique<Probe>(
       [](const dataplane::Transfer&) { throw std::runtime_error("test harness crashed"); }));
   const EngineOptions options{&budget, 1, "", 0.0};
   EXPECT_THROW((void)CoverageEngine(mgr, tiny.net, failing, options), std::runtime_error);
-  EXPECT_EQ(mgr.budget(), &budget);
-  mgr.set_budget(nullptr);
+  // The engine that failed to construct put back the budget it found, and
+  // its own holds no charge.
+  EXPECT_EQ(mgr.budget(), &outer);
+  EXPECT_EQ(budget.used_bdd_nodes(), 0u);
+  EXPECT_EQ(outer.used_bdd_nodes(), mgr.arena_size());
 }
 
 }  // namespace

@@ -320,7 +320,7 @@ TEST_F(SuiteOptimizeTest, MatrixAndMinimizationAreBitIdenticalAcrossThreadCounts
     suite.add(std::make_unique<nettest::DefaultRouteCheck>());
     suite.add(std::make_unique<nettest::ToRContract>());
     suite.add(std::make_unique<nettest::DefaultRouteCheck>());
-    return build_suite_matrix(transfer, suite, nullptr, threads);
+    return build_suite_matrix(transfer, suite, threads);
   };
   const SuiteCoverageMatrix m1 = run_at(1);
   const SuiteCoverageMatrix m4 = run_at(4);
@@ -354,11 +354,11 @@ TEST_F(SuiteOptimizeTest, MatrixWorkersChargeTheBudget) {
     bdd::BddManager mgr{packet::kNumHeaderBits};
     std::optional<CoverageEngine> engine;
   };
-  const auto run_engine = [&](Run& run, const ResourceBudget* budget) {
-    run.engine.emplace(run.mgr, tree.network, suite, EngineOptions{budget, 1, "", 0.0});
+  const auto run_engine = [&](Run& run, const EngineOptions& options) {
+    run.engine.emplace(run.mgr, tree.network, suite, options);
   };
   Run unbudgeted;
-  run_engine(unbudgeted, nullptr);
+  run_engine(unbudgeted, {});
   const size_t engine_nodes = unbudgeted.mgr.arena_size();
 
   // A cap with a quarter to spare fits the engine, but not four workers'
@@ -366,12 +366,13 @@ TEST_F(SuiteOptimizeTest, MatrixWorkersChargeTheBudget) {
   ResourceBudget budget;
   budget.with_max_bdd_nodes(engine_nodes + engine_nodes / 4);
   Run budgeted;
-  run_engine(budgeted, &budget);
+  run_engine(budgeted, {&budget});
   ASSERT_FALSE(budgeted.engine->truncated());
-  EXPECT_TRUE(build_suite_matrix(budgeted.engine->transfer(), suite, &budget, 4).truncated);
+  EXPECT_TRUE(build_suite_matrix(budgeted.engine->transfer(), suite, 4).truncated);
   // The workers returned their charge, and without a budget nothing trips.
   EXPECT_EQ(budget.used_bdd_nodes(), budgeted.mgr.arena_size());
-  EXPECT_FALSE(build_suite_matrix(budgeted.engine->transfer(), suite, nullptr, 4).truncated);
+  const bdd::ScopedBudget detached(budgeted.mgr, nullptr);
+  EXPECT_FALSE(build_suite_matrix(budgeted.engine->transfer(), suite, 4).truncated);
 }
 
 TEST_F(SuiteOptimizeTest, GapReportJsonIsBitIdenticalAcrossThreadCounts) {
@@ -391,7 +392,7 @@ TEST_F(SuiteOptimizeTest, GapReportJsonIsBitIdenticalAcrossThreadCounts) {
     const CoverageEngine engine(run_mgr, tree.network, tracker.trace(),
                                 EngineOptions{nullptr, threads, "", 0.0});
     const GapReport report = build_gap_report(engine);
-    const SuiteCoverageMatrix m = build_suite_matrix(transfer, suite, nullptr, threads);
+    const SuiteCoverageMatrix m = build_suite_matrix(transfer, suite, threads);
     return optimize_to_json(m, nullptr, nullptr, &report);
   };
   const std::string j1 = gap_json_at(1);

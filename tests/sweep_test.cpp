@@ -141,7 +141,7 @@ TEST(PathDeadlineTest, TightDeadlineTruncatesSweep) {
   ASSERT_GT(unbounded.total_paths, 0u);
   EXPECT_FALSE(unbounded.truncated);
 
-  const ys::PathCoverageResult tight = engine.path_coverage({}, 1e-9);
+  const ys::PathCoverageResult tight = engine.path_coverage(1e-9);
   EXPECT_TRUE(tight.truncated);
   EXPECT_LT(tight.total_paths, unbounded.total_paths);
 }

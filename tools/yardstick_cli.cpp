@@ -331,11 +331,8 @@ struct Setup {
   bool budgeted = false;
   nettest::TestSuite suite{""};
 
-  [[nodiscard]] const ys::ResourceBudget* budget_or_null() const {
-    return budgeted ? &budget : nullptr;
-  }
   [[nodiscard]] ys::EngineOptions engine_options(const CliOptions& opts) const {
-    return {budget_or_null(), opts.threads, opts.cache_dir, opts.gc_threshold};
+    return {budgeted ? &budget : nullptr, opts.threads, opts.cache_dir, opts.gc_threshold};
   }
 };
 
@@ -485,8 +482,8 @@ int run_impl(const CliOptions& opts) {
       }
     }
     if (opts.analyze) {
-      const ys::SuiteCoverageMatrix matrix = ys::build_suite_matrix(
-          engine.transfer(), s.suite, s.budget_or_null(), opts.threads);
+      const ys::SuiteCoverageMatrix matrix =
+          ys::build_suite_matrix(engine.transfer(), s.suite, opts.threads);
       if (matrix.truncated) {
         std::fprintf(stderr, "warning: budget exhausted; suite analysis is partial\n");
       }
@@ -527,7 +524,7 @@ int run_impl(const CliOptions& opts) {
   }
 
   if (opts.paths) {
-    const ys::PathCoverageResult paths = engine.path_coverage({}, opts.path_budget_s);
+    const ys::PathCoverageResult paths = engine.path_coverage(opts.path_budget_s);
     if (opts.json) {
       // JSON has no NaN/Infinity literals; a degraded ratio prints as 0.
       const double fractional = std::isfinite(paths.fractional) ? paths.fractional : 0.0;
@@ -649,7 +646,7 @@ int optimize_impl(const CliOptions& opts) {
   // Per-test coverage matrix: the substrate minimization/prioritization
   // fold over (bit-identical at any --threads value).
   const ys::SuiteCoverageMatrix matrix =
-      ys::build_suite_matrix(engine.transfer(), s.suite, s.budget_or_null(), opts.threads);
+      ys::build_suite_matrix(engine.transfer(), s.suite, opts.threads);
 
   std::optional<ys::MinimizeResult> minimized;
   std::optional<ys::PrioritizeResult> prioritized;
