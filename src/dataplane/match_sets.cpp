@@ -86,6 +86,12 @@ MatchSetIndex::MatchSetIndex(bdd::BddManager& mgr, const net::Network& network,
       sharded_build(MatchBuild{network}, mgr, network, sets_, prefill, threads, gc_threshold);
   truncated_ = built.truncated;
   unreached_ = std::move(built.unreached);
+  {
+    obs::Span span("match_sets.prefix_index", "offline");
+    prefixes_ = std::make_shared<const PrefixIndex>(network);
+    span.arg("rules", prefixes_->entries());
+    span.arg("bytes", prefixes_->bytes());
+  }
   if (obs::enabled()) {
     static obs::Counter& built_devices = obs::metrics().counter(
         "ys.match_sets.devices_built", "devices whose tables were walked (step 1)");
@@ -99,6 +105,7 @@ MatchSetIndex::MatchSetIndex(bdd::BddManager& mgr, const net::Network& network,
 MatchSetIndex::MatchSetIndex(bdd::BddManager& dst, const MatchSetIndex& other)
     : mgr_(dst),
       network_(other.network_),
+      prefixes_(other.prefixes_),
       unreached_(other.unreached_),
       truncated_(other.truncated_) {
   obs::Span span("match_sets.clone", "offline");

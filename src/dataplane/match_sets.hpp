@@ -10,9 +10,11 @@
 #pragma once
 
 #include <array>
+#include <memory>
 #include <vector>
 
 #include "bdd/bdd.hpp"
+#include "dataplane/prefix_index.hpp"
 #include "netmodel/network.hpp"
 #include "packet/packet_set.hpp"
 
@@ -65,13 +67,17 @@ class MatchSetIndex {
   /// the shard-and-merge driver's: see dataplane/sharded_build.hpp. Every
   /// set is canonical in `mgr`, so the index is bit-identical at any thread
   /// count, GC on or off, prefilled or not.
+  ///
+  /// It also builds the snapshot's PrefixIndex from the FIB tables, in
+  /// full: no BDD work, so neither the budget nor the prefill touches it.
   MatchSetIndex(bdd::BddManager& mgr, const net::Network& network, unsigned threads = 1,
                 const MatchPrefill* prefill = nullptr, double gc_threshold = 0.0);
 
   /// Structural clone into another manager: copies every packet set of
-  /// `other` into `dst` (memoized import, shared subgraphs copied once).
-  /// Read-only with respect to `other`, so concurrent workers may each
-  /// clone the same index into their private managers.
+  /// `other` into `dst` (memoized import, shared subgraphs copied once),
+  /// and shares `other`'s PrefixIndex rather than building one. Read-only
+  /// with respect to `other`, so concurrent workers may each clone the same
+  /// index into their private managers.
   MatchSetIndex(bdd::BddManager& dst, const MatchSetIndex& other);
 
   /// True when a resource budget stopped the computation early; every
@@ -115,6 +121,9 @@ class MatchSetIndex {
     return sets_.acl_permitted[id.value];
   }
 
+  /// The snapshot's exact dst-prefix lookup, shared by every clone.
+  [[nodiscard]] const PrefixIndex& prefixes() const { return *prefixes_; }
+
   [[nodiscard]] bdd::BddManager& manager() const { return mgr_; }
   [[nodiscard]] const net::Network& network() const { return network_; }
 
@@ -127,6 +136,7 @@ class MatchSetIndex {
   bdd::BddManager& mgr_;
   const net::Network& network_;
   MatchSlots sets_;
+  std::shared_ptr<const PrefixIndex> prefixes_;
   std::vector<char> unreached_;  // indexed by RuleId; empty unless truncated
   bool truncated_ = false;
 };

@@ -89,6 +89,16 @@ class Transfer {
                                    const packet::ConcretePacket& pkt,
                                    net::TableKind table = net::TableKind::Fib) const;
 
+  /// The first rule in the device's forwarding table, in table order,
+  /// whose dst prefix is exactly `prefix` (any route kind); an invalid id
+  /// when there is none. Rules without a dst prefix never answer, and ACL
+  /// tables are not searched. One binary search in the snapshot's
+  /// PrefixIndex, no BDD work.
+  [[nodiscard]] net::RuleId rule_for_prefix(net::DeviceId device,
+                                            const packet::Ipv4Prefix& prefix) const {
+    return index_.prefixes().find(device, prefix);
+  }
+
   /// Deterministic ECMP choice for a concrete packet: hashes the 5-tuple to
   /// pick one egress interface of a forwarding rule.
   [[nodiscard]] net::InterfaceId pick_ecmp(const net::Rule& rule,

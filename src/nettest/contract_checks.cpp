@@ -1,32 +1,32 @@
 #include "nettest/contract_checks.hpp"
 
-#include <algorithm>
-#include <functional>
-
 #include "nettest/instrument.hpp"
 #include "nettest/shortest_paths.hpp"
-#include "nettest/state_checks.hpp"
 
 namespace yardstick::nettest {
 
 namespace {
 
-using DeviceScope = std::function<bool(const net::Device&)>;
-using PrefixesOf = std::function<std::vector<packet::Ipv4Prefix>(const net::Device&)>;
+using DeviceScope = bool (*)(const net::Device&);
+/// Appends the origin's prefixes under contract to the buffer.
+using PrefixesOf = void (*)(const net::Device&, std::vector<packet::Ipv4Prefix>&);
 
 /// Shared contract engine: for every (origin, prefix) pair, verify each
 /// in-scope device's FIB entry against the BFS shortest-path contract and
-/// report the injected packet set.
+/// report the injected packet set. Every buffer is sized once per run, so a
+/// check allocates nothing unless it fails.
 void run_contracts(const dataplane::Transfer& transfer, ys::CoverageTracker& tracker,
-                   TestResult& result, const PrefixesOf& prefixes_of,
-                   const DeviceScope& in_scope) {
+                   TestResult& result, PrefixesOf prefixes_of, DeviceScope in_scope) {
   const net::Network& network = transfer.network();
   bdd::BddManager& mgr = transfer.index().manager();
+  FabricDistances dist(network);
+  std::vector<packet::Ipv4Prefix> prefixes;
 
   for (const net::Device& origin : network.devices()) {
-    const std::vector<packet::Ipv4Prefix> prefixes = prefixes_of(origin);
+    prefixes.clear();
+    prefixes_of(origin, prefixes);
     if (prefixes.empty()) continue;
-    const std::vector<int> dist = fabric_distances(network, origin.id);
+    dist.from(origin.id);
 
     for (const packet::Ipv4Prefix& prefix : prefixes) {
       const packet::PacketSet injected = packet::PacketSet::dst_prefix(mgr, prefix);
@@ -39,11 +39,11 @@ void run_contracts(const dataplane::Transfer& transfer, ys::CoverageTracker& tra
         // originator's own delivery rule is out of scope — which is why
         // host-facing interfaces stay untested until a dedicated test
         // exists (Fig. 6d).
-        if (dist[dev.id.value] <= 0) continue;
+        if (dist[dev.id] <= 0) continue;
         ++result.checks;
 
-        const auto rid = find_rule_for_prefix(network, dev.id, prefix);
-        if (!rid) {
+        const net::RuleId rid = transfer.rule_for_prefix(dev.id, prefix);
+        if (!rid.valid()) {
           result.fail(dev.name + ": no route for internal prefix " + prefix.to_string());
           continue;
         }
@@ -51,17 +51,12 @@ void run_contracts(const dataplane::Transfer& transfer, ys::CoverageTracker& tra
         // coverage event — then asserts on the forwarding decision.
         mark_local_injection(tracker, dev.id, injected);
 
-        const net::Rule& rule = network.rule(*rid);
+        const net::Rule& rule = network.rule(rid);
         if (rule.action.type != net::ActionType::Forward) {
           result.fail(dev.name + ": internal prefix " + prefix.to_string() + " dropped");
           continue;
         }
-        std::vector<net::InterfaceId> actual = rule.action.out_interfaces;
-        std::sort(actual.begin(), actual.end());
-
-        const std::vector<net::InterfaceId> expected =
-            contract_next_hops(network, dist, dev.id);
-        if (actual != expected) {
+        if (!dist.is_contract_next_hops(dev.id, rule.action.out_interfaces)) {
           result.fail(dev.name + ": prefix " + prefix.to_string() +
                       " not forwarded along all shortest paths");
         }
@@ -70,10 +65,9 @@ void run_contracts(const dataplane::Transfer& transfer, ys::CoverageTracker& tra
   }
 }
 
-std::vector<packet::Ipv4Prefix> internal_prefixes(const net::Device& dev) {
-  std::vector<packet::Ipv4Prefix> out = dev.host_prefixes;
+void internal_prefixes(const net::Device& dev, std::vector<packet::Ipv4Prefix>& out) {
+  out.insert(out.end(), dev.host_prefixes.begin(), dev.host_prefixes.end());
   out.insert(out.end(), dev.loopbacks.begin(), dev.loopbacks.end());
-  return out;
 }
 
 }  // namespace
@@ -91,9 +85,8 @@ TestResult ToRContract::run(const dataplane::Transfer& transfer,
   TestResult result = make_result();
   run_contracts(
       transfer, tracker, result,
-      [](const net::Device& dev) {
-        return dev.role == net::Role::ToR ? dev.host_prefixes
-                                          : std::vector<packet::Ipv4Prefix>{};
+      [](const net::Device& dev, std::vector<packet::Ipv4Prefix>& out) {
+        if (dev.role == net::Role::ToR) out = dev.host_prefixes;
       },
       [](const net::Device&) { return true; });
   return result;
@@ -104,9 +97,8 @@ TestResult AggCanReachTorLoopback::run(const dataplane::Transfer& transfer,
   TestResult result = make_result();
   run_contracts(
       transfer, tracker, result,
-      [](const net::Device& dev) {
-        return dev.role == net::Role::ToR ? dev.loopbacks
-                                          : std::vector<packet::Ipv4Prefix>{};
+      [](const net::Device& dev, std::vector<packet::Ipv4Prefix>& out) {
+        if (dev.role == net::Role::ToR) out = dev.loopbacks;
       },
       [](const net::Device& dev) { return dev.role == net::Role::Aggregation; });
   return result;

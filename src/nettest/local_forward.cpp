@@ -1,7 +1,5 @@
 #include "nettest/local_forward.hpp"
 
-#include <algorithm>
-
 #include "nettest/instrument.hpp"
 #include "nettest/shortest_paths.hpp"
 
@@ -15,10 +13,11 @@ TestResult LocalForwardCheck::run(const dataplane::Transfer& transfer,
   const net::Network& network = transfer.network();
   bdd::BddManager& mgr = transfer.index().manager();
   TestResult result = make_result();
+  FabricDistances dist(network);
 
   for (const net::Device& origin : network.devices()) {
     if (origin.host_prefixes.empty()) continue;
-    const std::vector<int> dist = fabric_distances(network, origin.id);
+    dist.from(origin.id);
 
     for (const packet::Ipv4Prefix& prefix : origin.host_prefixes) {
       // One sampled packet into the prefix per contract (local concrete).
@@ -28,7 +27,7 @@ TestResult LocalForwardCheck::run(const dataplane::Transfer& transfer,
       pkt.dst_port = 443;
 
       for (const net::Device& dev : network.devices()) {
-        if (dist[dev.id.value] <= 0) continue;  // no contract at the origin
+        if (dist[dev.id] <= 0) continue;  // no contract at the origin
         ++result.checks;
         // Report the single concrete packet injected at this device.
         mark_local_injection(tracker, dev.id, PacketSet::from_packet(mgr, pkt));
@@ -44,10 +43,8 @@ TestResult LocalForwardCheck::run(const dataplane::Transfer& transfer,
           continue;
         }
         // Each egress must face a neighbor one hop closer to the origin.
-        const std::vector<net::InterfaceId> expected =
-            contract_next_hops(network, dist, dev.id);
         for (const net::InterfaceId out : rule.action.out_interfaces) {
-          if (std::find(expected.begin(), expected.end(), out) == expected.end()) {
+          if (!dist.toward_origin(dev.id, out)) {
             result.fail(dev.name + ": packet to " + prefix.to_string() +
                         " forwarded off the shortest paths");
             break;

@@ -7,16 +7,6 @@
 
 namespace yardstick::nettest {
 
-std::optional<net::RuleId> find_rule_for_prefix(const net::Network& network,
-                                                net::DeviceId device,
-                                                const packet::Ipv4Prefix& prefix) {
-  for (const net::RuleId rid : network.table(device)) {
-    const net::Rule& rule = network.rule(rid);
-    if (rule.match.dst_prefix && *rule.match.dst_prefix == prefix) return rid;
-  }
-  return std::nullopt;
-}
-
 TestResult DefaultRouteCheck::run(const dataplane::Transfer& transfer,
                                   ys::CoverageTracker& tracker) const {
   const net::Network& network = transfer.network();
@@ -26,16 +16,16 @@ TestResult DefaultRouteCheck::run(const dataplane::Transfer& transfer,
     if (dev.role == net::Role::Wan || excluded_.contains(dev.id)) continue;
     ++result.checks;
 
-    const auto rid = find_rule_for_prefix(network, dev.id, packet::default_route_prefix());
-    if (!rid) {
+    const net::RuleId rid = transfer.rule_for_prefix(dev.id, packet::default_route_prefix());
+    if (!rid.valid()) {
       result.fail(dev.name + ": no default route");
       continue;
     }
     // The inspection itself is the coverage event, whether or not the
     // assertion below holds.
-    mark_inspected_rule(tracker, *rid);
+    mark_inspected_rule(tracker, rid);
 
-    const net::Rule& rule = network.rule(*rid);
+    const net::Rule& rule = network.rule(rid);
     if (rule.action.type != net::ActionType::Forward) {
       result.fail(dev.name + ": default route does not forward (null route?)");
       continue;
@@ -66,15 +56,15 @@ TestResult ConnectedRouteCheck::run(const dataplane::Transfer& transfer,
     for (const net::InterfaceId side : {link.a, link.b}) {
       const net::Interface& intf = network.interface(side);
       ++result.checks;
-      const auto rid = find_rule_for_prefix(network, intf.device, *link.subnet);
-      if (!rid) {
+      const net::RuleId rid = transfer.rule_for_prefix(intf.device, *link.subnet);
+      if (!rid.valid()) {
         result.fail(network.device(intf.device).name + ": missing connected route for " +
                     link.subnet->to_string());
         continue;
       }
-      mark_inspected_rule(tracker, *rid);
+      mark_inspected_rule(tracker, rid);
 
-      const net::Rule& rule = network.rule(*rid);
+      const net::Rule& rule = network.rule(rid);
       const bool forwards_on_link =
           rule.action.type == net::ActionType::Forward &&
           std::find(rule.action.out_interfaces.begin(), rule.action.out_interfaces.end(),

@@ -7,20 +7,18 @@
 //     analysis: both ends of every /31 link must carry the connected
 //     route for the link subnet out of the right interface.
 //
-// Both report coverage with markRule only: inspecting a rule covers its
-// entire match set (§5.1).
+// Both look the inspected route up with Transfer::rule_for_prefix: one
+// binary search in the snapshot's exact-prefix index (DESIGN.md §18), the
+// first FIB rule in table order written for exactly that prefix. Both
+// report coverage with markRule only: inspecting a rule covers its entire
+// match set (§5.1).
 #pragma once
 
-#include <optional>
 #include <unordered_set>
 
 #include "nettest/test.hpp"
 
 namespace yardstick::nettest {
-
-/// Find a device's rule whose match field is exactly `prefix` (any kind).
-[[nodiscard]] std::optional<net::RuleId> find_rule_for_prefix(
-    const net::Network& network, net::DeviceId device, const packet::Ipv4Prefix& prefix);
 
 class DefaultRouteCheck final : public NetworkTest {
  public:

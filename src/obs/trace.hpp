@@ -16,6 +16,9 @@
 //   ├─ match_sets.build                (offline step 1)
 //   │  ├─ parallel.worker (×N)         (sharded device builds)
 //   │  └─ match_sets.merge             (deterministic import)
+//   ├─ match_sets.prefix_index         (the snapshot's exact dst-prefix
+//   │                                   index, one per match_sets.build;
+//   │                                   clones share it; args rules, bytes)
 //   ├─ suite.run                       (online phase: every
 //   │  │                                TestSuite::run_all, on step 1's
 //   │  │                                index; arg tests)

@@ -192,6 +192,9 @@ TEST(CliTest, TimelineCoversTopologyAndRuleKeys) {
   ASSERT_EQ(setup.size(), 1u);
   ASSERT_EQ(topology.size(), 1u);
   EXPECT_TRUE(setup[0].contains(topology[0]));
+  // One exact-prefix index per snapshot, built with its match sets.
+  EXPECT_EQ(spans_named(trace, "match_sets.prefix_index").size(), 1u);
+  EXPECT_EQ(spans_named(trace, "match_sets.build").size(), 1u);
 
   std::remove(trace.c_str());
   r = run_cli("scenarios fattree --k 4 --random-links 2 --trace-out " + trace);
@@ -202,6 +205,17 @@ TEST(CliTest, TimelineCoversTopologyAndRuleKeys) {
   ASSERT_EQ(keys.size(), 3u);
   for (size_t i = 0; i < keys.size(); ++i) {
     EXPECT_TRUE(evaluations[i].contains(keys[i])) << "scenario.rule_keys " << i;
+  }
+  EXPECT_EQ(spans_named(trace, "match_sets.prefix_index").size(), 3u);
+  std::remove(trace.c_str());
+
+  // The matrix workers' clones share the engine's prefix index.
+  r = run_cli("optimize fattree --k 4 --minimize --threads 2 --trace-out " + trace);
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  const std::vector<TimelineSpan> prefix_indexes = spans_named(trace, "match_sets.prefix_index");
+  EXPECT_EQ(prefix_indexes.size(), spans_named(trace, "match_sets.build").size());
+  for (const TimelineSpan& clone : spans_named(trace, "match_sets.clone")) {
+    for (const TimelineSpan& built : prefix_indexes) EXPECT_FALSE(clone.contains(built));
   }
   std::remove(trace.c_str());
 }
@@ -237,6 +251,54 @@ TEST(CliTest, NetworkFileMode) {
   const CommandResult missing = run_cli("file /nonexistent.net");
   EXPECT_EQ(missing.exit_code, 5);
   EXPECT_NE(missing.output.find("error"), std::string::npos);
+}
+
+TEST(CliTest, NetworkFileFibMayRepeatAnInterface) {
+  // Generated FIBs list next hops ascending and once each; a network file
+  // may list them in any order, and may repeat one. The contract compares
+  // them as a sorted multiset: tor0's reversed pair passes, tor1's repeated
+  // interface (the right count, one next hop missing) and agg0's (one next
+  // hop twice) fail.
+  REQUIRE_CLI();
+  const std::string net_file = ::testing::TempDir() + "/cli_repeat.net";
+  {
+    std::ofstream out(net_file);
+    out << "network v1\n";
+    for (const char* dev : {"tor0", "tor1"}) {
+      out << "device " << dev << " role tor\n"
+          << "interface " << dev << " host0 kind host\n"
+          << "interface " << dev << " eth0\ninterface " << dev << " eth1\n";
+    }
+    for (const char* dev : {"agg0", "agg1"}) {
+      out << "device " << dev << " role aggregation\n"
+          << "interface " << dev << " eth0\ninterface " << dev << " eth1\n";
+    }
+    out << "link tor0:eth0 agg0:eth0\nlink tor0:eth1 agg1:eth0\n"
+        << "link tor1:eth0 agg0:eth1\nlink tor1:eth1 agg1:eth1\n"
+        << "host-prefix tor0 10.0.0.0/24\nhost-prefix tor1 10.0.1.0/24\n"
+        << "fib tor0 dst 10.0.0.0/24 fwd host0\n"
+        << "fib tor0 dst 10.0.1.0/24 fwd eth1 eth0\n"
+        << "fib tor1 dst 10.0.1.0/24 fwd host0\n"
+        << "fib tor1 dst 10.0.0.0/24 fwd eth0 eth0\n"
+        << "fib agg0 dst 10.0.0.0/24 fwd eth0\n"
+        << "fib agg0 dst 10.0.1.0/24 fwd eth1 eth1\n"
+        << "fib agg1 dst 10.0.0.0/24 fwd eth0\n"
+        << "fib agg1 dst 10.0.1.0/24 fwd eth1\n";
+  }
+  const CommandResult text = run_cli("file " + net_file + " --suite new");
+  EXPECT_EQ(text.exit_code, 1) << text.output;
+  EXPECT_NE(text.output.find("test InternalRouteCheck       FAIL (6 checks, 2 failures)"),
+            std::string::npos)
+      << text.output;
+  const CommandResult json = run_cli("file " + net_file + " --suite new --json");
+  EXPECT_EQ(json.exit_code, 1) << json.output;
+  EXPECT_NE(json.output.find(
+                R"("checks":6,"failures":2,"passed":false,"messages":)"
+                R"(["tor1: prefix 10.0.0.0/24 not forwarded along all shortest paths",)"
+                R"("agg0: prefix 10.0.1.0/24 not forwarded along all shortest paths"]})"),
+            std::string::npos)
+      << json.output;
+  std::remove(net_file.c_str());
 }
 
 TEST(CliTest, CorruptTraceMapsToItsExitCode) {

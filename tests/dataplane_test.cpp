@@ -2,8 +2,16 @@
 // symbolic/concrete transfer functions, and the end-to-end simulators.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "dataplane/simulator.hpp"
+#include "prefix_reference.hpp"
+#include "routing/fib_builder.hpp"
 #include "test_util.hpp"
+#include "topo/acl.hpp"
+#include "topo/fattree.hpp"
+#include "topo/regional.hpp"
+#include "topo/transforms.hpp"
 
 namespace yardstick::dataplane {
 namespace {
@@ -250,6 +258,131 @@ TEST_F(DataplaneTest, SymbolicAgreesWithConcreteOnSingletons) {
       EXPECT_TRUE(result.delivered.empty());
     }
   }
+}
+
+/// Ask `transfer` what the reference FIB scan answers, for every device:
+/// each dst prefix in its FIB, each of those with its last bit flipped, a
+/// /32 no rule has, and /0. Returns how many devices have no /0 rule.
+size_t expect_index_matches_scan(const Transfer& transfer) {
+  const net::Network& n = transfer.network();
+  const auto expect_same = [&](net::DeviceId dev, const Ipv4Prefix& p) {
+    EXPECT_EQ(transfer.rule_for_prefix(dev, p).value,
+              reference::rule_for_prefix(n, dev, p).value)
+        << n.device(dev).name << " " << p.to_string();
+  };
+  const Ipv4Prefix absent = Ipv4Prefix::parse("203.0.113.77/32");
+  size_t without_default = 0;
+  for (const net::Device& dev : n.devices()) {
+    for (const net::RuleId rid : n.table(dev.id)) {
+      const std::optional<Ipv4Prefix>& dst = n.rule(rid).match.dst_prefix;
+      if (!dst) continue;
+      expect_same(dev.id, *dst);
+      if (dst->length() > 0) {
+        expect_same(dev.id, Ipv4Prefix(dst->address() ^ (1u << (32 - dst->length())),
+                                       dst->length()));
+      }
+    }
+    EXPECT_FALSE(reference::rule_for_prefix(n, dev.id, absent).valid());
+    expect_same(dev.id, absent);
+    expect_same(dev.id, packet::default_route_prefix());
+    if (!reference::rule_for_prefix(n, dev.id, packet::default_route_prefix()).valid()) {
+      ++without_default;
+    }
+  }
+  return without_default;
+}
+
+TEST(PrefixIndexTest, MatchesTheFibScanOnFatTrees) {
+  for (const int k : {4, 8}) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    topo::FatTree tree = topo::make_fat_tree({.k = k});
+    routing::FibBuilder::compute_and_build(tree.network, tree.routing);
+    bdd::BddManager mgr(packet::kNumHeaderBits);
+    const MatchSetIndex index(mgr, tree.network);
+    (void)expect_index_matches_scan(Transfer(index));
+    // 12 bytes per indexed (device, prefix) plus 4 per device.
+    EXPECT_LE(index.prefixes().bytes(), 16 * index.prefixes().entries());
+  }
+}
+
+TEST(PrefixIndexTest, FirstRuleInTableOrderAnswersOnTheRegionalNet) {
+  // The failure-sweep shape, `regional --tors 8 --acl --transforms 2`:
+  // 12,603 rules.
+  topo::RegionalParams params;
+  params.tors_per_pod = 8;
+  topo::RegionalNetwork regional = topo::make_regional(params);
+  const topo::TransformState transforms =
+      topo::plan_transforms(regional, {.tunnels = 2, .nat_rules_per_wan = 2});
+  routing::FibBuilder::compute_and_build(regional.network, regional.routing);
+  topo::install_ingress_acls(regional.network, regional.tors);
+  topo::install_transform_rules(regional.network, transforms, regional.routing);
+  const net::Network& n = regional.network;
+
+  // (device, dst prefix) pairs written by two FIB rules: only table order
+  // tells which one answers.
+  size_t shared_prefixes = 0;
+  for (const net::Device& dev : n.devices()) {
+    std::map<Ipv4Prefix, int> rules_per_prefix;
+    for (const net::RuleId rid : n.table(dev.id)) {
+      const auto& dst = n.rule(rid).match.dst_prefix;
+      if (dst && ++rules_per_prefix[*dst] == 2) ++shared_prefixes;
+    }
+  }
+  EXPECT_EQ(shared_prefixes, 4u);
+
+  bdd::BddManager mgr(packet::kNumHeaderBits);
+  const MatchSetIndex index(mgr, n);
+  EXPECT_GT(expect_index_matches_scan(Transfer(index)), 0u);
+}
+
+TEST(PrefixIndexTest, HandBuiltTableCornerCases) {
+  net::Network n;
+  const auto a = n.add_device("a", net::Role::Other);
+  const auto empty = n.add_device("empty", net::Role::Other);
+  const auto b = n.add_device("b", net::Role::Other);
+  const auto a0 = n.add_interface(a, "eth0");
+  const auto b0 = n.add_interface(b, "eth0");
+  n.add_link(a0, b0);
+  const Ipv4Prefix p = Ipv4Prefix::parse("10.0.0.0/24");
+  const Ipv4Prefix acl_only = Ipv4Prefix::parse("192.0.2.0/24");
+  // Two rules of different kinds on one prefix: the later-added one sorts
+  // first in the table (lower priority value), so it answers.
+  n.add_rule(a, net::MatchSpec::for_dst(p), net::Action::forward({a0}), net::RouteKind::Internal,
+             10);
+  const net::RuleId first_in_table =
+      n.add_rule(a, net::MatchSpec::for_dst(p), net::Action::drop(), net::RouteKind::DropRule, 5);
+  // A rule without a dst prefix matches everything, but answers nothing.
+  net::MatchSpec tcp;
+  tcp.proto = 6;
+  n.add_rule(a, tcp, net::Action::forward({a0}), net::RouteKind::Other, 0);
+  n.add_rule(a, net::MatchSpec::for_dst(acl_only), net::Action::permit(),
+             net::RouteKind::Security, 0, net::TableKind::Acl);
+  const net::RuleId b_default = n.add_rule(
+      b, net::MatchSpec::for_dst(packet::default_route_prefix()), net::Action::forward({b0}));
+
+  bdd::BddManager mgr(packet::kNumHeaderBits);
+  const MatchSetIndex index(mgr, n);
+  const Transfer transfer(index);
+  EXPECT_EQ(transfer.rule_for_prefix(a, p), first_in_table);
+  EXPECT_FALSE(transfer.rule_for_prefix(a, packet::default_route_prefix()).valid());
+  EXPECT_FALSE(transfer.rule_for_prefix(a, acl_only).valid());
+  EXPECT_FALSE(transfer.rule_for_prefix(empty, p).valid());
+  EXPECT_FALSE(transfer.rule_for_prefix(empty, packet::default_route_prefix()).valid());
+  EXPECT_EQ(transfer.rule_for_prefix(b, packet::default_route_prefix()), b_default);
+  EXPECT_FALSE(transfer.rule_for_prefix(b, p).valid());
+  EXPECT_EQ(index.prefixes().entries(), 2u);  // a's 10.0.0.0/24 and b's /0
+  EXPECT_EQ(expect_index_matches_scan(transfer), 2u);  // a and the empty device
+}
+
+TEST(PrefixIndexTest, ClonesShareThePrimarysIndex) {
+  topo::FatTree tree = topo::make_fat_tree({.k = 4});
+  routing::FibBuilder::compute_and_build(tree.network, tree.routing);
+  bdd::BddManager primary_mgr(packet::kNumHeaderBits);
+  const MatchSetIndex primary(primary_mgr, tree.network);
+  bdd::BddManager clone_mgr(packet::kNumHeaderBits);
+  const MatchSetIndex clone(clone_mgr, primary);
+  EXPECT_EQ(&clone.prefixes(), &primary.prefixes());
+  (void)expect_index_matches_scan(Transfer(clone));
 }
 
 }  // namespace

@@ -2,9 +2,13 @@
 // generic reachability/probe utilities, on generated networks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+
 #include "nettest/contract_checks.hpp"
 #include "nettest/reachability.hpp"
 #include "nettest/state_checks.hpp"
+#include "prefix_reference.hpp"
 #include "routing/fib_builder.hpp"
 #include "topo/fattree.hpp"
 #include "topo/regional.hpp"
@@ -238,6 +242,153 @@ TEST_F(RegionalFixture, SuiteRunsAllAndAccumulatesCoverage) {
   EXPECT_GT(tracker_.packet_calls(), 0u);
   EXPECT_EQ(to_string(results[0].category), std::string("state-inspection"));
   EXPECT_EQ(to_string(results[1].category), std::string("local-symbolic"));
+}
+
+/// One FIB rule broken through mutable_rule before the index is built, and
+/// the verdict the contract loop gave for it when it still scanned FIBs.
+struct BrokenRule {
+  const char* what;
+  std::function<void(net::Rule&)> mutate;
+  size_t checks;
+  size_t failures;
+  std::string first_message;  // empty when the test passes
+  size_t packet_calls;
+};
+
+/// Break `victim`'s rule for `prefix` in `network`, then run `test` on a
+/// fresh index and compare its verdict with `expected`.
+void expect_verdict(net::Network network, net::DeviceId victim, const Ipv4Prefix& prefix,
+                    const NetworkTest& test, const BrokenRule& expected) {
+  SCOPED_TRACE(expected.what);
+  const net::RuleId rid = dataplane::reference::rule_for_prefix(network, victim, prefix);
+  ASSERT_TRUE(rid.valid());
+  expected.mutate(network.mutable_rule(rid));
+  bdd::BddManager mgr(packet::kNumHeaderBits);
+  const dataplane::MatchSetIndex index(mgr, network);
+  const dataplane::Transfer transfer(index);
+  ys::CoverageTracker tracker;
+  const TestResult result = test.run(transfer, tracker);
+  EXPECT_EQ(result.checks, expected.checks);
+  EXPECT_EQ(result.failures, expected.failures);
+  EXPECT_EQ(result.failure_messages.empty() ? "" : result.failure_messages.front(),
+            expected.first_message);
+  EXPECT_EQ(tracker.packet_calls(), expected.packet_calls);
+}
+
+void drop_last(net::Rule& rule) { rule.action.out_interfaces.pop_back(); }
+void repeat_first(net::Rule& rule) {
+  auto& outs = rule.action.out_interfaces;
+  outs.insert(outs.begin(), outs.front());
+}
+void repeat_in_place(net::Rule& rule) {
+  rule.action.out_interfaces.back() = rule.action.out_interfaces.front();
+}
+void reverse_order(net::Rule& rule) {
+  std::reverse(rule.action.out_interfaces.begin(), rule.action.out_interfaces.end());
+}
+void delete_route(net::Rule& rule) { rule.match.dst_prefix.reset(); }
+
+/// An interface of a device other than `victim` that faces `peer`.
+net::InterfaceId foreign_interface_towards(const net::Network& n, net::DeviceId victim,
+                                           net::DeviceId peer) {
+  for (const net::Interface& intf : n.interfaces()) {
+    if (intf.device != victim && n.neighbor(intf.id) == peer) return intf.id;
+  }
+  return net::InterfaceId{};
+}
+
+TEST(ContractVerdictTest, ToRContractOnBrokenFibs) {
+  // The first aggregation switch (pod 0) forwards the last ToR's hosted
+  // prefix over its two core uplinks; it also faces pod 0's ToRs, which
+  // are farther from that prefix.
+  topo::FatTree tree = topo::make_fat_tree({.k = 4});
+  routing::FibBuilder::compute_and_build(tree.network, tree.routing);
+  const net::Network& n = tree.network;
+  const net::DeviceId agg = tree.aggs.front();
+  const Ipv4Prefix prefix = n.device(tree.tors.back()).host_prefixes.front();
+  ASSERT_EQ(n.rule(dataplane::reference::rule_for_prefix(n, agg, prefix))
+                .action.out_interfaces.size(),
+            2u);
+  const net::InterfaceId farther = *n.interface_towards(agg, tree.tors.front());
+  const net::InterfaceId foreign = n.device(tree.tors.back()).interfaces.front();
+  // Another aggregation switch's uplink to one of this switch's cores: it
+  // faces a neighbor one hop closer, but not from this device.
+  const net::InterfaceId foreign_uplink = foreign_interface_towards(
+      n, agg,
+      n.neighbor(n.rule(dataplane::reference::rule_for_prefix(n, agg, prefix))
+                     .action.out_interfaces.front()));
+  ASSERT_TRUE(foreign_uplink.valid());
+  const std::string agg_name = n.device(agg).name;
+  const std::string off_paths =
+      agg_name + ": prefix " + prefix.to_string() + " not forwarded along all shortest paths";
+
+  const BrokenRule cases[] = {
+      {"drop one ECMP next hop", drop_last, 160, 1, off_paths, 160},
+      {"repeat one next hop", repeat_first, 160, 1, off_paths, 160},
+      {"repeat one in place of another", repeat_in_place, 160, 1, off_paths, 160},
+      {"add a next hop toward a farther neighbor",
+       [&](net::Rule& r) { r.action.out_interfaces.push_back(farther); }, 160, 1, off_paths, 160},
+      {"add another device's interface",
+       [&](net::Rule& r) { r.action.out_interfaces.push_back(foreign); }, 160, 1, off_paths, 160},
+      {"another device's uplink in place of one",
+       [&](net::Rule& r) { r.action.out_interfaces.back() = foreign_uplink; }, 160, 1, off_paths,
+       160},
+      {"reverse the next-hop order", reverse_order, 160, 0, "", 160},
+      {"delete the rule", delete_route, 160, 1,
+       agg_name + ": no route for internal prefix " + prefix.to_string(), 159},
+  };
+  for (const BrokenRule& c : cases) expect_verdict(n, agg, prefix, ToRContract(), c);
+}
+
+TEST(ContractVerdictTest, InternalRouteCheckOnBrokenFibs) {
+  // The regional net's first spine forwards the first ToR's loopback over
+  // the two aggregation switches of that ToR's pod; it also faces the
+  // hubs, which are farther from it.
+  topo::RegionalParams params;
+  params.datacenters = 2;
+  params.pods_per_dc = 1;
+  params.tors_per_pod = 2;
+  params.aggs_per_pod = 2;
+  params.spines_per_dc = 2;
+  params.hubs = 2;
+  params.wans = 1;
+  params.host_ports_per_tor = 2;
+  topo::RegionalNetwork region = topo::make_regional(params);
+  routing::FibBuilder::compute_and_build(region.network, region.routing);
+  const net::Network& n = region.network;
+  const net::DeviceId spine = region.spines.front();
+  const Ipv4Prefix prefix = n.device(region.tors.front()).loopbacks.front();
+  ASSERT_EQ(n.rule(dataplane::reference::rule_for_prefix(n, spine, prefix))
+                .action.out_interfaces.size(),
+            2u);
+  const net::InterfaceId farther = *n.interface_towards(spine, region.hubs.front());
+  const net::InterfaceId foreign = n.device(region.tors.back()).interfaces.front();
+  // The other spine's downlink to one of this spine's next hops.
+  const net::InterfaceId foreign_downlink = foreign_interface_towards(
+      n, spine,
+      n.neighbor(n.rule(dataplane::reference::rule_for_prefix(n, spine, prefix))
+                     .action.out_interfaces.front()));
+  ASSERT_TRUE(foreign_downlink.valid());
+  const std::string spine_name = n.device(spine).name;
+  const std::string off_paths = spine_name + ": prefix " + prefix.to_string() +
+                                " not forwarded along all shortest paths";
+
+  const BrokenRule cases[] = {
+      {"drop one ECMP next hop", drop_last, 322, 1, off_paths, 322},
+      {"repeat one next hop", repeat_first, 322, 1, off_paths, 322},
+      {"repeat one in place of another", repeat_in_place, 322, 1, off_paths, 322},
+      {"add a next hop toward a farther neighbor",
+       [&](net::Rule& r) { r.action.out_interfaces.push_back(farther); }, 322, 1, off_paths, 322},
+      {"add another device's interface",
+       [&](net::Rule& r) { r.action.out_interfaces.push_back(foreign); }, 322, 1, off_paths, 322},
+      {"another device's downlink in place of one",
+       [&](net::Rule& r) { r.action.out_interfaces.back() = foreign_downlink; }, 322, 1,
+       off_paths, 322},
+      {"reverse the next-hop order", reverse_order, 322, 0, "", 322},
+      {"delete the rule", delete_route, 322, 1,
+       spine_name + ": no route for internal prefix " + prefix.to_string(), 321},
+  };
+  for (const BrokenRule& c : cases) expect_verdict(n, spine, prefix, InternalRouteCheck(), c);
 }
 
 }  // namespace

@@ -7,6 +7,8 @@
 //     production runs, so its cost must be a load-and-branch,
 //   * both expositions (JSON, Prometheus text) are well-formed, because
 //     dashboards and scrapers consume them unvalidated.
+// The same allocation counter pins the local contract loop's promise
+// (DESIGN.md §18): it allocates per run and per prefix, never per check.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -425,6 +427,28 @@ TEST(ObsTracerTest, DisabledModeAllocatesNothing) {
   }
   const uint64_t after = g_allocations.load(std::memory_order_relaxed);
   EXPECT_EQ(after, before) << "disabled-mode hot path must not allocate";
+}
+
+TEST(ContractLoopTest, AllocatesPerRunNotPerCheck) {
+  // k=8: 32 hosted prefixes, each checked at the 80 other devices. With
+  // the tracker off what remains is the test's own work: the run's
+  // buffers, and building each prefix's packet set (~100 allocations in
+  // all). The old loop allocated three vectors per check (~29,000).
+  topo::FatTree tree = topo::make_fat_tree({.k = 8});
+  routing::FibBuilder::compute_and_build(tree.network, tree.routing);
+  bdd::BddManager mgr(packet::kNumHeaderBits);
+  const dataplane::MatchSetIndex index(mgr, tree.network);
+  const dataplane::Transfer transfer(index);
+  ys::CoverageTracker tracker;
+  tracker.set_enabled(false);
+  (void)nettest::ToRContract().run(transfer, tracker);
+
+  const uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const nettest::TestResult result = nettest::ToRContract().run(transfer, tracker);
+  const uint64_t allocations = g_allocations.load(std::memory_order_relaxed) - before;
+  EXPECT_TRUE(result.passed());
+  EXPECT_EQ(result.checks, 2560u);
+  EXPECT_LT(allocations, result.checks / 8) << "a contract check must not allocate";
 }
 
 TEST(ObsExpositionTest, JsonIsWellFormedAndComplete) {
