@@ -107,17 +107,34 @@ struct Run {
   [[nodiscard]] double offline_seconds() const {
     return seconds({"match_sets.build", "covered_sets.build", "measure_table.build"});
   }
-  /// The `suite.test` span of the suite's `index`-th test, in seconds.
-  [[nodiscard]] double test_seconds(uint64_t index) const {
+  /// The `suite.test` span of the suite's `index`-th test, or nullptr.
+  [[nodiscard]] const obs::TraceEvent* test_span(uint64_t index) const {
     for (const obs::TraceEvent& e : spans) {
       if (std::string_view(e.name) != "suite.test") continue;
       for (int a = 0; a < e.num_args; ++a) {
-        if (std::string_view(e.args[a].key) == "index" && e.args[a].value == index) {
-          return static_cast<double>(e.dur_us) / 1e6;
-        }
+        if (std::string_view(e.args[a].key) == "index" && e.args[a].value == index) return &e;
       }
     }
-    return 0.0;
+    return nullptr;
+  }
+  /// The `suite.test` span of the suite's `index`-th test, in seconds.
+  [[nodiscard]] double test_seconds(uint64_t index) const {
+    const obs::TraceEvent* test = test_span(index);
+    return test == nullptr ? 0.0 : static_cast<double>(test->dur_us) / 1e6;
+  }
+  /// Summed duration of the spans named `name` inside the `suite.test`
+  /// span of the suite's `index`-th test, in seconds.
+  [[nodiscard]] double seconds_within_test(uint64_t index, std::string_view name) const {
+    const obs::TraceEvent* test = test_span(index);
+    if (test == nullptr) return 0.0;
+    uint64_t us = 0;
+    for (const obs::TraceEvent& e : spans) {
+      if (name == e.name && e.tid == test->tid && test->ts_us <= e.ts_us &&
+          e.ts_us + e.dur_us <= test->ts_us + test->dur_us) {
+        us += e.dur_us;
+      }
+    }
+    return static_cast<double>(us) / 1e6;
   }
 };
 

@@ -701,4 +701,96 @@ Bdd BddImporter::import(const Bdd& f) {
   return {&dst_, import_index(f.index())};
 }
 
+// ---------------------------------------------------------------------------
+// N-ary union
+// ---------------------------------------------------------------------------
+
+NodeIndex NaryUnion::unite(std::span<const NodeIndex> operands) {
+  // unite() is not reentrant, so the stack holds only this call's lists;
+  // clearing it here also drops what a throwing call left behind.
+  stack_.clear();
+  for (const NodeIndex f : operands) {
+    if (f == kTrue) return kTrue;
+    if (f != kFalse) stack_.push_back(f);
+  }
+  return unite_rec(0);
+}
+
+NodeIndex NaryUnion::unite_rec(size_t base) {
+  const auto first = stack_.begin() + static_cast<std::ptrdiff_t>(base);
+  if (!std::is_sorted(first, stack_.end())) std::sort(first, stack_.end());
+  stack_.erase(std::unique(first, stack_.end()), stack_.end());
+  const size_t size = stack_.size() - base;
+  if (size == 0) return kFalse;
+  if (size == 1) return stack_[base];
+  if (size == 2) return mgr_.apply(BddManager::Op::Or, stack_[base], stack_[base + 1]);
+
+  uint64_t hash = size;
+  Var top = mgr_.num_vars();
+  for (size_t i = base; i < base + size; ++i) {
+    hash = (hash ^ stack_[i]) * kGolden;
+    top = std::min(top, mgr_.node(stack_[i]).var);
+  }
+  hash ^= hash >> 32;  // the table slots on the low bits
+  if (const Entry* hit = find(hash, base, size)) return hit->result;
+
+  // Each cofactor list goes on the stack above this one; a kTrue cofactor
+  // decides its branch without a recursion.
+  const auto cofactor = [&](bool high) {
+    const size_t child = stack_.size();
+    for (size_t i = base; i < base + size; ++i) {
+      const BddNode& n = mgr_.node(stack_[i]);
+      const NodeIndex c = n.var != top ? stack_[i] : high ? n.high : n.low;
+      if (c == kTrue) {
+        stack_.resize(child);
+        return kTrue;
+      }
+      if (c != kFalse) stack_.push_back(c);
+    }
+    const NodeIndex r = unite_rec(child);
+    stack_.resize(child);
+    return r;
+  };
+  const NodeIndex low = cofactor(false);
+  const NodeIndex high = cofactor(true);
+  const NodeIndex result = mgr_.make(top, low, high);
+  remember(hash, base, size, result);
+  return result;
+}
+
+const NaryUnion::Entry* NaryUnion::find(uint64_t hash, size_t base, size_t size) const {
+  if (table_.empty()) return nullptr;
+  const uint64_t mask = table_.size() - 1;
+  for (uint64_t slot = hash & mask;; slot = (slot + 1) & mask) {
+    const Entry& e = table_[slot];
+    if (e.size == 0) return nullptr;
+    if (e.hash == hash && e.size == size &&
+        std::equal(keys_.begin() + e.offset, keys_.begin() + e.offset + size,
+                   stack_.begin() + static_cast<std::ptrdiff_t>(base))) {
+      return &e;
+    }
+  }
+}
+
+void NaryUnion::remember(uint64_t hash, size_t base, size_t size, NodeIndex result) {
+  if ((entries_ + 1) * 4 > table_.size() * 3) {
+    std::vector<Entry> old = std::move(table_);
+    table_.assign(old.empty() ? 64 : old.size() * 2, Entry{});
+    const uint64_t mask = table_.size() - 1;
+    for (const Entry& e : old) {
+      if (e.size == 0) continue;
+      uint64_t slot = e.hash & mask;
+      while (table_[slot].size != 0) slot = (slot + 1) & mask;
+      table_[slot] = e;
+    }
+  }
+  const uint64_t mask = table_.size() - 1;
+  uint64_t slot = hash & mask;
+  while (table_[slot].size != 0) slot = (slot + 1) & mask;
+  table_[slot] = {hash, static_cast<uint32_t>(keys_.size()), static_cast<uint32_t>(size), result};
+  keys_.insert(keys_.end(), stack_.begin() + static_cast<std::ptrdiff_t>(base),
+               stack_.begin() + static_cast<std::ptrdiff_t>(base + size));
+  ++entries_;
+}
+
 }  // namespace yardstick::bdd

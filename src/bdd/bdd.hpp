@@ -437,6 +437,59 @@ class BddImporter {
   NodeIndexMap memo_;
 };
 
+/// Memoized n-ary disjunction: the union of many functions in one
+/// Shannon expansion through make(), so the only nodes it allocates are
+/// nodes of its results, where a chain of binary ORs leaves every
+/// intermediate union behind in the arena.
+///
+/// unite() sorts its operands, drops duplicates and kFalse, and answers
+/// kTrue as soon as an operand is kTrue. Zero or one operand left is the
+/// answer; two go through the manager's cached binary OR, so a union of
+/// two performs exactly the apply() calls `a | b` does. Three or more
+/// expand on the top variable and recurse on the two cofactor lists;
+/// each such list is memoized, sorted and duplicate-free, in this
+/// object. Reuse one object for every union of a batch whose operand
+/// lists overlap: a list seen before, at the top or as a cofactor list,
+/// costs one lookup. Results are canonical, so they equal the binary
+/// chain's node for node.
+///
+/// The memo holds node indices of one manager and does not follow a
+/// collect(); it lives for one batch. An exception from make() (a tripped
+/// budget, an injected fault) leaves the object usable: what it memoized
+/// is still correct.
+class NaryUnion {
+ public:
+  explicit NaryUnion(BddManager& mgr) : mgr_(mgr) {}
+
+  NaryUnion(const NaryUnion&) = delete;
+  NaryUnion& operator=(const NaryUnion&) = delete;
+
+  /// The disjunction of `operands`, in any order, duplicates and
+  /// terminals allowed; kFalse for none.
+  [[nodiscard]] NodeIndex unite(std::span<const NodeIndex> operands);
+
+ private:
+  /// One memoized operand list: keys_[offset, offset + size), sorted.
+  struct Entry {
+    uint64_t hash = 0;
+    uint32_t offset = 0;
+    uint32_t size = 0;  ///< 0 marks a free slot
+    NodeIndex result = kFalse;
+  };
+
+  /// Unions the list stack_[base, end), which it sorts and dedups in
+  /// place; the cofactor lists are pushed above it and popped again.
+  NodeIndex unite_rec(size_t base);
+  [[nodiscard]] const Entry* find(uint64_t hash, size_t base, size_t size) const;
+  void remember(uint64_t hash, size_t base, size_t size, NodeIndex result);
+
+  BddManager& mgr_;
+  std::vector<NodeIndex> stack_;
+  std::vector<NodeIndex> keys_;
+  std::vector<Entry> table_;
+  size_t entries_ = 0;
+};
+
 /// The way to attach a budget: installs `budget` on `mgr` (null means
 /// none) and, on scope exit, restores the budget the manager had before,
 /// on every exit path. The engine holds one for its lifetime, its online

@@ -88,6 +88,8 @@ class TestSuite {
 
   /// Runs every test in order: one `suite.run` span (arg `tests`) around
   /// the suite and one `suite.test` span per test (args `index`, `checks`).
+  /// Each test's reports are folded into the tracker's trace inside its
+  /// span, so a test's time counts its tracking.
   [[nodiscard]] std::vector<TestResult> run_all(const dataplane::Transfer& transfer,
                                                 ys::CoverageTracker& tracker) const {
     obs::Span span("suite.run", "online");
@@ -98,6 +100,7 @@ class TestSuite {
       obs::Span test_span("suite.test", "online");
       test_span.arg("index", i);
       results.push_back(tests_[i]->run(transfer, tracker));
+      (void)tracker.trace();
       test_span.arg("checks", results.back().checks);
     }
     return results;

@@ -23,6 +23,13 @@
 //   │  │                                TestSuite::run_all, on step 1's
 //   │  │                                index; arg tests)
 //   │  └─ suite.test (×tests)          (one test; args index, checks)
+//   │     └─ tracker.fold              (the tracker's batched union of
+//   │                                   buffered packet reports into the
+//   │                                   trace: at the end of each test,
+//   │                                   when the buffer fills, and on
+//   │                                   any trace read, e.g. each
+//   │                                   analysis.suite_matrix test; args
+//   │                                   reports, locations)
 //   ├─ covered_sets.build              (offline step 2, Algorithm 1)
 //   │  ├─ parallel.worker (×N)
 //   │  └─ covered_sets.merge

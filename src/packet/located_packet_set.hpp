@@ -37,6 +37,12 @@ class LocatedPacketSet {
     if (!inserted) it->second = it->second.union_with(packets);
   }
 
+  /// Replace the headers at a location with a non-empty set the caller
+  /// computed itself (a batched union).
+  void assign(LocationId loc, const PacketSet& packets) {
+    sets_.insert_or_assign(loc, packets);
+  }
+
   [[nodiscard]] LocatedPacketSet union_with(const LocatedPacketSet& o) const {
     LocatedPacketSet out = *this;
     for (const auto& [loc, ps] : o.sets_) out.insert(loc, ps);

@@ -13,17 +13,17 @@ PacketSet PacketSet::field_prefix(BddManager& mgr, Field f, uint64_t value,
                                   uint8_t bits) {
   const FieldSpec s = spec(f);
   assert(bits <= s.width);
-  std::vector<Var> vars;
-  std::vector<bool> polarities;
-  vars.reserve(bits);
-  polarities.reserve(bits);
   // Bit i of the field (MSB-first) is BDD variable s.offset + i; the MSB of
-  // `value` within the field is bit (s.width - 1).
-  for (uint8_t i = 0; i < bits; ++i) {
-    vars.push_back(s.offset + i);
-    polarities.push_back(((value >> (s.width - 1 - i)) & 1) != 0);
+  // `value` within the field is bit (s.width - 1). The cube is built bottom
+  // up, deepest variable first: the make() sequence BddManager::cube runs,
+  // without its two vectors and its sort.
+  bdd::NodeIndex acc = bdd::kTrue;
+  for (uint8_t i = bits; i-- > 0;) {
+    const Var v = s.offset + i;
+    acc = ((value >> (s.width - 1 - i)) & 1) != 0 ? mgr.make(v, bdd::kFalse, acc)
+                                                   : mgr.make(v, acc, bdd::kFalse);
   }
-  return PacketSet(mgr.cube(vars, polarities));
+  return PacketSet(Bdd(&mgr, acc));
 }
 
 PacketSet PacketSet::field_range(BddManager& mgr, Field f, uint64_t lo, uint64_t hi) {

@@ -39,13 +39,14 @@ struct MatrixClone {
 [[nodiscard]] bool evaluate_test(const MatrixInputs& in, const nettest::NetworkTest& test,
                                  SuiteCoverageMatrix& m, size_t i) {
   CoverageTracker tracker;
-  // Time the isolated run only: trace bookkeeping and the covered-set
-  // build below are analysis overhead, not test cost.
+  // Time the run and the fold of its reports, which is the test's
+  // tracking cost; the covered-set build below is analysis overhead.
   const auto test_start = ResourceBudget::Clock::now();
   (void)test.run(in.transfer, tracker);
+  const coverage::CoverageTrace& trace = tracker.trace();
   m.seconds[i] =
       std::chrono::duration<double>(ResourceBudget::Clock::now() - test_start).count();
-  const coverage::CoveredSets covered(in.transfer.index(), tracker.trace(), in.build_threads);
+  const coverage::CoveredSets covered(in.transfer.index(), trace, in.build_threads);
   std::vector<char> row(m.rule_count, 0);
   for (size_t r = 0; r < m.rule_count; ++r) {
     if (m.vacuous[r]) continue;

@@ -5,32 +5,38 @@
 //     tracker.mark_packet(P);   // behavioral tests: located packets used
 //     tracker.mark_rule(r);     // state-inspection tests: rule inspected
 //
-// The tracker folds reports into the compact coverage trace on the fly
-// (union per location; a set of rule ids), so tracking cost stays off the
-// critical testing path and is independent of how many API calls the tool
-// makes. An append-only log mode exists for the design-choice ablation
-// measured in bench_tracking_overhead.
+// A rule goes straight into the trace's rule set. A packet report is
+// appended to a bounded buffer, and the buffer is folded into the compact
+// coverage trace (one set per location) when it is full and whenever the
+// trace is read: one batched union per location, with one memo shared by
+// every location of the fold (DESIGN.md §19). A test that marks the same
+// sets at many locations pays for their union once, and the buffer's
+// memory stays bounded however many calls the tool makes.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "coverage/trace.hpp"
+#include "obs/trace.hpp"
 
 namespace yardstick::ys {
 
 class CoverageTracker {
  public:
-  enum class Mode : uint8_t {
-    /// Maintain the (P_T, R_T) union incrementally (the paper's design).
-    Dedup,
-    /// Append raw reports; the union is folded when the trace is read
-    /// (ablation baseline: memory grows with the number of API calls).
-    Log,
-  };
+  /// Reports the buffer holds before it folds. 2^16 reports of 8 B cap
+  /// it at 512 KiB, and no test of the `final` suite folds twice at k=16,
+  /// where InternalRouteCheck makes 40,960 reports (DESIGN.md §19).
+  static constexpr size_t kBound = size_t{1} << 16;
 
-  explicit CoverageTracker(Mode mode = Mode::Dedup) : mode_(mode) {}
+  CoverageTracker() = default;
+  /// A tracker whose buffer folds every `bound` (>= 1) reports; bound 1
+  /// unions each report into the trace one at a time, as a per-call union
+  /// would (the ablation in bench_tracking_overhead).
+  explicit CoverageTracker(size_t bound) : bound_(bound) {}
 
   /// Turn reporting on/off without touching the instrumented tool; a
   /// disabled tracker makes both API calls no-ops (used to measure the
@@ -41,21 +47,13 @@ class CoverageTracker {
   void mark_packet(const packet::LocatedPacketSet& packets) {
     if (!enabled_) return;
     ++packet_calls_;
-    if (mode_ == Mode::Dedup) {
-      trace_.mark_packet(packets);
-    } else {
-      for (const auto& [loc, ps] : packets.entries()) log_.emplace_back(loc, ps);
-    }
+    for (const auto& [loc, ps] : packets.entries()) append(loc, ps);
   }
 
   void mark_packet(packet::LocationId location, const packet::PacketSet& packets) {
     if (!enabled_) return;
     ++packet_calls_;
-    if (mode_ == Mode::Dedup) {
-      trace_.mark_packet(location, packets);
-    } else {
-      log_.emplace_back(location, packets);
-    }
+    append(location, packets);
   }
 
   void mark_rule(net::RuleId rule) {
@@ -64,37 +62,59 @@ class CoverageTracker {
     trace_.mark_rule(rule);
   }
 
-  /// The coverage trace accumulated so far. In Log mode this folds the
-  /// pending log into the trace first.
+  /// The coverage trace accumulated so far, with the buffer folded in.
   [[nodiscard]] const coverage::CoverageTrace& trace() {
-    for (const auto& [loc, ps] : log_) trace_.mark_packet(loc, ps);
-    log_.clear();
+    fold();
     return trace_;
   }
 
   /// Moves the trace out, folded as trace() folds it; the tracker's trace
   /// is left empty.
   [[nodiscard]] coverage::CoverageTrace take_trace() {
-    (void)trace();
+    fold();
     return std::exchange(trace_, {});
   }
 
   void reset() {
     trace_.clear();
-    log_.clear();
+    pending_.clear();
     packet_calls_ = 0;
     rule_calls_ = 0;
   }
 
   [[nodiscard]] uint64_t packet_calls() const { return packet_calls_; }
   [[nodiscard]] uint64_t rule_calls() const { return rule_calls_; }
-  [[nodiscard]] size_t log_entries() const { return log_.size(); }
+  /// The non-empty reports not folded yet, in call order; their sets live
+  /// in the reporter's manager.
+  [[nodiscard]] std::span<const coverage::PacketReport> pending() const { return pending_; }
 
  private:
-  Mode mode_;
+  /// Buffers one report, folding first when the buffer is full or holds
+  /// another manager's sets, so it never holds more than bound_ reports,
+  /// even after a fold that threw.
+  void append(packet::LocationId location, const packet::PacketSet& packets) {
+    if (packets.empty()) return;
+    if (pending_.size() >= bound_ || packets.raw().manager() != manager_) fold();
+    manager_ = packets.raw().manager();
+    pending_.push_back({location, packets.raw().index()});
+  }
+
+  /// One `tracker.fold` span per non-empty fold. The trace and the
+  /// buffer's reports are unchanged when the fold throws.
+  void fold() {
+    if (pending_.empty()) return;
+    obs::Span span("tracker.fold", "online");
+    span.arg("reports", pending_.size());
+    span.arg("locations", trace_.fold(*manager_, pending_));
+    pending_.clear();
+  }
+
+  size_t bound_ = kBound;
   bool enabled_ = true;
   coverage::CoverageTrace trace_;
-  std::vector<std::pair<packet::LocationId, packet::PacketSet>> log_;
+  /// Reports of 8 B; manager_ holds their sets.
+  std::vector<coverage::PacketReport> pending_;
+  bdd::BddManager* manager_ = nullptr;
   uint64_t packet_calls_ = 0;
   uint64_t rule_calls_ = 0;
 };

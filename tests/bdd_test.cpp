@@ -209,11 +209,8 @@ TEST(BddManagerTest, CacheAblationProducesSameResults) {
 // against brute-force evaluation over all 2^10 assignments.
 class BddRandomTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(BddRandomTest, MatchesBruteForceEvaluation) {
-  BddManager mgr(10);
-  std::mt19937 rng(GetParam());
-
-  // Random expression tree over literals.
+/// The literals of a 10-variable manager and 30 random expressions over them.
+std::vector<Bdd> random_pool(BddManager& mgr, std::mt19937& rng) {
   std::vector<Bdd> pool;
   for (Var v = 0; v < 10; ++v) {
     pool.push_back(mgr.var(v));
@@ -229,7 +226,13 @@ TEST_P(BddRandomTest, MatchesBruteForceEvaluation) {
       default: pool.push_back(a - b); break;
     }
   }
-  const Bdd f = pool.back();
+  return pool;
+}
+
+TEST_P(BddRandomTest, MatchesBruteForceEvaluation) {
+  BddManager mgr(10);
+  std::mt19937 rng(GetParam());
+  const Bdd f = random_pool(mgr, rng).back();
 
   // Count satisfying assignments by enumeration and compare.
   uint64_t brute = 0;
@@ -239,6 +242,37 @@ TEST_P(BddRandomTest, MatchesBruteForceEvaluation) {
     if (mgr.evaluate(f, assignment)) ++brute;
   }
   EXPECT_EQ(f.count(), Uint128{brute});
+}
+
+TEST_P(BddRandomTest, NaryUnionEqualsBinaryChain) {
+  BddManager mgr(10);
+  std::mt19937 rng(GetParam());
+  const std::vector<Bdd> pool = random_pool(mgr, rng);
+  const auto pick = [&] { return pool[rng() % pool.size()].index(); };
+  const NodeIndex f = pick();
+  const NodeIndex g = pick();
+  std::vector<NodeIndex> twenty{kFalse};
+  while (twenty.size() < 20) twenty.push_back(twenty.size() % 7 == 0 ? twenty[1] : pick());
+  const std::vector<std::vector<NodeIndex>> groups = {
+      {}, {f}, {f, kFalse}, {f, g}, {g, f, g}, {f, kTrue, g}, {kFalse, kFalse, f}, twenty};
+
+  // One memo for every group, as a fold shares it across locations.
+  NaryUnion shared(mgr);
+  for (const std::vector<NodeIndex>& group : groups) {
+    Bdd chain = mgr.zero();
+    for (const NodeIndex n : group) chain = chain | Bdd(&mgr, n);
+    EXPECT_EQ(shared.unite(group), chain.index()) << group.size() << " operands";
+  }
+
+  // Two overlapping groups under one memo, the second hitting the first's
+  // cofactor lists, give what two fresh memos give.
+  const std::vector<NodeIndex> first(twenty.begin(), twenty.begin() + 14);
+  const std::vector<NodeIndex> second(twenty.begin() + 6, twenty.end());
+  NaryUnion both(mgr);
+  const NodeIndex a = both.unite(first);
+  const NodeIndex b = both.unite(second);
+  EXPECT_EQ(a, NaryUnion(mgr).unite(first));
+  EXPECT_EQ(b, NaryUnion(mgr).unite(second));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BddRandomTest, ::testing::Range(0, 12));

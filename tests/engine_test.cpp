@@ -2,14 +2,25 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string_view>
 #include <type_traits>
+#include <unordered_set>
+#include <vector>
 
+#include "fault_injection.hpp"
+#include "nettest/acl_checks.hpp"
 #include "nettest/contract_checks.hpp"
 #include "nettest/reachability.hpp"
 #include "nettest/state_checks.hpp"
+#include "nettest/transform_checks.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "routing/fib_builder.hpp"
 #include "test_util.hpp"
+#include "topo/acl.hpp"
 #include "topo/fattree.hpp"
+#include "topo/regional.hpp"
+#include "topo/transforms.hpp"
 #include "yardstick/engine.hpp"
 #include "yardstick/json.hpp"
 #include "yardstick/tracker.hpp"
@@ -49,19 +60,182 @@ TEST_F(EngineTest, TrackerDisabledIsNoOp) {
   EXPECT_TRUE(tracker_.trace().marked_packets().empty());
 }
 
-TEST_F(EngineTest, LogModeFoldsToSameTrace) {
-  CoverageTracker dedup(CoverageTracker::Mode::Dedup);
-  CoverageTracker log(CoverageTracker::Mode::Log);
-  for (auto* t : {&dedup, &log}) {
-    t->mark_packet(net::to_location(tiny_.l1_host), dst(tiny_.p1));
-    t->mark_packet(net::to_location(tiny_.l1_host), dst(tiny_.p2));
-    t->mark_packet(net::to_location(tiny_.l1_host), dst(tiny_.p1));
-    t->mark_rule(tiny_.sp_to_p1);
+/// A routed network and a suite that runs on it.
+struct FoldSubject {
+  std::string name;
+  net::Network network;
+  nettest::TestSuite suite;
+};
+
+/// The `fattree` suite on a k=4 fat tree (the CLI's `fattree --k 4 --suite
+/// fattree`).
+FoldSubject fattree_subject() {
+  topo::FatTree tree = topo::make_fat_tree({.k = 4});
+  routing::FibBuilder::compute_and_build(tree.network, tree.routing);
+  nettest::TestSuite suite("fattree");
+  suite.add(std::make_unique<nettest::DefaultRouteCheck>());
+  suite.add(std::make_unique<nettest::ToRContract>());
+  suite.add(std::make_unique<nettest::ToRReachability>());
+  suite.add(std::make_unique<nettest::ToRPingmesh>());
+  return {"fattree k=4", std::move(tree.network), std::move(suite)};
+}
+
+/// The `final` suite on the CLI's `regional --acl --transforms 2`.
+FoldSubject regional_subject() {
+  topo::RegionalNetwork regional = topo::make_regional({});
+  const topo::TransformState transforms =
+      topo::plan_transforms(regional, {.tunnels = 2, .nat_rules_per_wan = 2});
+  routing::FibBuilder::compute_and_build(regional.network, regional.routing);
+  topo::install_ingress_acls(regional.network, regional.tors);
+  topo::install_transform_rules(regional.network, transforms, regional.routing);
+  const std::unordered_set<net::DeviceId> excluded(
+      regional.routing.no_default_devices.begin(), regional.routing.no_default_devices.end());
+  nettest::TestSuite suite("final");
+  suite.add(std::make_unique<nettest::DefaultRouteCheck>(excluded));
+  suite.add(std::make_unique<nettest::AggCanReachTorLoopback>());
+  suite.add(std::make_unique<nettest::InternalRouteCheck>());
+  suite.add(std::make_unique<nettest::ConnectedRouteCheck>());
+  suite.add(std::make_unique<nettest::AclBlockCheck>());
+  suite.add(std::make_unique<nettest::BlockedPortCheck>());
+  suite.add(std::make_unique<nettest::TunnelRoundTripCheck>());
+  suite.add(std::make_unique<nettest::NatTranslationCheck>());
+  return {"regional --acl --transforms 2", std::move(regional.network), std::move(suite)};
+}
+
+/// The values of `arg` on every span named `name` the tracer holds.
+std::vector<uint64_t> span_args(const char* name, const char* arg) {
+  std::vector<uint64_t> out;
+  for (const obs::TraceEvent& e : obs::Tracer::global().snapshot()) {
+    if (std::string_view(e.name) != name) continue;
+    for (int a = 0; a < e.num_args; ++a) {
+      if (std::string_view(e.args[a].key) == arg) out.push_back(e.args[a].value);
+    }
   }
-  EXPECT_GT(log.log_entries(), 0u);
-  EXPECT_EQ(log.trace().marked_packets(), dedup.trace().marked_packets());
-  EXPECT_EQ(log.trace().marked_rules(), dedup.trace().marked_rules());
-  EXPECT_EQ(log.log_entries(), 0u);  // folded on read
+  return out;
+}
+
+TEST(TrackerFoldTest, EveryBoundFoldsToTheSequentialTrace) {
+  for (const auto make : {&fattree_subject, &regional_subject}) {
+    const FoldSubject subject = make();
+    SCOPED_TRACE(subject.name);
+    bdd::BddManager mgr(packet::kNumHeaderBits);
+    const dataplane::MatchSetIndex index(mgr, subject.network);
+    const dataplane::Transfer transfer(index);
+
+    // The reference: one CoverageTrace::mark_packet per report, in call
+    // order. Each test runs on its own tracker, whose buffer holds the
+    // test's reports unfolded (fewer than the bound at this size).
+    coverage::CoverageTrace sequential;
+    uint64_t reports = 0;
+    for (size_t i = 0; i < subject.suite.size(); ++i) {
+      CoverageTracker tracker;
+      (void)subject.suite.test(i).run(transfer, tracker);
+      ASSERT_LT(tracker.packet_calls(), CoverageTracker::kBound);
+      for (const coverage::PacketReport& r : tracker.pending()) {
+        sequential.mark_packet(r.location, PacketSet(bdd::Bdd(&mgr, r.packets)));
+      }
+      reports += tracker.pending().size();
+      for (const net::RuleId rule : tracker.trace().marked_rules()) sequential.mark_rule(rule);
+    }
+    ASSERT_GT(reports, 0u);
+
+    for (const size_t bound : {size_t{1}, size_t{2}, size_t{7}, CoverageTracker::kBound}) {
+      SCOPED_TRACE(bound);
+      obs::Tracer::global().clear();
+      obs::set_enabled(true);
+      CoverageTracker tracker(bound);
+      (void)subject.suite.run_all(transfer, tracker);
+      const coverage::CoverageTrace& trace = tracker.trace();
+      obs::set_enabled(false);
+      // Canonical sets: the same function is the same node.
+      EXPECT_EQ(trace.marked_packets(), sequential.marked_packets());
+      EXPECT_EQ(trace.marked_rules(), sequential.marked_rules());
+      // Every report was folded once, and no fold held more than the bound.
+      uint64_t folded = 0;
+      for (const uint64_t n : span_args("tracker.fold", "reports")) {
+        EXPECT_LE(n, bound);
+        folded += n;
+      }
+      EXPECT_EQ(folded, reports);
+    }
+    obs::Tracer::global().clear();
+  }
+}
+
+TEST(TrackerFoldTest, FoldAllocatesOnlyNodesOfTheFoldedSets) {
+  topo::FatTree tree = topo::make_fat_tree({.k = 8});
+  routing::FibBuilder::compute_and_build(tree.network, tree.routing);
+  bdd::BddManager mgr(packet::kNumHeaderBits);
+  const dataplane::MatchSetIndex index(mgr, tree.network);
+  const dataplane::Transfer transfer(index);
+  // An untracked run first builds the test's own packet sets, so what the
+  // arena gains below is the tracker's.
+  CoverageTracker off;
+  off.set_enabled(false);
+  (void)nettest::ToRContract().run(transfer, off);
+
+  const size_t before = mgr.arena_size();
+  CoverageTracker tracker;
+  (void)nettest::ToRContract().run(transfer, tracker);
+  const coverage::CoverageTrace& trace = tracker.trace();
+  const size_t grown = mgr.arena_size() - before;
+
+  // The nodes of the folded sets that the arena did not hold before.
+  std::unordered_set<bdd::NodeIndex> fresh;
+  std::vector<bdd::NodeIndex> stack;
+  for (const auto& [loc, ps] : trace.marked_packets().entries()) stack.push_back(ps.raw().index());
+  while (!stack.empty()) {
+    const bdd::NodeIndex n = stack.back();
+    stack.pop_back();
+    if (n < before || !fresh.insert(n).second) continue;
+    stack.push_back(mgr.node(n).low);
+    stack.push_back(mgr.node(n).high);
+  }
+  EXPECT_GT(grown, 0u);
+  EXPECT_EQ(grown, fresh.size()) << "the fold left nodes no folded set reaches";
+  // A union per report left 10,078 nodes here, most of them garbage.
+  EXPECT_LT(grown, 1000u);
+}
+
+TEST(TrackerFoldTest, AFoldThatThrowsLosesNothing) {
+  topo::FatTree tree = topo::make_fat_tree({.k = 4});
+  routing::FibBuilder::compute_and_build(tree.network, tree.routing);
+  bdd::BddManager mgr(packet::kNumHeaderBits);
+  const dataplane::MatchSetIndex index(mgr, tree.network);
+  const dataplane::Transfer transfer(index);
+
+  CoverageTracker tracker;
+  (void)nettest::ToRContract().run(transfer, tracker);
+  const packet::LocatedPacketSet first = tracker.trace().marked_packets();
+  (void)nettest::ToRPingmesh().run(transfer, tracker);
+  const std::vector<coverage::PacketReport> reports(tracker.pending().begin(),
+                                                    tracker.pending().end());
+
+  // The trace's own fold: nothing is stored unless every location's set
+  // was computed.
+  coverage::CoverageTrace trace;
+  for (const auto& [loc, ps] : first.entries()) trace.mark_packet(loc, ps);
+  {
+    const testutil::ScopedFault boom("bdd.make", testutil::trip_budget("fold"), 20);
+    EXPECT_THROW((void)trace.fold(mgr, reports), BudgetExceededError);
+  }
+  EXPECT_EQ(trace.marked_packets(), first);
+
+  // The tracker's: its buffer survives the throw and folds once disarmed.
+  {
+    const testutil::ScopedFault boom("bdd.make", testutil::trip_budget("fold"), 20);
+    EXPECT_THROW((void)tracker.trace(), BudgetExceededError);
+  }
+  EXPECT_EQ(tracker.pending().size(), reports.size());
+  const coverage::CoverageTrace& folded = tracker.trace();
+  EXPECT_TRUE(tracker.pending().empty());
+  (void)trace.fold(mgr, reports);
+
+  CoverageTracker reference;
+  (void)nettest::ToRContract().run(transfer, reference);
+  (void)nettest::ToRPingmesh().run(transfer, reference);
+  EXPECT_EQ(folded.marked_packets(), reference.trace().marked_packets());
+  EXPECT_EQ(trace.marked_packets(), reference.trace().marked_packets());
 }
 
 TEST_F(EngineTest, TrackerReset) {

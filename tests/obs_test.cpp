@@ -8,7 +8,8 @@
 //   * both expositions (JSON, Prometheus text) are well-formed, because
 //     dashboards and scrapers consume them unvalidated.
 // The same allocation counter pins the local contract loop's promise
-// (DESIGN.md §18): it allocates per run and per prefix, never per check.
+// (DESIGN.md §18, §19): it allocates per run, never per prefix or per
+// check, and a tracked run adds only the tracker buffer's doublings.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -432,8 +433,9 @@ TEST(ObsTracerTest, DisabledModeAllocatesNothing) {
 TEST(ContractLoopTest, AllocatesPerRunNotPerCheck) {
   // k=8: 32 hosted prefixes, each checked at the 80 other devices. With
   // the tracker off what remains is the test's own work: the run's
-  // buffers, and building each prefix's packet set (~100 allocations in
-  // all). The old loop allocated three vectors per check (~29,000).
+  // buffers (5 allocations). Building a prefix's packet set allocates
+  // nothing; it took three allocations per prefix (96) before, and the
+  // old loop allocated three vectors per check (~29,000).
   topo::FatTree tree = topo::make_fat_tree({.k = 8});
   routing::FibBuilder::compute_and_build(tree.network, tree.routing);
   bdd::BddManager mgr(packet::kNumHeaderBits);
@@ -448,7 +450,28 @@ TEST(ContractLoopTest, AllocatesPerRunNotPerCheck) {
   const uint64_t allocations = g_allocations.load(std::memory_order_relaxed) - before;
   EXPECT_TRUE(result.passed());
   EXPECT_EQ(result.checks, 2560u);
-  EXPECT_LT(allocations, result.checks / 8) << "a contract check must not allocate";
+  EXPECT_LT(allocations, 16u) << "a contract check or a prefix's packet set allocated";
+}
+
+TEST(ContractLoopTest, TrackedRunAllocatesPerRunNotPerCheck) {
+  // The same run with the tracker on: each check's report is appended to
+  // the tracker's one flat buffer, which grows by doubling (18 allocations
+  // in all); a buffer per location would allocate per location. The fold,
+  // at trace(), is not counted.
+  topo::FatTree tree = topo::make_fat_tree({.k = 8});
+  routing::FibBuilder::compute_and_build(tree.network, tree.routing);
+  bdd::BddManager mgr(packet::kNumHeaderBits);
+  const dataplane::MatchSetIndex index(mgr, tree.network);
+  const dataplane::Transfer transfer(index);
+  ys::CoverageTracker warm;
+  (void)nettest::ToRContract().run(transfer, warm);
+
+  ys::CoverageTracker tracker;
+  const uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const nettest::TestResult result = nettest::ToRContract().run(transfer, tracker);
+  const uint64_t allocations = g_allocations.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(tracker.pending().size(), result.checks);
+  EXPECT_LT(allocations, result.checks / 8) << "a tracked contract check must not allocate";
 }
 
 TEST(ObsExpositionTest, JsonIsWellFormedAndComplete) {
