@@ -9,8 +9,16 @@ using packet::PacketSet;
 
 ConcreteTrace ConcreteSimulator::run(net::DeviceId device, net::InterfaceId in_interface,
                                      ConcretePacket pkt, int max_hops) const {
-  const net::Network& network = transfer_.network();
   ConcreteTrace trace;
+  run(device, in_interface, pkt, trace, max_hops);
+  return trace;
+}
+
+void ConcreteSimulator::run(net::DeviceId device, net::InterfaceId in_interface,
+                            ConcretePacket pkt, ConcreteTrace& trace, int max_hops) const {
+  const net::Network& network = transfer_.network();
+  trace.hops.clear();
+  trace.egress = net::InterfaceId{};
   for (int hop = 0; hop < max_hops; ++hop) {
     ConcreteHop record;
     record.device = device;
@@ -29,7 +37,7 @@ ConcreteTrace ConcreteSimulator::run(net::DeviceId device, net::InterfaceId in_i
         trace.hops.push_back(record);
         trace.disposition = acl.valid() ? Disposition::Dropped : Disposition::NoRule;
         trace.final_packet = pkt;
-        return trace;
+        return;
       }
     }
 
@@ -39,14 +47,14 @@ ConcreteTrace ConcreteSimulator::run(net::DeviceId device, net::InterfaceId in_i
       trace.hops.push_back(record);
       trace.disposition = Disposition::NoRule;
       trace.final_packet = pkt;
-      return trace;
+      return;
     }
     const net::Rule& rule = network.rule(rid);
     if (rule.action.type == net::ActionType::Drop) {
       trace.hops.push_back(record);
       trace.disposition = Disposition::Dropped;
       trace.final_packet = pkt;
-      return trace;
+      return;
     }
     for (const net::Rewrite& rw : rule.action.rewrites) {
       pkt.set_field(rw.field, rw.value);
@@ -61,14 +69,13 @@ ConcreteTrace ConcreteSimulator::run(net::DeviceId device, net::InterfaceId in_i
       trace.disposition = Disposition::Delivered;
       trace.final_packet = pkt;
       trace.egress = egress;
-      return trace;
+      return;
     }
     device = network.interface(next).device;
     in_interface = next;
   }
   trace.disposition = Disposition::Loop;
   trace.final_packet = pkt;
-  return trace;
 }
 
 SymbolicResult SymbolicSimulator::flood(net::DeviceId device,

@@ -64,6 +64,10 @@ class ConcreteSimulator {
   /// dropped, or the hop limit is hit. ECMP choices are deterministic.
   [[nodiscard]] ConcreteTrace run(net::DeviceId device, net::InterfaceId in_interface,
                                   packet::ConcretePacket pkt, int max_hops = 64) const;
+  /// As above, into `trace` (overwritten): a caller that probes in a loop
+  /// reuses one hop list.
+  void run(net::DeviceId device, net::InterfaceId in_interface, packet::ConcretePacket pkt,
+           ConcreteTrace& trace, int max_hops = 64) const;
 
  private:
   const Transfer& transfer_;

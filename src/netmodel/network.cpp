@@ -141,17 +141,16 @@ std::string Network::summary() const {
   return out.str();
 }
 
-std::string rule_content_key(const Network& network, RuleId id) {
-  const Rule& rule = network.rule(id);
-  std::string key = network.device(rule.device).name;
+std::string rule_content_key(const Network& network, const RuleContent& content) {
+  std::string key = network.device(content.device).name;
   key += '|';
-  key += to_string(rule.table);
+  key += to_string(content.table);
   key += '|';
-  key += std::to_string(rule.priority);
+  key += std::to_string(content.priority);
   key += '|';
-  key += rule.match.to_string();
+  key += content.match().to_string();
   key += '|';
-  key += to_string(rule.kind);
+  key += to_string(content.kind);
   return key;
 }
 

@@ -122,13 +122,15 @@ class Network {
   std::unordered_map<std::string, DeviceId> device_by_name_;
 };
 
-/// Content key of a rule: `device|table|priority|match|kind`. Identifies a
-/// rule by what it *is* rather than by its positional RuleId, so reports
-/// stay comparable across runs that renumber rules (FIB recomputation,
-/// failure scenarios, suite deltas). Rules that are byte-identical under
-/// this key are deliberately conflated — callers that need uniqueness
-/// disambiguate with a positional suffix (see scenario::ScenarioRunner and
-/// the gap report's collapsed-rule annotations).
-[[nodiscard]] std::string rule_content_key(const Network& network, RuleId id);
+/// Content key of a rule, `device|table|priority|match|kind`: the
+/// rendering of its RuleContent (`content.device` must be a device of
+/// `network`). Identifies a rule by what it *is* rather than by its
+/// positional RuleId, so reports stay comparable across runs that renumber
+/// rules (FIB recomputation, failure scenarios, suite deltas). Rules that
+/// are byte-identical under this key are deliberately conflated — callers
+/// that need uniqueness disambiguate with a positional suffix (see
+/// scenario::ScenarioRunner and the gap report's collapsed-rule
+/// annotations).
+[[nodiscard]] std::string rule_content_key(const Network& network, const RuleContent& content);
 
 }  // namespace yardstick::net

@@ -164,4 +164,58 @@ struct Rule {
   }
 };
 
+/// What a rule *is*, as a fixed-size value: device, table, priority, kind
+/// and every MatchSpec field but `in_interfaces`, each with a presence bit.
+/// Two rules have equal contents exactly when their `rule_content_key`
+/// strings are equal (the key is this value's rendering), so code that only
+/// compares or orders rules by content never builds the string. Rules that
+/// differ only in `in_interfaces` are conflated, as their keys are.
+struct RuleContent {
+  /// Presence bits, one per optional MatchSpec field.
+  enum : uint8_t { kDst = 1, kSrc = 2, kProto = 4, kSrcPort = 8, kDstPort = 16 };
+
+  DeviceId device;
+  TableKind table = TableKind::Fib;
+  uint32_t priority = 0;
+  RouteKind kind = RouteKind::Other;
+  uint8_t present = 0;
+  // An absent field keeps its default, so defaulted comparison is exact.
+  uint8_t proto = 0;
+  packet::Ipv4Prefix dst_prefix;
+  packet::Ipv4Prefix src_prefix;
+  PortRange src_port;
+  PortRange dst_port;
+
+  [[nodiscard]] static RuleContent of(const Rule& rule) {
+    const MatchSpec& m = rule.match;
+    RuleContent c;
+    c.device = rule.device;
+    c.table = rule.table;
+    c.priority = rule.priority;
+    c.kind = rule.kind;
+    c.present = static_cast<uint8_t>((m.dst_prefix ? kDst : 0) | (m.src_prefix ? kSrc : 0) |
+                                     (m.proto ? kProto : 0) | (m.src_port ? kSrcPort : 0) |
+                                     (m.dst_port ? kDstPort : 0));
+    c.proto = m.proto.value_or(0);
+    c.dst_prefix = m.dst_prefix.value_or(packet::Ipv4Prefix{});
+    c.src_prefix = m.src_prefix.value_or(packet::Ipv4Prefix{});
+    c.src_port = m.src_port.value_or(PortRange{});
+    c.dst_port = m.dst_port.value_or(PortRange{});
+    return c;
+  }
+
+  /// The match fields as a MatchSpec (no `in_interfaces`).
+  [[nodiscard]] MatchSpec match() const {
+    MatchSpec m;
+    if (present & kDst) m.dst_prefix = dst_prefix;
+    if (present & kSrc) m.src_prefix = src_prefix;
+    if (present & kProto) m.proto = proto;
+    if (present & kSrcPort) m.src_port = src_port;
+    if (present & kDstPort) m.dst_port = dst_port;
+    return m;
+  }
+
+  friend auto operator<=>(const RuleContent&, const RuleContent&) = default;
+};
+
 }  // namespace yardstick::net

@@ -68,6 +68,7 @@ TestResult ToRPingmesh::run(const dataplane::Transfer& transfer,
   TestResult result = make_result();
 
   const std::vector<net::DeviceId> tors = network.devices_with_role(net::Role::ToR);
+  dataplane::ConcreteTrace trace;
 
   for (size_t src_index = 0; src_index < tors.size(); ++src_index) {
     if (!shard_.contains(src_index)) continue;
@@ -92,7 +93,7 @@ TestResult ToRPingmesh::run(const dataplane::Transfer& transfer,
                        : src_dev.host_prefixes.front().first() + 1;
       pkt.proto = 1;  // ICMP
 
-      const dataplane::ConcreteTrace trace = probe(transfer, tracker, src, ingress, pkt);
+      probe(transfer, tracker, src, ingress, pkt, trace);
       const bool reached =
           trace.disposition == dataplane::Disposition::Delivered && trace.egress.valid() &&
           network.interface(trace.egress).device == dst;
@@ -141,12 +142,12 @@ TestResult ReachabilityTest::run(const dataplane::Transfer& transfer,
   return result;
 }
 
-dataplane::ConcreteTrace probe(const dataplane::Transfer& transfer,
-                               ys::CoverageTracker& tracker, net::DeviceId source,
-                               net::InterfaceId source_interface,
-                               const packet::ConcretePacket& pkt) {
-  const dataplane::ConcreteSimulator sim(transfer);
-  const dataplane::ConcreteTrace trace = sim.run(source, source_interface, pkt);
+void probe(const dataplane::Transfer& transfer, ys::CoverageTracker& tracker,
+           net::DeviceId source, net::InterfaceId source_interface,
+           const packet::ConcretePacket& pkt, dataplane::ConcreteTrace& trace) {
+  dataplane::ConcreteSimulator(transfer).run(source, source_interface, pkt, trace);
+  // Only the marks read the singleton sets below.
+  if (!tracker.enabled()) return;
   bdd::BddManager& mgr = transfer.index().manager();
   // The packet is identical across hops unless a rule rewrote it; build
   // the singleton set once and reuse it (marking is on the test's hot
@@ -160,7 +161,6 @@ dataplane::ConcreteTrace probe(const dataplane::Transfer& transfer,
     }
     mark_concrete_hop(tracker, hop, singleton);
   }
-  return trace;
 }
 
 }  // namespace yardstick::nettest

@@ -121,12 +121,11 @@ class ReachabilityTest final : public NetworkTest {
 };
 
 /// Concrete probe: does `pkt` injected at `source` get delivered? Marks
-/// every hop on the tracker and returns the trace (ping/traceroute are the
-/// same mechanism; traceroute additionally inspects the hop list).
-[[nodiscard]] dataplane::ConcreteTrace probe(const dataplane::Transfer& transfer,
-                                             ys::CoverageTracker& tracker,
-                                             net::DeviceId source,
-                                             net::InterfaceId source_interface,
-                                             const packet::ConcretePacket& pkt);
+/// every hop on the tracker and leaves the trace in `trace` (ping/traceroute
+/// are the same mechanism; traceroute additionally inspects the hop list).
+/// A test that probes in a loop passes one trace, whose hop list it reuses.
+void probe(const dataplane::Transfer& transfer, ys::CoverageTracker& tracker,
+           net::DeviceId source, net::InterfaceId source_interface,
+           const packet::ConcretePacket& pkt, dataplane::ConcreteTrace& trace);
 
 }  // namespace yardstick::nettest

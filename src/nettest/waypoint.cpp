@@ -46,12 +46,12 @@ TestResult TracerouteWaypointCheck::run(const dataplane::Transfer& transfer,
                                         ys::CoverageTracker& tracker) const {
   const net::Network& network = transfer.network();
   TestResult result = make_result();
+  dataplane::ConcreteTrace trace;
 
   for (const WaypointQuery& q : queries_) {
     if (q.headers.empty()) continue;
     ++result.checks;
-    const dataplane::ConcreteTrace trace =
-        probe(transfer, tracker, q.source, q.source_interface, q.headers.sample());
+    probe(transfer, tracker, q.source, q.source_interface, q.headers.sample(), trace);
     bool traversed = false;
     for (const dataplane::ConcreteHop& hop : trace.hops) {
       if (hop.device == q.waypoint) traversed = true;

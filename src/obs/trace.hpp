@@ -45,6 +45,9 @@
 //   │  │                                routing spans follow the last one)
 //   │  └─ scenario.rule_keys           (per-rule content keys for the
 //   │                                   diff; arg rules)
+//   ├─ scenario.diff (×N)              (one scenario's evaluation against
+//   │                                   the baseline's, after it; args
+//   │                                   lost, gained, collapsed)
 //   └─ trace.save / trace.load
 //
 // Cost model: a Span in disabled mode is two relaxed atomic loads and no

@@ -1,6 +1,8 @@
 #include "scenario/runner.hpp"
 
 #include <algorithm>
+#include <map>
+#include <tuple>
 
 #include "obs/trace.hpp"
 #include "packet/fields.hpp"
@@ -34,13 +36,19 @@ std::string string_array_json(const std::vector<std::string>& v) {
 }  // namespace
 
 struct ScenarioRunner::Evaluation {
-  struct RuleInfo {
-    net::RouteKind kind = net::RouteKind::Other;
+  /// One ACL or FIB rule by content. Identical rules (same content) are
+  /// numbered 1, 2, ... in table order; the ordinal renders as the key's
+  /// `#n` suffix.
+  struct RuleEntry {
+    net::RuleContent content;
+    uint32_t ordinal = 1;
     double coverage = 0.0;
     bdd::Uint128 atus = 0;
+
+    [[nodiscard]] auto key() const { return std::tie(content, ordinal); }
   };
-  /// Content-keyed rules; std::map for deterministic diff iteration.
-  std::map<std::string, RuleInfo> rules;
+  /// Sorted by (content, ordinal): the diff is one merge of two of these.
+  std::vector<RuleEntry> rules;
   /// Test name -> passed (duplicate names AND together).
   std::map<std::string, bool> tests;
   ys::MetricRow metrics;
@@ -70,24 +78,86 @@ ScenarioRunner::Evaluation ScenarioRunner::evaluate(const routing::RoutingConfig
   }
   obs::Span keys_span("scenario.rule_keys", "scenario");
   keys_span.arg("rules", network_.rule_count());
+  ev.rules.reserve(network_.rule_count());
   for (const net::Device& dev : network_.devices()) {
     for (const net::TableKind table : {net::TableKind::Acl, net::TableKind::Fib}) {
       for (const net::RuleId rid : network_.table(dev.id, table)) {
-        const net::Rule& rule = network_.rule(rid);
-        const std::string key = net::rule_content_key(network_, rid);
-        // Identical rules (same device/table/priority/match/kind) get a
-        // positional suffix; table iteration order makes this stable.
-        std::string unique = key;
-        for (int n = 2; ev.rules.contains(unique); ++n) {
-          unique = key + "#" + std::to_string(n);
-        }
         const ys::RuleMeasure& m = engine.rule_measure(rid);
-        ev.rules.emplace(std::move(unique),
-                         Evaluation::RuleInfo{rule.kind, m.coverage(), m.covered});
+        // The ordinal holds the table-order position until the sort has
+        // grouped the twins.
+        ev.rules.push_back({net::RuleContent::of(network_.rule(rid)),
+                            static_cast<uint32_t>(ev.rules.size()), m.coverage(),
+                            m.covered});
       }
     }
   }
+  std::sort(ev.rules.begin(), ev.rules.end(),
+            [](const Evaluation::RuleEntry& a, const Evaluation::RuleEntry& b) {
+              return a.key() < b.key();
+            });
+  for (size_t i = 0; i < ev.rules.size(); ++i) {
+    const bool twin = i > 0 && ev.rules[i].content == ev.rules[i - 1].content;
+    ev.rules[i].ordinal = twin ? ev.rules[i - 1].ordinal + 1 : 1;
+  }
   return ev;
+}
+
+ScenarioDiff ScenarioRunner::diff(const Evaluation& base, const Evaluation& cur) const {
+  obs::Span span("scenario.diff", "scenario");
+  ScenarioDiff out;
+  out.scenario_rule_count = cur.rule_count;
+  out.metrics = cur.metrics;
+  out.truncated = cur.truncated;
+
+  // One merge of the two sorted rule lists. A lost or collapsed rule is a
+  // candidate for the top deltas, and only candidates get a rendered key:
+  // ties in baseline ATUs break on it.
+  std::vector<RuleDelta> candidates;
+  const auto candidate = [&](const Evaluation::RuleEntry& r, double scenario_coverage) {
+    std::string key = net::rule_content_key(network_, r.content);
+    if (r.ordinal > 1) key += "#" + std::to_string(r.ordinal);
+    candidates.push_back({std::move(key), r.content.kind, r.coverage, scenario_coverage, r.atus});
+    out.unreachable_atus += r.atus;
+  };
+  auto b = base.rules.begin();
+  auto c = cur.rules.begin();
+  while (b != base.rules.end() || c != cur.rules.end()) {
+    if (c == cur.rules.end() || (b != base.rules.end() && b->key() < c->key())) {
+      ++out.rules_lost;
+      candidate(*b++, 0.0);
+    } else if (b == base.rules.end() || c->key() < b->key()) {
+      ++out.rules_gained;
+      ++c;
+    } else {
+      if (b->coverage > 0.0 && c->coverage == 0.0) {
+        ++out.rules_collapsed;
+        candidate(*b, c->coverage);
+      }
+      ++b;
+      ++c;
+    }
+  }
+  span.arg("lost", out.rules_lost);
+  span.arg("gained", out.rules_gained);
+  span.arg("collapsed", out.rules_collapsed);
+  std::sort(candidates.begin(), candidates.end(), [](const RuleDelta& x, const RuleDelta& y) {
+    if (x.baseline_atus != y.baseline_atus) return x.baseline_atus > y.baseline_atus;
+    return x.key < y.key;
+  });
+  if (candidates.size() > kMaxRuleDeltas) candidates.resize(kMaxRuleDeltas);
+  out.top_deltas = std::move(candidates);
+
+  for (const auto& [name, passed] : base.tests) {
+    if (!passed) continue;
+    const auto it = cur.tests.find(name);
+    if (it != cur.tests.end() && !it->second) out.dark_tests.push_back(name);
+  }
+  return out;
+}
+
+void ScenarioRunner::restore_baseline() {
+  routing::FibBuilder::compute_and_build(network_, baseline_);
+  if (post_fib_) post_fib_(network_, baseline_);
 }
 
 ScenarioReport ScenarioRunner::run(const ScenarioSpec& spec) {
@@ -96,71 +166,34 @@ ScenarioReport ScenarioRunner::run(const ScenarioSpec& spec) {
   resolved.reserve(spec.scenarios.size());
   for (const Scenario& s : spec.scenarios) resolved.push_back(resolve(s, network_));
 
-  const Evaluation base = evaluate(baseline_, 0);
-
   ScenarioReport report;
-  report.baseline_metrics = base.metrics;
-  report.baseline_rule_count = base.rule_count;
-  report.truncated = base.truncated;
-  for (const auto& [name, passed] : base.tests) {
-    if (!passed) report.baseline_failing_tests.push_back(name);
-  }
-
-  for (size_t i = 0; i < resolved.size(); ++i) {
-    const ResolvedScenario& rs = resolved[i];
-    routing::RoutingConfig config = baseline_;
-    config.failed_devices.insert(rs.devices.begin(), rs.devices.end());
-    config.failed_links.insert(rs.links.begin(), rs.links.end());
-    const Evaluation cur = evaluate(config, i + 1);
-
-    ScenarioDiff diff;
-    diff.name = rs.name;
-    diff.scenario_rule_count = cur.rule_count;
-    diff.metrics = cur.metrics;
-    diff.truncated = cur.truncated;
-    report.truncated = report.truncated || cur.truncated;
-
-    std::vector<RuleDelta> candidates;
-    for (const auto& [key, info] : base.rules) {
-      const auto it = cur.rules.find(key);
-      const bool lost = it == cur.rules.end();
-      const bool collapsed =
-          !lost && info.coverage > 0.0 && it->second.coverage == 0.0;
-      if (lost) {
-        ++diff.rules_lost;
-      } else if (collapsed) {
-        ++diff.rules_collapsed;
-      } else {
-        continue;
-      }
-      diff.unreachable_atus += info.atus;
-      candidates.push_back({key, info.kind, info.coverage,
-                            lost ? 0.0 : it->second.coverage, info.atus});
-    }
-    for (const auto& [key, info] : cur.rules) {
-      if (!base.rules.contains(key)) ++diff.rules_gained;
-    }
-    std::sort(candidates.begin(), candidates.end(),
-              [](const RuleDelta& a, const RuleDelta& b) {
-                if (a.baseline_atus != b.baseline_atus) {
-                  return a.baseline_atus > b.baseline_atus;
-                }
-                return a.key < b.key;
-              });
-    if (candidates.size() > kMaxRuleDeltas) candidates.resize(kMaxRuleDeltas);
-    diff.top_deltas = std::move(candidates);
-
+  try {
+    const Evaluation base = evaluate(baseline_, 0);
+    report.baseline_metrics = base.metrics;
+    report.baseline_rule_count = base.rule_count;
+    report.truncated = base.truncated;
     for (const auto& [name, passed] : base.tests) {
-      if (!passed) continue;
-      const auto it = cur.tests.find(name);
-      if (it != cur.tests.end() && !it->second) diff.dark_tests.push_back(name);
+      if (!passed) report.baseline_failing_tests.push_back(name);
     }
-    report.scenarios.push_back(std::move(diff));
-  }
 
+    for (size_t i = 0; i < resolved.size(); ++i) {
+      const ResolvedScenario& rs = resolved[i];
+      routing::RoutingConfig config = baseline_;
+      config.failed_devices.insert(rs.devices.begin(), rs.devices.end());
+      config.failed_links.insert(rs.links.begin(), rs.links.end());
+      ScenarioDiff d = diff(base, evaluate(config, i + 1));
+      d.name = rs.name;
+      report.truncated = report.truncated || d.truncated;
+      report.scenarios.push_back(std::move(d));
+    }
+  } catch (...) {
+    // Whatever threw (the hook, the engine, a budget), the caller gets its
+    // network back in the baseline state.
+    restore_baseline();
+    throw;
+  }
   // Leave the network in its baseline state for whatever runs next.
-  routing::FibBuilder::compute_and_build(network_, baseline_);
-  if (post_fib_) post_fib_(network_, baseline_);
+  restore_baseline();
   return report;
 }
 

@@ -12,16 +12,18 @@
 //      no longer exercised ("unreachable ATUs"), and tests that went dark
 //      (passed at baseline, fail under the scenario).
 //
-// Rules are keyed by content (device|table|priority|match|kind), not
-// RuleId — FIB recomputation renumbers rules, content keys survive it.
-// Every container iterated for output is ordered, and the engine itself is
-// bit-identical across thread counts, so the report (text and JSON) is too.
+// Rules are keyed by content (net::RuleContent: device, table, priority,
+// match, kind), not RuleId — FIB recomputation renumbers rules, content
+// survives it. Each evaluation sorts its rules by content, so the diff is
+// one merge, and only the rules the report ranks get a rendered key. The
+// merge and the ranking depend only on rule contents, never on addresses
+// or hashes, and the engine itself is bit-identical across thread counts,
+// so the report (text and JSON) is too.
 // EngineOptions::cache_dir is honored per evaluation: consecutive scenarios
 // invalidate only the devices whose FIBs or trace slices actually changed.
 #pragma once
 
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -94,7 +96,8 @@ class ScenarioRunner {
       std::function<void(net::Network&, const routing::RoutingConfig&)>;
 
   /// The runner mutates `network`'s forwarding state during the run and
-  /// restores the baseline FIBs (and hook state) before returning.
+  /// restores the baseline FIBs (and hook state) before returning or
+  /// rethrowing.
   ScenarioRunner(net::Network& network, const routing::RoutingConfig& baseline,
                  const nettest::TestSuite& suite, ScenarioRunnerOptions options = {})
       : network_(network), baseline_(baseline), suite_(suite),
@@ -111,6 +114,10 @@ class ScenarioRunner {
   /// One FIB rebuild plus coverage run; `scenario` numbers it in the trace
   /// (0 = baseline, i = the spec's i-th scenario).
   [[nodiscard]] Evaluation evaluate(const routing::RoutingConfig& config, size_t scenario);
+  /// A scenario's evaluation against the baseline's (the name left empty).
+  [[nodiscard]] ScenarioDiff diff(const Evaluation& base, const Evaluation& cur) const;
+  /// Recomputes the baseline FIBs and re-applies the hook.
+  void restore_baseline();
 
   net::Network& network_;
   const routing::RoutingConfig& baseline_;

@@ -87,7 +87,11 @@ SuiteCoverageMatrix build_suite_matrix(const dataplane::Transfer& transfer,
   m.covers.resize(n);
   m.vacuous.assign(m.rule_count, 0);
   for (size_t r = 0; r < m.rule_count; ++r) {
-    if (index.match_set(net::RuleId{static_cast<uint32_t>(r)}).empty()) {
+    // A rule a capped step 1 never reached has an empty match set too, but
+    // it is unmeasured, not vacuous: it stays uncovered, so the matrix
+    // stays a lower bound (as in the engine's measure table).
+    const net::RuleId rid{static_cast<uint32_t>(r)};
+    if (index.reached(rid) && index.match_set(rid).empty()) {
       m.vacuous[r] = 1;
       ++m.vacuous_count;
     }

@@ -43,9 +43,9 @@ struct SuiteCoverageMatrix {
   /// covers[i][r] != 0 iff test i's isolated covered set T_i[r] is
   /// non-empty (indexed by test, then RuleId).
   std::vector<std::vector<char>> covers;
-  /// vacuous[r] != 0 iff rule r's disjoint match set is empty (shadowed or
-  /// unreachable); the fraction measure counts such rules as covered no
-  /// matter what the suite does.
+  /// vacuous[r] != 0 iff step 1 reached rule r and its disjoint match set
+  /// is empty (shadowed or unreachable); the fraction measure counts such
+  /// rules as covered no matter what the suite does.
   std::vector<char> vacuous;
   size_t rule_count = 0;     ///< total rules (both tables, every device)
   size_t vacuous_count = 0;  ///< rules with vacuous[r] set

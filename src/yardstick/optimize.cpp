@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <map>
 
 #include "obs/trace.hpp"
 #include "yardstick/json.hpp"
@@ -228,10 +227,10 @@ GapReport build_gap_report(const CoverageEngine& engine, const DeviceFilter& fil
   out.uncovered_rules = untested.size();
 
   DeviceGaps* current = nullptr;
-  // Content-key multiplicity within the current device: a gap whose key
+  // The current device's rule contents, sorted: a gap whose content
   // appears k times stands for k byte-identical rules (the shadowed twins
   // are vacuous and never surface as separate gaps).
-  std::map<std::string, size_t> key_count;
+  std::vector<net::RuleContent> contents;
   for (const net::RuleId rid : untested) {
     const net::Rule& rule = network.rule(rid);
     if (current == nullptr || current->device != rule.device) {
@@ -241,20 +240,22 @@ GapReport build_gap_report(const CoverageEngine& engine, const DeviceFilter& fil
       current->rule_count =
           network.table(rule.device, net::TableKind::Acl).size() +
           network.table(rule.device, net::TableKind::Fib).size();
-      key_count.clear();
+      contents.clear();
       for (const net::TableKind table : {net::TableKind::Acl, net::TableKind::Fib}) {
         for (const net::RuleId r : network.table(rule.device, table)) {
-          ++key_count[net::rule_content_key(network, r)];
+          contents.push_back(net::RuleContent::of(network.rule(r)));
         }
       }
+      std::sort(contents.begin(), contents.end());
     }
+    const net::RuleContent content = net::RuleContent::of(rule);
+    const auto [first, last] = std::equal_range(contents.begin(), contents.end(), content);
     GapWitness w;
     w.rule = rid;
     w.kind = rule.kind;
     w.table = rule.table;
-    w.content_key = net::rule_content_key(network, rid);
-    const auto it = key_count.find(w.content_key);
-    w.collapsed = it == key_count.end() ? 1 : it->second;
+    w.content_key = net::rule_content_key(network, content);
+    w.collapsed = static_cast<size_t>(last - first);
     // The space behavioral tests can actually reach: the disjoint match
     // set, clipped by the ACL stage for FIB rules.
     packet::PacketSet space = engine.match_sets().match_set(rid);

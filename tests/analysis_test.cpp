@@ -3,11 +3,20 @@
 // `--suggest` draws from the gap report.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <unordered_set>
+
+#include "nettest/acl_checks.hpp"
 #include "nettest/contract_checks.hpp"
 #include "nettest/state_checks.hpp"
+#include "nettest/transform_checks.hpp"
 #include "routing/fib_builder.hpp"
 #include "test_util.hpp"
+#include "topo/acl.hpp"
 #include "topo/fattree.hpp"
+#include "topo/regional.hpp"
+#include "topo/transforms.hpp"
+#include "yardstick/engine.hpp"
 #include "yardstick/optimize.hpp"
 
 namespace yardstick::ys {
@@ -120,6 +129,60 @@ TEST_F(AnalysisTest, BudgetedAnalysisClampsMarginalsAndFlagsTruncation) {
   for (const TestContribution& t : tests) {
     EXPECT_GE(t.marginal, 0.0) << t.name;
     EXPECT_GE(t.solo, 0.0) << t.name;
+  }
+}
+
+TEST(CappedSuiteMatrixTest, IsALowerBoundAtEveryThreadCount) {
+  // Regression: a capped step 1 leaves the rules it never reached with
+  // empty match sets, and the matrix counted them as vacuous, i.e.
+  // covered. At 4 threads the cap stopped step 1 early enough that every
+  // test read a solo coverage of 100%. Unreached rules are unmeasured, so
+  // every capped figure must stay at or below the unbudgeted one.
+  topo::RegionalNetwork region = topo::make_regional({});
+  const topo::TransformState transforms =
+      topo::plan_transforms(region, {.tunnels = 2, .nat_rules_per_wan = 2});
+  routing::FibBuilder::compute_and_build(region.network, region.routing);
+  topo::install_ingress_acls(region.network, region.tors);
+  topo::install_transform_rules(region.network, transforms, region.routing);
+  const std::unordered_set<net::DeviceId> excluded(region.routing.no_default_devices.begin(),
+                                                   region.routing.no_default_devices.end());
+  nettest::TestSuite suite("final");
+  suite.add(std::make_unique<nettest::DefaultRouteCheck>(excluded));
+  suite.add(std::make_unique<nettest::AggCanReachTorLoopback>());
+  suite.add(std::make_unique<nettest::InternalRouteCheck>());
+  suite.add(std::make_unique<nettest::ConnectedRouteCheck>());
+  suite.add(std::make_unique<nettest::AclBlockCheck>());
+  suite.add(std::make_unique<nettest::BlockedPortCheck>());
+  suite.add(std::make_unique<nettest::TunnelRoundTripCheck>());
+  suite.add(std::make_unique<nettest::NatTranslationCheck>());
+
+  // Solo coverage per test, then the whole suite's, as `--analyze` and
+  // `optimize` read them off the engine's matrix.
+  const auto coverages = [&](const ResourceBudget* budget, unsigned threads) {
+    bdd::BddManager mgr(packet::kNumHeaderBits);
+    const CoverageEngine engine(mgr, region.network, suite, {budget, threads});
+    const SuiteCoverageMatrix m = build_suite_matrix(engine.transfer(), suite, threads);
+    std::vector<double> out;
+    for (const TestContribution& t : test_contributions(m)) out.push_back(t.solo);
+    std::vector<char> any(m.rule_count, 0);
+    for (const std::vector<char>& row : m.covers) {
+      for (size_t r = 0; r < m.rule_count; ++r) any[r] |= row[r];
+    }
+    out.push_back(m.coverage_of(static_cast<size_t>(std::count(any.begin(), any.end(), 1))));
+    return std::pair(out, engine.truncated() || m.truncated);
+  };
+  const auto [exact, exact_truncated] = coverages(nullptr, 4);
+  ASSERT_FALSE(exact_truncated);
+  for (const unsigned threads : {1u, 4u}) {
+    ResourceBudget cap;
+    cap.with_max_bdd_nodes(20000);
+    const auto [capped, truncated] = coverages(&cap, threads);
+    EXPECT_TRUE(truncated) << threads << " thread(s)";
+    ASSERT_EQ(capped.size(), exact.size());
+    for (size_t i = 0; i < exact.size(); ++i) {
+      EXPECT_LE(capped[i], exact[i]) << (i < suite.size() ? suite.test(i).name() : "suite")
+                                     << ", " << threads << " thread(s)";
+    }
   }
 }
 

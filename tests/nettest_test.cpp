@@ -118,8 +118,8 @@ TEST_F(FatTreeFixture, ProbeMarksEveryHop) {
       tree_.network.device(tree_.tors.back()).host_prefixes.front().first() + 1;
   const auto src_ports =
       tree_.network.ports_of_kind(tree_.tors.front(), net::PortKind::HostPort);
-  const dataplane::ConcreteTrace trace =
-      probe(*transfer_, tracker_, tree_.tors.front(), src_ports[0], pkt);
+  dataplane::ConcreteTrace trace;
+  probe(*transfer_, tracker_, tree_.tors.front(), src_ports[0], pkt, trace);
   EXPECT_EQ(trace.disposition, dataplane::Disposition::Delivered);
   EXPECT_EQ(tracker_.packet_calls(), trace.hops.size());
 }

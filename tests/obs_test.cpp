@@ -410,6 +410,38 @@ TEST(ObsTracerTest, EveryScenarioEvaluationKeysItsRulesInASpan) {
   }
 }
 
+TEST(ObsTracerTest, EveryScenarioDiffIsASpanOutsideTheEvaluations) {
+  topo::FatTree tree = topo::make_fat_tree({.k = 4});
+  routing::FibBuilder::compute_and_build(tree.network, tree.routing);
+  const nettest::TestSuite suite = three_test_suite();
+  scenario::ScenarioRunner runner(tree.network, tree.routing, suite);
+  const scenario::ScenarioSpec spec = scenario::random_link_scenarios(tree.network, 2, 7);
+
+  ScopedObservability on;
+  const scenario::ScenarioReport report = runner.run(spec);
+  const std::vector<TraceEvent> events = Tracer::global().snapshot();
+
+  const std::vector<TraceEvent> evaluations = spans_named(events, "scenario.evaluate");
+  const std::vector<TraceEvent> diffs = spans_named(events, "scenario.diff");
+  ASSERT_EQ(evaluations.size(), 3u);  // the baseline and two scenarios
+  ASSERT_EQ(diffs.size(), 2u);
+  for (size_t i = 0; i < diffs.size(); ++i) {
+    // Scenario i's diff runs after its evaluation (i + 1) and before the
+    // next one starts. Timestamps are whole microseconds, so a short diff
+    // may share one with an evaluation's end without being inside it.
+    const TraceEvent& evaluated = evaluations[i + 1];
+    EXPECT_GE(diffs[i].ts_us, evaluated.ts_us + evaluated.dur_us) << "scenario.diff " << i;
+    if (i + 2 < evaluations.size()) {
+      EXPECT_LE(diffs[i].ts_us + diffs[i].dur_us, evaluations[i + 2].ts_us)
+          << "scenario.diff " << i;
+    }
+    const scenario::ScenarioDiff& diff = report.scenarios[i];
+    EXPECT_EQ(arg_of(diffs[i], "lost"), diff.rules_lost);
+    EXPECT_EQ(arg_of(diffs[i], "gained"), diff.rules_gained);
+    EXPECT_EQ(arg_of(diffs[i], "collapsed"), diff.rules_collapsed);
+  }
+}
+
 TEST(ObsTracerTest, DisabledModeAllocatesNothing) {
   // Warm the cold paths first: registration allocates by design, and the
   // calling thread's trace buffer is created on first enabled use.
@@ -472,6 +504,29 @@ TEST(ContractLoopTest, TrackedRunAllocatesPerRunNotPerCheck) {
   const uint64_t allocations = g_allocations.load(std::memory_order_relaxed) - before;
   EXPECT_EQ(tracker.pending().size(), result.checks);
   EXPECT_LT(allocations, result.checks / 8) << "a tracked contract check must not allocate";
+}
+
+TEST(PingmeshTest, UntrackedRunAllocatesPerRunNotPerProbe) {
+  // k=8: 32 ToRs, 992 probes. With the tracker off nothing reads a probe's
+  // packet set, so none is built, and the probes share one hop list. A set
+  // per probe cost three allocations and a hop list per probe about four
+  // (6,886 in all). What is left is one host-port list per source ToR and
+  // the growth of the ToR list and the hop list (42 in all).
+  topo::FatTree tree = topo::make_fat_tree({.k = 8});
+  routing::FibBuilder::compute_and_build(tree.network, tree.routing);
+  bdd::BddManager mgr(packet::kNumHeaderBits);
+  const dataplane::MatchSetIndex index(mgr, tree.network);
+  const dataplane::Transfer transfer(index);
+  ys::CoverageTracker tracker;
+  tracker.set_enabled(false);
+  (void)nettest::ToRPingmesh().run(transfer, tracker);
+
+  const uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const nettest::TestResult result = nettest::ToRPingmesh().run(transfer, tracker);
+  const uint64_t allocations = g_allocations.load(std::memory_order_relaxed) - before;
+  EXPECT_TRUE(result.passed());
+  EXPECT_EQ(result.checks, 992u);
+  EXPECT_LT(allocations, 64u) << "an untracked probe allocated";
 }
 
 TEST(ObsExpositionTest, JsonIsWellFormedAndComplete) {

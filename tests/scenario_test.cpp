@@ -6,16 +6,25 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <tuple>
+#include <unordered_set>
 #include <vector>
 
 #include "common/status.hpp"
 #include "dataplane/simulator.hpp"
+#include "nettest/acl_checks.hpp"
+#include "nettest/contract_checks.hpp"
+#include "nettest/reachability.hpp"
+#include "nettest/state_checks.hpp"
 #include "nettest/transform_checks.hpp"
 #include "routing/fib_builder.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/spec.hpp"
+#include "scenario_reference.hpp"
+#include "topo/acl.hpp"
+#include "topo/fattree.hpp"
 #include "topo/regional.hpp"
 #include "topo/transforms.hpp"
 #include "yardstick/engine.hpp"
@@ -402,6 +411,143 @@ TEST_F(ScenarioTest, RunnerRejectsUnknownNamesBeforeTouchingState) {
   scenario::ScenarioRunner runner(region_.network, region_.routing, suite);
   EXPECT_THROW((void)runner.run(spec), ys::InvalidInputError);
   EXPECT_EQ(region_.network.rule_count(), rules_before);
+}
+
+TEST_F(ScenarioTest, RunnerRestoresTheBaselineWhenAnEvaluationThrows) {
+  const ScenarioSpec spec = ScenarioSpec::parse(runner_spec_text(region_));
+  const nettest::TestSuite suite = transform_suite();
+  scenario::ScenarioRunner runner(region_.network, region_.routing, suite);
+  int calls = 0;
+  runner.set_post_fib_hook([&](net::Network& network, const routing::RoutingConfig& routing) {
+    // The baseline's hook runs; the first scenario's throws mid-rebuild.
+    if (++calls == 2) throw std::runtime_error("hook failed");
+    topo::install_transform_rules(network, state_, routing);
+  });
+  EXPECT_THROW((void)runner.run(spec), std::runtime_error);
+  EXPECT_EQ(calls, 3);  // the restore ran the hook again
+  const auto after = rules_in_table_order(region_.network);
+  rebuild();
+  ASSERT_FALSE(after.empty());
+  EXPECT_TRUE(rules_in_table_order(region_.network) == after);
+}
+
+/// The runner's report against the string-keyed reference's (text and JSON).
+void expect_matches_reference(net::Network& network, const routing::RoutingConfig& routing,
+                              const nettest::TestSuite& suite,
+                              const scenario::ScenarioRunner::PostFibHook& hook,
+                              const ScenarioSpec& spec, const std::string& what) {
+  scenario::ScenarioRunner runner(network, routing, suite);
+  runner.set_post_fib_hook(hook);
+  const scenario::ScenarioReport got = runner.run(spec);
+  const scenario::ScenarioReport want =
+      scenario::reference::run(network, routing, suite, {}, hook, spec);
+  EXPECT_EQ(scenario::report_to_json(got), scenario::report_to_json(want)) << what;
+  EXPECT_EQ(got.to_text(), want.to_text()) << what;
+}
+
+/// Random link sweeps at seeds 0-9, one and three links per scenario.
+void expect_sweeps_match_reference(net::Network& network,
+                                   const routing::RoutingConfig& routing,
+                                   const nettest::TestSuite& suite,
+                                   const scenario::ScenarioRunner::PostFibHook& hook) {
+  for (uint64_t seed = 0; seed < 10; ++seed) {
+    for (const int links : {1, 3}) {
+      expect_matches_reference(network, routing, suite, hook,
+                               scenario::random_link_scenarios(network, 4, seed, links),
+                               "seed " + std::to_string(seed) + ", " +
+                                   std::to_string(links) + " link(s) per scenario");
+    }
+  }
+}
+
+TEST(ScenarioReferenceTest, FatTreeReportsMatchTheStringKeyedDiff) {
+  topo::FatTree tree = topo::make_fat_tree({.k = 4});
+  routing::FibBuilder::compute_and_build(tree.network, tree.routing);
+  nettest::TestSuite suite("fattree");
+  suite.add(std::make_unique<nettest::DefaultRouteCheck>());
+  suite.add(std::make_unique<nettest::ToRContract>());
+  suite.add(std::make_unique<nettest::ToRReachability>());
+  suite.add(std::make_unique<nettest::ToRPingmesh>());
+  expect_sweeps_match_reference(tree.network, tree.routing, suite, {});
+
+  const net::Network& n = tree.network;
+  const ScenarioSpec devices = ScenarioSpec::parse(
+      "scenario tor-down\ndevice " + n.device(tree.tors[0]).name +
+      "\n\nscenario agg-and-core\ndevice " + n.device(tree.aggs[1]).name + "\ndevice " +
+      n.device(tree.cores[0]).name + "\n");
+  expect_matches_reference(tree.network, tree.routing, suite, {}, devices, "device failures");
+}
+
+/// The CLI's `regional --acl --transforms N --suite final` suite.
+nettest::TestSuite regional_final_suite(const routing::RoutingConfig& routing) {
+  const std::unordered_set<net::DeviceId> excluded(routing.no_default_devices.begin(),
+                                                   routing.no_default_devices.end());
+  nettest::TestSuite suite("final");
+  suite.add(std::make_unique<nettest::DefaultRouteCheck>(excluded));
+  suite.add(std::make_unique<nettest::AggCanReachTorLoopback>());
+  suite.add(std::make_unique<nettest::InternalRouteCheck>());
+  suite.add(std::make_unique<nettest::ConnectedRouteCheck>());
+  suite.add(std::make_unique<nettest::AclBlockCheck>());
+  suite.add(std::make_unique<nettest::BlockedPortCheck>());
+  suite.add(std::make_unique<nettest::TunnelRoundTripCheck>());
+  suite.add(std::make_unique<nettest::NatTranslationCheck>());
+  return suite;
+}
+
+TEST_F(ScenarioTest, RegionalReportsMatchTheStringKeyedDiff) {
+  // The CLI's post-FIB state: ingress ACLs on the live ToRs, then the
+  // transform overlay.
+  const auto acl_and_transforms = [this](net::Network& network,
+                                         const routing::RoutingConfig& routing) {
+    std::vector<net::DeviceId> alive;
+    for (const net::DeviceId tor : region_.tors) {
+      if (!routing.failed_devices.contains(tor)) alive.push_back(tor);
+    }
+    topo::install_ingress_acls(network, alive);
+    topo::install_transform_rules(network, state_, routing);
+  };
+  const nettest::TestSuite suite = regional_final_suite(region_.routing);
+  expect_sweeps_match_reference(region_.network, region_.routing, suite, acl_and_transforms);
+  const ScenarioSpec spec = ScenarioSpec::parse(runner_spec_text(region_));
+  expect_matches_reference(region_.network, region_.routing, suite, acl_and_transforms, spec,
+                           "device failures");
+
+  // Twins and gained rules, which no generated network has: the baseline
+  // carries two byte-identical copies of tor0's first ACL entry (lost as
+  // `#2` and `#3` under every scenario), and spine-loss adds a new FIB rule
+  // and a twin of one (gained).
+  const net::DeviceId spine = region_.spines[0];
+  const auto with_twins = [&](net::Network& network, const routing::RoutingConfig& routing) {
+    acl_and_transforms(network, routing);
+    const bool baseline = routing.failed_devices.empty() && routing.failed_links.empty();
+    if (baseline) {
+      const net::Rule acl = network.rule(network.table(region_.tors[0], net::TableKind::Acl)[0]);
+      for (int copy = 0; copy < 2; ++copy) {
+        (void)network.add_rule(acl.device, acl.match, acl.action, acl.kind, acl.priority,
+                               acl.table);
+      }
+    }
+    if (routing.failed_devices.contains(spine)) {
+      const net::DeviceId tor = region_.tors[1];
+      const net::Rule fib = network.rule(network.table(tor)[0]);
+      (void)network.add_rule(fib.device, fib.match, fib.action, fib.kind, fib.priority);
+      (void)network.add_rule(
+          tor, net::MatchSpec::for_dst(packet::Ipv4Prefix::parse("192.0.2.0/24")),
+          net::Action::drop(), net::RouteKind::DropRule, 8);
+    }
+  };
+  const ScenarioSpec links = scenario::random_link_scenarios(region_.network, 4, 0);
+  expect_matches_reference(region_.network, region_.routing, suite, with_twins, spec, "twins");
+  expect_matches_reference(region_.network, region_.routing, suite, with_twins, links, "twins");
+  scenario::ScenarioRunner runner(region_.network, region_.routing, suite);
+  runner.set_post_fib_hook(with_twins);
+  const scenario::ScenarioReport report = runner.run(spec);
+  ASSERT_EQ(report.scenarios.size(), 3u);
+  EXPECT_EQ(report.scenarios[0].rules_gained, 2u);
+  // A link failure loses few rules, so the twins' zero ATUs still rank.
+  const std::string text = runner.run(links).to_text();
+  EXPECT_NE(text.find("#2"), std::string::npos) << text;
+  EXPECT_NE(text.find("#3"), std::string::npos) << text;
 }
 
 }  // namespace

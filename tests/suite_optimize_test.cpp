@@ -299,7 +299,9 @@ TEST_F(SuiteOptimizeTest, ByteIdenticalTwinsCollapseUnderTheContentKey) {
       if (g.rule == tiny_.l1_to_p1) {
         found = true;
         EXPECT_EQ(g.collapsed, 2u) << g.content_key;
-        EXPECT_EQ(g.content_key, net::rule_content_key(tiny_.net, tiny_.l1_to_p1));
+        EXPECT_EQ(g.content_key,
+                  net::rule_content_key(tiny_.net,
+                                        net::RuleContent::of(tiny_.net.rule(tiny_.l1_to_p1))));
       } else {
         EXPECT_EQ(g.collapsed, 1u) << g.content_key;
       }
