@@ -331,21 +331,6 @@ Bdd BddManager::nvar(Var v) {
   return {this, make(v, kTrue, kFalse)};
 }
 
-Bdd BddManager::cube(std::span<const Var> vars, const std::vector<bool>& bits) {
-  assert(vars.size() == bits.size());
-  // Build bottom-up in descending variable order for linear-time construction.
-  std::vector<std::pair<Var, bool>> sorted;
-  sorted.reserve(vars.size());
-  for (size_t i = 0; i < vars.size(); ++i) sorted.emplace_back(vars[i], bits[i]);
-  std::sort(sorted.begin(), sorted.end(),
-            [](const auto& a, const auto& b) { return a.first > b.first; });
-  NodeIndex acc = kTrue;
-  for (const auto& [v, bit] : sorted) {
-    acc = bit ? make(v, kFalse, acc) : make(v, acc, kFalse);
-  }
-  return {this, acc};
-}
-
 NodeIndex BddManager::apply(Op op, NodeIndex a, NodeIndex b) {
   return apply_rec(op, a, b);
 }

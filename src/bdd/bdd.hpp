@@ -135,9 +135,6 @@ class BddManager {
   /// Single negative literal NOT x_v.
   [[nodiscard]] Bdd nvar(Var v);
 
-  /// Conjunction of literals: bits[i] gives the polarity of vars[i].
-  [[nodiscard]] Bdd cube(std::span<const Var> vars, const std::vector<bool>& bits);
-
   /// Existentially quantify away every variable v with quantified[v] == true.
   [[nodiscard]] Bdd exists(const Bdd& f, const std::vector<bool>& quantified);
 
@@ -416,7 +413,8 @@ class BddImporter {
   BddImporter& operator=(const BddImporter&) = delete;
 
   /// Copy `f` (rooted in the source manager) into the destination;
-  /// invalid handles pass through unchanged.
+  /// invalid handles and handles already in the destination pass through
+  /// unchanged.
   [[nodiscard]] Bdd import(const Bdd& f);
   [[nodiscard]] NodeIndex import_index(NodeIndex root);
 

@@ -59,11 +59,11 @@ enum class Error : uint8_t {
 /// empty/zero means "not applicable".
 struct ErrorContext {
   /// Input source: a file path or a human-readable input name.
-  std::string source;
+  std::string source{};
   /// 1-based line of the input at fault (0 = not line-addressable).
   size_t line = 0;
   /// Description of the budget that tripped ("deadline 5s", "bdd-nodes 10000").
-  std::string budget;
+  std::string budget{};
 };
 
 namespace detail {

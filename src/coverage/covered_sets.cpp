@@ -22,8 +22,8 @@ struct CoverBuild {
 
   /// Algorithm 1 for one device, intersecting in `mgr`; `input` brings the
   /// trace slices, match sets and ACL spaces over from the index's manager.
-  /// A shard skips state-inspected rules: the merge assigns them M[r]
-  /// straight from the index, with no round trip through the shard.
+  /// A state-inspected rule gets M[r] itself, the index's handle, with no
+  /// round trip through a shard: the merge keeps it.
   void build(bdd::BddManager& mgr, const net::Device& dev, CoverSlots& out,
              const dataplane::PrimaryInput& input) const {
     const net::Network& network = index.network();
@@ -48,7 +48,7 @@ struct CoverBuild {
     for (const net::TableKind table : {net::TableKind::Acl, net::TableKind::Fib}) {
       for (const net::RuleId rid : network.table(dev.id, table)) {
         if (trace.rule_marked(rid)) {
-          if (!input.in_shard()) out.covered[rid.value] = index.match_set(rid);
+          out.covered[rid.value] = index.match_set(rid);
           continue;
         }
         PacketSet headers = device_headers();
@@ -58,17 +58,6 @@ struct CoverBuild {
           headers = headers.intersect(input(index.acl_permitted_space(dev.id)));
         }
         out.covered[rid.value] = headers.intersect(input(index.match_set(rid)));
-      }
-    }
-  }
-
-  void merge(const net::Device& dev, CoverSlots& primary, const CoverSlots& shard,
-             bdd::BddImporter& import) const {
-    for (const net::TableKind table : {net::TableKind::Acl, net::TableKind::Fib}) {
-      for (const net::RuleId rid : index.network().table(dev.id, table)) {
-        primary.covered[rid.value] = trace.rule_marked(rid)
-                                         ? index.match_set(rid)
-                                         : dataplane::imported(import, shard.covered[rid.value]);
       }
     }
   }

@@ -20,9 +20,8 @@
 
 namespace yardstick::coverage {
 
-/// Step 2's output: every rule's covered set T[r]. The covered sets, each
-/// shard of a parallel build and a cache prefill hold one each
-/// (dataplane/sharded_build.hpp).
+/// Step 2's output: every rule's covered set T[r]. The covered sets and a
+/// cache prefill hold one each (dataplane/sharded_build.hpp).
 struct CoverSlots {
   std::vector<packet::PacketSet> covered;  // indexed by RuleId
 

@@ -50,30 +50,21 @@ struct MatchBuild {
       PacketSet permitted = PacketSet::none(mgr);
       for (const net::RuleId rid : network.table(dev.id, table)) {
         const net::Rule& r = network.rule(rid);
-        PacketSet field = MatchSetIndex::build_match_field(mgr, r.match);
+        const PacketSet field = MatchSetIndex::build_match_field(mgr, r.match);
         PacketSet disjoint = field.minus(claimed);
         claimed = claimed.union_with(field);
         if (r.action.type == net::ActionType::Permit) {
           permitted = permitted.union_with(disjoint);
         }
         out.match_sets[rid.value] = std::move(disjoint);
-        out.match_fields[rid.value] = std::move(field);
       }
-      if (table == net::TableKind::Fib) {
-        out.matched_space[dev.id.value] = claimed;
-      } else {
+      if (table == net::TableKind::Acl) {
         // No ACL stage means everything is permitted (implicit deny only
         // applies when an ACL exists).
         out.acl_permitted[dev.id.value] =
             network.has_acl(dev.id) ? permitted : PacketSet::all(mgr);
       }
     }
-  }
-
-  void merge(const net::Device& dev, MatchSlots& primary, const MatchSlots& shard,
-             bdd::BddImporter& import) const {
-    for_each_slot(network, dev, primary, shard,
-                  [&import](PacketSet& to, const PacketSet& from) { to = imported(import, from); });
   }
 };
 

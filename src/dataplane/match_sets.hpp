@@ -7,6 +7,10 @@
 // M[r], which is what makes the metrics semantics-based (§3.2) — a packet
 // matching the default route exercises only the default rule, regardless
 // of how a device implementation would scan the table.
+//
+// The index stores what later steps read: M[r] per rule and the
+// ACL-permitted space per device. A match field is built once, inside its
+// table's walk, and dropped; build_match_field() builds one on demand.
 #pragma once
 
 #include <array>
@@ -20,26 +24,21 @@
 
 namespace yardstick::dataplane {
 
-/// Step 1's outputs: every rule's match field and disjoint match set, and
-/// every device's matched and ACL-permitted spaces. The index, each shard of
-/// a parallel build and a cache prefill hold one each
+/// Step 1's outputs: every rule's disjoint match set and every device's
+/// ACL-permitted space. The index and a cache prefill hold one each
 /// (dataplane/sharded_build.hpp).
 struct MatchSlots {
-  std::vector<packet::PacketSet> match_fields;   // indexed by RuleId
   std::vector<packet::PacketSet> match_sets;     // indexed by RuleId
-  std::vector<packet::PacketSet> matched_space;  // indexed by DeviceId
   std::vector<packet::PacketSet> acl_permitted;  // indexed by DeviceId
 
   /// The rule-indexed vectors first, then the device-indexed ones.
-  static constexpr size_t kRuleColumns = 2;
-  auto columns() { return std::array{&match_fields, &match_sets, &matched_space, &acl_permitted}; }
-  auto columns() const {
-    return std::array{&match_fields, &match_sets, &matched_space, &acl_permitted};
-  }
+  static constexpr size_t kRuleColumns = 1;
+  auto columns() { return std::array{&match_sets, &acl_permitted}; }
+  auto columns() const { return std::array{&match_sets, &acl_permitted}; }
 };
 
 /// Per-device step-1 results restored from the incremental cache
-/// (src/yardstick/cache.*). Devices with `device_hit` set have all four
+/// (src/yardstick/cache.*). Devices with `device_hit` set have both
 /// outputs already present, as packet sets living in the destination
 /// manager; the constructor adopts them verbatim and walks only the
 /// remaining devices. Every vector is sized like the index's.
@@ -53,8 +52,8 @@ struct MatchPrefill : MatchSlots {
 
 class MatchSetIndex {
  public:
-  /// Computes match fields and disjoint match sets for every rule in the
-  /// network. Cost is one linear walk per device table.
+  /// Computes the disjoint match set of every rule in the network. Cost is
+  /// one linear walk per device table.
   ///
   /// `mgr`'s budget (BddManager::budget(), may be null) bounds the
   /// computation: when the deadline, node cap or cancel flag trips
@@ -91,11 +90,6 @@ class MatchSetIndex {
     return unreached_.empty() || unreached_[id.value] == 0;
   }
 
-  /// The raw match field of the rule (what the table entry says).
-  [[nodiscard]] const packet::PacketSet& match_field(net::RuleId id) const {
-    return sets_.match_fields[id.value];
-  }
-
   /// The disjoint match set M[r] (match field minus earlier rules).
   [[nodiscard]] const packet::PacketSet& match_set(net::RuleId id) const {
     return sets_.match_sets[id.value];
@@ -104,12 +98,6 @@ class MatchSetIndex {
   /// Exact size |M[r]| of the disjoint match set.
   [[nodiscard]] bdd::Uint128 match_set_size(net::RuleId id) const {
     return sets_.match_sets[id.value].count();
-  }
-
-  /// Union of all match sets in the device's forwarding table: the packet
-  /// space the FIB handles at all (unmatched packets drop ruleless-ly).
-  [[nodiscard]] const packet::PacketSet& matched_space(net::DeviceId id) const {
-    return sets_.matched_space[id.value];
   }
 
   /// Packets the device's ingress ACL lets through to the FIB: the union
@@ -127,8 +115,10 @@ class MatchSetIndex {
   [[nodiscard]] bdd::BddManager& manager() const { return mgr_; }
   [[nodiscard]] const net::Network& network() const { return network_; }
 
-  /// Build just the match field for a MatchSpec (header dimensions only;
-  /// in-interface restrictions are handled by the transfer function).
+  /// Build the match field for a MatchSpec: the packet set the table
+  /// entry says (header dimensions only; in-interface restrictions are
+  /// handled by the transfer function). Step 1 builds each rule's once and
+  /// keeps only the disjoint part.
   static packet::PacketSet build_match_field(bdd::BddManager& mgr,
                                              const net::MatchSpec& spec);
 

@@ -2,17 +2,20 @@
 // (§5.2 step 1, MatchSetIndex) and covered sets (step 2, CoveredSets).
 //
 // Both builds are one walk per device that writes PacketSets into rule- and
-// device-indexed slots. A builder supplies only that walk, the layout of its
-// slots and how one device's shard slots merge into the primary; this driver
-// owns the parallel build policy (DESIGN.md §8, §12):
+// device-indexed slots. A builder supplies only that walk and the layout of
+// its slots; this driver owns the parallel build policy (DESIGN.md §8, §12):
 //
+//   * One slot set. The owner's slots are sized once, before any worker
+//     starts, and every device's slots are written only by the worker that
+//     walks the device, so workers write into them concurrently, lock-free.
 //   * Work list. Devices a cache prefill hit are adopted as handle copies
 //     (no BDD operation, no budget charge); only the rest are walked.
 //   * Where devices are built. One worker with GC off builds in the primary
 //     manager. More workers, or an armed GC, build in per-worker shard
 //     managers, worker w taking work items w, w+T, w+2T, ... GC needs
 //     shards because the primary holds handles no builder owns, so it is
-//     never collected.
+//     never collected. A walk in a shard may still write a primary handle
+//     (Algorithm 1's M[r] for a state-inspected rule).
 //   * Budget. The primary manager's budget governs the primary and every
 //     shard: each shard attaches it (bdd::ScopedBudget), holds its node
 //     charge until the merge completes and releases it when the shard dies,
@@ -20,10 +23,14 @@
 //     each device; resource exhaustion in a worker or in the merge degrades
 //     the build to `truncated` with the results built so far.
 //   * GC. After each device a shard tracks that device's slots as roots and
-//     collects when due, rekeying its primary-to-shard input importer.
-//   * Merge. Shard slots are imported into the primary in device order, so
-//     merged sets are canonical there and every count is bit-identical at
-//     any worker count, GC on or off.
+//     collects when due, rekeying its primary-to-shard input importer. Only
+//     the slots holding the shard's own handles are roots and renumbered.
+//   * Merge. One in-place pass in device order imports every slot holding a
+//     shard handle into the primary and keeps every slot already there, so
+//     every set is canonical in the primary and every count is
+//     bit-identical at any worker count, GC on or off. When the budget
+//     stops the merge, the slots it did not reach are cleared before the
+//     shards die.
 //   * Telemetry. `<step>.build` encloses the workers' `parallel.worker`
 //     spans (each with its `bdd.gc` spans) and `<step>.merge`; the merge
 //     feeds ys.parallel.items_per_worker and the ys.bdd.* shard counters.
@@ -34,12 +41,10 @@
 // provides:
 //   Slots        its output vectors. `columns()` lists the first
 //                `Slots::kRuleColumns` (indexed by RuleId), then the ones
-//                indexed by DeviceId. The builder's owner, every shard and
-//                the cache prefill (derived from Slots) hold one each.
+//                indexed by DeviceId. The builder's owner and the cache
+//                prefill (derived from Slots) hold one each.
 //   kBuildSpan, kMergeSpan, kActivity: span names and the budget-poll label.
 //   build(mgr, dev, slots, input): walks `dev`, building in `mgr`.
-//   merge(dev, primary, shard, import): moves `dev`'s shard slots into the
-//                primary through `import` (shard → primary).
 #pragma once
 
 #include <memory>
@@ -67,25 +72,10 @@ class PrimaryInput {
   [[nodiscard]] packet::PacketSet operator()(const packet::PacketSet& ps) const {
     return into_shard_ == nullptr ? ps : packet::PacketSet(into_shard_->import(ps.raw()));
   }
-  [[nodiscard]] bool in_shard() const { return into_shard_ != nullptr; }
 
  private:
   bdd::BddImporter* into_shard_;
 };
-
-/// `ps` copied through `imp`; a slot never written stays invalid.
-inline packet::PacketSet imported(bdd::BddImporter& imp, const packet::PacketSet& ps) {
-  return ps.valid() ? packet::PacketSet(imp.import(ps.raw())) : packet::PacketSet{};
-}
-
-/// Sizes every column of `slots` for `network`.
-template <typename Slots>
-void size_slots(Slots& slots, const net::Network& network) {
-  const auto cols = slots.columns();
-  for (size_t c = 0; c < cols.size(); ++c) {
-    cols[c]->resize(c < Slots::kRuleColumns ? network.rule_count() : network.device_count());
-  }
-}
 
 /// Calls fn(to_slot, from_slot) for every output slot of `dev`, pairing two
 /// slot sets of one layout: each rule of the device's ACL and FIB tables in
@@ -118,7 +108,7 @@ void clone_slots(bdd::BddManager& dst, const bdd::BddManager& src, const Slots& 
   const auto out = to.columns();
   for (size_t c = 0; c < in.size(); ++c) {
     out[c]->reserve(in[c]->size());
-    for (const packet::PacketSet& ps : *in[c]) out[c]->push_back(imported(imp, ps));
+    for (const packet::PacketSet& ps : *in[c]) out[c]->emplace_back(imp.import(ps.raw()));
   }
   if (obs::enabled()) {
     obs::metrics()
@@ -148,29 +138,27 @@ bool exhausted_during(Fn&& fn) {
   return false;
 }
 
-template <typename Slots>
 struct Shard {
   explicit Shard(const bdd::BddManager& primary)
       : mgr(primary.num_vars()), charge(mgr, primary.budget()) {}
 
   bdd::BddManager mgr;
   bdd::ScopedBudget charge;  // released when the shard dies: after the merge, or unwinding
-  Slots slots;               // sized once, so GC may track raw pointers into it
   bool truncated = false;
 };
 
-/// Builds `work` in per-worker shard managers and merges the shards into
-/// `out` in device order. Returns true when the build was truncated.
+/// Builds `work` in per-worker shard managers, writing into `out` (sized,
+/// so GC may track raw pointers into it), and imports the shard handles
+/// into the primary in device order. Returns true when the build was
+/// truncated.
 template <typename Builder>
 bool build_in_shards(const Builder& builder, bdd::BddManager& primary,
                      const net::Network& network, typename Builder::Slots& out,
                      const std::vector<const net::Device*>& work, unsigned workers,
                      double gc_threshold) {
-  using Slots = typename Builder::Slots;
-  std::vector<std::unique_ptr<Shard<Slots>>> shards(workers);
+  std::vector<std::unique_ptr<Shard>> shards(workers);
   ys::run_workers(workers, [&](unsigned w) {
-    Shard<Slots>& shard = *(shards[w] = std::make_unique<Shard<Slots>>(primary));
-    size_slots(shard.slots, network);
+    Shard& shard = *(shards[w] = std::make_unique<Shard>(primary));
     if (gc_threshold > 0.0) shard.mgr.set_gc_threshold(gc_threshold);
     bdd::BddImporter into_shard(shard.mgr, primary);
     packet::GcRootTracker gc_roots(shard.mgr);
@@ -178,9 +166,9 @@ bool build_in_shards(const Builder& builder, bdd::BddManager& primary,
       for (size_t d = w; d < work.size(); d += workers) {
         if (shard.mgr.budget() != nullptr) shard.mgr.budget()->poll(Builder::kActivity);
         const net::Device& dev = *work[d];
-        builder.build(shard.mgr, dev, shard.slots, PrimaryInput(&into_shard));
+        builder.build(shard.mgr, dev, out, PrimaryInput(&into_shard));
         if (gc_threshold <= 0.0) continue;
-        for_each_slot(network, dev, shard.slots, shard.slots,
+        for_each_slot(network, dev, out, out,
                       [&gc_roots](packet::PacketSet& slot, const packet::PacketSet&) {
                         gc_roots.track(slot);
                       });
@@ -210,13 +198,22 @@ bool build_in_shards(const Builder& builder, bdd::BddManager& primary,
     truncated = truncated || shard->truncated;
     into_primary.push_back(std::make_unique<bdd::BddImporter>(primary, shard->mgr));
   }
-  if (exhausted_during([&] {
-        for (size_t d = 0; d < work.size(); ++d) {
-          builder.merge(*work[d], out, shards[d % workers]->slots, *into_primary[d % workers]);
-        }
-      })) {
-    truncated = true;
+  // The importer copies a shard handle and passes a primary or invalid one
+  // through. Once the budget stops the merge, every slot it did not reach
+  // is cleared: a shard handle dies with its shard.
+  bool stopped = false;
+  for (size_t d = 0; d < work.size(); ++d) {
+    bdd::BddImporter& import = *into_primary[d % workers];
+    for_each_slot(network, *work[d], out, out,
+                  [&](packet::PacketSet& slot, const packet::PacketSet&) {
+                    if (!stopped) {
+                      stopped = exhausted_during(
+                          [&] { slot = packet::PacketSet(import.import(slot.raw())); });
+                    }
+                    if (stopped) slot = {};
+                  });
   }
+  truncated = truncated || stopped;
   if (obs::enabled()) {
     obs::MetricsRegistry& reg = obs::metrics();
     size_t imported_nodes = 0;
@@ -239,17 +236,22 @@ bool build_in_shards(const Builder& builder, bdd::BddManager& primary,
 }  // namespace detail
 
 /// Runs `builder` over every device of `network` into `out`, sized here,
-/// building in `primary` or in shards merged into it (see the top of this
-/// file), under `primary`'s budget. `prefill` (may be null) supplies cached
-/// slots for the devices it hits; `threads` 0 means one worker per hardware
-/// thread; `gc_threshold` in (0, 1] arms shard GC, 0 disables it.
+/// building in `primary` or in shards whose handles are then imported into
+/// it (see the top of this file), under `primary`'s budget. `prefill` (may
+/// be null) supplies cached slots for the devices it hits; `threads` 0
+/// means one worker per hardware thread; `gc_threshold` in (0, 1] arms
+/// shard GC, 0 disables it.
 template <typename Builder, typename Prefill>
 ShardedBuildResult sharded_build(const Builder& builder, bdd::BddManager& primary,
                                  const net::Network& network, typename Builder::Slots& out,
                                  const Prefill* prefill, unsigned threads,
                                  double gc_threshold) {
   obs::Span build_span(Builder::kBuildSpan, "offline");
-  size_slots(out, network);
+  const auto cols = out.columns();
+  for (size_t c = 0; c < cols.size(); ++c) {
+    cols[c]->resize(c < Builder::Slots::kRuleColumns ? network.rule_count()
+                                                     : network.device_count());
+  }
   std::vector<const net::Device*> work;
   work.reserve(network.device_count());
   for (const net::Device& dev : network.devices()) {
@@ -284,7 +286,6 @@ ShardedBuildResult sharded_build(const Builder& builder, bdd::BddManager& primar
   // Degraded completion: empty sets are terminal-only, so filling them in
   // cannot trip the budget again.
   if (result.truncated) {
-    const auto cols = out.columns();
     result.unreached.assign(network.rule_count(), 0);
     for (size_t c = 0; c < cols.size(); ++c) {
       for (size_t i = 0; i < cols[c]->size(); ++i) {

@@ -43,17 +43,15 @@ struct MatchSpec {
 
   [[nodiscard]] std::string to_string() const {
     std::string out;
-    if (dst_prefix) out += "dst=" + dst_prefix->to_string();
-    if (src_prefix) out += (out.empty() ? "" : ",") + ("src=" + src_prefix->to_string());
-    if (proto) out += (out.empty() ? "" : ",") + ("proto=" + std::to_string(*proto));
-    if (dst_port) {
-      out += (out.empty() ? "" : ",") +
-             ("dport=" + std::to_string(dst_port->lo) + "-" + std::to_string(dst_port->hi));
-    }
-    if (src_port) {
-      out += (out.empty() ? "" : ",") +
-             ("sport=" + std::to_string(src_port->lo) + "-" + std::to_string(src_port->hi));
-    }
+    const auto add = [&out](const std::string& field) {
+      if (!out.empty()) out += ',';
+      out += field;
+    };
+    if (dst_prefix) add("dst=" + dst_prefix->to_string());
+    if (src_prefix) add("src=" + src_prefix->to_string());
+    if (proto) add("proto=" + std::to_string(*proto));
+    if (dst_port) add("dport=" + std::to_string(dst_port->lo) + "-" + std::to_string(dst_port->hi));
+    if (src_port) add("sport=" + std::to_string(src_port->lo) + "-" + std::to_string(src_port->hi));
     return out.empty() ? "any" : out;
   }
 };

@@ -38,7 +38,9 @@ struct TestShard {
   /// names distinct (suite analysis and minimization key rows by name).
   [[nodiscard]] std::string suffix() const {
     if (of <= 1) return "";
-    return "[" + std::to_string(shard) + "/" + std::to_string(of) + "]";
+    std::string out = "[";
+    out += std::to_string(shard) + "/" + std::to_string(of) + "]";
+    return out;
   }
 };
 

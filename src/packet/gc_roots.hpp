@@ -12,12 +12,14 @@
 //
 // Usage: track() each result slot as it is written, poll due() at a device
 // boundary, and call collect() which gathers roots, compacts, and rewrites
-// every tracked handle in place.
+// every tracked handle of this manager in place. A tracked slot may hold
+// another manager's handle (a shard writes the primary's M[r] for a
+// state-inspected rule into its slot): it is neither a root nor rewritten.
 //
 // Lifetime: tracked pointers are raw. Builders must only track slots in
 // containers that are pre-sized before the build loop (the sharded build
-// resizes its result vectors once up front), so the pointers stay stable
-// for the tracker's lifetime.
+// sizes its owner's result vectors once, before any worker starts), so the
+// pointers stay stable for the tracker's lifetime.
 #pragma once
 
 #include <vector>
@@ -35,26 +37,27 @@ class GcRootTracker {
   GcRootTracker& operator=(const GcRootTracker&) = delete;
 
   /// Register a handle slot that must survive (and be rewritten by) every
-  /// future collect(). Tracking an invalid (default) PacketSet is fine —
-  /// it contributes no root and is left untouched.
+  /// future collect(). A slot holding an invalid (default) PacketSet or
+  /// another manager's handle contributes no root and is left untouched.
   void track(PacketSet& ps) { owned_.push_back(&ps); }
 
   [[nodiscard]] bool due() const { return mgr_.gc_due(); }
   [[nodiscard]] bdd::BddManager& manager() const { return mgr_; }
 
-  /// Unconditional collection: gathers roots from the tracked slots,
-  /// mark-compacts the manager, then rewrites every tracked handle (and,
-  /// when given, an importer whose *destination* is this manager) through
-  /// the remap. Handles not tracked here are invalid afterwards.
+  /// Unconditional collection: gathers roots from the tracked slots that
+  /// hold this manager's handles, mark-compacts the manager, then rewrites
+  /// those handles (and, when given, an importer whose *destination* is
+  /// this manager) through the remap. Handles of this manager not tracked
+  /// here are invalid afterwards.
   bdd::GcResult collect(bdd::BddImporter* dst_importer = nullptr) {
     roots_.clear();
     roots_.reserve(owned_.size());
     for (const PacketSet* ps : owned_) {
-      if (ps->valid()) roots_.push_back(ps->raw().index());
+      if (ps->raw().manager() == &mgr_) roots_.push_back(ps->raw().index());
     }
     bdd::GcResult gc = mgr_.collect(roots_);
     for (PacketSet* ps : owned_) {
-      if (ps->valid()) {
+      if (ps->raw().manager() == &mgr_) {
         *ps = PacketSet(bdd::Bdd(&mgr_, gc.map(ps->raw().index())));
       }
     }

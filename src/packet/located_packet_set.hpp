@@ -96,7 +96,8 @@ class LocatedPacketSet {
     for (const auto& [loc, ps] : sets_) {
       if (!first) out += ", ";
       first = false;
-      out += "@" + std::to_string(loc) + ":" + bdd::to_string(ps.count());
+      out += '@';
+      out += std::to_string(loc) + ":" + bdd::to_string(ps.count());
     }
     return out + "}";
   }

@@ -9,21 +9,29 @@ using bdd::Bdd;
 using bdd::BddManager;
 using bdd::Var;
 
-PacketSet PacketSet::field_prefix(BddManager& mgr, Field f, uint64_t value,
-                                  uint8_t bits) {
-  const FieldSpec s = spec(f);
+namespace {
+
+/// `below`, a function of variables deeper than the field's, conjoined
+/// with "the top `bits` bits of field `s` equal those of `value`". Bit i of
+/// the field (MSB-first) is BDD variable s.offset + i; the MSB of `value`
+/// within the field is bit (s.width - 1). The cube is built bottom up,
+/// deepest variable first, one make() per bit and no allocation.
+bdd::NodeIndex prefix_cube(BddManager& mgr, FieldSpec s, uint64_t value, uint8_t bits,
+                           bdd::NodeIndex below) {
   assert(bits <= s.width);
-  // Bit i of the field (MSB-first) is BDD variable s.offset + i; the MSB of
-  // `value` within the field is bit (s.width - 1). The cube is built bottom
-  // up, deepest variable first: the make() sequence BddManager::cube runs,
-  // without its two vectors and its sort.
-  bdd::NodeIndex acc = bdd::kTrue;
   for (uint8_t i = bits; i-- > 0;) {
     const Var v = s.offset + i;
-    acc = ((value >> (s.width - 1 - i)) & 1) != 0 ? mgr.make(v, bdd::kFalse, acc)
-                                                   : mgr.make(v, acc, bdd::kFalse);
+    below = ((value >> (s.width - 1 - i)) & 1) != 0 ? mgr.make(v, bdd::kFalse, below)
+                                                     : mgr.make(v, below, bdd::kFalse);
   }
-  return PacketSet(Bdd(&mgr, acc));
+  return below;
+}
+
+}  // namespace
+
+PacketSet PacketSet::field_prefix(BddManager& mgr, Field f, uint64_t value,
+                                  uint8_t bits) {
+  return PacketSet(Bdd(&mgr, prefix_cube(mgr, spec(f), value, bits, bdd::kTrue)));
 }
 
 PacketSet PacketSet::field_range(BddManager& mgr, Field f, uint64_t lo, uint64_t hi) {
@@ -54,10 +62,14 @@ PacketSet PacketSet::field_range(BddManager& mgr, Field f, uint64_t lo, uint64_t
 }
 
 PacketSet PacketSet::from_packet(BddManager& mgr, const ConcretePacket& p) {
-  const std::vector<bool> bits = p.to_assignment();
-  std::vector<Var> vars(kNumHeaderBits);
-  for (Var v = 0; v < kNumHeaderBits; ++v) vars[v] = v;
-  return PacketSet(mgr.cube(vars, bits));
+  // Every field in full, deepest field first: 104 make() calls.
+  bdd::NodeIndex acc = bdd::kTrue;
+  acc = prefix_cube(mgr, kDstPort, p.dst_port, kDstPort.width, acc);
+  acc = prefix_cube(mgr, kSrcPort, p.src_port, kSrcPort.width, acc);
+  acc = prefix_cube(mgr, kProto, p.proto, kProto.width, acc);
+  acc = prefix_cube(mgr, kSrcIp, p.src_ip, kSrcIp.width, acc);
+  acc = prefix_cube(mgr, kDstIp, p.dst_ip, kDstIp.width, acc);
+  return PacketSet(Bdd(&mgr, acc));
 }
 
 PacketSet PacketSet::rewrite_field(Field f, uint64_t value) const {

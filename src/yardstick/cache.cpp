@@ -18,7 +18,7 @@ using packet::PacketSet;
 
 namespace {
 
-constexpr const char* kHeader = "yardstick-cache v1";
+constexpr const char* kHeader = "yardstick-cache v2";
 constexpr const char* kSource = "yardstick cache";
 
 /// mkdir -p: create every missing component, tolerate the existing ones.
@@ -51,9 +51,8 @@ uint64_t read_hash(FormatReader& reader, const char* what) {
 }
 
 struct MatchRecord {
-  uint32_t matched_space = 0;
   uint32_t acl_permitted = 0;
-  std::vector<std::pair<uint32_t, uint32_t>> rules;  // (field_ref, set_ref) per position
+  std::vector<uint32_t> sets;  // set_ref per position
 };
 
 size_t device_rule_count(const net::Network& network, net::DeviceId dev) {
@@ -167,15 +166,9 @@ void IncrementalSession::load() {
     for (size_t i = 0; i < match_count; ++i) {
       const uint64_t hash = read_hash(reader, "match-record key");
       MatchRecord rec;
-      const size_t rules = reader.count("match-record rule");
-      rec.matched_space = reader.u32("match-record space");
+      rec.sets.resize(reader.count("match-record rule"));
       rec.acl_permitted = reader.u32("match-record space");
-      rec.rules.reserve(rules);
-      for (size_t r = 0; r < rules; ++r) {
-        const uint32_t field = reader.u32("match-record refs");
-        const uint32_t set = reader.u32("match-record refs");
-        rec.rules.emplace_back(field, set);
-      }
+      for (uint32_t& set : rec.sets) set = reader.u32("match-record refs");
       match_records.emplace(hash, std::move(rec));
     }
 
@@ -200,30 +193,23 @@ void IncrementalSession::load() {
     const size_t num_rules = network_.rule_count();
     auto match_prefill = std::make_unique<dataplane::MatchPrefill>();
     match_prefill->device_hit.assign(network_.device_count(), 0);
-    match_prefill->match_fields.resize(num_rules);
     match_prefill->match_sets.resize(num_rules);
-    match_prefill->matched_space.resize(network_.device_count());
     match_prefill->acl_permitted.resize(network_.device_count());
 
     for (const net::Device& dev : network_.devices()) {
       const auto mit = match_records.find(keys_[dev.id.value].fib_hash);
       if (mit == match_records.end() ||
-          mit->second.rules.size() != device_rule_count(network_, dev.id)) {
+          mit->second.sets.size() != device_rule_count(network_, dev.id)) {
         continue;
       }
       const MatchRecord& rec = mit->second;
       size_t pos = 0;
       for (const net::TableKind table : {net::TableKind::Acl, net::TableKind::Fib}) {
         for (const net::RuleId rid : network_.table(dev.id, table)) {
-          const auto& [field, set] = rec.rules[pos++];
-          match_prefill->match_fields[rid.value] =
-              PacketSet(bdd::Bdd(&mgr_, checked_ref(field, "match-record")));
           match_prefill->match_sets[rid.value] =
-              PacketSet(bdd::Bdd(&mgr_, checked_ref(set, "match-record")));
+              PacketSet(bdd::Bdd(&mgr_, checked_ref(rec.sets[pos++], "match-record")));
         }
       }
-      match_prefill->matched_space[dev.id.value] =
-          PacketSet(bdd::Bdd(&mgr_, checked_ref(rec.matched_space, "match-record")));
       match_prefill->acl_permitted[dev.id.value] =
           PacketSet(bdd::Bdd(&mgr_, checked_ref(rec.acl_permitted, "match-record")));
       match_prefill->device_hit[dev.id.value] = 1;
@@ -277,14 +263,10 @@ void IncrementalSession::save(const dataplane::MatchSetIndex& index,
         match_out += ' ';
         append_uint(match_out, device_rule_count(network_, dev.id));
         match_out += ' ';
-        append_uint(match_out, ref_of(index.matched_space(dev.id)));
-        match_out += ' ';
         append_uint(match_out, ref_of(index.acl_permitted_space(dev.id)));
         match_out += '\n';
         for (const net::TableKind table : {net::TableKind::Acl, net::TableKind::Fib}) {
           for (const net::RuleId rid : network_.table(dev.id, table)) {
-            append_uint(match_out, ref_of(index.match_field(rid)));
-            match_out += ' ';
             append_uint(match_out, ref_of(index.match_set(rid)));
             match_out += '\n';
           }

@@ -1,7 +1,7 @@
 // Incremental result cache (DESIGN.md §11).
 //
-// Persists the offline phase's per-device results — match fields, disjoint
-// match sets, matched/ACL spaces, covered sets — keyed by the content
+// Persists the offline phase's per-device results — disjoint match sets,
+// ACL-permitted spaces, covered sets — keyed by the content
 // hashes of src/yardstick/delta.*, in a single checksummed artifact
 // written through the same fsync-hardened atomic path as trace snapshots.
 // On the next run, devices whose keys match load their sets straight into
@@ -17,23 +17,25 @@
 // (every ToR of a homogeneous pod) share one record, so the artifact is a
 // content-addressed store, deduplicated for free.
 //
-// Format v1 (line-oriented, same grammar family as the trace format):
-//   yardstick-cache v1
+// Format v2 (line-oriented, same grammar family as the trace format):
+//   yardstick-cache v2
 //   options <16-hex>       # engine-options fingerprint; mismatch = rebuild
 //   vars <n>               # BDD variable universe; mismatch = rebuild
 //   nodes <k>              # shared node section (persist.hpp shape)
 //   <var> <low> <high>
 //   match-records <n>
-//   <16-hex fib_hash> <rule_count> <matched_space_ref> <acl_permitted_ref>
-//   <field_ref> <set_ref>  # rule_count lines, table order (Acl then Fib)
+//   <16-hex fib_hash> <rule_count> <acl_permitted_ref>
+//   <set_ref>              # rule_count lines, table order (Acl then Fib)
 //   cover-records <m>
 //   <16-hex cov_hash> <rule_count>
 //   <covered_ref>          # rule_count lines
 //   checksum <16-hex>
 //
-// Fallback is never an error: a missing, corrupt, truncated or
-// version/options-mismatched cache yields an empty prefill and the engine
-// rebuilds from scratch, exactly as if the flag were off.
+// v1 also stored each rule's match field and each device's matched space,
+// which nothing read; a v1 file is a version mismatch. Fallback is never an
+// error: a missing, corrupt, truncated or version/options-mismatched cache
+// yields an empty prefill and the engine rebuilds from scratch, exactly as
+// if the flag were off.
 #pragma once
 
 #include <cstdint>

@@ -341,6 +341,16 @@ TEST(BddGc, RootTrackerFixesHandlesAcrossCollect) {
   std::vector<bdd::Uint128> counts;
   for (const packet::PacketSet& ps : results) counts.push_back(ps.raw().count());
 
+  // A tracked slot may hold another manager's handle, as a shard's slot
+  // holds the primary's M[r] for a state-inspected rule: it is no root and
+  // is not renumbered, though its index is also a node index of `m`.
+  bdd::BddManager other(packet::kNumHeaderBits);
+  uint64_t other_state = 47;
+  packet::PacketSet foreign(random_function(other, other_state, 6, 5));
+  const packet::PacketSet foreign_before = foreign;
+  ASSERT_LT(foreign.raw().index(), m.arena_size());
+  tracker.track(foreign);
+
   ASSERT_TRUE(tracker.due());
   const bdd::GcResult gc = tracker.collect();
   EXPECT_GT(gc.reclaimed, 0u);
@@ -349,6 +359,8 @@ TEST(BddGc, RootTrackerFixesHandlesAcrossCollect) {
     ASSERT_TRUE(results[i].valid());
     EXPECT_TRUE(counts[i] == results[i].raw().count()) << "set " << i;
   }
+  EXPECT_EQ(foreign, foreign_before);
+  EXPECT_EQ(foreign.raw().manager(), &other);
   // The manager stays fully usable: operations across fixed-up handles.
   const packet::PacketSet u = results[0].union_with(results[1]);
   EXPECT_TRUE(results[0].raw().implies(u.raw()));

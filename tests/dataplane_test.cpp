@@ -34,10 +34,14 @@ class DataplaneTest : public ::testing::Test {
   Transfer transfer_;
 };
 
+/// The rule's match field: what its table entry says.
+PacketSet field_of(bdd::BddManager& mgr, const net::Network& network, net::RuleId rid) {
+  return MatchSetIndex::build_match_field(mgr, network.rule(rid).match);
+}
+
 TEST_F(DataplaneTest, MatchFieldsAreRawPrefixes) {
-  EXPECT_EQ(index_.match_field(tiny_.l1_to_p1),
-            PacketSet::dst_prefix(mgr_, tiny_.p1));
-  EXPECT_TRUE(index_.match_field(tiny_.l1_default).full());
+  EXPECT_EQ(field_of(mgr_, tiny_.net, tiny_.l1_to_p1), PacketSet::dst_prefix(mgr_, tiny_.p1));
+  EXPECT_TRUE(field_of(mgr_, tiny_.net, tiny_.l1_default).full());
 }
 
 TEST_F(DataplaneTest, MatchSetsSubtractEarlierRules) {
@@ -47,21 +51,23 @@ TEST_F(DataplaneTest, MatchSetsSubtractEarlierRules) {
                                  .minus(PacketSet::dst_prefix(mgr_, tiny_.p2));
   EXPECT_EQ(index_.match_set(tiny_.l1_default), expected);
   // Specific rules are not shadowed.
-  EXPECT_EQ(index_.match_set(tiny_.l1_to_p1), index_.match_field(tiny_.l1_to_p1));
+  EXPECT_EQ(index_.match_set(tiny_.l1_to_p1), field_of(mgr_, tiny_.net, tiny_.l1_to_p1));
 }
 
 TEST_F(DataplaneTest, MatchSetsPartitionTheMatchedSpace) {
   for (const net::Device& dev : tiny_.net.devices()) {
     PacketSet union_sets = PacketSet::none(mgr_);
+    PacketSet matched_space = PacketSet::none(mgr_);
     bdd::Uint128 sum = 0;
     for (const net::RuleId rid : tiny_.net.table(dev.id)) {
       const PacketSet& ms = index_.match_set(rid);
       EXPECT_TRUE(ms.intersect(union_sets).empty()) << "overlap on " << dev.name;
       union_sets = union_sets.union_with(ms);
+      matched_space = matched_space.union_with(field_of(mgr_, tiny_.net, rid));
       sum += ms.count();
     }
-    EXPECT_EQ(union_sets, index_.matched_space(dev.id));
-    EXPECT_EQ(sum, index_.matched_space(dev.id).count());
+    EXPECT_EQ(union_sets, matched_space);
+    EXPECT_EQ(sum, matched_space.count());
   }
 }
 
@@ -73,7 +79,7 @@ TEST_F(DataplaneTest, ShadowedRuleHasEmptyMatchSet) {
                  net::Action::drop(), net::RouteKind::Other, 40);
   const MatchSetIndex fresh(mgr_, n);
   EXPECT_TRUE(fresh.match_set(shadowed).empty());
-  EXPECT_FALSE(fresh.match_field(shadowed).empty());
+  EXPECT_FALSE(field_of(mgr_, n, shadowed).empty());
 }
 
 TEST_F(DataplaneTest, SplitClaimsByFirstMatch) {

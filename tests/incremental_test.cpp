@@ -24,6 +24,7 @@
 #include "yardstick/cache.hpp"
 #include "yardstick/delta.hpp"
 #include "yardstick/engine.hpp"
+#include "yardstick/persist.hpp"
 #include "yardstick/tracker.hpp"
 
 namespace yardstick::ys {
@@ -70,6 +71,38 @@ void expect_same_results(const net::Network& network, const CoverageEngine& want
   EXPECT_EQ(a.rule_fractional, b.rule_fractional);
   EXPECT_EQ(a.rule_weighted, b.rule_weighted);
   EXPECT_EQ(a.truncated, b.truncated);
+}
+
+/// `v2`, a valid yardstick-cache v2 artifact, rewritten in the v1 layout a
+/// v1 reader accepts: a v1 header, a matched-space ref on every match
+/// record and a match-field ref on every rule line (each a ref the record
+/// already holds), and a fresh checksum.
+std::string as_v1_artifact(const std::string& v2) {
+  std::istringstream in(checked_body(v2, "test cache"));
+  std::string out;
+  std::string line;
+  size_t records = 0;
+  while (std::getline(in, line)) {
+    if (line == "yardstick-cache v2") line = "yardstick-cache v1";
+    if (line.rfind("match-records ", 0) == 0) {
+      records = std::stoul(line.substr(std::strlen("match-records ")));
+    } else if (records > 0) {
+      // "<hash> <rule_count> <acl_ref>" becomes "... <space_ref> <acl_ref>".
+      std::istringstream fields(line);
+      std::string hash;
+      size_t rules = 0;
+      std::string acl;
+      fields >> hash >> rules >> acl;
+      out += hash + " " + std::to_string(rules) + " " + acl + " " + acl + "\n";
+      for (size_t r = 0; r < rules && std::getline(in, line); ++r) {
+        out += line + " " + line + "\n";  // "<set_ref>" becomes "<field_ref> <set_ref>"
+      }
+      --records;
+      continue;
+    }
+    out += line + "\n";
+  }
+  return with_checksum(std::move(out));
 }
 
 /// Records spans for one scope; tracing is off and empty again after it.
@@ -341,17 +374,25 @@ TEST_F(IncrementalTest, CorruptOrTruncatedCacheFallsBackToFullRebuild) {
     out << bytes;
   };
 
-  // Foreign header, truncation, and a flipped byte (checksum mismatch):
-  // each degrades to a clean full rebuild with a recorded reason.
+  // Foreign header, truncation, a flipped byte (checksum mismatch) and a
+  // well-formed artifact of the previous format version: each degrades to
+  // a clean full rebuild with a recorded reason.
   std::string flipped = good;
   flipped[good.size() / 2] ^= 0x01;
+  const std::string v1 = as_v1_artifact(good);
+  ASSERT_EQ(v1.rfind("yardstick-cache v1\n", 0), 0u);
+  ASSERT_GT(v1.size(), good.size());
   for (const std::string& bad :
-       {std::string("not a cache\n"), good.substr(0, good.size() / 2), flipped}) {
+       {std::string("not a cache\n"), good.substr(0, good.size() / 2), flipped, v1}) {
     overwrite(bad);
     const EngineRun warm = run_engine(tiny_.net, trace, dir_);
     const CacheStats* stats = warm.engine->cache_stats();
     EXPECT_FALSE(stats->loaded);
     EXPECT_FALSE(stats->fallback_reason.empty());
+    if (bad == v1) {
+      EXPECT_NE(stats->fallback_reason.find("version mismatch"), std::string::npos)
+          << stats->fallback_reason;
+    }
     EXPECT_EQ(stats->match_hits, 0u);
     EXPECT_TRUE(stats->saved);  // replaced the damaged file
     expect_same_results(tiny_.net, *scratch.engine, *warm.engine);

@@ -529,6 +529,31 @@ TEST(PingmeshTest, UntrackedRunAllocatesPerRunNotPerProbe) {
   EXPECT_LT(allocations, 64u) << "an untracked probe allocated";
 }
 
+TEST(PingmeshTest, TrackedRunAllocatesPerRunNotPerProbe) {
+  // The same run with the tracker on: each probe builds its singleton with
+  // make() alone, and each hop's report (4,768 in all) is appended to the
+  // tracker's one flat buffer, which grows by doubling: 56 allocations in
+  // all, with the untracked run's 42. Building the singleton through a
+  // sorted cube cost three allocations per probe (3,032 in all). The fold,
+  // at trace(), is not counted.
+  topo::FatTree tree = topo::make_fat_tree({.k = 8});
+  routing::FibBuilder::compute_and_build(tree.network, tree.routing);
+  bdd::BddManager mgr(packet::kNumHeaderBits);
+  const dataplane::MatchSetIndex index(mgr, tree.network);
+  const dataplane::Transfer transfer(index);
+  ys::CoverageTracker warm;
+  (void)nettest::ToRPingmesh().run(transfer, warm);
+
+  ys::CoverageTracker tracker;
+  const uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const nettest::TestResult result = nettest::ToRPingmesh().run(transfer, tracker);
+  const uint64_t allocations = g_allocations.load(std::memory_order_relaxed) - before;
+  EXPECT_TRUE(result.passed());
+  EXPECT_EQ(result.checks, 992u);
+  EXPECT_GT(tracker.pending().size(), result.checks);
+  EXPECT_LT(allocations, 128u) << "a tracked probe allocated";
+}
+
 TEST(ObsExpositionTest, JsonIsWellFormedAndComplete) {
   ScopedObservability on;
   metrics().counter("ys.obs_test.json_counter", "a counter").add(3);

@@ -111,6 +111,21 @@ TEST_F(PacketSetTest, FromPacketSingleton) {
   EXPECT_EQ(s.count(), Uint128{1});
   EXPECT_TRUE(s.contains(p));
   EXPECT_EQ(s.sample(), p);
+  // One flipped bit anywhere leaves the set.
+  ConcretePacket q = p;
+  q.src_port ^= 1;
+  EXPECT_FALSE(s.contains(q));
+  q = p;
+  q.dst_ip ^= 0x80000000u;
+  EXPECT_FALSE(s.contains(q));
+  // The cube is canonical: the same node as one exact match per field.
+  PacketSet fields = PacketSet::all(mgr);
+  fields = fields.intersect(PacketSet::field_equals(mgr, Field::DstIp, p.dst_ip));
+  fields = fields.intersect(PacketSet::field_equals(mgr, Field::SrcIp, p.src_ip));
+  fields = fields.intersect(PacketSet::field_equals(mgr, Field::Proto, p.proto));
+  fields = fields.intersect(PacketSet::field_equals(mgr, Field::SrcPort, p.src_port));
+  fields = fields.intersect(PacketSet::field_equals(mgr, Field::DstPort, p.dst_port));
+  EXPECT_EQ(s, fields);
 }
 
 TEST_F(PacketSetTest, SampleIsMember) {

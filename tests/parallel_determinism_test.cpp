@@ -384,5 +384,87 @@ TEST_F(ParallelDeterminismTest, TrippingBudgetTruncatesInEveryMode) {
   }
 }
 
+TEST_F(ParallelDeterminismTest, BudgetStoppingEitherMergeLeavesOnlyPrimaryHandles) {
+  topo::FatTree tree = topo::make_fat_tree({.k = 4});
+  routing::FibBuilder::compute_and_build(tree.network, tree.routing);
+  // A port range at every ToR cuts across the match sets there, so step 2's
+  // merge imports covered sets the primary does not hold yet.
+  coverage::CoverageTrace trace = fat_tree_trace(tree);
+  const packet::PacketSet ports =
+      packet::PacketSet::field_range(scratch_, packet::Field::DstPort, 1000, 2000);
+  for (const net::DeviceId tor : tree.tors) trace.mark_packet(net::device_location(tor), ports);
+
+  // One worker with GC armed at 1.0, which never collects, builds each step
+  // in a shard on the calling thread. Nothing releases charge before the
+  // shard dies after its merge, and each merge imports fresh nodes, so a
+  // step's charge peaks at its merge's last fresh node: a cap one below
+  // that peak stops the merge there, with every device built. `between`
+  // runs in the online phase, where the budget is off every manager and
+  // nothing is charged: it may set step 2's cap there.
+  const auto run = [&](ys::ResourceBudget& budget, const std::function<void()>& between) {
+    EngineRun r;
+    r.mgr = std::make_unique<bdd::BddManager>(packet::kNumHeaderBits);
+    const coverage::CoverageTrace local = trace.imported_into(*r.mgr);
+    nettest::TestSuite suite;
+    suite.add(std::make_unique<ReplayTest>(local, [&] {
+      EXPECT_EQ(budget.used_bdd_nodes(), 0u);
+      between();
+    }));
+    r.engine = std::make_unique<ys::CoverageEngine>(*r.mgr, tree.network, suite,
+                                                    ys::EngineOptions{&budget, 1, "", 1.0});
+    return r;
+  };
+  // The budget's peak is monotone and step 1 may peak higher than step 2,
+  // so the uncapped run charges step 1's peak between the steps: step 2's
+  // own peak is what the budget's peak adds to it.
+  ys::ResourceBudget roomy;
+  size_t step1_peak = 0;
+  const EngineRun uncapped = run(roomy, [&] {
+    step1_peak = roomy.peak_bdd_nodes();
+    roomy.charge_bdd_nodes(step1_peak);
+  });
+  const size_t step2_peak = roomy.peak_bdd_nodes() - step1_peak;
+  roomy.release_bdd_nodes(step1_peak);
+  ASSERT_FALSE(uncapped.engine->truncated());
+  const ys::MetricRow want = uncapped.engine->metrics();
+
+  for (const bool in_step_2 : {false, true}) {
+    const std::string label = in_step_2 ? "covered_sets.merge" : "match_sets.merge";
+    ys::ResourceBudget cap;
+    if (!in_step_2) cap.with_max_bdd_nodes(step1_peak - 1);
+    const EngineRun capped = run(cap, [&] {
+      if (in_step_2) cap.with_max_bdd_nodes(step2_peak - 1);
+    });
+    const ys::CoverageEngine& engine = *capped.engine;
+    EXPECT_TRUE(engine.truncated()) << label;
+    EXPECT_EQ(engine.match_sets().truncated(), !in_step_2) << label;
+    EXPECT_TRUE(engine.covered_sets().truncated()) << label;
+    size_t reached = 0;
+    for (const net::Rule& rule : tree.network.rules()) {
+      EXPECT_EQ(engine.match_sets().match_set(rule.id).raw().manager(), capped.mgr.get())
+          << label << ": match set of rule " << rule.id.value;
+      EXPECT_EQ(engine.covered_sets().covered(rule.id).raw().manager(), capped.mgr.get())
+          << label << ": covered set of rule " << rule.id.value;
+      EXPECT_LE(engine.covered_sets().covered_size(rule.id),
+                uncapped.engine->covered_sets().covered_size(rule.id))
+          << label << ": covered set of rule " << rule.id.value;
+      reached += engine.match_sets().reached(rule.id) ? 1 : 0;
+    }
+    EXPECT_GT(reached, 0u) << label;
+    for (const net::Device& dev : tree.network.devices()) {
+      EXPECT_EQ(engine.match_sets().acl_permitted_space(dev.id).raw().manager(),
+                capped.mgr.get())
+          << label << ": ACL space of " << dev.name;
+    }
+    const ys::MetricRow got = engine.metrics();
+    EXPECT_TRUE(got.truncated) << label;
+    EXPECT_LE(got.device_fractional, want.device_fractional) << label;
+    EXPECT_LE(got.interface_fractional, want.interface_fractional) << label;
+    EXPECT_LE(got.rule_fractional, want.rule_fractional) << label;
+    EXPECT_LE(got.rule_weighted, want.rule_weighted) << label;
+    EXPECT_EQ(cap.used_bdd_nodes(), capped.mgr->arena_size()) << label;
+  }
+}
+
 }  // namespace
 }  // namespace yardstick
