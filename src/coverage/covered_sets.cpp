@@ -1,5 +1,7 @@
 #include "coverage/covered_sets.hpp"
 
+#include <optional>
+
 #include "dataplane/sharded_build.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -17,6 +19,11 @@ struct CoverBuild {
   static constexpr const char* kMergeSpan = "covered_sets.merge";
   static constexpr const char* kActivity = "covered-set computation";
 
+  /// Algorithm 1 reuses nothing across devices.
+  struct Memo {
+    explicit Memo(bdd::BddManager& /*mgr*/) {}
+  };
+
   const dataplane::MatchSetIndex& index;
   const CoverageTrace& trace;
 
@@ -25,14 +32,14 @@ struct CoverBuild {
   /// A state-inspected rule gets M[r] itself, the index's handle, with no
   /// round trip through a shard: the merge keeps it.
   void build(bdd::BddManager& mgr, const net::Device& dev, CoverSlots& out,
-             const dataplane::PrimaryInput& input) const {
+             const dataplane::PrimaryInput& input, Memo& /*memo*/) const {
     const net::Network& network = index.network();
-    // One device-level P_T slice shared by all rules of the device,
-    // computed lazily (devices with no unmarked rules skip the unions).
-    PacketSet at_device;
-    bool at_device_computed = false;
+    // One device-level P_T slice shared by all rules of the device, and its
+    // clip to the ACL-permitted space shared by all FIB rules, each computed
+    // lazily (devices with no unmarked rules skip the unions).
+    std::optional<PacketSet> at_device;
     const auto device_headers = [&]() -> const PacketSet& {
-      if (!at_device_computed) {
+      if (!at_device) {
         PacketSet acc = PacketSet::none(mgr);
         const PacketSet local = trace.marked_packets().at(net::device_location(dev.id));
         if (local.valid()) acc = acc.union_with(input(local));
@@ -41,9 +48,19 @@ struct CoverBuild {
           if (at.valid()) acc = acc.union_with(input(at));
         }
         at_device = acc;
-        at_device_computed = true;
       }
-      return at_device;
+      return *at_device;
+    };
+    // Packets the ingress ACL denies never reach the forwarding table, so
+    // they cannot exercise FIB rules behaviorally.
+    std::optional<PacketSet> past_acl;
+    const auto fib_headers = [&]() -> const PacketSet& {
+      if (!past_acl) {
+        past_acl = network.has_acl(dev.id)
+                       ? device_headers().intersect(input(index.acl_permitted_space(dev.id)))
+                       : device_headers();
+      }
+      return *past_acl;
     };
     for (const net::TableKind table : {net::TableKind::Acl, net::TableKind::Fib}) {
       for (const net::RuleId rid : network.table(dev.id, table)) {
@@ -51,16 +68,14 @@ struct CoverBuild {
           out.covered[rid.value] = index.match_set(rid);
           continue;
         }
-        PacketSet headers = device_headers();
-        // Packets the ingress ACL denies never reach the forwarding
-        // table, so they cannot exercise FIB rules behaviorally.
-        if (table == net::TableKind::Fib && network.has_acl(dev.id)) {
-          headers = headers.intersect(input(index.acl_permitted_space(dev.id)));
-        }
+        const PacketSet& headers =
+            table == net::TableKind::Fib ? fib_headers() : device_headers();
         out.covered[rid.value] = headers.intersect(input(index.match_set(rid)));
       }
     }
   }
+
+  void annotate(obs::Span& /*span*/) const {}
 };
 
 }  // namespace

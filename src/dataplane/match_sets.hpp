@@ -9,8 +9,10 @@
 // of how a device implementation would scan the table.
 //
 // The index stores what later steps read: M[r] per rule and the
-// ACL-permitted space per device. A match field is built once, inside its
-// table's walk, and dropped; build_match_field() builds one on demand.
+// ACL-permitted space per device. A build makes each distinct match field
+// once per manager, and a rule pays a set difference only when an earlier
+// rule of its table may overlap it (DESIGN.md §20); build_match_field()
+// builds one field on demand.
 #pragma once
 
 #include <array>
@@ -53,7 +55,8 @@ struct MatchPrefill : MatchSlots {
 class MatchSetIndex {
  public:
   /// Computes the disjoint match set of every rule in the network. Cost is
-  /// one linear walk per device table.
+  /// one linear walk per device table, with BDD work only for fields not
+  /// built yet and for rules an earlier rule of their table overlaps.
   ///
   /// `mgr`'s budget (BddManager::budget(), may be null) bounds the
   /// computation: when the deadline, node cap or cancel flag trips
@@ -117,8 +120,8 @@ class MatchSetIndex {
 
   /// Build the match field for a MatchSpec: the packet set the table
   /// entry says (header dimensions only; in-interface restrictions are
-  /// handled by the transfer function). Step 1 builds each rule's once and
-  /// keeps only the disjoint part.
+  /// handled by the transfer function). Step 1 builds each distinct field
+  /// once per manager and keeps only the rules' disjoint parts.
   static packet::PacketSet build_match_field(bdd::BddManager& mgr,
                                              const net::MatchSpec& spec);
 

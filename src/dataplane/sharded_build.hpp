@@ -25,6 +25,12 @@
 //   * GC. After each device a shard tracks that device's slots as roots and
 //     collects when due, rekeying its primary-to-shard input importer. Only
 //     the slots holding the shard's own handles are roots and renumbered.
+//   * Memo. The loop that builds in a manager, one per shard or the
+//     one-worker loop in the primary, owns one Builder::Memo for that
+//     manager and passes it to every device walk. A collect renumbers and
+//     reclaims the nodes a memo names and does not rewrite it, so the loop
+//     drops its memo before every collect and starts a fresh one for the
+//     next device. A memo is never shared between managers or builds.
 //   * Merge. One in-place pass in device order imports every slot holding a
 //     shard handle into the primary and keeps every slot already there, so
 //     every set is canonical in the primary and every count is
@@ -32,8 +38,9 @@
 //     stops the merge, the slots it did not reach are cleared before the
 //     shards die.
 //   * Telemetry. `<step>.build` encloses the workers' `parallel.worker`
-//     spans (each with its `bdd.gc` spans) and `<step>.merge`; the merge
-//     feeds ys.parallel.items_per_worker and the ys.bdd.* shard counters.
+//     spans (each with its `bdd.gc` spans) and `<step>.merge`, and carries
+//     the builder's own args; the merge feeds ys.parallel.items_per_worker
+//     and the ys.bdd.* shard counters.
 //   * Degraded completion. Slots a truncated build never wrote become empty
 //     sets, so every query stays well-formed and under-reports.
 //
@@ -43,11 +50,16 @@
 //                `Slots::kRuleColumns` (indexed by RuleId), then the ones
 //                indexed by DeviceId. The builder's owner and the cache
 //                prefill (derived from Slots) hold one each.
+//   Memo         what its walks reuse across the devices of one manager in
+//                one build: Memo(mgr) starts one (see Memo above).
 //   kBuildSpan, kMergeSpan, kActivity: span names and the budget-poll label.
-//   build(mgr, dev, slots, input): walks `dev`, building in `mgr`.
+//   build(mgr, dev, slots, input, memo): walks `dev`, building in `mgr`.
+//   annotate(span): adds the builder's args to kBuildSpan once every
+//                worker has finished.
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <type_traits>
 #include <vector>
 
@@ -162,11 +174,13 @@ bool build_in_shards(const Builder& builder, bdd::BddManager& primary,
     if (gc_threshold > 0.0) shard.mgr.set_gc_threshold(gc_threshold);
     bdd::BddImporter into_shard(shard.mgr, primary);
     packet::GcRootTracker gc_roots(shard.mgr);
+    std::optional<typename Builder::Memo> memo;
     shard.truncated = exhausted_during([&] {
       for (size_t d = w; d < work.size(); d += workers) {
         if (shard.mgr.budget() != nullptr) shard.mgr.budget()->poll(Builder::kActivity);
         const net::Device& dev = *work[d];
-        builder.build(shard.mgr, dev, out, PrimaryInput(&into_shard));
+        if (!memo) memo.emplace(shard.mgr);
+        builder.build(shard.mgr, dev, out, PrimaryInput(&into_shard), *memo);
         if (gc_threshold <= 0.0) continue;
         for_each_slot(network, dev, out, out,
                       [&gc_roots](packet::PacketSet& slot, const packet::PacketSet&) {
@@ -174,7 +188,9 @@ bool build_in_shards(const Builder& builder, bdd::BddManager& primary,
                       });
         if (gc_roots.due()) {
           // The input importer's memo values live in this manager, so the
-          // collection renumbers them (dead entries re-import later).
+          // collection renumbers them (dead entries re-import later); the
+          // builder's memo does not follow it and goes.
+          memo.reset();
           obs::Span gc_span("bdd.gc", "offline");
           const bdd::GcResult gc = gc_roots.collect(&into_shard);
           gc_span.arg("reclaimed", gc.reclaimed);
@@ -275,13 +291,15 @@ ShardedBuildResult sharded_build(const Builder& builder, bdd::BddManager& primar
     result.truncated =
         detail::build_in_shards(builder, primary, network, out, work, workers, gc_threshold);
   } else {
+    typename Builder::Memo memo(primary);
     result.truncated = detail::exhausted_during([&] {
       for (const net::Device* dev : work) {
         if (primary.budget() != nullptr) primary.budget()->poll(Builder::kActivity);
-        builder.build(primary, *dev, out, PrimaryInput());
+        builder.build(primary, *dev, out, PrimaryInput(), memo);
       }
     });
   }
+  builder.annotate(build_span);
 
   // Degraded completion: empty sets are terminal-only, so filling them in
   // cannot trip the budget again.

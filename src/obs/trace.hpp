@@ -13,7 +13,9 @@
 //   │  ├─ routing.bgp                  (eBGP fixpoint; args devices,
 //   │  │                                prefixes, rib_entries, rounds)
 //   │  └─ routing.fib                  (FIB build; arg rules)
-//   ├─ match_sets.build                (offline step 1)
+//   ├─ match_sets.build                (offline step 1; args devices,
+//   │  │                                prefilled, rules, workers, fields,
+//   │  │                                differences)
 //   │  ├─ parallel.worker (×N)         (sharded device builds)
 //   │  └─ match_sets.merge             (deterministic import)
 //   ├─ match_sets.prefix_index         (the snapshot's exact dst-prefix
@@ -81,7 +83,7 @@ struct TraceEvent {
   uint32_t tid = 0;
   uint64_t ts_us = 0;   // microseconds since tracer epoch (steady clock)
   uint64_t dur_us = 0;
-  static constexpr int kMaxArgs = 4;
+  static constexpr int kMaxArgs = 6;
   SpanArg args[kMaxArgs];
   int num_args = 0;
 };

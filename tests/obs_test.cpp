@@ -23,6 +23,7 @@
 #include <thread>
 #include <vector>
 
+#include "dataplane/match_sets.hpp"
 #include "nettest/contract_checks.hpp"
 #include "nettest/reachability.hpp"
 #include "nettest/state_checks.hpp"
@@ -440,6 +441,46 @@ TEST(ObsTracerTest, EveryScenarioDiffIsASpanOutsideTheEvaluations) {
     EXPECT_EQ(arg_of(diffs[i], "gained"), diff.rules_gained);
     EXPECT_EQ(arg_of(diffs[i], "collapsed"), diff.rules_collapsed);
   }
+}
+
+TEST(ObsTracerTest, MatchSetBuildCountsFieldsAndDifferences) {
+  // Step 1 builds each distinct match field once per manager and pays a
+  // difference only for a rule whose field overlaps an earlier rule's in
+  // its table (DESIGN.md §20); its span and counters say how often.
+  topo::FatTree tree = topo::make_fat_tree({.k = 4});
+  routing::FibBuilder::compute_and_build(tree.network, tree.routing);
+  const net::Network& network = tree.network;
+  bdd::BddManager scratch(packet::kNumHeaderBits);
+  const auto field = [&](net::RuleId rid) {
+    return dataplane::MatchSetIndex::build_match_field(scratch, network.rule(rid).match);
+  };
+  uint64_t overlapping = 0;
+  for (const net::Device& dev : network.devices()) {
+    for (const net::TableKind table : {net::TableKind::Acl, net::TableKind::Fib}) {
+      const auto rules = network.table(dev.id, table);
+      for (size_t i = 0; i < rules.size(); ++i) {
+        for (size_t j = 0; j < i; ++j) {
+          if (!field(rules[i]).intersect(field(rules[j])).empty()) {
+            ++overlapping;
+            break;
+          }
+        }
+      }
+    }
+  }
+  ASSERT_GT(overlapping, 0u);
+
+  ScopedObservability on;
+  bdd::BddManager mgr(packet::kNumHeaderBits);
+  const dataplane::MatchSetIndex index(mgr, network, 2);
+  const std::vector<TraceEvent> builds =
+      spans_named(Tracer::global().snapshot(), "match_sets.build");
+  ASSERT_EQ(builds.size(), 1u);
+  EXPECT_EQ(arg_of(builds[0], "differences"), overlapping);
+  EXPECT_LT(arg_of(builds[0], "fields"), network.rule_count());
+  EXPECT_EQ(metrics().counter("ys.match_sets.differences").value(), overlapping);
+  EXPECT_EQ(metrics().counter("ys.match_sets.fields_built").value(),
+            arg_of(builds[0], "fields"));
 }
 
 TEST(ObsTracerTest, DisabledModeAllocatesNothing) {

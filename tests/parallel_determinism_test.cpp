@@ -11,6 +11,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "fault_injection.hpp"
 #include "nettest/contract_checks.hpp"
@@ -110,22 +111,48 @@ class ReplayTest final : public nettest::NetworkTest {
   std::function<void()> after_;
 };
 
-/// Records the spans `fn` opens and returns how many of them are named
-/// `parallel.worker`, `match_sets.clone` or `covered_sets.clone`.
+/// Runs `fn` with tracing on and returns the spans it recorded.
 template <typename Fn>
-size_t fan_out_spans(Fn&& fn) {
+std::vector<obs::TraceEvent> traced(Fn&& fn) {
   obs::Tracer::global().clear();
   obs::set_enabled(true);
   fn();
   obs::set_enabled(false);
+  std::vector<obs::TraceEvent> events = obs::Tracer::global().snapshot();
+  obs::Tracer::global().clear();
+  obs::metrics().reset_values();
+  return events;
+}
+
+/// Records the spans `fn` opens and returns how many of them are named
+/// `parallel.worker`, `match_sets.clone` or `covered_sets.clone`.
+template <typename Fn>
+size_t fan_out_spans(Fn&& fn) {
   size_t count = 0;
-  for (const obs::TraceEvent& e : obs::Tracer::global().snapshot()) {
+  for (const obs::TraceEvent& e : traced(fn)) {
     for (const char* name : {"parallel.worker", "match_sets.clone", "covered_sets.clone"}) {
       count += std::strcmp(e.name, name) == 0 ? 1 : 0;
     }
   }
-  obs::Tracer::global().clear();
-  obs::metrics().reset_values();
+  return count;
+}
+
+/// Runs `fn` with tracing on and returns how many `bdd.gc` spans lie inside
+/// a `match_sets.build` span; the workers trace on their own threads, so
+/// containment is by time.
+template <typename Fn>
+size_t step1_collections(Fn&& fn) {
+  const std::vector<obs::TraceEvent> events = traced(fn);
+  size_t count = 0;
+  for (const obs::TraceEvent& build : events) {
+    if (std::strcmp(build.name, "match_sets.build") != 0) continue;
+    for (const obs::TraceEvent& gc : events) {
+      count += std::strcmp(gc.name, "bdd.gc") == 0 && build.ts_us <= gc.ts_us &&
+                       gc.ts_us + gc.dur_us <= build.ts_us + build.dur_us
+                   ? 1
+                   : 0;
+    }
+  }
   return count;
 }
 
@@ -225,24 +252,34 @@ TEST_F(ParallelDeterminismTest, RegionalSetsAndMetricsBitIdentical) {
 }
 
 TEST_F(ParallelDeterminismTest, GcOnOffBitIdenticalAcrossThreadCounts) {
-  topo::FatTree tree = topo::make_fat_tree({.k = 4});
-  routing::FibBuilder::compute_and_build(tree.network, tree.routing);
-  const coverage::CoverageTrace trace = fat_tree_trace(tree);
+  // k=4 never grows a shard far enough to collect; k=8 collects inside
+  // step 1 at 1 and 4 threads (not at 8, whose shards stay small), so a
+  // handle or memo that outlived a collect would show there.
+  for (const int k : {4, 8}) {
+    topo::FatTree tree = topo::make_fat_tree({.k = k});
+    routing::FibBuilder::compute_and_build(tree.network, tree.routing);
+    const coverage::CoverageTrace trace = fat_tree_trace(tree);
 
-  // Ground truth: serial, GC off.
-  const EngineRun serial = run_engine(tree.network, trace, {.threads = 1});
-  ASSERT_FALSE(serial.engine->truncated());
-  const ys::MetricRow serial_row = serial.engine->metrics();
+    // Ground truth: serial, GC off.
+    const EngineRun serial = run_engine(tree.network, trace, {.threads = 1});
+    ASSERT_FALSE(serial.engine->truncated());
+    const ys::MetricRow serial_row = serial.engine->metrics();
 
-  // GC only renumbers shard-private nodes, so an aggressive threshold must
-  // leave every set and metric bit-identical at any thread count —
-  // including 1, where an armed GC forces the sharded path.
-  for (const unsigned threads : {1u, 4u, 8u}) {
-    const EngineRun gc_run =
-        run_engine(tree.network, trace, {.threads = threads, .gc_threshold = 0.05});
-    EXPECT_FALSE(gc_run.engine->truncated()) << threads << " threads";
-    expect_same_sets(tree.network, *serial.engine, *gc_run.engine, threads);
-    expect_same_metrics(serial_row, gc_run.engine->metrics(), threads);
+    // GC only renumbers shard-private nodes, so an aggressive threshold
+    // must leave every set and metric bit-identical at any thread count —
+    // including 1, where an armed GC forces the sharded path.
+    for (const unsigned threads : {1u, 4u, 8u}) {
+      EngineRun gc_run;
+      const size_t collections = step1_collections([&] {
+        gc_run = run_engine(tree.network, trace, {.threads = threads, .gc_threshold = 0.05});
+      });
+      EXPECT_FALSE(gc_run.engine->truncated()) << "k=" << k << ", " << threads << " threads";
+      expect_same_sets(tree.network, *serial.engine, *gc_run.engine, threads);
+      expect_same_metrics(serial_row, gc_run.engine->metrics(), threads);
+      if (k == 8 && threads <= 4) {
+        EXPECT_GE(collections, 1u) << threads << " threads";
+      }
+    }
   }
 }
 
