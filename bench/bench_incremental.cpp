@@ -138,7 +138,7 @@ int main() {
     if (churned >= target) break;
     const auto fib = network.table(tor);
     if (fib.empty()) continue;
-    network.mutable_rule(fib.front()).action = net::Action::drop();
+    network.set_action(fib.front(), net::Action::drop());
     ++churned;
   }
   std::printf("  churn: FIB edit on %zu/%zu devices (%.1f%%)\n", churned,

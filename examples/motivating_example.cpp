@@ -161,7 +161,7 @@ int main() {
   std::printf("\n-- all tests pass; now ask Yardstick what they missed --\n");
   const auto default_rule_of = [&](DeviceId border) {
     for (const net::RuleId r : f.net.table(border)) {
-      if (f.net.rule(r).match.dst_prefix->length() == 0) return r;
+      if (f.net.rule(r).dst_prefix()->length() == 0) return r;
     }
     return net::RuleId{};
   };

@@ -58,7 +58,7 @@ int main() {
       engine.untested_rules([&](const net::Device& d) { return d.id == core; });
   std::printf("untested rules on it: %zu", untested.size());
   if (!untested.empty()) {
-    std::printf(" (e.g. %s)", tree.network.rule(untested.front()).to_string().c_str());
+    std::printf(" (e.g. %s)", tree.network.rule_to_string(untested.front()).c_str());
   }
   std::printf("\n");
   return 0;

@@ -62,7 +62,7 @@ int main() {
       if (g.state_only || shown == 5) continue;
       ++shown;
       std::printf("  inject at %s: %s (exercises %s)\n", d.name.c_str(),
-                  g.witness.to_string().c_str(), tree.network.rule(g.rule).to_string().c_str());
+                  g.witness.to_string().c_str(), tree.network.rule_to_string(g.rule).c_str());
     }
   }
   return 0;

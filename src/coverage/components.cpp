@@ -9,7 +9,7 @@ ComponentFactory::ComponentFactory(const dataplane::Transfer& transfer)
   const net::Network& network = transfer.network();
   rules_to_interface_.resize(network.interface_count());
   for (const net::Rule& rule : network.rules()) {
-    for (const net::InterfaceId out : rule.action.out_interfaces) {
+    for (const net::InterfaceId out : network.out_interfaces(rule.id)) {
       rules_to_interface_[out.value].push_back(rule.id);
     }
   }
@@ -83,7 +83,7 @@ ComponentSpec ComponentFactory::flow(net::DeviceId device, net::InterfaceId in_i
     PacketSet guard = p.final_set;
     for (auto it = p.rules.rbegin(); it != p.rules.rend(); ++it) {
       const net::Rule& rule = transfer_.network().rule(*it);
-      if (!rule.action.rewrites.empty()) {
+      if (!transfer_.network().rewrites(*it).empty()) {
         guard = transfer_.rewrite_preimage(rule, guard);
       }
       guard = guard.intersect(transfer_.index().match_set(*it));

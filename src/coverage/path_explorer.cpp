@@ -92,7 +92,7 @@ bool PathExplorer::dfs(DfsState& state, net::DeviceId device,
                             bdd::ratio(next_survivors.count(), s.packets.count()));
     }
     bool keep_going = true;
-    if (rule.action.type == net::ActionType::Drop) {
+    if (rule.action_type() == net::ActionType::Drop) {
       keep_going = emit(state, s.packets, next_ratio, PathEnd::Dropped);
     } else {
       keep_going = fib_stage(state, device, in_interface, s.packets, next_survivors,
@@ -126,7 +126,7 @@ bool PathExplorer::fib_stage(DfsState& state, net::DeviceId device,
 
   for (const dataplane::RuleSplit& s : splits) {
     const net::Rule& rule = network.rule(s.rule);
-    const bool rewrites = !rule.action.rewrites.empty();
+    const bool rewrites = !network.rewrites(s.rule).empty();
 
     state.stack.push_back(s.rule);
     if (rewrites) ++state.rewrite_depth;
@@ -140,7 +140,7 @@ bool PathExplorer::fib_stage(DfsState& state, net::DeviceId device,
     }
 
     bool keep_going = true;
-    if (rule.action.type == net::ActionType::Drop) {
+    if (rule.action_type() == net::ActionType::Drop) {
       const PacketSet final_set = s.packets;  // no rewrite on drop
       if (covered_ != nullptr) {
         next_ratio = std::min(

@@ -145,17 +145,17 @@ struct MatchBuild {
       memo.since.clear();
       memo.permits.clear();
       for (const net::RuleId rid : network.table(dev.id, table)) {
-        const net::Rule& r = network.rule(rid);
-        const FieldKey key = FieldKey::of(r.match);
+        const net::MatchSpec match = network.match_spec(rid);
+        const FieldKey key = FieldKey::of(match);
         auto it = memo.fields.find(key);
         if (it == memo.fields.end()) {
-          const PacketSet field = MatchSetIndex::build_match_field(mgr, r.match);
+          const PacketSet field = MatchSetIndex::build_match_field(mgr, match);
           it = memo.fields.emplace(key, field.raw().index()).first;
           ++built;
         }
         const bdd::NodeIndex field = it->second;
         bdd::NodeIndex disjoint = field;
-        if (memo.earlier.insert(r.match.dst_prefix)) {
+        if (memo.earlier.insert(match.dst_prefix)) {
           memo.since.push_back(u);
           u = memo.nary.unite(memo.since);
           memo.since.clear();
@@ -163,7 +163,9 @@ struct MatchBuild {
           ++paid;
         }
         memo.since.push_back(field);
-        if (r.action.type == net::ActionType::Permit) memo.permits.push_back(disjoint);
+        if (network.rule(rid).action_type() == net::ActionType::Permit) {
+          memo.permits.push_back(disjoint);
+        }
         out.match_sets[rid.value] = PacketSet(bdd::Bdd(&mgr, disjoint));
       }
       if (table == net::TableKind::Acl) {

@@ -17,7 +17,7 @@ PrefixIndex::PrefixIndex(const net::Network& network) {
   size_t indexed = 0;
   for (const net::Device& dev : network.devices()) {
     for (const net::RuleId rid : network.table(dev.id)) {
-      if (network.rule(rid).match.dst_prefix) ++indexed;
+      if (network.rule(rid).dst_prefix()) ++indexed;
     }
   }
   offsets_.reserve(network.device_count() + 1);
@@ -32,8 +32,9 @@ PrefixIndex::PrefixIndex(const net::Network& network) {
     const std::span<const net::RuleId> table = network.table(dev.id);
     by_key.clear();
     for (uint32_t pos = 0; pos < table.size(); ++pos) {
-      const net::Rule& rule = network.rule(table[pos]);
-      if (rule.match.dst_prefix) by_key.emplace_back(key_of(*rule.match.dst_prefix), pos);
+      if (const auto dst = network.rule(table[pos]).dst_prefix()) {
+        by_key.emplace_back(key_of(*dst), pos);
+      }
     }
     std::sort(by_key.begin(), by_key.end());
     for (size_t i = 0; i < by_key.size(); ++i) {

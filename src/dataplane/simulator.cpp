@@ -32,7 +32,7 @@ void ConcreteSimulator::run(net::DeviceId device, net::InterfaceId in_interface,
           transfer_.lookup(device, in_interface, pkt, net::TableKind::Acl);
       record.acl_rule = acl;
       const bool denied =
-          !acl.valid() || network.rule(acl).action.type == net::ActionType::Drop;
+          !acl.valid() || network.rule(acl).action_type() == net::ActionType::Drop;
       if (denied) {
         trace.hops.push_back(record);
         trace.disposition = acl.valid() ? Disposition::Dropped : Disposition::NoRule;
@@ -50,13 +50,13 @@ void ConcreteSimulator::run(net::DeviceId device, net::InterfaceId in_interface,
       return;
     }
     const net::Rule& rule = network.rule(rid);
-    if (rule.action.type == net::ActionType::Drop) {
+    if (rule.action_type() == net::ActionType::Drop) {
       trace.hops.push_back(record);
       trace.disposition = Disposition::Dropped;
       trace.final_packet = pkt;
       return;
     }
-    for (const net::Rewrite& rw : rule.action.rewrites) {
+    for (const net::Rewrite& rw : network.rewrites(rid)) {
       pkt.set_field(rw.field, rw.value);
     }
     const net::InterfaceId egress = transfer_.pick_ecmp(rule, pkt);
@@ -122,7 +122,7 @@ SymbolicResult SymbolicSimulator::flood(net::DeviceId device,
     if (!stage.denied.empty()) {
       PacketSet explicit_denied = PacketSet::none(mgr);
       for (const RuleSplit& s : stage.acl) {
-        if (network.rule(s.rule).action.type == net::ActionType::Drop) {
+        if (network.rule(s.rule).action_type() == net::ActionType::Drop) {
           explicit_denied = explicit_denied.union_with(s.packets);
         }
       }
@@ -139,7 +139,7 @@ SymbolicResult SymbolicSimulator::flood(net::DeviceId device,
 
     for (const RuleSplit& s : stage.fib) {
       const net::Rule& rule = network.rule(s.rule);
-      if (rule.action.type == net::ActionType::Drop) {
+      if (rule.action_type() == net::ActionType::Drop) {
         result.dropped.insert(here, s.packets);
         continue;
       }

@@ -8,10 +8,9 @@ using packet::ConcretePacket;
 using packet::PacketSet;
 
 namespace {
-bool interface_allowed(const net::MatchSpec& spec, net::InterfaceId in_interface) {
-  if (spec.in_interfaces.empty() || !in_interface.valid()) return true;
-  return std::find(spec.in_interfaces.begin(), spec.in_interfaces.end(), in_interface) !=
-         spec.in_interfaces.end();
+bool interface_allowed(std::span<const net::InterfaceId> allowed, net::InterfaceId in_interface) {
+  if (allowed.empty() || !in_interface.valid()) return true;
+  return std::find(allowed.begin(), allowed.end(), in_interface) != allowed.end();
 }
 }  // namespace
 
@@ -24,8 +23,7 @@ std::vector<RuleSplit> Transfer::split(net::DeviceId device,
   PacketSet remaining = input;
   for (const net::RuleId rid : network().table(device, table)) {
     if (remaining.empty()) break;
-    const net::Rule& r = network().rule(rid);
-    if (!interface_allowed(r.match, in_interface)) continue;
+    if (!interface_allowed(network().in_interfaces(rid), in_interface)) continue;
     PacketSet claimed = remaining.intersect(index_.match_set(rid));
     if (claimed.empty()) continue;
     remaining = remaining.minus(claimed);
@@ -44,7 +42,7 @@ DeviceStage Transfer::process(net::DeviceId device, net::InterfaceId in_interfac
     stage.acl = split(device, in_interface, input, net::TableKind::Acl);
     PacketSet permitted = PacketSet::none(mgr);
     for (const RuleSplit& s : stage.acl) {
-      if (network().rule(s.rule).action.type == net::ActionType::Permit) {
+      if (network().rule(s.rule).action_type() == net::ActionType::Permit) {
         permitted = permitted.union_with(s.packets);
       }
     }
@@ -57,7 +55,7 @@ DeviceStage Transfer::process(net::DeviceId device, net::InterfaceId in_interfac
 
 PacketSet Transfer::rewrite(const net::Rule& rule, const PacketSet& input) const {
   PacketSet acc = input;
-  for (const net::Rewrite& rw : rule.action.rewrites) {
+  for (const net::Rewrite& rw : network().rewrites(rule.id)) {
     acc = acc.rewrite_field(rw.field, rw.value);
   }
   return acc;
@@ -67,7 +65,8 @@ PacketSet Transfer::rewrite_preimage(const net::Rule& rule,
                                      const PacketSet& output) const {
   PacketSet acc = output;
   // Invert in reverse application order.
-  for (auto it = rule.action.rewrites.rbegin(); it != rule.action.rewrites.rend(); ++it) {
+  const std::span<const net::Rewrite> rewrites = network().rewrites(rule.id);
+  for (auto it = rewrites.rbegin(); it != rewrites.rend(); ++it) {
     acc = acc.rewrite_field_preimage(it->field, it->value);
   }
   return acc;
@@ -76,10 +75,11 @@ PacketSet Transfer::rewrite_preimage(const net::Rule& rule,
 std::vector<HopOutput> Transfer::apply(const net::Rule& rule,
                                        const PacketSet& input) const {
   std::vector<HopOutput> out;
-  if (rule.action.type == net::ActionType::Drop || input.empty()) return out;
+  if (rule.action_type() == net::ActionType::Drop || input.empty()) return out;
   const PacketSet transformed = rewrite(rule, input);
-  out.reserve(rule.action.out_interfaces.size());
-  for (const net::InterfaceId egress : rule.action.out_interfaces) {
+  const std::span<const net::InterfaceId> outs = network().out_interfaces(rule.id);
+  out.reserve(outs.size());
+  for (const net::InterfaceId egress : outs) {
     const net::InterfaceId next = network().interface(egress).peer;
     out.push_back({egress, next, transformed});
   }
@@ -89,17 +89,14 @@ std::vector<HopOutput> Transfer::apply(const net::Rule& rule,
 net::RuleId Transfer::lookup(net::DeviceId device, net::InterfaceId in_interface,
                              const ConcretePacket& pkt, net::TableKind table) const {
   for (const net::RuleId rid : network().table(device, table)) {
-    const net::Rule& r = network().rule(rid);
-    if (interface_allowed(r.match, in_interface) && matches(r.match, pkt, in_interface)) {
-      return rid;
-    }
+    if (network().matches(rid, pkt, in_interface)) return rid;
   }
   return {};
 }
 
 net::InterfaceId Transfer::pick_ecmp(const net::Rule& rule,
                                      const ConcretePacket& pkt) const {
-  const auto& outs = rule.action.out_interfaces;
+  const std::span<const net::InterfaceId> outs = network().out_interfaces(rule.id);
   if (outs.empty()) return {};
   // Deterministic 5-tuple hash, stable across runs so traceroutes and
   // pingmesh samples are reproducible.
@@ -113,21 +110,6 @@ net::InterfaceId Transfer::pick_ecmp(const net::Rule& rule,
   mix(pkt.src_port);
   mix(pkt.dst_port);
   return outs[h % outs.size()];
-}
-
-bool matches(const net::MatchSpec& spec, const ConcretePacket& pkt,
-             net::InterfaceId in_interface) {
-  if (!interface_allowed(spec, in_interface)) return false;
-  if (spec.dst_prefix && !spec.dst_prefix->contains(pkt.dst_ip)) return false;
-  if (spec.src_prefix && !spec.src_prefix->contains(pkt.src_ip)) return false;
-  if (spec.proto && *spec.proto != pkt.proto) return false;
-  if (spec.src_port && (pkt.src_port < spec.src_port->lo || pkt.src_port > spec.src_port->hi)) {
-    return false;
-  }
-  if (spec.dst_port && (pkt.dst_port < spec.dst_port->lo || pkt.dst_port > spec.dst_port->hi)) {
-    return false;
-  }
-  return true;
 }
 
 }  // namespace yardstick::dataplane

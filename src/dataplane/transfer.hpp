@@ -70,7 +70,8 @@ class Transfer {
                                     const packet::PacketSet& input) const;
 
   /// Apply a rule's action to a packet set: rewrite headers and fan out to
-  /// each egress interface. Empty result means the rule drops.
+  /// each egress interface. Empty result means the rule drops. `rule` is a
+  /// rule of network(): its interfaces and rewrites are read there.
   [[nodiscard]] std::vector<HopOutput> apply(const net::Rule& rule,
                                              const packet::PacketSet& input) const;
 
@@ -110,10 +111,5 @@ class Transfer {
  private:
   const MatchSetIndex& index_;
 };
-
-/// Does a concrete packet match a rule's declarative spec (header fields
-/// and ingress interface)? Pure field comparisons, no BDD work.
-[[nodiscard]] bool matches(const net::MatchSpec& spec, const packet::ConcretePacket& pkt,
-                           net::InterfaceId in_interface);
 
 }  // namespace yardstick::dataplane

@@ -324,28 +324,24 @@ std::string format_network(const net::Network& network,
 
   for (const net::Device& dev : network.devices()) {
     for (const net::RuleId rid : network.table(dev.id, net::TableKind::Acl)) {
-      const net::Rule& rule = network.rule(rid);
+      const net::MatchSpec match = network.match_spec(rid);
       out << "acl " << dev.name << " "
-          << (rule.action.type == net::ActionType::Permit ? "permit" : "deny");
-      if (rule.match.proto) out << " proto " << static_cast<int>(*rule.match.proto);
-      if (rule.match.dst_port) {
-        out << " dport " << rule.match.dst_port->lo << "-" << rule.match.dst_port->hi;
-      }
-      if (rule.match.src_port) {
-        out << " sport " << rule.match.src_port->lo << "-" << rule.match.src_port->hi;
-      }
-      if (rule.match.dst_prefix) out << " dst " << rule.match.dst_prefix->to_string();
-      if (rule.match.src_prefix) out << " src " << rule.match.src_prefix->to_string();
+          << (network.rule(rid).action_type() == net::ActionType::Permit ? "permit" : "deny");
+      if (match.proto) out << " proto " << static_cast<int>(*match.proto);
+      if (match.dst_port) out << " dport " << match.dst_port->lo << "-" << match.dst_port->hi;
+      if (match.src_port) out << " sport " << match.src_port->lo << "-" << match.src_port->hi;
+      if (match.dst_prefix) out << " dst " << match.dst_prefix->to_string();
+      if (match.src_prefix) out << " src " << match.src_prefix->to_string();
       out << "\n";
     }
     for (const net::RuleId rid : network.table(dev.id)) {
       const net::Rule& rule = network.rule(rid);
-      out << "fib " << dev.name << " dst " << rule.match.dst_prefix->to_string();
-      if (rule.action.type == net::ActionType::Drop) {
+      out << "fib " << dev.name << " dst " << rule.dst_prefix()->to_string();
+      if (rule.action_type() == net::ActionType::Drop) {
         out << " drop";
       } else {
         out << " fwd";
-        for (const net::InterfaceId iid : rule.action.out_interfaces) {
+        for (const net::InterfaceId iid : network.out_interfaces(rid)) {
           out << " " << network.interface(iid).name;
         }
       }

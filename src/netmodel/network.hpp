@@ -19,6 +19,8 @@
 #include "netmodel/device.hpp"
 #include "netmodel/ids.hpp"
 #include "netmodel/rule.hpp"
+#include "netmodel/rule_store.hpp"
+#include "packet/packet.hpp"
 
 namespace yardstick::net {
 
@@ -48,8 +50,31 @@ class Network {
                   RouteKind kind = RouteKind::Other, uint32_t priority = 0,
                   TableKind table = TableKind::Fib);
 
+  /// A forwarding-table rule that matches a dst prefix only and rewrites
+  /// nothing: what a FIB build installs. `type` is Forward or Drop (a drop
+  /// takes no interfaces). The interfaces are interned straight from the
+  /// caller's storage (never a span this network handed out), so the call
+  /// allocates only when a table, the rule array or the group pool grows.
+  RuleId add_fib_rule(DeviceId device, const packet::Ipv4Prefix& dst, ActionType type,
+                      std::span<const InterfaceId> out_interfaces, RouteKind kind,
+                      uint32_t priority);
+
+  /// Room for `count` rules in the rule array, and for `count` in one of a
+  /// device's tables: a FIB build reserves each once.
+  void reserve_rules(size_t count);
+  void reserve_table(DeviceId device, TableKind table, size_t count);
+
+  /// Replace a rule's action, re-interning its group: fault injection in
+  /// tests and what-if analyses. The match and the table order stay.
+  void set_action(RuleId id, const Action& action);
+
   /// Drop all rules from every device (used when recomputing FIBs).
   void clear_rules();
+
+  /// The whole rule store, to save and later reinstate with restore_rules
+  /// (the devices must not have changed in between).
+  [[nodiscard]] const RuleStore& rule_store() const { return store_; }
+  void restore_rules(const RuleStore& saved);
 
   // --- Accessors ---
 
@@ -60,35 +85,66 @@ class Network {
   }
   [[nodiscard]] Interface& interface(InterfaceId id) { return interfaces_[id.value]; }
   [[nodiscard]] const Link& link(LinkId id) const { return links_[id.value]; }
-  [[nodiscard]] const Rule& rule(RuleId id) const { return rules_[id.value]; }
-  /// Mutable rule access — for fault injection in tests and what-if
-  /// analyses. Changing a rule's match invalidates table ordering; only
-  /// actions should be edited in place.
-  [[nodiscard]] Rule& mutable_rule(RuleId id) { return rules_[id.value]; }
+  [[nodiscard]] const Rule& rule(RuleId id) const { return store_.rules[id.value]; }
+
+  // --- A rule's out-of-line parts ---
+  //
+  // Spans point into the group pool or the side table and stay valid only
+  // until the next add_rule, add_fib_rule, set_action, clear_rules or
+  // restore_rules: never hold one across a mutation.
+
+  [[nodiscard]] std::span<const InterfaceId> out_interfaces(RuleId id) const {
+    return store_.groups.out_interfaces(rule(id).group_);
+  }
+  [[nodiscard]] std::span<const Rewrite> rewrites(RuleId id) const {
+    return store_.groups.rewrites(rule(id).group_);
+  }
+  /// The ingress interfaces the rule is restricted to (empty = any).
+  [[nodiscard]] std::span<const InterfaceId> in_interfaces(RuleId id) const {
+    const Rule& r = rule(id);
+    if (!r.has_rare_fields()) return {};
+    return store_.rare[r.rare_].in_interfaces;
+  }
+  /// The full match field, rebuilt: for the rare reader that needs all of it.
+  [[nodiscard]] MatchSpec match_spec(RuleId id) const;
+  /// The action, rebuilt as a value (two vector copies).
+  [[nodiscard]] Action action(RuleId id) const;
+  /// What the rule is, as a fixed-size value (no group id: never content).
+  [[nodiscard]] RuleContent rule_content(RuleId id) const;
+  /// Does a concrete packet arriving on `in_interface` match the rule's
+  /// match field (an invalid interface matches any ingress restriction)?
+  [[nodiscard]] bool matches(RuleId id, const packet::ConcretePacket& pkt,
+                             InterfaceId in_interface) const;
+  /// `rule#ID[match -> fwd(out,...)]` or `rule#ID[match -> drop]`.
+  [[nodiscard]] std::string rule_to_string(RuleId id) const;
 
   [[nodiscard]] size_t device_count() const { return devices_.size(); }
   [[nodiscard]] size_t interface_count() const { return interfaces_.size(); }
   [[nodiscard]] size_t link_count() const { return links_.size(); }
-  [[nodiscard]] size_t rule_count() const { return rules_.size(); }
+  [[nodiscard]] size_t rule_count() const { return store_.rules.size(); }
+  /// Distinct (out-interface list, rewrite list) groups the rules name.
+  [[nodiscard]] size_t group_count() const { return store_.groups.size(); }
+  /// Heap bytes of the rule store (RuleStore::bytes).
+  [[nodiscard]] size_t rule_bytes() const { return store_.bytes(); }
 
   [[nodiscard]] const std::vector<Device>& devices() const { return devices_; }
   [[nodiscard]] const std::vector<Interface>& interfaces() const { return interfaces_; }
   [[nodiscard]] const std::vector<Link>& links() const { return links_; }
-  [[nodiscard]] const std::vector<Rule>& rules() const { return rules_; }
+  [[nodiscard]] const std::vector<Rule>& rules() const { return store_.rules; }
 
   /// Ordered forwarding table of a device (S[v] in the paper).
   [[nodiscard]] std::span<const RuleId> table(DeviceId id) const {
-    return tables_[id.value][static_cast<size_t>(TableKind::Fib)];
+    return store_.tables[id.value][static_cast<size_t>(TableKind::Fib)];
   }
 
   /// Ordered rule list of one of the device's tables.
   [[nodiscard]] std::span<const RuleId> table(DeviceId id, TableKind kind) const {
-    return tables_[id.value][static_cast<size_t>(kind)];
+    return store_.tables[id.value][static_cast<size_t>(kind)];
   }
 
   /// True if the device has an ingress ACL stage.
   [[nodiscard]] bool has_acl(DeviceId id) const {
-    return !tables_[id.value][static_cast<size_t>(TableKind::Acl)].empty();
+    return !store_.tables[id.value][static_cast<size_t>(TableKind::Acl)].empty();
   }
 
   /// Device on the far side of an interface's link (invalid if unconnected).
@@ -113,12 +169,14 @@ class Network {
   [[nodiscard]] std::string summary() const;
 
  private:
+  /// Numbers `rule` (its group and match set by the caller) and appends it
+  /// to the rule array and, in priority order, to its table.
+  RuleId insert(Rule rule);
+
   std::vector<Device> devices_;
   std::vector<Interface> interfaces_;
   std::vector<Link> links_;
-  std::vector<Rule> rules_;
-  /// Per device, per TableKind, in priority order.
-  std::vector<std::array<std::vector<RuleId>, kTableCount>> tables_;
+  RuleStore store_;
   std::unordered_map<std::string, DeviceId> device_by_name_;
 };
 

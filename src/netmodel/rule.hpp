@@ -134,36 +134,52 @@ enum class RouteKind : uint8_t {
   return "?";
 }
 
-/// One match-action rule installed on a device. Rules within one of a
-/// device's tables form an ordered list (lower `priority` value wins;
-/// ties broken by insertion order).
+/// One match-action rule installed on a device, as a fixed 28-byte record.
+/// Rules within one of a device's tables form an ordered list (lower
+/// `priority` value wins; ties broken by insertion order).
+///
+/// The record holds the dst prefix inline; the action's interfaces and
+/// rewrites live in the owning Network's interned group pool, and the rare
+/// match fields (source prefix, protocol, ports, ingress interfaces) in its
+/// side table. Read them through the Network: `out_interfaces(id)`,
+/// `rewrites(id)`, `in_interfaces(id)`, `match_spec(id)`, `action(id)`.
+/// Only Network builds or edits a rule.
 struct Rule {
   RuleId id;
   DeviceId device;
-  TableKind table = TableKind::Fib;
   uint32_t priority = 0;
-  MatchSpec match;
-  Action action;
+  TableKind table = TableKind::Fib;
   RouteKind kind = RouteKind::Other;
 
-  [[nodiscard]] std::string to_string() const {
-    std::string out = "rule#" + std::to_string(id.value) + "[" + match.to_string() + " -> ";
-    if (action.type == ActionType::Drop) {
-      out += "drop";
-    } else {
-      out += "fwd(";
-      for (size_t i = 0; i < action.out_interfaces.size(); ++i) {
-        if (i) out += ",";
-        out += std::to_string(action.out_interfaces[i].value);
-      }
-      out += ")";
-    }
-    return out + "]";
+  [[nodiscard]] ActionType action_type() const { return type_; }
+
+  /// The dst prefix of the match field; unset when the rule matches any
+  /// destination.
+  [[nodiscard]] std::optional<packet::Ipv4Prefix> dst_prefix() const {
+    if (dst_length_ == kNoDst) return std::nullopt;
+    return packet::Ipv4Prefix(dst_address_, dst_length_);
   }
+
+  /// True when the match constrains more than the dst prefix.
+  [[nodiscard]] bool has_rare_fields() const { return rare_ != kNoRare; }
+
+ private:
+  friend class Network;
+  static constexpr uint8_t kNoDst = 0xff;
+  static constexpr uint32_t kNoRare = UINT32_MAX;
+
+  ActionType type_ = ActionType::Drop;
+  uint8_t dst_length_ = kNoDst;
+  uint32_t dst_address_ = 0;
+  uint32_t group_ = 0;        // into the network's GroupPool
+  uint32_t rare_ = kNoRare;   // into the network's side table
 };
 
+static_assert(sizeof(Rule) <= 40, "a rule is a fixed record of at most 40 bytes");
+
 /// What a rule *is*, as a fixed-size value: device, table, priority, kind
-/// and every MatchSpec field but `in_interfaces`, each with a presence bit.
+/// and every MatchSpec field but `in_interfaces`, each with a presence bit
+/// (`Network::rule_content` reads it off a rule).
 /// Two rules have equal contents exactly when their `rule_content_key`
 /// strings are equal (the key is this value's rendering), so code that only
 /// compares or orders rules by content never builds the string. Rules that
@@ -183,24 +199,6 @@ struct RuleContent {
   packet::Ipv4Prefix src_prefix;
   PortRange src_port;
   PortRange dst_port;
-
-  [[nodiscard]] static RuleContent of(const Rule& rule) {
-    const MatchSpec& m = rule.match;
-    RuleContent c;
-    c.device = rule.device;
-    c.table = rule.table;
-    c.priority = rule.priority;
-    c.kind = rule.kind;
-    c.present = static_cast<uint8_t>((m.dst_prefix ? kDst : 0) | (m.src_prefix ? kSrc : 0) |
-                                     (m.proto ? kProto : 0) | (m.src_port ? kSrcPort : 0) |
-                                     (m.dst_port ? kDstPort : 0));
-    c.proto = m.proto.value_or(0);
-    c.dst_prefix = m.dst_prefix.value_or(packet::Ipv4Prefix{});
-    c.src_prefix = m.src_prefix.value_or(packet::Ipv4Prefix{});
-    c.src_port = m.src_port.value_or(PortRange{});
-    c.dst_port = m.dst_port.value_or(PortRange{});
-    return c;
-  }
 
   /// The match fields as a MatchSpec (no `in_interfaces`).
   [[nodiscard]] MatchSpec match() const {

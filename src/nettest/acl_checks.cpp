@@ -18,10 +18,9 @@ TestResult AclBlockCheck::run(const dataplane::Transfer& transfer,
       ++result.checks;
       bool found = false;
       for (const net::RuleId rid : network.table(dev.id, net::TableKind::Acl)) {
-        const net::Rule& rule = network.rule(rid);
-        const bool denies_port =
-            rule.action.type == net::ActionType::Drop && rule.match.dst_port &&
-            rule.match.dst_port->lo <= port && port <= rule.match.dst_port->hi;
+        const std::optional<net::PortRange> dst_port = network.match_spec(rid).dst_port;
+        const bool denies_port = network.rule(rid).action_type() == net::ActionType::Drop &&
+                                 dst_port && dst_port->lo <= port && port <= dst_port->hi;
         if (!denies_port) continue;
         mark_inspected_rule(tracker, rid);
         found = true;

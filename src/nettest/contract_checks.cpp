@@ -51,12 +51,11 @@ void run_contracts(const dataplane::Transfer& transfer, ys::CoverageTracker& tra
         // coverage event — then asserts on the forwarding decision.
         mark_local_injection(tracker, dev.id, injected);
 
-        const net::Rule& rule = network.rule(rid);
-        if (rule.action.type != net::ActionType::Forward) {
+        if (network.rule(rid).action_type() != net::ActionType::Forward) {
           result.fail(dev.name + ": internal prefix " + prefix.to_string() + " dropped");
           continue;
         }
-        if (!dist.is_contract_next_hops(dev.id, rule.action.out_interfaces)) {
+        if (!dist.is_contract_next_hops(dev.id, network.out_interfaces(rid))) {
           result.fail(dev.name + ": prefix " + prefix.to_string() +
                       " not forwarded along all shortest paths");
         }

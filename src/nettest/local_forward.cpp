@@ -37,13 +37,12 @@ TestResult LocalForwardCheck::run(const dataplane::Transfer& transfer,
           result.fail(dev.name + ": no route for sampled packet to " + prefix.to_string());
           continue;
         }
-        const net::Rule& rule = network.rule(rid);
-        if (rule.action.type != net::ActionType::Forward) {
+        if (network.rule(rid).action_type() != net::ActionType::Forward) {
           result.fail(dev.name + ": sampled packet to " + prefix.to_string() + " dropped");
           continue;
         }
         // Each egress must face a neighbor one hop closer to the origin.
-        for (const net::InterfaceId out : rule.action.out_interfaces) {
+        for (const net::InterfaceId out : network.out_interfaces(rid)) {
           if (!dist.toward_origin(dev.id, out)) {
             result.fail(dev.name + ": packet to " + prefix.to_string() +
                         " forwarded off the shortest paths");

@@ -25,8 +25,7 @@ TestResult DefaultRouteCheck::run(const dataplane::Transfer& transfer,
     // assertion below holds.
     mark_inspected_rule(tracker, rid);
 
-    const net::Rule& rule = network.rule(rid);
-    if (rule.action.type != net::ActionType::Forward) {
+    if (network.rule(rid).action_type() != net::ActionType::Forward) {
       result.fail(dev.name + ": default route does not forward (null route?)");
       continue;
     }
@@ -37,7 +36,8 @@ TestResult DefaultRouteCheck::run(const dataplane::Transfer& transfer,
       }
     }
     std::sort(expected.begin(), expected.end());
-    std::vector<net::InterfaceId> actual = rule.action.out_interfaces;
+    const std::span<const net::InterfaceId> outs = network.out_interfaces(rid);
+    std::vector<net::InterfaceId> actual(outs.begin(), outs.end());
     std::sort(actual.begin(), actual.end());
     if (actual != expected) {
       result.fail(dev.name + ": default route next hops are not the northern neighbors");
@@ -65,10 +65,9 @@ TestResult ConnectedRouteCheck::run(const dataplane::Transfer& transfer,
       mark_inspected_rule(tracker, rid);
 
       const net::Rule& rule = network.rule(rid);
-      const bool forwards_on_link =
-          rule.action.type == net::ActionType::Forward &&
-          std::find(rule.action.out_interfaces.begin(), rule.action.out_interfaces.end(),
-                    side) != rule.action.out_interfaces.end();
+      const std::span<const net::InterfaceId> outs = network.out_interfaces(rid);
+      const bool forwards_on_link = rule.action_type() == net::ActionType::Forward &&
+                                    std::find(outs.begin(), outs.end(), side) != outs.end();
       if (rule.kind != net::RouteKind::Connected || !forwards_on_link) {
         result.fail(network.device(intf.device).name + ": connected route for " +
                     link.subnet->to_string() + " malformed");

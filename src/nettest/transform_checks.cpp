@@ -14,8 +14,8 @@ using packet::PacketSet;
 namespace {
 
 /// The DstIp rewrite a rule applies, if any.
-std::optional<uint64_t> dst_rewrite(const net::Rule& rule) {
-  for (const net::Rewrite& rw : rule.action.rewrites) {
+std::optional<uint64_t> dst_rewrite(const net::Network& network, const net::Rule& rule) {
+  for (const net::Rewrite& rw : network.rewrites(rule.id)) {
     if (rw.field == packet::Field::DstIp) return rw.value;
   }
   return std::nullopt;
@@ -35,20 +35,20 @@ TestResult TunnelRoundTripCheck::run(const dataplane::Transfer& transfer,
   std::map<uint32_t, const net::Rule*> by_match;
   for (const net::Rule& rule : network.rules()) {
     if (rule.kind != net::RouteKind::Tunnel) continue;
-    if (rule.match.dst_prefix && rule.match.dst_prefix->length() == 32) {
-      by_match.emplace(rule.match.dst_prefix->address(), &rule);
+    if (const auto dst = rule.dst_prefix(); dst && dst->length() == 32) {
+      by_match.emplace(dst->address(), &rule);
     }
   }
 
   for (const auto& [vip, encap] : by_match) {
-    const std::optional<uint64_t> endpoint = dst_rewrite(*encap);
+    const std::optional<uint64_t> endpoint = dst_rewrite(network, *encap);
     if (!endpoint) continue;
     const auto decap_it = by_match.find(static_cast<uint32_t>(*endpoint));
     if (decap_it == by_match.end() || decap_it->second->device == encap->device) {
       continue;  // not an encap (this is a decap, or a degenerate pair)
     }
     const net::Rule& decap = *decap_it->second;
-    const std::optional<uint64_t> inner = dst_rewrite(decap);
+    const std::optional<uint64_t> inner = dst_rewrite(network, decap);
     if (!inner) continue;
     ++result.checks;
 
@@ -57,7 +57,8 @@ TestResult TunnelRoundTripCheck::run(const dataplane::Transfer& transfer,
         network.ports_of_kind(encap->device, net::PortKind::HostPort);
     const net::InterfaceId ingress =
         ingress_ports.empty() ? net::InterfaceId{} : ingress_ports[0];
-    const PacketSet headers = PacketSet::dst_prefix(mgr, *encap->match.dst_prefix);
+    const packet::Ipv4Prefix vip_prefix = *encap->dst_prefix();
+    const PacketSet headers = PacketSet::dst_prefix(mgr, vip_prefix);
 
     const dataplane::SymbolicResult outcome =
         sim.flood(encap->device, ingress, headers, 64, symbolic_hop_marker(tracker));
@@ -81,7 +82,7 @@ TestResult TunnelRoundTripCheck::run(const dataplane::Transfer& transfer,
     if (!delivered.equal(expected)) {
       result.fail(network.device(encap->device).name + " -> " +
                   network.device(decap.device).name + ": tunnel " +
-                  encap->match.dst_prefix->to_string() +
+                  vip_prefix.to_string() +
                   " not fully delivered with inner destination restored");
     }
   }
@@ -98,15 +99,16 @@ TestResult NatTranslationCheck::run(const dataplane::Transfer& transfer,
   for (const net::Rule& rule : network.rules()) {
     if (rule.kind != net::RouteKind::Nat) continue;
     std::optional<uint64_t> translated;
-    for (const net::Rewrite& rw : rule.action.rewrites) {
+    for (const net::Rewrite& rw : network.rewrites(rule.id)) {
       if (rw.field == packet::Field::SrcIp) translated = rw.value;
     }
-    if (!translated || !rule.match.dst_prefix) continue;
+    const net::MatchSpec match = network.match_spec(rule.id);
+    if (!translated || !match.dst_prefix) continue;
     ++result.checks;
 
-    PacketSet headers = PacketSet::dst_prefix(mgr, *rule.match.dst_prefix);
-    if (rule.match.src_prefix) {
-      headers = headers.intersect(PacketSet::src_prefix(mgr, *rule.match.src_prefix));
+    PacketSet headers = PacketSet::dst_prefix(mgr, *match.dst_prefix);
+    if (match.src_prefix) {
+      headers = headers.intersect(PacketSet::src_prefix(mgr, *match.src_prefix));
     }
     const dataplane::SymbolicResult outcome =
         sim.flood(rule.device, net::InterfaceId{}, headers, 64,
@@ -122,10 +124,10 @@ TestResult NatTranslationCheck::run(const dataplane::Transfer& transfer,
         PacketSet::field_equals(mgr, packet::Field::SrcIp, *translated);
     if (delivered.empty()) {
       result.fail(network.device(rule.device).name + ": NAT match " +
-                  rule.match.to_string() + " delivered nothing externally");
+                  match.to_string() + " delivered nothing externally");
     } else if (!delivered.minus(translated_src).empty()) {
       result.fail(network.device(rule.device).name + ": headers escaped " +
-                  rule.match.to_string() + " without source translation");
+                  match.to_string() + " without source translation");
     }
   }
   return result;

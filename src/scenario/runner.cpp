@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <tuple>
 
 #include "obs/trace.hpp"
@@ -85,7 +86,7 @@ ScenarioRunner::Evaluation ScenarioRunner::evaluate(const routing::RoutingConfig
         const ys::RuleMeasure& m = engine.rule_measure(rid);
         // The ordinal holds the table-order position until the sort has
         // grouped the twins.
-        ev.rules.push_back({net::RuleContent::of(network_.rule(rid)),
+        ev.rules.push_back({network_.rule_content(rid),
                             static_cast<uint32_t>(ev.rules.size()), m.coverage(),
                             m.covered});
       }
@@ -155,7 +156,11 @@ ScenarioDiff ScenarioRunner::diff(const Evaluation& base, const Evaluation& cur)
   return out;
 }
 
-void ScenarioRunner::restore_baseline() {
+void ScenarioRunner::restore_baseline(const net::RuleStore* saved) {
+  if (saved != nullptr) {
+    network_.restore_rules(*saved);
+    return;
+  }
   routing::FibBuilder::compute_and_build(network_, baseline_);
   if (post_fib_) post_fib_(network_, baseline_);
 }
@@ -167,8 +172,13 @@ ScenarioReport ScenarioRunner::run(const ScenarioSpec& spec) {
   for (const Scenario& s : spec.scenarios) resolved.push_back(resolve(s, network_));
 
   ScenarioReport report;
+  // The baseline's rule store, saved once evaluation 0 built it: the
+  // post-FIB hook only adds rules, so reinstating it restores the baseline
+  // without another fixpoint, FIB build and hook run.
+  std::optional<net::RuleStore> saved;
   try {
     const Evaluation base = evaluate(baseline_, 0);
+    saved.emplace(network_.rule_store());
     report.baseline_metrics = base.metrics;
     report.baseline_rule_count = base.rule_count;
     report.truncated = base.truncated;
@@ -189,11 +199,11 @@ ScenarioReport ScenarioRunner::run(const ScenarioSpec& spec) {
   } catch (...) {
     // Whatever threw (the hook, the engine, a budget), the caller gets its
     // network back in the baseline state.
-    restore_baseline();
+    restore_baseline(saved ? &*saved : nullptr);
     throw;
   }
   // Leave the network in its baseline state for whatever runs next.
-  restore_baseline();
+  restore_baseline(&*saved);
   return report;
 }
 

@@ -97,7 +97,8 @@ class ScenarioRunner {
 
   /// The runner mutates `network`'s forwarding state during the run and
   /// restores the baseline FIBs (and hook state) before returning or
-  /// rethrowing.
+  /// rethrowing: from the rule store saved after the baseline evaluation,
+  /// so the hook must depend on nothing but the network and the config.
   ScenarioRunner(net::Network& network, const routing::RoutingConfig& baseline,
                  const nettest::TestSuite& suite, ScenarioRunnerOptions options = {})
       : network_(network), baseline_(baseline), suite_(suite),
@@ -116,8 +117,10 @@ class ScenarioRunner {
   [[nodiscard]] Evaluation evaluate(const routing::RoutingConfig& config, size_t scenario);
   /// A scenario's evaluation against the baseline's (the name left empty).
   [[nodiscard]] ScenarioDiff diff(const Evaluation& base, const Evaluation& cur) const;
-  /// Recomputes the baseline FIBs and re-applies the hook.
-  void restore_baseline();
+  /// Reinstates the baseline's saved rule store, or recomputes the baseline
+  /// FIBs and re-applies the hook when nothing was saved (evaluation 0
+  /// threw).
+  void restore_baseline(const net::RuleStore* saved);
 
   net::Network& network_;
   const routing::RoutingConfig& baseline_;

@@ -41,12 +41,16 @@ void hash_match_spec(ContentHasher& h, const net::MatchSpec& spec) {
   for (const net::InterfaceId intf : spec.in_interfaces) h.u64(intf.value);
 }
 
-void hash_action(ContentHasher& h, const net::Action& action) {
-  h.u64(static_cast<uint64_t>(action.type));
-  h.u64(action.out_interfaces.size());
-  for (const net::InterfaceId intf : action.out_interfaces) h.u64(intf.value);
-  h.u64(action.rewrites.size());
-  for (const net::Rewrite& rw : action.rewrites) {
+/// The action by value: its type, interfaces and rewrites, never its group
+/// id (group ids follow insertion order and differ between networks).
+void hash_action(ContentHasher& h, const net::Network& network, net::RuleId rid) {
+  h.u64(static_cast<uint64_t>(network.rule(rid).action_type()));
+  const std::span<const net::InterfaceId> outs = network.out_interfaces(rid);
+  h.u64(outs.size());
+  for (const net::InterfaceId intf : outs) h.u64(intf.value);
+  const std::span<const net::Rewrite> rewrites = network.rewrites(rid);
+  h.u64(rewrites.size());
+  for (const net::Rewrite& rw : rewrites) {
     h.u64(static_cast<uint64_t>(rw.field));
     h.u64(rw.value);
   }
@@ -60,10 +64,9 @@ uint64_t hash_device_tables(const net::Network& network, net::DeviceId dev) {
     const std::span<const net::RuleId> rules = network.table(dev, table);
     h.u64(rules.size());
     for (const net::RuleId rid : rules) {
-      const net::Rule& r = network.rule(rid);
-      h.u64(r.priority);
-      hash_match_spec(h, r.match);
-      hash_action(h, r.action);
+      h.u64(network.rule(rid).priority);
+      hash_match_spec(h, network.match_spec(rid));
+      hash_action(h, network, rid);
     }
   }
   return h.value();

@@ -48,6 +48,19 @@ class PhaseTimer {
   ResourceBudget::Clock::time_point start_;
 };
 
+/// Samples the size of the rule store the engine analyses: its rules and the
+/// heap bytes of the rule array, the tables, the group pool and the side
+/// table (net::RuleStore::bytes).
+void sample_network_gauges(const net::Network& network) {
+  if (!obs::enabled()) return;
+  obs::MetricsRegistry& reg = obs::metrics();
+  reg.gauge("ys.network.rules", "rules in the analysed network")
+      .set(static_cast<double>(network.rule_count()));
+  reg.gauge("ys.network.rule_bytes",
+            "heap bytes of the rule store: rules, tables, group pool and side table")
+      .set(static_cast<double>(network.rule_bytes()));
+}
+
 /// Samples the primary manager's engine statistics and its budget's
 /// consumption into the metrics registry — called at phase boundaries so
 /// the BDD hot path itself carries no instrumentation.
@@ -157,6 +170,7 @@ CoverageEngine::CoverageEngine(bdd::BddManager& mgr, const net::Network& network
   // Offline phase (steps 1-2) just finished: snapshot the primary
   // manager's state and the budget consumption into the registry.
   sample_engine_gauges(mgr);
+  sample_network_gauges(network);
 }
 
 CoverageEngine::MeasureTable CoverageEngine::build_measures(

@@ -243,12 +243,12 @@ GapReport build_gap_report(const CoverageEngine& engine, const DeviceFilter& fil
       contents.clear();
       for (const net::TableKind table : {net::TableKind::Acl, net::TableKind::Fib}) {
         for (const net::RuleId r : network.table(rule.device, table)) {
-          contents.push_back(net::RuleContent::of(network.rule(r)));
+          contents.push_back(network.rule_content(r));
         }
       }
       std::sort(contents.begin(), contents.end());
     }
-    const net::RuleContent content = net::RuleContent::of(rule);
+    const net::RuleContent content = network.rule_content(rid);
     const auto [first, last] = std::equal_range(contents.begin(), contents.end(), content);
     GapWitness w;
     w.rule = rid;

@@ -50,7 +50,7 @@ TEST_F(AclTest, InstallerShape) {
   EXPECT_TRUE(tiny_.net.has_acl(tiny_.leaf1));
   EXPECT_FALSE(tiny_.net.has_acl(tiny_.spine));
   EXPECT_EQ(tiny_.net.rule(acl_rules_[0]).table, net::TableKind::Acl);
-  EXPECT_EQ(tiny_.net.rule(acl_rules_[2]).action.type, net::ActionType::Permit);
+  EXPECT_EQ(tiny_.net.rule(acl_rules_[2]).action_type(), net::ActionType::Permit);
   EXPECT_EQ(tiny_.net.table(tiny_.leaf1, net::TableKind::Acl).size(), 3u);
   // The FIB is untouched.
   EXPECT_EQ(tiny_.net.table(tiny_.leaf1).size(), 3u);

@@ -269,7 +269,7 @@ TEST_F(CoverageTest, CompositionalitySymbolicEqualsUnionOfConcrete) {
   const CoveredSets cs_sym(index_, symbolic);
   const CoveredSets cs_conc(index_, concrete);
   for (const net::Rule& r : tiny_.net.rules()) {
-    EXPECT_EQ(cs_sym.covered(r.id), cs_conc.covered(r.id)) << r.to_string();
+    EXPECT_EQ(cs_sym.covered(r.id), cs_conc.covered(r.id)) << tiny_.net.rule_to_string(r.id);
   }
 }
 

@@ -36,7 +36,7 @@ class DataplaneTest : public ::testing::Test {
 
 /// The rule's match field: what its table entry says.
 PacketSet field_of(bdd::BddManager& mgr, const net::Network& network, net::RuleId rid) {
-  return MatchSetIndex::build_match_field(mgr, network.rule(rid).match);
+  return MatchSetIndex::build_match_field(mgr, network.match_spec(rid));
 }
 
 TEST_F(DataplaneTest, MatchFieldsAreRawPrefixes) {
@@ -109,8 +109,10 @@ TEST_F(DataplaneTest, ApplyFansOutAndRespectsDrop) {
 }
 
 TEST_F(DataplaneTest, RewriteAppliesActionTransforms) {
-  net::Rule rule = tiny_.net.rule(tiny_.sp_to_p1);
-  rule.action.rewrites.push_back({Field::DstIp, 0x0a000105u});
+  net::Action rewriting = tiny_.net.action(tiny_.sp_to_p1);
+  rewriting.rewrites.push_back({Field::DstIp, 0x0a000105u});
+  tiny_.net.set_action(tiny_.sp_to_p1, rewriting);  // the match, and so M[r], stays
+  const net::Rule& rule = tiny_.net.rule(tiny_.sp_to_p1);
   const PacketSet input = PacketSet::dst_prefix(mgr_, tiny_.p1);
   const PacketSet out = transfer_.rewrite(rule, input);
   EXPECT_EQ(out, PacketSet::field_equals(mgr_, Field::DstIp, 0x0a000105u));
@@ -129,8 +131,8 @@ TEST_F(DataplaneTest, ConcreteLookupFollowsLpm) {
 }
 
 TEST_F(DataplaneTest, EcmpPickIsDeterministicAndValid) {
-  net::Rule rule = tiny_.net.rule(tiny_.sp_to_p1);
-  rule.action.out_interfaces = {tiny_.sp_d1, tiny_.sp_d2};
+  tiny_.net.set_action(tiny_.sp_to_p1, net::Action::forward({tiny_.sp_d1, tiny_.sp_d2}));
+  const net::Rule& rule = tiny_.net.rule(tiny_.sp_to_p1);
   const ConcretePacket pkt = packet_to(tiny_.p1);
   const net::InterfaceId first = transfer_.pick_ecmp(rule, pkt);
   EXPECT_EQ(transfer_.pick_ecmp(rule, pkt), first);
@@ -151,19 +153,21 @@ TEST_F(DataplaneTest, MatchSpecConcreteMatching) {
   spec.dst_prefix = tiny_.p1;
   spec.proto = 6;
   spec.dst_port = net::PortRange{80, 443};
+  const net::RuleId any_port = tiny_.net.add_rule(tiny_.leaf1, spec, net::Action::drop());
   ConcretePacket pkt = packet_to(tiny_.p1);
-  EXPECT_TRUE(matches(spec, pkt, net::InterfaceId{}));
+  EXPECT_TRUE(tiny_.net.matches(any_port, pkt, net::InterfaceId{}));
   pkt.proto = 17;
-  EXPECT_FALSE(matches(spec, pkt, net::InterfaceId{}));
+  EXPECT_FALSE(tiny_.net.matches(any_port, pkt, net::InterfaceId{}));
   pkt.proto = 6;
   pkt.dst_port = 8080;
-  EXPECT_FALSE(matches(spec, pkt, net::InterfaceId{}));
+  EXPECT_FALSE(tiny_.net.matches(any_port, pkt, net::InterfaceId{}));
   spec.in_interfaces = {tiny_.l1_host};
+  const net::RuleId host_port = tiny_.net.add_rule(tiny_.leaf1, spec, net::Action::drop());
   pkt.dst_port = 80;
-  EXPECT_TRUE(matches(spec, pkt, tiny_.l1_host));
-  EXPECT_FALSE(matches(spec, pkt, tiny_.l1_up));
+  EXPECT_TRUE(tiny_.net.matches(host_port, pkt, tiny_.l1_host));
+  EXPECT_FALSE(tiny_.net.matches(host_port, pkt, tiny_.l1_up));
   // Local injection (invalid interface) bypasses ingress restrictions.
-  EXPECT_TRUE(matches(spec, pkt, net::InterfaceId{}));
+  EXPECT_TRUE(tiny_.net.matches(host_port, pkt, net::InterfaceId{}));
 }
 
 TEST_F(DataplaneTest, ConcreteSimulatorDeliversAcrossSpine) {
@@ -280,7 +284,7 @@ size_t expect_index_matches_scan(const Transfer& transfer) {
   size_t without_default = 0;
   for (const net::Device& dev : n.devices()) {
     for (const net::RuleId rid : n.table(dev.id)) {
-      const std::optional<Ipv4Prefix>& dst = n.rule(rid).match.dst_prefix;
+      const std::optional<Ipv4Prefix> dst = n.rule(rid).dst_prefix();
       if (!dst) continue;
       expect_same(dev.id, *dst);
       if (dst->length() > 0) {
@@ -330,7 +334,7 @@ TEST(PrefixIndexTest, FirstRuleInTableOrderAnswersOnTheRegionalNet) {
   for (const net::Device& dev : n.devices()) {
     std::map<Ipv4Prefix, int> rules_per_prefix;
     for (const net::RuleId rid : n.table(dev.id)) {
-      const auto& dst = n.rule(rid).match.dst_prefix;
+      const auto dst = n.rule(rid).dst_prefix();
       if (dst && ++rules_per_prefix[*dst] == 2) ++shared_prefixes;
     }
   }

@@ -64,9 +64,8 @@ TEST_F(FailureTest, StaticDefaultsAvoidFailedNeighbors) {
   // Aggs attached to the failed core must not list it as a default next hop.
   for (const net::DeviceId agg : tree_.aggs) {
     for (const net::RuleId rid : tree_.network.table(agg)) {
-      const net::Rule& rule = tree_.network.rule(rid);
-      if (rule.match.dst_prefix->length() != 0) continue;
-      for (const net::InterfaceId out : rule.action.out_interfaces) {
+      if (tree_.network.rule(rid).dst_prefix()->length() != 0) continue;
+      for (const net::InterfaceId out : tree_.network.out_interfaces(rid)) {
         EXPECT_NE(tree_.network.neighbor(out), tree_.cores.front());
       }
     }
@@ -106,8 +105,8 @@ TEST_F(FailureTest, MotivatingOutageReplaysViaFailureConfig) {
   bool b2_has_null_default = false;
   for (const net::RuleId rid : region.network.table(b2)) {
     const net::Rule& rule = region.network.rule(rid);
-    if (rule.match.dst_prefix->length() == 0) {
-      b2_has_null_default = rule.action.type == net::ActionType::Drop;
+    if (rule.dst_prefix()->length() == 0) {
+      b2_has_null_default = rule.action_type() == net::ActionType::Drop;
     }
   }
   EXPECT_TRUE(b2_has_null_default);
@@ -133,8 +132,9 @@ TEST_F(FailureTest, LocalForwardCheckCatchesMisrouting) {
   const net::DeviceId agg = tree_.aggs.front();
   const Ipv4Prefix victim = tree_.network.device(tree_.tors.back()).host_prefixes[0];
   for (const net::RuleId rid : tree_.network.table(agg)) {
-    net::Rule& rule = tree_.network.mutable_rule(rid);
-    if (rule.match.dst_prefix == victim) rule.action = net::Action::drop();
+    if (tree_.network.rule(rid).dst_prefix() == victim) {
+      tree_.network.set_action(rid, net::Action::drop());
+    }
   }
   const dataplane::MatchSetIndex index(mgr_, tree_.network);
   const dataplane::Transfer transfer(index);

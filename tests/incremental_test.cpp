@@ -301,7 +301,7 @@ TEST_F(IncrementalTest, FibEditOnOneDeviceInvalidatesOnlyThatDevice) {
   (void)run_engine(tiny_.net, trace, dir_);
 
   TinyNetwork edited = make_tiny();
-  edited.net.mutable_rule(edited.l2_to_p2).action = net::Action::drop();
+  edited.net.set_action(edited.l2_to_p2, net::Action::drop());
   const coverage::CoverageTrace edited_trace = base_trace(edited);
 
   const EngineRun warm = run_engine(edited.net, edited_trace, dir_);
@@ -457,7 +457,7 @@ TEST_F(IncrementalTest, RandomizedChurnMatchesScratchAtEveryStep) {
       }
       case 1: {  // flip a random rule's action in place
         const net::RuleId rid{static_cast<uint32_t>(rng() % t.net.rule_count())};
-        t.net.mutable_rule(rid).action = net::Action::drop();
+        t.net.set_action(rid, net::Action::drop());
         break;
       }
       default: {  // extend the trace at a random location

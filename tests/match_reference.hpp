@@ -21,11 +21,10 @@ inline MatchSlots match_slots(bdd::BddManager& mgr, const net::Network& network)
       PacketSet claimed = PacketSet::none(mgr);
       PacketSet permitted = PacketSet::none(mgr);
       for (const net::RuleId rid : network.table(dev.id, table)) {
-        const net::Rule& r = network.rule(rid);
-        const PacketSet field = MatchSetIndex::build_match_field(mgr, r.match);
+        const PacketSet field = MatchSetIndex::build_match_field(mgr, network.match_spec(rid));
         PacketSet disjoint = field.minus(claimed);
         claimed = claimed.union_with(field);
-        if (r.action.type == net::ActionType::Permit) {
+        if (network.rule(rid).action_type() == net::ActionType::Permit) {
           permitted = permitted.union_with(disjoint);
         }
         out.match_sets[rid.value] = std::move(disjoint);

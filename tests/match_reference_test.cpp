@@ -108,7 +108,8 @@ void expect_reference_sets(const net::Network& network, const std::string& label
         ASSERT_FALSE(index.truncated()) << config;
         for (const net::Rule& rule : network.rules()) {
           ASSERT_EQ(index.match_set(rule.id).raw(), want.match_sets[rule.id.value].raw())
-              << "M[r] of rule " << rule.id.value << " (" << rule.match.to_string() << "), "
+              << "M[r] of rule " << rule.id.value << " ("
+              << network.match_spec(rule.id).to_string() << "), "
               << config;
         }
         for (const net::Device& dev : network.devices()) {

@@ -230,9 +230,9 @@ TEST_P(MeasureTableTest, EqualsFrameworkExactly) {
   // Each network brings the feature it is here for.
   size_t ecmp = 0, acl_clipped = 0, rewrites = 0;
   for (const net::Rule& rule : network.rules()) {
-    if (rule.action.out_interfaces.size() > 1) ++ecmp;
+    if (network.out_interfaces(rule.id).size() > 1) ++ecmp;
     if (rule.table == net::TableKind::Fib && network.has_acl(rule.device)) ++acl_clipped;
-    if (!rule.action.rewrites.empty()) ++rewrites;
+    if (!network.rewrites(rule.id).empty()) ++rewrites;
   }
   switch (GetParam().network) {
     case NetworkKind::Tiny: EXPECT_GT(shadowed, 0u); break;

@@ -53,7 +53,7 @@ TEST(NetIoTest, ParsesSmallNetwork) {
 
   // LPM ordering derived from prefix lengths.
   const net::Rule& first = n.rule(n.table(*leaf)[0]);
-  EXPECT_EQ(first.match.dst_prefix->length(), 24);
+  EXPECT_EQ(first.dst_prefix()->length(), 24);
   // The link /31 was assigned to both ends (even side to leaf:eth0).
   const net::Interface& leaf_eth0 = n.interface(net::InterfaceId{1});
   ASSERT_TRUE(leaf_eth0.address.has_value());

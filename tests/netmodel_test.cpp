@@ -130,21 +130,21 @@ TEST_F(NetworkTest, RolesAndSummary) {
 }
 
 TEST(RuleTest, ToStringMentionsMatchAndAction) {
-  Rule r;
-  r.id = RuleId{7};
-  r.match = MatchSpec::for_dst(packet::Ipv4Prefix::parse("10.0.0.0/8"));
-  r.action = Action::forward({InterfaceId{3}});
-  EXPECT_NE(r.to_string().find("10.0.0.0/8"), std::string::npos);
-  EXPECT_NE(r.to_string().find("fwd"), std::string::npos);
-  r.action = Action::drop();
-  EXPECT_NE(r.to_string().find("drop"), std::string::npos);
+  Network n;
+  const DeviceId d = n.add_device("r1", Role::Other);
+  const InterfaceId out = n.add_interface(d, "eth0");
+  const RuleId r = n.add_rule(d, MatchSpec::for_dst(packet::Ipv4Prefix::parse("10.0.0.0/8")),
+                              Action::forward({out}));
+  EXPECT_EQ(n.rule_to_string(r), "rule#0[dst=10.0.0.0/8 -> fwd(0)]");
+  n.set_action(r, Action::drop());
+  EXPECT_EQ(n.rule_to_string(r), "rule#0[dst=10.0.0.0/8 -> drop]");
 }
 
 /// The content key as it was rendered before RuleContent existed, straight
 /// from the rule's own fields.
 std::string rule_fields_key(const Network& network, const Rule& rule) {
   return network.device(rule.device).name + "|" + to_string(rule.table) + "|" +
-         std::to_string(rule.priority) + "|" + rule.match.to_string() + "|" +
+         std::to_string(rule.priority) + "|" + network.match_spec(rule.id).to_string() + "|" +
          to_string(rule.kind);
 }
 
@@ -154,7 +154,7 @@ void expect_content_matches_key(const Network& network, const std::vector<RuleId
   std::vector<RuleContent> contents;
   std::vector<std::string> keys;
   for (const RuleId rid : rules) {
-    contents.push_back(RuleContent::of(network.rule(rid)));
+    contents.push_back(network.rule_content(rid));
     keys.push_back(rule_fields_key(network, network.rule(rid)));
     ASSERT_EQ(rule_content_key(network, contents.back()), keys.back());
   }
@@ -225,7 +225,7 @@ TEST(RuleContentTest, EqualExactlyWhenKeysAreEqualOnHandBuiltRules) {
   on_eth1.in_interfaces = {i1};
   const RuleId a = n.add_rule(d1, on_eth0, Action::forward({i1}), RouteKind::Internal, 16);
   const RuleId b = n.add_rule(d1, on_eth1, Action::forward({i0}), RouteKind::Internal, 16);
-  EXPECT_EQ(RuleContent::of(n.rule(a)), RuleContent::of(n.rule(b)));
+  EXPECT_EQ(n.rule_content(a), n.rule_content(b));
 
   std::vector<RuleId> all;
   for (const Rule& rule : n.rules()) all.push_back(rule.id);

@@ -103,8 +103,9 @@ TEST_F(FatTreeFixture, ToRReachabilityCatchesBrokenForwarding) {
   const net::DeviceId victim = broken.tors.front();
   const Ipv4Prefix prefix = broken.network.device(victim).host_prefixes[0];
   for (const net::RuleId rid : broken.network.table(victim)) {
-    net::Rule& rule = broken.network.mutable_rule(rid);
-    if (rule.match.dst_prefix == prefix) rule.action = net::Action::drop();
+    if (broken.network.rule(rid).dst_prefix() == prefix) {
+      broken.network.set_action(rid, net::Action::drop());
+    }
   }
   const dataplane::MatchSetIndex index(mgr_, broken.network);
   const dataplane::Transfer transfer(index);
@@ -180,8 +181,9 @@ TEST_F(RegionalFixture, InternalRouteCheckCatchesMissingRoute) {
   const net::DeviceId spine = region_.spines.front();
   const Ipv4Prefix lo = region_.network.device(region_.tors.front()).loopbacks.front();
   for (const net::RuleId rid : region_.network.table(spine)) {
-    net::Rule& rule = region_.network.mutable_rule(rid);
-    if (rule.match.dst_prefix == lo) rule.action = net::Action::drop();
+    if (region_.network.rule(rid).dst_prefix() == lo) {
+      region_.network.set_action(rid, net::Action::drop());
+    }
   }
   const dataplane::MatchSetIndex index(mgr_, region_.network);
   const dataplane::Transfer transfer(index);
@@ -244,16 +246,38 @@ TEST_F(RegionalFixture, SuiteRunsAllAndAccumulatesCoverage) {
   EXPECT_EQ(to_string(results[1].category), std::string("local-symbolic"));
 }
 
-/// One FIB rule broken through mutable_rule before the index is built, and
-/// the verdict the contract loop gave for it when it still scanned FIBs.
+/// One FIB rule broken (its match or action edited) before the index is
+/// built, and the verdict the contract loop gave for it when it still
+/// scanned FIBs.
 struct BrokenRule {
   const char* what;
-  std::function<void(net::Rule&)> mutate;
+  std::function<void(net::MatchSpec&, net::Action&)> mutate;
   size_t checks;
   size_t failures;
   std::string first_message;  // empty when the test passes
   size_t packet_calls;
 };
+
+/// Replaces rule `rid`'s match and action with `edit`'s edit of them. The
+/// rules are re-added in id order, so each keeps its id and table position.
+void edit_rule(net::Network& network, net::RuleId rid,
+               const std::function<void(net::MatchSpec&, net::Action&)>& edit) {
+  struct Row {
+    net::Rule rule;
+    net::MatchSpec match;
+    net::Action action;
+  };
+  std::vector<Row> rows;
+  for (const net::Rule& r : network.rules()) {
+    rows.push_back({r, network.match_spec(r.id), network.action(r.id)});
+  }
+  edit(rows[rid.value].match, rows[rid.value].action);
+  network.clear_rules();
+  for (Row& row : rows) {
+    (void)network.add_rule(row.rule.device, std::move(row.match), std::move(row.action),
+                           row.rule.kind, row.rule.priority, row.rule.table);
+  }
+}
 
 /// Break `victim`'s rule for `prefix` in `network`, then run `test` on a
 /// fresh index and compare its verdict with `expected`.
@@ -262,7 +286,7 @@ void expect_verdict(net::Network network, net::DeviceId victim, const Ipv4Prefix
   SCOPED_TRACE(expected.what);
   const net::RuleId rid = dataplane::reference::rule_for_prefix(network, victim, prefix);
   ASSERT_TRUE(rid.valid());
-  expected.mutate(network.mutable_rule(rid));
+  edit_rule(network, rid, expected.mutate);
   bdd::BddManager mgr(packet::kNumHeaderBits);
   const dataplane::MatchSetIndex index(mgr, network);
   const dataplane::Transfer transfer(index);
@@ -275,18 +299,18 @@ void expect_verdict(net::Network network, net::DeviceId victim, const Ipv4Prefix
   EXPECT_EQ(tracker.packet_calls(), expected.packet_calls);
 }
 
-void drop_last(net::Rule& rule) { rule.action.out_interfaces.pop_back(); }
-void repeat_first(net::Rule& rule) {
-  auto& outs = rule.action.out_interfaces;
+void drop_last(net::MatchSpec&, net::Action& action) { action.out_interfaces.pop_back(); }
+void repeat_first(net::MatchSpec&, net::Action& action) {
+  auto& outs = action.out_interfaces;
   outs.insert(outs.begin(), outs.front());
 }
-void repeat_in_place(net::Rule& rule) {
-  rule.action.out_interfaces.back() = rule.action.out_interfaces.front();
+void repeat_in_place(net::MatchSpec&, net::Action& action) {
+  action.out_interfaces.back() = action.out_interfaces.front();
 }
-void reverse_order(net::Rule& rule) {
-  std::reverse(rule.action.out_interfaces.begin(), rule.action.out_interfaces.end());
+void reverse_order(net::MatchSpec&, net::Action& action) {
+  std::reverse(action.out_interfaces.begin(), action.out_interfaces.end());
 }
-void delete_route(net::Rule& rule) { rule.match.dst_prefix.reset(); }
+void delete_route(net::MatchSpec& match, net::Action&) { match.dst_prefix.reset(); }
 
 /// An interface of a device other than `victim` that faces `peer`.
 net::InterfaceId foreign_interface_towards(const net::Network& n, net::DeviceId victim,
@@ -306,17 +330,15 @@ TEST(ContractVerdictTest, ToRContractOnBrokenFibs) {
   const net::Network& n = tree.network;
   const net::DeviceId agg = tree.aggs.front();
   const Ipv4Prefix prefix = n.device(tree.tors.back()).host_prefixes.front();
-  ASSERT_EQ(n.rule(dataplane::reference::rule_for_prefix(n, agg, prefix))
-                .action.out_interfaces.size(),
-            2u);
+  ASSERT_EQ(n.out_interfaces(dataplane::reference::rule_for_prefix(n, agg, prefix)).size(), 2u);
   const net::InterfaceId farther = *n.interface_towards(agg, tree.tors.front());
   const net::InterfaceId foreign = n.device(tree.tors.back()).interfaces.front();
   // Another aggregation switch's uplink to one of this switch's cores: it
   // faces a neighbor one hop closer, but not from this device.
   const net::InterfaceId foreign_uplink = foreign_interface_towards(
       n, agg,
-      n.neighbor(n.rule(dataplane::reference::rule_for_prefix(n, agg, prefix))
-                     .action.out_interfaces.front()));
+      n.neighbor(n.out_interfaces(dataplane::reference::rule_for_prefix(n, agg, prefix))
+                     .front()));
   ASSERT_TRUE(foreign_uplink.valid());
   const std::string agg_name = n.device(agg).name;
   const std::string off_paths =
@@ -327,12 +349,14 @@ TEST(ContractVerdictTest, ToRContractOnBrokenFibs) {
       {"repeat one next hop", repeat_first, 160, 1, off_paths, 160},
       {"repeat one in place of another", repeat_in_place, 160, 1, off_paths, 160},
       {"add a next hop toward a farther neighbor",
-       [&](net::Rule& r) { r.action.out_interfaces.push_back(farther); }, 160, 1, off_paths, 160},
+       [&](net::MatchSpec&, net::Action& a) { a.out_interfaces.push_back(farther); }, 160, 1,
+       off_paths, 160},
       {"add another device's interface",
-       [&](net::Rule& r) { r.action.out_interfaces.push_back(foreign); }, 160, 1, off_paths, 160},
+       [&](net::MatchSpec&, net::Action& a) { a.out_interfaces.push_back(foreign); }, 160, 1,
+       off_paths, 160},
       {"another device's uplink in place of one",
-       [&](net::Rule& r) { r.action.out_interfaces.back() = foreign_uplink; }, 160, 1, off_paths,
-       160},
+       [&](net::MatchSpec&, net::Action& a) { a.out_interfaces.back() = foreign_uplink; }, 160,
+       1, off_paths, 160},
       {"reverse the next-hop order", reverse_order, 160, 0, "", 160},
       {"delete the rule", delete_route, 160, 1,
        agg_name + ": no route for internal prefix " + prefix.to_string(), 159},
@@ -358,16 +382,15 @@ TEST(ContractVerdictTest, InternalRouteCheckOnBrokenFibs) {
   const net::Network& n = region.network;
   const net::DeviceId spine = region.spines.front();
   const Ipv4Prefix prefix = n.device(region.tors.front()).loopbacks.front();
-  ASSERT_EQ(n.rule(dataplane::reference::rule_for_prefix(n, spine, prefix))
-                .action.out_interfaces.size(),
+  ASSERT_EQ(n.out_interfaces(dataplane::reference::rule_for_prefix(n, spine, prefix)).size(),
             2u);
   const net::InterfaceId farther = *n.interface_towards(spine, region.hubs.front());
   const net::InterfaceId foreign = n.device(region.tors.back()).interfaces.front();
   // The other spine's downlink to one of this spine's next hops.
   const net::InterfaceId foreign_downlink = foreign_interface_towards(
       n, spine,
-      n.neighbor(n.rule(dataplane::reference::rule_for_prefix(n, spine, prefix))
-                     .action.out_interfaces.front()));
+      n.neighbor(n.out_interfaces(dataplane::reference::rule_for_prefix(n, spine, prefix))
+                     .front()));
   ASSERT_TRUE(foreign_downlink.valid());
   const std::string spine_name = n.device(spine).name;
   const std::string off_paths = spine_name + ": prefix " + prefix.to_string() +
@@ -378,11 +401,14 @@ TEST(ContractVerdictTest, InternalRouteCheckOnBrokenFibs) {
       {"repeat one next hop", repeat_first, 322, 1, off_paths, 322},
       {"repeat one in place of another", repeat_in_place, 322, 1, off_paths, 322},
       {"add a next hop toward a farther neighbor",
-       [&](net::Rule& r) { r.action.out_interfaces.push_back(farther); }, 322, 1, off_paths, 322},
+       [&](net::MatchSpec&, net::Action& a) { a.out_interfaces.push_back(farther); }, 322, 1,
+       off_paths, 322},
       {"add another device's interface",
-       [&](net::Rule& r) { r.action.out_interfaces.push_back(foreign); }, 322, 1, off_paths, 322},
+       [&](net::MatchSpec&, net::Action& a) { a.out_interfaces.push_back(foreign); }, 322, 1,
+       off_paths, 322},
       {"another device's downlink in place of one",
-       [&](net::Rule& r) { r.action.out_interfaces.back() = foreign_downlink; }, 322, 1,
+       [&](net::MatchSpec&, net::Action& a) { a.out_interfaces.back() = foreign_downlink; }, 322,
+       1,
        off_paths, 322},
       {"reverse the next-hop order", reverse_order, 322, 0, "", 322},
       {"delete the rule", delete_route, 322, 1,

@@ -9,7 +9,8 @@
 //     dashboards and scrapers consume them unvalidated.
 // The same allocation counter pins the local contract loop's promise
 // (DESIGN.md §18, §19): it allocates per run, never per prefix or per
-// check, and a tracked run adds only the tracker buffer's doublings.
+// check, and a tracked run adds only the tracker buffer's doublings; and
+// the FIB install's (§21): it allocates per device, never per rule.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -452,7 +453,7 @@ TEST(ObsTracerTest, MatchSetBuildCountsFieldsAndDifferences) {
   const net::Network& network = tree.network;
   bdd::BddManager scratch(packet::kNumHeaderBits);
   const auto field = [&](net::RuleId rid) {
-    return dataplane::MatchSetIndex::build_match_field(scratch, network.rule(rid).match);
+    return dataplane::MatchSetIndex::build_match_field(scratch, network.match_spec(rid));
   };
   uint64_t overlapping = 0;
   for (const net::Device& dev : network.devices()) {
@@ -524,6 +525,23 @@ TEST(ContractLoopTest, AllocatesPerRunNotPerCheck) {
   EXPECT_TRUE(result.passed());
   EXPECT_EQ(result.checks, 2560u);
   EXPECT_LT(allocations, 16u) << "a contract check or a prefix's packet set allocated";
+}
+
+TEST(FibInstallTest, AllocatesPerDeviceNotPerRule) {
+  topo::FatTree tree = topo::make_fat_tree({.k = 8});
+  routing::BgpSimulator sim(tree.network, tree.routing);
+  const std::vector<routing::SimRib> ribs = sim.run();
+  // The first build sizes the store; a rebuild, as a scenario run makes,
+  // reuses its capacity.
+  for (const char* pass : {"first build", "rebuild"}) {
+    const uint64_t before = g_allocations.load(std::memory_order_relaxed);
+    routing::FibBuilder::build(tree.network, ribs, tree.routing);
+    const uint64_t allocations = g_allocations.load(std::memory_order_relaxed) - before;
+    // A table and a few port lists per device, the per-build scratch and
+    // the pool's growth, never one per rule (3,353 rules on 80 devices).
+    EXPECT_LE(allocations, 8 * tree.network.device_count() + 32) << pass;
+  }
+  EXPECT_EQ(tree.network.rule_count(), 3353u);
 }
 
 TEST(ContractLoopTest, TrackedRunAllocatesPerRunNotPerCheck) {

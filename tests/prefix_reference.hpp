@@ -14,8 +14,7 @@ namespace yardstick::dataplane::reference {
 inline net::RuleId rule_for_prefix(const net::Network& network, net::DeviceId device,
                                    const packet::Ipv4Prefix& prefix) {
   for (const net::RuleId rid : network.table(device)) {
-    const net::Rule& rule = network.rule(rid);
-    if (rule.match.dst_prefix && *rule.match.dst_prefix == prefix) return rid;
+    if (network.rule(rid).dst_prefix() == prefix) return rid;
   }
   return net::RuleId{};
 }

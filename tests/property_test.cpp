@@ -119,7 +119,7 @@ TEST_P(RandomNetTest, MatchSetsPartitionMatchedSpace) {
     for (const net::RuleId rid : rnet_.network.table(dev.id)) {
       const PacketSet& ms = index_.match_set(rid);
       const PacketSet field =
-          MatchSetIndex::build_match_field(mgr_, rnet_.network.rule(rid).match);
+          MatchSetIndex::build_match_field(mgr_, rnet_.network.match_spec(rid));
       EXPECT_TRUE(ms.intersect(acc).empty());
       // Every match set stays within its match field.
       EXPECT_TRUE(ms.raw().implies(field.raw()));

@@ -79,7 +79,7 @@ const SimRibEntry* find_entry(const SimRib& rib, const Ipv4Prefix& p) {
 const net::Rule* find_fib_rule(const net::Network& n, DeviceId dev, const Ipv4Prefix& p) {
   for (const net::RuleId rid : n.table(dev)) {
     const net::Rule& r = n.rule(rid);
-    if (r.match.dst_prefix && *r.match.dst_prefix == p) return &r;
+    if (r.dst_prefix() == p) return &r;
   }
   return nullptr;
 }
@@ -216,7 +216,7 @@ TEST_F(FibBuilderTest, TablesAreLongestPrefixFirst) {
   for (const net::Device& dev : clos_.net.devices()) {
     uint8_t last_len = 32;
     for (const net::RuleId rid : clos_.net.table(dev.id)) {
-      const uint8_t len = clos_.net.rule(rid).match.dst_prefix->length();
+      const uint8_t len = clos_.net.rule(rid).dst_prefix()->length();
       EXPECT_LE(len, last_len);
       last_len = len;
     }
@@ -231,7 +231,7 @@ TEST_F(FibBuilderTest, ConnectedRoutesOnBothLinkEnds) {
           find_fib_rule(clos_.net, clos_.net.interface(side).device, *link.subnet);
       ASSERT_NE(rule, nullptr);
       EXPECT_EQ(rule->kind, RouteKind::Connected);
-      EXPECT_EQ(rule->action.out_interfaces, (std::vector<InterfaceId>{side}));
+      EXPECT_EQ(clos_.net.action(rule->id).out_interfaces, (std::vector<InterfaceId>{side}));
     }
   }
 }
@@ -240,8 +240,8 @@ TEST_F(FibBuilderTest, StaticDefaultPointsNorth) {
   const net::Rule* rule = find_fib_rule(clos_.net, clos_.tor1, Ipv4Prefix(0, 0));
   ASSERT_NE(rule, nullptr);
   EXPECT_EQ(rule->kind, RouteKind::Default);
-  ASSERT_EQ(rule->action.out_interfaces.size(), 2u);  // both aggs
-  for (const InterfaceId i : rule->action.out_interfaces) {
+  ASSERT_EQ(clos_.net.out_interfaces(rule->id).size(), 2u);  // both aggs
+  for (const InterfaceId i : clos_.net.out_interfaces(rule->id)) {
     EXPECT_EQ(clos_.net.device(clos_.net.neighbor(i)).role, Role::Aggregation);
   }
 }
@@ -252,7 +252,7 @@ TEST_F(FibBuilderTest, NullDefaultInstallsDropRule) {
   FibBuilder::compute_and_build(s.net, s.config);
   const net::Rule* rule = find_fib_rule(s.net, s.agg1, Ipv4Prefix(0, 0));
   ASSERT_NE(rule, nullptr);
-  EXPECT_EQ(rule->action.type, net::ActionType::Drop);
+  EXPECT_EQ(rule->action_type(), net::ActionType::Drop);
   EXPECT_EQ(rule->kind, RouteKind::Default);
 }
 
@@ -261,8 +261,8 @@ TEST_F(FibBuilderTest, OwnLoopbackTerminatesOnLocalPort) {
   const net::Rule* rule = find_fib_rule(clos_.net, clos_.tor1, lo);
   ASSERT_NE(rule, nullptr);
   EXPECT_EQ(rule->kind, RouteKind::Internal);
-  ASSERT_EQ(rule->action.out_interfaces.size(), 1u);
-  EXPECT_EQ(clos_.net.interface(rule->action.out_interfaces[0]).kind,
+  ASSERT_EQ(clos_.net.out_interfaces(rule->id).size(), 1u);
+  EXPECT_EQ(clos_.net.interface(clos_.net.out_interfaces(rule->id)[0]).kind,
             PortKind::LocalPort);
 }
 
@@ -271,22 +271,22 @@ TEST_F(FibBuilderTest, RemoteLoopbackLearnedViaBgp) {
   const net::Rule* rule = find_fib_rule(clos_.net, clos_.tor1, lo);
   ASSERT_NE(rule, nullptr);
   EXPECT_EQ(rule->kind, RouteKind::Internal);
-  ASSERT_EQ(rule->action.out_interfaces.size(), 1u);
-  EXPECT_EQ(clos_.net.neighbor(rule->action.out_interfaces[0]), clos_.agg2);
+  ASSERT_EQ(clos_.net.out_interfaces(rule->id).size(), 1u);
+  EXPECT_EQ(clos_.net.neighbor(clos_.net.out_interfaces(rule->id)[0]), clos_.agg2);
 }
 
 TEST_F(FibBuilderTest, HostPrefixTerminatesOnHostPort) {
   const Ipv4Prefix p = clos_.net.device(clos_.tor1).host_prefixes.front();
   const net::Rule* rule = find_fib_rule(clos_.net, clos_.tor1, p);
   ASSERT_NE(rule, nullptr);
-  EXPECT_EQ(clos_.net.interface(rule->action.out_interfaces[0]).kind,
+  EXPECT_EQ(clos_.net.interface(clos_.net.out_interfaces(rule->id)[0]).kind,
             PortKind::HostPort);
 }
 
 TEST_F(FibBuilderTest, WanSendsOriginatedTrafficToExternalPort) {
   const net::Rule* def = find_fib_rule(clos_.net, clos_.wan, Ipv4Prefix(0, 0));
   ASSERT_NE(def, nullptr);
-  EXPECT_EQ(clos_.net.interface(def->action.out_interfaces[0]).kind,
+  EXPECT_EQ(clos_.net.interface(clos_.net.out_interfaces(def->id)[0]).kind,
             PortKind::ExternalPort);
   const net::Rule* wide =
       find_fib_rule(clos_.net, clos_.wan, Ipv4Prefix::parse("100.64.0.0/16"));

@@ -20,7 +20,7 @@ namespace yardstick::scenario::reference {
 /// A rule's content key, rendered straight from its fields.
 inline std::string content_key(const net::Network& network, const net::Rule& rule) {
   return network.device(rule.device).name + "|" + net::to_string(rule.table) + "|" +
-         std::to_string(rule.priority) + "|" + rule.match.to_string() + "|" +
+         std::to_string(rule.priority) + "|" + network.match_spec(rule.id).to_string() + "|" +
          net::to_string(rule.kind);
 }
 

@@ -22,6 +22,7 @@
 #include "routing/fib_builder.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/spec.hpp"
+#include "fib_reference.hpp"
 #include "scenario_reference.hpp"
 #include "topo/acl.hpp"
 #include "topo/fattree.hpp"
@@ -81,7 +82,7 @@ class ScenarioTest : public ::testing::Test {
   [[nodiscard]] const net::Rule* encap_rule(const topo::TunnelPlan& plan) const {
     for (const net::RuleId rid : region_.network.table(plan.ingress)) {
       const net::Rule& rule = region_.network.rule(rid);
-      if (rule.kind == net::RouteKind::Tunnel && rule.match.dst_prefix == plan.vip) {
+      if (rule.kind == net::RouteKind::Tunnel && rule.dst_prefix() == plan.vip) {
         return &rule;
       }
     }
@@ -231,7 +232,7 @@ TEST_F(ScenarioTest, EncapEcmpGroupRehashesUnderLinkFailure) {
   const topo::TunnelPlan& plan = state_.tunnels[0];
   const net::Rule* encap = encap_rule(plan);
   ASSERT_NE(encap, nullptr);
-  ASSERT_EQ(encap->action.out_interfaces.size(), 2u);  // both agg uplinks
+  ASSERT_EQ(region_.network.out_interfaces(encap->id).size(), 2u);  // both agg uplinks
 
   // Fail one ingress uplink: the group rehashes to the survivor.
   scenario::Scenario s;
@@ -242,8 +243,8 @@ TEST_F(ScenarioTest, EncapEcmpGroupRehashesUnderLinkFailure) {
   rebuild();
   encap = encap_rule(plan);
   ASSERT_NE(encap, nullptr);
-  ASSERT_EQ(encap->action.out_interfaces.size(), 1u);
-  EXPECT_EQ(region_.network.neighbor(encap->action.out_interfaces[0]),
+  ASSERT_EQ(region_.network.out_interfaces(encap->id).size(), 1u);
+  EXPECT_EQ(region_.network.neighbor(region_.network.out_interfaces(encap->id)[0]),
             region_.aggs[1]);
 
   // Fail the second uplink too: the encap blackholes rather than vanishing.
@@ -253,25 +254,27 @@ TEST_F(ScenarioTest, EncapEcmpGroupRehashesUnderLinkFailure) {
   rebuild();
   encap = encap_rule(plan);
   ASSERT_NE(encap, nullptr);
-  EXPECT_EQ(encap->action.type, net::ActionType::Drop);
+  EXPECT_EQ(encap->action_type(), net::ActionType::Drop);
 }
 
 /// One rule as the data plane sees it: device, table, priority, match,
 /// action and kind. The id is left out: it is only a position.
-auto rule_fields(const net::Rule& r) {
-  const net::MatchSpec& m = r.match;
+auto rule_fields(const net::Network& n, net::RuleId rid) {
+  const net::Rule& r = n.rule(rid);
+  const net::MatchSpec m = n.match_spec(rid);
+  const net::Action a = n.action(rid);
   return std::tuple(r.device, r.table, r.priority, m.dst_prefix, m.src_prefix, m.proto,
-                    m.src_port, m.dst_port, m.in_interfaces, r.action.type,
-                    r.action.out_interfaces, r.action.rewrites, r.kind);
+                    m.src_port, m.dst_port, m.in_interfaces, a.type, a.out_interfaces,
+                    a.rewrites, r.kind);
 }
 
 /// Every device's ACL and FIB rules, in table order.
 auto rules_in_table_order(const net::Network& n) {
-  std::vector<decltype(rule_fields(net::Rule{}))> out;
+  std::vector<decltype(rule_fields(n, net::RuleId{}))> out;
   for (const net::Device& dev : n.devices()) {
     for (const net::TableKind table : {net::TableKind::Acl, net::TableKind::Fib}) {
       for (const net::RuleId rid : n.table(dev.id, table)) {
-        out.push_back(rule_fields(n.rule(rid)));
+        out.push_back(rule_fields(n, rid));
       }
     }
   }
@@ -416,19 +419,44 @@ TEST_F(ScenarioTest, RunnerRejectsUnknownNamesBeforeTouchingState) {
 TEST_F(ScenarioTest, RunnerRestoresTheBaselineWhenAnEvaluationThrows) {
   const ScenarioSpec spec = ScenarioSpec::parse(runner_spec_text(region_));
   const nettest::TestSuite suite = transform_suite();
+  const scenario::ScenarioRunner::PostFibHook install = [this](
+      net::Network& network, const routing::RoutingConfig& routing) {
+    topo::install_transform_rules(network, state_, routing);
+  };
+  // The baseline the string-keyed reference leaves behind: recomputed from
+  // scratch, ids and tables included.
+  net::Network recomputed = region_.network;
+  (void)scenario::reference::run(recomputed, region_.routing, suite, {}, install, spec);
+  const auto baseline = routing::reference::rule_store_rows(recomputed);
+  ASSERT_FALSE(baseline.first.empty());
+
   scenario::ScenarioRunner runner(region_.network, region_.routing, suite);
+  // A throw in the second scenario, after the baseline's rule store was
+  // saved: the runner reinstates it without running the hook again.
   int calls = 0;
   runner.set_post_fib_hook([&](net::Network& network, const routing::RoutingConfig& routing) {
-    // The baseline's hook runs; the first scenario's throws mid-rebuild.
-    if (++calls == 2) throw std::runtime_error("hook failed");
-    topo::install_transform_rules(network, state_, routing);
+    if (++calls == 3) throw std::runtime_error("hook failed");
+    install(network, routing);
   });
   EXPECT_THROW((void)runner.run(spec), std::runtime_error);
-  EXPECT_EQ(calls, 3);  // the restore ran the hook again
-  const auto after = rules_in_table_order(region_.network);
-  rebuild();
-  ASSERT_FALSE(after.empty());
-  EXPECT_TRUE(rules_in_table_order(region_.network) == after);
+  EXPECT_EQ(calls, 3);
+  EXPECT_TRUE(routing::reference::rule_store_rows(region_.network) == baseline);
+
+  // A throw in the baseline's own hook, before anything was saved: the
+  // runner recomputes the baseline, hook included.
+  calls = 0;
+  runner.set_post_fib_hook([&](net::Network& network, const routing::RoutingConfig& routing) {
+    if (++calls == 1) throw std::runtime_error("hook failed");
+    install(network, routing);
+  });
+  EXPECT_THROW((void)runner.run(spec), std::runtime_error);
+  EXPECT_EQ(calls, 2);  // the restore ran the hook again
+  EXPECT_TRUE(routing::reference::rule_store_rows(region_.network) == baseline);
+
+  // And after a run that completes.
+  runner.set_post_fib_hook(install);
+  (void)runner.run(spec);
+  EXPECT_TRUE(routing::reference::rule_store_rows(region_.network) == baseline);
 }
 
 /// The runner's report against the string-keyed reference's (text and JSON).
@@ -523,14 +551,15 @@ TEST_F(ScenarioTest, RegionalReportsMatchTheStringKeyedDiff) {
     if (baseline) {
       const net::Rule acl = network.rule(network.table(region_.tors[0], net::TableKind::Acl)[0]);
       for (int copy = 0; copy < 2; ++copy) {
-        (void)network.add_rule(acl.device, acl.match, acl.action, acl.kind, acl.priority,
-                               acl.table);
+        (void)network.add_rule(acl.device, network.match_spec(acl.id), network.action(acl.id),
+                               acl.kind, acl.priority, acl.table);
       }
     }
     if (routing.failed_devices.contains(spine)) {
       const net::DeviceId tor = region_.tors[1];
       const net::Rule fib = network.rule(network.table(tor)[0]);
-      (void)network.add_rule(fib.device, fib.match, fib.action, fib.kind, fib.priority);
+      (void)network.add_rule(fib.device, network.match_spec(fib.id), network.action(fib.id),
+                             fib.kind, fib.priority);
       (void)network.add_rule(
           tor, net::MatchSpec::for_dst(packet::Ipv4Prefix::parse("192.0.2.0/24")),
           net::Action::drop(), net::RouteKind::DropRule, 8);

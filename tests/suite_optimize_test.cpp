@@ -287,9 +287,9 @@ TEST_F(SuiteOptimizeTest, ByteIdenticalTwinsCollapseUnderTheContentKey) {
   // Re-adding l1_to_p1 verbatim creates a shadowed twin: it is vacuous
   // (empty disjoint match set) so it never gets its own gap entry, and the
   // surviving representative is annotated as standing for both.
-  const net::Rule& orig = tiny_.net.rule(tiny_.l1_to_p1);
-  tiny_.net.add_rule(orig.device, orig.match, orig.action, orig.kind, orig.priority,
-                     orig.table);
+  const net::Rule orig = tiny_.net.rule(tiny_.l1_to_p1);
+  tiny_.net.add_rule(orig.device, tiny_.net.match_spec(orig.id), tiny_.net.action(orig.id),
+                     orig.kind, orig.priority, orig.table);
   const coverage::CoverageTrace empty;
   const CoverageEngine engine(mgr_, tiny_.net, empty);
   const GapReport report = build_gap_report(engine);
@@ -300,8 +300,7 @@ TEST_F(SuiteOptimizeTest, ByteIdenticalTwinsCollapseUnderTheContentKey) {
         found = true;
         EXPECT_EQ(g.collapsed, 2u) << g.content_key;
         EXPECT_EQ(g.content_key,
-                  net::rule_content_key(tiny_.net,
-                                        net::RuleContent::of(tiny_.net.rule(tiny_.l1_to_p1))));
+                  net::rule_content_key(tiny_.net, tiny_.net.rule_content(tiny_.l1_to_p1)));
       } else {
         EXPECT_EQ(g.collapsed, 1u) << g.content_key;
       }

@@ -34,9 +34,9 @@ TEST_P(FatTreeSweep, EveryRouterHasAForwardingDefault) {
     bool found = false;
     for (const net::RuleId rid : tree_.network.table(dev.id)) {
       const net::Rule& rule = tree_.network.rule(rid);
-      if (rule.match.dst_prefix->length() == 0) {
-        found = rule.action.type == net::ActionType::Forward &&
-                !rule.action.out_interfaces.empty();
+      if (rule.dst_prefix()->length() == 0) {
+        found = rule.action_type() == net::ActionType::Forward &&
+                !tree_.network.out_interfaces(rid).empty();
       }
     }
     EXPECT_TRUE(found) << dev.name;
@@ -50,9 +50,8 @@ TEST_P(FatTreeSweep, EcmpWidthMatchesTopology) {
   const net::DeviceId dst = tree_.tors.back();
   const auto prefix = tree_.network.device(dst).host_prefixes.front();
   for (const net::RuleId rid : tree_.network.table(src)) {
-    const net::Rule& rule = tree_.network.rule(rid);
-    if (rule.match.dst_prefix == prefix) {
-      EXPECT_EQ(rule.action.out_interfaces.size(), static_cast<size_t>(half));
+    if (tree_.network.rule(rid).dst_prefix() == prefix) {
+      EXPECT_EQ(tree_.network.out_interfaces(rid).size(), static_cast<size_t>(half));
     }
   }
 }
@@ -161,7 +160,7 @@ TEST(LinkFailureTest, TrafficRoutesAroundFailedLink) {
 
   // No rule on the ToR forwards out the failed interface.
   for (const net::RuleId rid : tree.network.table(tor)) {
-    for (const net::InterfaceId out : tree.network.rule(rid).action.out_interfaces) {
+    for (const net::InterfaceId out : tree.network.out_interfaces(rid)) {
       EXPECT_NE(out, nbrs[0].first);
     }
   }
@@ -176,7 +175,7 @@ TEST(LinkFailureTest, TrafficRoutesAroundFailedLink) {
   for (const net::InterfaceId side : {link.a, link.b}) {
     for (const net::RuleId rid :
          tree.network.table(tree.network.interface(side).device)) {
-      EXPECT_NE(tree.network.rule(rid).match.dst_prefix, link.subnet);
+      EXPECT_NE(tree.network.rule(rid).dst_prefix(), link.subnet);
     }
   }
 }

@@ -122,7 +122,7 @@ TEST_F(PersistTest, RoundTripPreservesCoverage) {
   const CoverageEngine restored(mgr2, tiny_.net, loaded);
   for (const net::Rule& r : tiny_.net.rules()) {
     EXPECT_DOUBLE_EQ(original.rule_coverage(r.id), restored.rule_coverage(r.id))
-        << r.to_string();
+        << tiny_.net.rule_to_string(r.id);
   }
 }
 

@@ -552,7 +552,7 @@ int run_impl(const CliOptions& opts) {
         if (g.state_only || shown == opts.suggest) continue;
         ++shown;
         std::printf("  inject at %s: %s (exercises %s)\n", d.name.c_str(),
-                    g.witness.to_string().c_str(), network.rule(g.rule).to_string().c_str());
+                    g.witness.to_string().c_str(), network.rule_to_string(g.rule).c_str());
       }
     }
   }
