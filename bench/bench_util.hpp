@@ -94,6 +94,8 @@ struct Run {
   std::vector<obs::TraceEvent> spans;
   /// VmHWM after the call, reset just before it.
   size_t peak_rss_kb = 0;
+  /// VmRSS when the call began: what earlier calls left resident.
+  size_t start_rss_kb = 0;
 
   /// Summed duration of the spans named any of `names`, in seconds.
   [[nodiscard]] double seconds(std::initializer_list<std::string_view> names) const {
@@ -149,11 +151,12 @@ inline uint64_t& dropped_spans() {
 /// Resets VmHWM to the current RSS (Linux; a no-op elsewhere).
 inline void reset_peak_rss() { std::ofstream("/proc/self/clear_refs") << "5"; }
 
-/// VmHWM in kB; 0 where /proc is unavailable.
-inline size_t peak_rss_kb() {
+/// The `field` line of /proc/self/status ("VmHWM:", "VmRSS:") in kB; 0
+/// where /proc is unavailable.
+inline size_t status_kb(std::string_view field) {
   std::ifstream status("/proc/self/status");
   for (std::string line; std::getline(status, line);) {
-    if (line.rfind("VmHWM:", 0) == 0) return std::stoul(line.substr(6));
+    if (line.rfind(field, 0) == 0) return std::stoul(line.substr(field.size()));
   }
   return 0;
 }
@@ -170,6 +173,7 @@ Run measure(F&& work, bool traced = true) {
   obs::Tracer& tracer = obs::Tracer::global();
   tracer.clear();
   detail::reset_peak_rss();
+  const size_t start_rss_kb = detail::status_kb("VmRSS:");
   obs::set_enabled(traced);
   const auto start = std::chrono::steady_clock::now();
   {
@@ -178,7 +182,7 @@ Run measure(F&& work, bool traced = true) {
   }
   const auto stop = std::chrono::steady_clock::now();
   obs::set_enabled(false);
-  Run run{tracer.snapshot(), detail::peak_rss_kb()};
+  Run run{tracer.snapshot(), detail::status_kb("VmHWM:"), start_rss_kb};
   detail::dropped_spans() += tracer.dropped_count();
   if (!traced) {
     obs::TraceEvent wall;

@@ -12,9 +12,6 @@ namespace yardstick::bdd {
 
 namespace {
 constexpr size_t kInitialUniqueCapacity = 1 << 16;
-// The unique table never shrinks below this after a collection; going
-// smaller saves nothing and pays an extra rehash cascade on regrowth.
-constexpr size_t kMinUniqueCapacityAfterGc = 1 << 12;
 // The apply cache starts small (per-worker shard managers multiply this by
 // the thread count) and doubles adaptively up to the max; see
 // maybe_grow_op_cache().
@@ -215,110 +212,6 @@ void BddManager::set_budget(const ys::ResourceBudget* budget) {
     budget_->charge_bdd_nodes(nodes_.size());
     charged_nodes_ = nodes_.size();
   }
-}
-
-GcResult BddManager::collect(std::span<const NodeIndex> roots) {
-  const size_t old_size = nodes_.size();
-  GcResult res;
-  res.remap.assign(old_size, GcResult::kDeadNode);
-
-  // --- Mark everything reachable from the roots. ---
-  std::vector<char> live(old_size, 0);
-  live[kFalse] = 1;
-  live[kTrue] = 1;
-  std::vector<NodeIndex> stack;
-  stack.reserve(256);
-  for (const NodeIndex r : roots) {
-    assert(r < old_size);
-    if (r > kTrue && live[r] == 0) {
-      live[r] = 1;
-      stack.push_back(r);
-    }
-  }
-  while (!stack.empty()) {
-    const BddNode nd = nodes_[stack.back()];
-    stack.pop_back();
-    if (nd.low > kTrue && live[nd.low] == 0) {
-      live[nd.low] = 1;
-      stack.push_back(nd.low);
-    }
-    if (nd.high > kTrue && live[nd.high] == 0) {
-      live[nd.high] = 1;
-      stack.push_back(nd.high);
-    }
-  }
-  size_t live_count = 0;
-  for (const char m : live) live_count += static_cast<unsigned char>(m);
-
-  // --- Pre-allocate every replacement structure before touching the
-  // arena, so an allocation failure propagates with the manager intact. ---
-  size_t unique_cap = kMinUniqueCapacityAfterGc;
-  while (live_count * 4 > unique_cap * 3) unique_cap *= 2;
-  std::vector<uint32_t> fresh_table(unique_cap, kEmptySlot);
-  size_t op_target = kOpCacheInitial;
-  while (op_target < live_count && op_target < kOpCacheMax) op_target *= 2;
-  std::vector<CacheEntry> fresh_op(op_target);
-  std::vector<Uint128> fresh_memo(live_count, 0);
-  std::vector<bool> fresh_memo_valid(live_count, false);
-
-  // --- Compact in place. make() is strictly bottom-up, so children always
-  // precede parents in the arena and one ascending pass can rewrite child
-  // indices through the remap as it goes. Model-count memo entries ride
-  // along: a node's count depends only on its (unchanged) semantics. ---
-  res.remap[kFalse] = kFalse;
-  res.remap[kTrue] = kTrue;
-  const size_t memo_limit = std::min(count_memo_.size(), old_size);
-  NodeIndex next = 2;
-  for (NodeIndex i = 2; i < old_size; ++i) {
-    if (live[i] == 0) continue;
-    const BddNode nd = nodes_[i];
-    nodes_[next] = {nd.var, res.remap[nd.low], res.remap[nd.high]};
-    if (i < memo_limit && count_memo_valid_[i]) {
-      fresh_memo[next] = count_memo_[i];
-      fresh_memo_valid[next] = true;
-    }
-    res.remap[i] = next;
-    ++next;
-  }
-  nodes_.resize(next);
-
-  // --- Rebuild the unique table at right-sized capacity (one pass, no
-  // doubling cascade on the way back up). ---
-  const uint64_t mask = unique_cap - 1;
-  for (NodeIndex i = 2; i < next; ++i) {
-    const BddNode& n = nodes_[i];
-    uint64_t slot = hash_triple(n.var, n.low, n.high) & mask;
-    while (fresh_table[slot] != kEmptySlot) slot = (slot + 1) & mask;
-    fresh_table[slot] = i;
-  }
-  unique_table_ = std::move(fresh_table);
-  unique_mask_ = mask;
-
-  // --- Operation caches key on old indices: replace them. The apply
-  // cache is also right-sized back down so post-GC phases don't drag a
-  // cache grown for the pre-GC peak. ---
-  op_cache_ = std::move(fresh_op);
-  op_cache_mask_ = op_target - 1;
-  std::fill(neg_cache_.begin(), neg_cache_.end(), CacheEntry{});
-  resize_base_hits_ = cache_stats_.hits;
-  resize_base_misses_ = cache_stats_.misses;
-  count_memo_ = std::move(fresh_memo);
-  count_memo_valid_ = std::move(fresh_memo_valid);
-
-  // --- Hand the freed node charge back to the shared budget so sibling
-  // shard managers can use the headroom. ---
-  const size_t reclaimed = old_size - next;
-  if (budget_ != nullptr && reclaimed > 0) {
-    const size_t release = std::min(charged_nodes_, reclaimed);
-    budget_->release_bdd_nodes(release);
-    charged_nodes_ -= release;
-  }
-  live_after_gc_ = next;
-  ++gc_runs_;
-  gc_reclaimed_ += reclaimed;
-  res.live_nodes = next;
-  res.reclaimed = reclaimed;
-  return res;
 }
 
 Bdd BddManager::var(Var v) {
@@ -630,28 +523,6 @@ void NodeIndexMap::grow() {
     size_t slot = slot_of(e.key);
     while (entries_[slot].key != kEmptySlot) slot = (slot + 1) & mask_;
     entries_[slot] = e;
-  }
-}
-
-void NodeIndexMap::remap_values(const GcResult& gc) {
-  size_t survivors = 0;
-  for (const Entry& e : entries_) {
-    if (e.key != kEmptySlot && gc.map(e.value) != GcResult::kDeadNode) ++survivors;
-  }
-  size_t capacity = 16;
-  while (survivors * 4 > capacity * 3) capacity *= 2;
-  std::vector<Entry> old = std::move(entries_);
-  entries_.assign(capacity, Entry{});
-  mask_ = capacity - 1;
-  size_ = 0;
-  for (const Entry& e : old) {
-    if (e.key == kEmptySlot) continue;
-    const NodeIndex renumbered = gc.map(e.value);
-    if (renumbered == GcResult::kDeadNode) continue;  // re-imported on next use
-    size_t slot = slot_of(e.key);
-    while (entries_[slot].key != kEmptySlot) slot = (slot + 1) & mask_;
-    entries_[slot] = {e.key, renumbered};
-    ++size_;
   }
 }
 

@@ -15,13 +15,8 @@
 //   * model counting is exact over the manager's fixed variable universe,
 //     using 128-bit integers (the header space is 104 bits wide).
 //
-// Garbage collection is explicit and phase-boundary: collect() mark-compacts
-// the arena against a caller-provided root set and returns an index remap
-// for the caller's surviving handles. There is no automatic reference
-// counting — Yardstick's builders own every live handle of their private
-// managers, so root discovery is a walk over the results built so far (see
-// packet::GcRootTracker). Managers used as long-lived primaries (holding
-// handles the engine does not own, e.g. traces) are simply never collected.
+// Nodes are never freed: an arena lives as long as its manager (DESIGN.md
+// §12 says why there is no collector).
 #pragma once
 
 #include <cstdint>
@@ -98,20 +93,6 @@ struct BddNode {
   NodeIndex high;
 };
 
-/// Result of one mark-compact collection: the old-index -> new-index map
-/// callers use to fix up every handle they held across the collect() call.
-/// Collected (dead) nodes map to kDeadNode; terminals map to themselves.
-struct GcResult {
-  static constexpr NodeIndex kDeadNode = UINT32_MAX;
-
-  size_t live_nodes = 0;  ///< arena size after compaction (incl. terminals)
-  size_t reclaimed = 0;   ///< nodes freed by this collection
-  std::vector<NodeIndex> remap;  ///< indexed by pre-collection NodeIndex
-
-  /// New index of a pre-collection node (kDeadNode if it was collected).
-  [[nodiscard]] NodeIndex map(NodeIndex old_index) const { return remap[old_index]; }
-};
-
 /// Owner of the node arena, unique table and operation caches.
 ///
 /// A manager is constructed with a fixed variable count; all counting is
@@ -173,8 +154,6 @@ class BddManager {
     uint64_t cache_hits = 0;         ///< apply-cache hits
     uint64_t cache_misses = 0;       ///< apply-cache misses
     uint64_t unique_table_growths = 0;  ///< rehash/double events
-    uint64_t gc_runs = 0;               ///< mark-compact collections
-    uint64_t gc_reclaimed_nodes = 0;    ///< dead nodes reclaimed across all GCs
     uint64_t op_cache_growths = 0;      ///< adaptive apply-cache resizes
     size_t op_cache_entries = 0;        ///< current apply-cache capacity
     uint64_t neg_cache_hits = 0;        ///< complement-memo hits
@@ -186,55 +165,13 @@ class BddManager {
     }
   };
   [[nodiscard]] Stats stats() const {
-    return {nodes_.size(),     cache_stats_.hits,  cache_stats_.misses,
-            table_growths_,    gc_runs_,           gc_reclaimed_,
-            op_cache_growths_, op_cache_.size(),   neg_stats_.hits,
-            neg_stats_.misses};
+    return {nodes_.size(),     cache_stats_.hits, cache_stats_.misses,
+            table_growths_,    op_cache_growths_, op_cache_.size(),
+            neg_stats_.hits,   neg_stats_.misses};
   }
 
   /// Disable the apply cache (ablation only; quadratic blow-ups expected).
   void set_cache_enabled(bool enabled) { cache_enabled_ = enabled; }
-
-  // --- Phase-boundary mark-compact garbage collection ---
-
-  /// Everything allocated since the last collection counts as potentially
-  /// dead; gc_due() fires when that upper bound on the dead fraction
-  /// reaches the configured threshold, so collection work is amortized
-  /// O(1) per allocation regardless of how often callers poll.
-  static constexpr size_t kDefaultGcMinArena = 4096;
-
-  /// Arm (or disarm) the collection trigger. `dead_fraction` in (0, 1):
-  /// gc_due() fires once at least that fraction of the arena was allocated
-  /// since the last collection; 0 disarms; 1.0 keeps the machinery armed
-  /// but never triggers (used to measure the bookkeeping overhead).
-  /// `min_arena` suppresses collections of arenas too small to matter.
-  void set_gc_threshold(double dead_fraction, size_t min_arena = kDefaultGcMinArena) {
-    gc_threshold_ = dead_fraction;
-    gc_min_arena_ = min_arena;
-  }
-  [[nodiscard]] double gc_threshold() const { return gc_threshold_; }
-
-  /// Cheap trigger probe for builders' inner loops (no marking involved).
-  [[nodiscard]] bool gc_due() const {
-    if (gc_threshold_ <= 0.0 || nodes_.size() < gc_min_arena_) return false;
-    const size_t grown = nodes_.size() - (live_after_gc_ < nodes_.size()
-                                              ? live_after_gc_
-                                              : nodes_.size());
-    return static_cast<double>(grown) >=
-           gc_threshold_ * static_cast<double>(nodes_.size());
-  }
-
-  /// Mark-compact collection. Marks every node reachable from `roots`,
-  /// compacts the arena in place (renumbering survivors), rebuilds the
-  /// unique table at right-sized capacity, rebuilds the model-count memo
-  /// for survivors, clears the operation caches (their keys are old
-  /// indices), and releases the freed node charge back to the attached
-  /// ResourceBudget. Returns the remap callers MUST use to fix up every
-  /// handle they held across the call — any unremapped NodeIndex (and any
-  /// Bdd handle wrapping one) is invalid afterwards. BddImporters whose
-  /// destination is this manager must be rekeyed (rekey_destination) or
-  /// discarded; importers whose *source* is this manager must be discarded.
-  GcResult collect(std::span<const NodeIndex> roots);
 
   /// Attach a resource budget (non-owning; nullptr = detach). The node
   /// cap is enforced on every fresh allocation; the deadline and cancel
@@ -247,9 +184,8 @@ class BddManager {
   /// current arena size against the budget's atomic node counter and every
   /// fresh allocation charges one more, so sharded per-thread managers
   /// sharing one budget are capped collectively. Detaching (nullptr, or
-  /// attaching a different budget) releases this manager's charge, and
-  /// collect() releases the charge of every node it reclaims. The budget
-  /// must stay alive while attached. Callers attach through ScopedBudget
+  /// attaching a different budget) releases this manager's charge. The
+  /// budget must stay alive while attached. Callers attach through ScopedBudget
   /// below; every offline stage reads the budget back from budget().
   void set_budget(const ys::ResourceBudget* budget);
   [[nodiscard]] const ys::ResourceBudget* budget() const { return budget_; }
@@ -308,7 +244,7 @@ class BddManager {
   uint64_t op_cache_mask_ = 0;
   bool cache_enabled_ = true;
   CacheStats cache_stats_;
-  // Apply-cache stats at the last resize/collection: the window since then
+  // Apply-cache stats at the last resize: the window since then
   // is what the adaptive-growth heuristic judges.
   uint64_t resize_base_hits_ = 0;
   uint64_t resize_base_misses_ = 0;
@@ -322,19 +258,10 @@ class BddManager {
 
   uint64_t table_growths_ = 0;
   const ys::ResourceBudget* budget_ = nullptr;
-  // Nodes this manager has charged against budget_ (released on detach
-  // and, for reclaimed nodes, by collect()).
+  // Nodes this manager has charged against budget_ (released on detach).
   size_t charged_nodes_ = 0;
 
-  // GC trigger state.
-  double gc_threshold_ = 0.0;
-  size_t gc_min_arena_ = kDefaultGcMinArena;
-  size_t live_after_gc_ = 2;  // arena size right after the last collection
-  uint64_t gc_runs_ = 0;
-  uint64_t gc_reclaimed_ = 0;
-
-  // Persistent per-node model-count memo (nodes are immutable between
-  // collections; collect() carries surviving entries across the remap).
+  // Persistent per-node model-count memo (nodes are immutable).
   std::vector<Uint128> count_memo_;
   std::vector<bool> count_memo_valid_;
 };
@@ -360,11 +287,6 @@ class NodeIndexMap {
   void insert(NodeIndex key, NodeIndex value);
 
   [[nodiscard]] size_t size() const { return size_; }
-
-  /// Rewrite every stored value through a GC remap of the *value* manager:
-  /// entries whose value was collected are dropped, survivors are
-  /// renumbered. (Keys belong to a different, uncollected manager.)
-  void remap_values(const GcResult& gc);
 
  private:
   static constexpr uint32_t kEmptySlot = UINT32_MAX;
@@ -399,11 +321,6 @@ class NodeIndexMap {
 /// one source concurrently as long as nothing mutates the source — the
 /// contract the parallel offline phase relies on when per-thread shards
 /// pull inputs from the engine's primary manager.
-///
-/// Garbage collection: when the *destination* manager is collected, call
-/// rekey_destination() with the remap so the memo follows the renumbering
-/// (entries whose copy died are dropped and simply re-imported on next
-/// use). Collecting the *source* invalidates the importer entirely.
 class BddImporter {
  public:
   /// Both managers must share the same variable universe.
@@ -421,10 +338,6 @@ class BddImporter {
   /// Distinct source nodes copied so far (shared subgraphs count once) —
   /// the cross-manager import volume the observability layer reports.
   [[nodiscard]] size_t imported_nodes() const { return memo_.size(); }
-
-  /// Follow a destination-manager collection: drop memo entries whose
-  /// copies were reclaimed, renumber the survivors.
-  void rekey_destination(const GcResult& gc) { memo_.remap_values(gc); }
 
   [[nodiscard]] BddManager& destination() const { return dst_; }
   [[nodiscard]] const BddManager& source() const { return src_; }
@@ -451,10 +364,9 @@ class BddImporter {
 /// costs one lookup. Results are canonical, so they equal the binary
 /// chain's node for node.
 ///
-/// The memo holds node indices of one manager and does not follow a
-/// collect(); it lives for one batch. An exception from make() (a tripped
-/// budget, an injected fault) leaves the object usable: what it memoized
-/// is still correct.
+/// The memo holds node indices of one manager and lives for one batch. An
+/// exception from make() (a tripped budget, an injected fault) leaves the
+/// object usable: what it memoized is still correct.
 class NaryUnion {
  public:
   explicit NaryUnion(BddManager& mgr) : mgr_(mgr) {}

@@ -103,10 +103,9 @@ class ResourceBudget {
   }
 
   /// High-water mark of concurrent node charge across every manager that
-  /// ever attached — the "peak arena nodes" a run actually needed. A GC
-  /// that reclaims nodes lowers used_bdd_nodes() but never this. Monotone;
-  /// maintained with a CAS-max so concurrent shard growth can't lose an
-  /// observation.
+  /// ever attached — the "peak arena nodes" a run actually needed. A
+  /// detach lowers used_bdd_nodes() but never this. Monotone; maintained
+  /// with a CAS-max so concurrent shard growth can't lose an observation.
   [[nodiscard]] size_t peak_bdd_nodes() const {
     return peak_bdd_nodes_.load(std::memory_order_relaxed);
   }

@@ -81,10 +81,10 @@ struct CoverBuild {
 }  // namespace
 
 CoveredSets::CoveredSets(const dataplane::MatchSetIndex& index, const CoverageTrace& trace,
-                         unsigned threads, const CoverPrefill* prefill, double gc_threshold)
+                         unsigned threads, const CoverPrefill* prefill)
     : index_(index), trace_(trace), truncated_(index.truncated()) {
   if (dataplane::sharded_build(CoverBuild{index, trace}, index.manager(), index.network(),
-                               sets_, prefill, threads, gc_threshold)
+                               sets_, prefill, threads)
           .truncated) {
     truncated_ = true;
   }

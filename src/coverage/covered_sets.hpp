@@ -52,15 +52,13 @@ class CoveredSets {
   /// truncated() flips to true, and construction completes without
   /// throwing.
   ///
-  /// `threads` (0 = one per hardware thread), `prefill` (cached covered
-  /// sets for a subset of devices, may be null) and `gc_threshold` (0
-  /// disables) are the shard-and-merge driver's: see
-  /// dataplane/sharded_build.hpp. Every covered set is canonical in the
-  /// index's manager, so the result is bit-identical at any thread count,
-  /// GC on or off, prefilled or not.
+  /// `threads` (0 = one per hardware thread) and `prefill` (cached covered
+  /// sets for a subset of devices, may be null) are the shard-and-merge
+  /// driver's: see dataplane/sharded_build.hpp. Every covered set is
+  /// canonical in the index's manager, so the result is bit-identical at
+  /// any thread count, prefilled or not.
   CoveredSets(const dataplane::MatchSetIndex& index, const CoverageTrace& trace,
-              unsigned threads = 1, const CoverPrefill* prefill = nullptr,
-              double gc_threshold = 0.0);
+              unsigned threads = 1, const CoverPrefill* prefill = nullptr);
 
   /// Structural clone onto another index (itself a clone of the original
   /// index into a different manager): copies every covered set into

@@ -190,11 +190,11 @@ struct MatchBuild {
 }  // namespace
 
 MatchSetIndex::MatchSetIndex(bdd::BddManager& mgr, const net::Network& network,
-                             unsigned threads, const MatchPrefill* prefill, double gc_threshold)
+                             unsigned threads, const MatchPrefill* prefill)
     : mgr_(mgr), network_(network) {
   MatchBuild builder{network};
   ShardedBuildResult built =
-      sharded_build(builder, mgr, network, sets_, prefill, threads, gc_threshold);
+      sharded_build(builder, mgr, network, sets_, prefill, threads);
   truncated_ = built.truncated;
   unreached_ = std::move(built.unreached);
   {

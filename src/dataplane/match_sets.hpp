@@ -64,16 +64,15 @@ class MatchSetIndex {
   /// false), truncated() flips to true, and construction completes without
   /// throwing — partial results instead of a runaway.
   ///
-  /// `threads` (0 = one per hardware thread), `prefill` (cached results for
-  /// a subset of devices, may be null) and `gc_threshold` (0 disables) are
-  /// the shard-and-merge driver's: see dataplane/sharded_build.hpp. Every
-  /// set is canonical in `mgr`, so the index is bit-identical at any thread
-  /// count, GC on or off, prefilled or not.
+  /// `threads` (0 = one per hardware thread) and `prefill` (cached results
+  /// for a subset of devices, may be null) are the shard-and-merge driver's:
+  /// see dataplane/sharded_build.hpp. Every set is canonical in `mgr`, so
+  /// the index is bit-identical at any thread count, prefilled or not.
   ///
   /// It also builds the snapshot's PrefixIndex from the FIB tables, in
   /// full: no BDD work, so neither the budget nor the prefill touches it.
   MatchSetIndex(bdd::BddManager& mgr, const net::Network& network, unsigned threads = 1,
-                const MatchPrefill* prefill = nullptr, double gc_threshold = 0.0);
+                const MatchPrefill* prefill = nullptr);
 
   /// Structural clone into another manager: copies every packet set of
   /// `other` into `dst` (memoized import, shared subgraphs copied once),

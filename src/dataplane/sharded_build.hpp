@@ -3,44 +3,38 @@
 //
 // Both builds are one walk per device that writes PacketSets into rule- and
 // device-indexed slots. A builder supplies only that walk and the layout of
-// its slots; this driver owns the parallel build policy (DESIGN.md §8, §12):
+// its slots; this driver owns the parallel build policy (DESIGN.md §8):
 //
 //   * One slot set. The owner's slots are sized once, before any worker
 //     starts, and every device's slots are written only by the worker that
-//     walks the device, so workers write into them concurrently, lock-free.
+//     walks the device, so workers write into them by index, concurrently,
+//     lock-free.
 //   * Work list. Devices a cache prefill hit are adopted as handle copies
 //     (no BDD operation, no budget charge); only the rest are walked.
-//   * Where devices are built. One worker with GC off builds in the primary
-//     manager. More workers, or an armed GC, build in per-worker shard
-//     managers, worker w taking work items w, w+T, w+2T, ... GC needs
-//     shards because the primary holds handles no builder owns, so it is
-//     never collected. A walk in a shard may still write a primary handle
-//     (Algorithm 1's M[r] for a state-inspected rule).
+//   * Where devices are built. One worker builds in the primary manager.
+//     More workers build in per-worker shard managers, worker w taking work
+//     items w, w+T, w+2T, ... A walk in a shard may still write a primary
+//     handle (Algorithm 1's M[r] for a state-inspected rule).
 //   * Budget. The primary manager's budget governs the primary and every
 //     shard: each shard attaches it (bdd::ScopedBudget), holds its node
 //     charge until the merge completes and releases it when the shard dies,
 //     on every exit path, exceptions included. The budget is polled before
 //     each device; resource exhaustion in a worker or in the merge degrades
 //     the build to `truncated` with the results built so far.
-//   * GC. After each device a shard tracks that device's slots as roots and
-//     collects when due, rekeying its primary-to-shard input importer. Only
-//     the slots holding the shard's own handles are roots and renumbered.
 //   * Memo. The loop that builds in a manager, one per shard or the
 //     one-worker loop in the primary, owns one Builder::Memo for that
-//     manager and passes it to every device walk. A collect renumbers and
-//     reclaims the nodes a memo names and does not rewrite it, so the loop
-//     drops its memo before every collect and starts a fresh one for the
-//     next device. A memo is never shared between managers or builds.
+//     manager for the whole build and passes it to every device walk. No
+//     node is freed before its manager dies, so a memo never goes stale. A
+//     memo is never shared between managers or builds.
 //   * Merge. One in-place pass in device order imports every slot holding a
 //     shard handle into the primary and keeps every slot already there, so
 //     every set is canonical in the primary and every count is
-//     bit-identical at any worker count, GC on or off. When the budget
-//     stops the merge, the slots it did not reach are cleared before the
-//     shards die.
+//     bit-identical at any worker count. When the budget stops the merge,
+//     the slots it did not reach are cleared before the shards die.
 //   * Telemetry. `<step>.build` encloses the workers' `parallel.worker`
-//     spans (each with its `bdd.gc` spans) and `<step>.merge`, and carries
-//     the builder's own args; the merge feeds ys.parallel.items_per_worker
-//     and the ys.bdd.* shard counters.
+//     spans and `<step>.merge`, and carries the builder's own args; the
+//     merge feeds ys.parallel.items_per_worker and the ys.bdd.* shard
+//     counters.
 //   * Degraded completion. Slots a truncated build never wrote become empty
 //     sets, so every query stays well-formed and under-reports.
 //
@@ -59,7 +53,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <type_traits>
 #include <vector>
 
@@ -69,7 +62,6 @@
 #include "netmodel/network.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "packet/gc_roots.hpp"
 #include "packet/packet_set.hpp"
 
 namespace yardstick::dataplane {
@@ -159,43 +151,22 @@ struct Shard {
   bool truncated = false;
 };
 
-/// Builds `work` in per-worker shard managers, writing into `out` (sized,
-/// so GC may track raw pointers into it), and imports the shard handles
-/// into the primary in device order. Returns true when the build was
-/// truncated.
+/// Builds `work` in per-worker shard managers, writing into `out`, and
+/// imports the shard handles into the primary in device order. Returns true
+/// when the build was truncated.
 template <typename Builder>
 bool build_in_shards(const Builder& builder, bdd::BddManager& primary,
                      const net::Network& network, typename Builder::Slots& out,
-                     const std::vector<const net::Device*>& work, unsigned workers,
-                     double gc_threshold) {
+                     const std::vector<const net::Device*>& work, unsigned workers) {
   std::vector<std::unique_ptr<Shard>> shards(workers);
   ys::run_workers(workers, [&](unsigned w) {
     Shard& shard = *(shards[w] = std::make_unique<Shard>(primary));
-    if (gc_threshold > 0.0) shard.mgr.set_gc_threshold(gc_threshold);
     bdd::BddImporter into_shard(shard.mgr, primary);
-    packet::GcRootTracker gc_roots(shard.mgr);
-    std::optional<typename Builder::Memo> memo;
+    typename Builder::Memo memo(shard.mgr);
     shard.truncated = exhausted_during([&] {
       for (size_t d = w; d < work.size(); d += workers) {
         if (shard.mgr.budget() != nullptr) shard.mgr.budget()->poll(Builder::kActivity);
-        const net::Device& dev = *work[d];
-        if (!memo) memo.emplace(shard.mgr);
-        builder.build(shard.mgr, dev, out, PrimaryInput(&into_shard), *memo);
-        if (gc_threshold <= 0.0) continue;
-        for_each_slot(network, dev, out, out,
-                      [&gc_roots](packet::PacketSet& slot, const packet::PacketSet&) {
-                        gc_roots.track(slot);
-                      });
-        if (gc_roots.due()) {
-          // The input importer's memo values live in this manager, so the
-          // collection renumbers them (dead entries re-import later); the
-          // builder's memo does not follow it and goes.
-          memo.reset();
-          obs::Span gc_span("bdd.gc", "offline");
-          const bdd::GcResult gc = gc_roots.collect(&into_shard);
-          gc_span.arg("reclaimed", gc.reclaimed);
-          gc_span.arg("live", gc.live_nodes);
-        }
+        builder.build(shard.mgr, *work[d], out, PrimaryInput(&into_shard), memo);
       }
     });
   });
@@ -237,9 +208,6 @@ bool build_in_shards(const Builder& builder, bdd::BddManager& primary,
     reg.counter("ys.bdd.imported_nodes", "nodes copied across BDD managers").add(imported_nodes);
     for (const auto& shard : shards) {
       const bdd::BddManager::Stats s = shard->mgr.stats();
-      reg.counter("ys.bdd.gc.runs", "phase-boundary mark-compact collections").add(s.gc_runs);
-      reg.counter("ys.bdd.gc.reclaimed_nodes", "dead BDD nodes reclaimed by GC")
-          .add(s.gc_reclaimed_nodes);
       reg.counter("ys.bdd.shard_cache_hits", "apply-cache hits across shard managers")
           .add(s.cache_hits);
       reg.counter("ys.bdd.shard_cache_misses", "apply-cache misses across shard managers")
@@ -255,13 +223,11 @@ bool build_in_shards(const Builder& builder, bdd::BddManager& primary,
 /// building in `primary` or in shards whose handles are then imported into
 /// it (see the top of this file), under `primary`'s budget. `prefill` (may
 /// be null) supplies cached slots for the devices it hits; `threads` 0
-/// means one worker per hardware thread; `gc_threshold` in (0, 1] arms
-/// shard GC, 0 disables it.
+/// means one worker per hardware thread.
 template <typename Builder, typename Prefill>
 ShardedBuildResult sharded_build(const Builder& builder, bdd::BddManager& primary,
                                  const net::Network& network, typename Builder::Slots& out,
-                                 const Prefill* prefill, unsigned threads,
-                                 double gc_threshold) {
+                                 const Prefill* prefill, unsigned threads) {
   obs::Span build_span(Builder::kBuildSpan, "offline");
   const auto cols = out.columns();
   for (size_t c = 0; c < cols.size(); ++c) {
@@ -287,9 +253,8 @@ ShardedBuildResult sharded_build(const Builder& builder, bdd::BddManager& primar
 
   ShardedBuildResult result;
   result.built_devices = work.size();
-  if (workers > 1 || (gc_threshold > 0.0 && !work.empty())) {
-    result.truncated =
-        detail::build_in_shards(builder, primary, network, out, work, workers, gc_threshold);
+  if (workers > 1) {
+    result.truncated = detail::build_in_shards(builder, primary, network, out, work, workers);
   } else {
     typename Builder::Memo memo(primary);
     result.truncated = detail::exhausted_during([&] {

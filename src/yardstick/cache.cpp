@@ -62,10 +62,9 @@ size_t device_rule_count(const net::Network& network, net::DeviceId dev) {
 
 }  // namespace
 
-uint64_t options_fingerprint(unsigned threads, size_t max_bdd_nodes, bool has_deadline) {
+uint64_t options_fingerprint(size_t max_bdd_nodes, bool has_deadline) {
   ContentHasher h;
-  h.u64(1);  // fingerprint schema version
-  h.u64(threads);
+  h.u64(2);  // fingerprint schema version
   h.u64(max_bdd_nodes);
   h.u64(has_deadline ? 1 : 0);
   return h.value();
@@ -147,8 +146,8 @@ void IncrementalSession::load() {
 
     // Everything below materializes nodes into the engine's manager; a
     // parse failure past this point leaves orphan (unreferenced) nodes in
-    // the arena, which is safe — this engine has no GC and the rebuild
-    // proceeds as if the cache were absent.
+    // the arena, which is safe: the rebuild proceeds as if the cache were
+    // absent.
     const coverage::NodeList nodes = [&] {
       obs::Span nodes_span("cache.load.nodes", "offline");
       return reader.node_section(mgr_);

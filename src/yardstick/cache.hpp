@@ -66,12 +66,11 @@ struct CacheStats {
   [[nodiscard]] size_t cover_misses() const { return devices - cover_hits; }
 };
 
-/// Fingerprint of every engine option that affects what a run computes.
-/// Thread count is included deliberately: results are bit-identical across
-/// thread counts, but the issue's contract is that an options change forces
-/// a full rebuild, keeping cache reuse trivially auditable.
-[[nodiscard]] uint64_t options_fingerprint(unsigned threads, size_t max_bdd_nodes,
-                                           bool has_deadline);
+/// Fingerprint of the engine options a cache artifact is keyed on: the
+/// budget's node cap and whether it has a deadline. The thread count is
+/// not an input: save() refuses a truncated run, and untruncated sets are
+/// bit-identical at any thread count.
+[[nodiscard]] uint64_t options_fingerprint(size_t max_bdd_nodes, bool has_deadline);
 
 /// One engine construction's incremental context: loads the cache (if
 /// any), exposes the prefills for MatchSetIndex/CoveredSets, and saves the

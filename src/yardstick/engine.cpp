@@ -107,7 +107,7 @@ dataplane::MatchSetIndex CoverageEngine::timed_match_sets(
   PhaseTimer timer(timings.match_sets_seconds);
   return dataplane::MatchSetIndex(
       mgr, network, options.threads,
-      incremental != nullptr ? incremental->match_prefill() : nullptr, options.gc_threshold);
+      incremental != nullptr ? incremental->match_prefill() : nullptr);
 }
 
 coverage::CoveredSets CoverageEngine::timed_covered_sets(
@@ -117,15 +117,15 @@ coverage::CoveredSets CoverageEngine::timed_covered_sets(
   PhaseTimer timer(timings.covered_sets_seconds);
   return coverage::CoveredSets(
       index, trace, options.threads,
-      incremental != nullptr ? incremental->cover_prefill() : nullptr, options.gc_threshold);
+      incremental != nullptr ? incremental->cover_prefill() : nullptr);
 }
 
 std::unique_ptr<IncrementalSession> CoverageEngine::make_incremental(
     bdd::BddManager& mgr, const net::Network& network, const EngineOptions& options) {
   if (options.cache_dir.empty()) return nullptr;
-  const uint64_t fingerprint = options_fingerprint(
-      options.threads, options.budget != nullptr ? options.budget->max_bdd_nodes() : 0,
-      options.budget != nullptr && options.budget->has_deadline());
+  const uint64_t fingerprint =
+      options_fingerprint(options.budget != nullptr ? options.budget->max_bdd_nodes() : 0,
+                          options.budget != nullptr && options.budget->has_deadline());
   return std::make_unique<IncrementalSession>(mgr, network, options.cache_dir, fingerprint);
 }
 
@@ -180,9 +180,6 @@ CoverageEngine::MeasureTable CoverageEngine::build_measures(
   const net::Network& network = index.network();
   MeasureTable table;
   table.rules.resize(network.rule_count());
-  // Each rule's fraction_measure result: the one string per rule that
-  // every device and outgoing-interface component folds.
-  std::vector<coverage::MeasureResult> measured(network.rule_count());
   const bdd::Uint128 universe = packet::PacketSet::all(index.manager()).count();
   for (const net::Rule& rule : network.rules()) {
     RuleMeasure& m = table.rules[rule.id.value];
@@ -196,14 +193,17 @@ CoverageEngine::MeasureTable CoverageEngine::build_measures(
       // heavily as any match set could be, so the metrics stay lower bounds.
       m.match = universe;
     }
-    measured[rule.id.value] = {m.coverage(), m.match};
   }
 
   // Device and outgoing-interface components: the framework's weighted-mean
-  // combinator over the same strings in the same order.
+  // combinator over each rule's fraction_measure result, the one string per
+  // rule that every such component folds, in the same order.
   const coverage::Combinator weighted_mean = coverage::weighted_mean_combinator();
   std::vector<coverage::MeasureResult> strings;
-  const auto add = [&](net::RuleId rid) { strings.push_back(measured[rid.value]); };
+  const auto add = [&](net::RuleId rid) {
+    const RuleMeasure& m = table.rules[rid.value];
+    strings.push_back({m.coverage(), m.match});
+  };
   const auto fold = [&] {
     coverage::ComponentCoverage out{weighted_mean(strings), 0};
     for (const coverage::MeasureResult& s : strings) out.weight += s.weight;

@@ -88,13 +88,10 @@ struct EngineOptions {
   /// output bit-identical to a from-scratch run. A missing/corrupt/
   /// mismatched cache silently degrades to a full rebuild.
   std::string cache_dir{};
-  /// Dead-fraction trigger in (0, 1] for phase-boundary mark-compact GC on
-  /// the per-worker shard managers of steps 1-2 (0 = off). Enabling GC
-  /// forces the sharded build path even at threads == 1; output stays
-  /// bit-identical either way (GC only renumbers shard-private nodes; the
-  /// merge canonicalizes). Deliberately NOT part of the incremental
-  /// cache's options fingerprint for the same reason.
-  double gc_threshold = 0.0;
+  /// Read by nothing. perfbench/layers.cpp, which changes only with the
+  /// benchmark, still builds these options from four values; this member
+  /// goes with that file (ROADMAP item 7).
+  double reserved = 0.0;
 };
 
 class CoverageEngine {

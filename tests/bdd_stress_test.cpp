@@ -96,71 +96,6 @@ TEST(BddStressTest, XorLadderStaysCanonical) {
   EXPECT_EQ(parity ^ parity, mgr.zero());
 }
 
-TEST(BddStressTest, FuzzCollectUnderTinyThreshold) {
-  // Fuzz-style GC stress: random boolean workload with an aggressive
-  // trigger (collect whenever 10% of a tiny arena is garbage). Every kept
-  // function must survive every collection with its model count and its
-  // canonical identity intact.
-  BddManager mgr(40);
-  mgr.set_gc_threshold(0.1, /*min_arena=*/64);
-  uint64_t state = 0xfeedULL;
-  const auto rnd = [&state] {
-    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-    return state >> 33;
-  };
-
-  std::vector<Bdd> kept;
-  std::vector<Uint128> counts;
-  size_t collections = 0;
-  for (int step = 0; step < 4000; ++step) {
-    // Random literal conjunction, then a random combine with a kept set.
-    Bdd f = mgr.one();
-    for (int j = 0; j < 4; ++j) {
-      const Var v = static_cast<Var>(rnd() % 40);
-      f = f & ((rnd() & 1) != 0 ? mgr.var(v) : mgr.nvar(v));
-    }
-    if (!kept.empty()) {
-      const Bdd& other = kept[rnd() % kept.size()];
-      switch (rnd() % 3) {
-        case 0: f = f | other; break;
-        case 1: f = f ^ other; break;
-        default: f = f - other; break;
-      }
-    }
-    if (kept.size() < 24) {
-      kept.push_back(f);
-      counts.push_back(f.count());
-    } else {
-      const size_t victim = rnd() % kept.size();
-      kept[victim] = f;  // old function becomes garbage
-      counts[victim] = f.count();
-    }
-
-    if (mgr.gc_due()) {
-      std::vector<NodeIndex> roots;
-      roots.reserve(kept.size());
-      for (const Bdd& k : kept) roots.push_back(k.index());
-      const GcResult gc = mgr.collect(roots);
-      for (Bdd& k : kept) {
-        const NodeIndex ni = gc.map(k.index());
-        ASSERT_NE(ni, GcResult::kDeadNode);
-        k = Bdd(&mgr, ni);
-      }
-      ++collections;
-    }
-  }
-  EXPECT_GT(collections, 0u) << "the tiny threshold must actually fire";
-  EXPECT_EQ(mgr.stats().gc_runs, collections);
-  for (size_t i = 0; i < kept.size(); ++i) {
-    EXPECT_EQ(kept[i].count(), counts[i]) << "function " << i;
-  }
-  // Canonicity end-to-end: re-running an operation on survivors dedups.
-  if (kept.size() >= 2) {
-    EXPECT_EQ(kept[0] | kept[1], kept[0] | kept[1]);
-    EXPECT_EQ((kept[0] & kept[1]).index(), (kept[0] & kept[1]).index());
-  }
-}
-
 TEST(BddStressTest, CacheStatsAccumulate) {
   BddManager mgr(32);
   const Bdd a = mgr.var(0) & mgr.var(5) & mgr.var(9);

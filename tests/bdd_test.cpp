@@ -4,6 +4,7 @@
 #include <random>
 
 #include "bdd/bdd.hpp"
+#include "common/budget.hpp"
 
 namespace yardstick::bdd {
 namespace {
@@ -212,6 +213,146 @@ TEST(BddManagerTest, CacheAblationProducesSameResults) {
   (void)rng;
   EXPECT_EQ(random_fn(with_cache).count(), random_fn(without_cache).count());
   EXPECT_GT(with_cache.cache_stats().hits, 0u);
+}
+
+/// The union of `cubes` random cubes of `width` literals each.
+Bdd random_function(BddManager& m, std::mt19937& rng, int cubes, int width) {
+  Bdd acc = m.zero();
+  for (int i = 0; i < cubes; ++i) {
+    Bdd cube = m.one();
+    for (int j = 0; j < width; ++j) {
+      const Var v = static_cast<Var>(rng() % m.num_vars());
+      cube &= (rng() & 1) != 0 ? m.var(v) : m.nvar(v);
+    }
+    acc |= cube;
+  }
+  return acc;
+}
+
+TEST(BddManagerTest, NegationMemoIsCorrectAndCounted) {
+  BddManager m(24);
+  std::mt19937 rng(11);
+  const Bdd f = random_function(m, rng, 8, 5);
+
+  const BddManager::Stats s0 = m.stats();
+  const Bdd nf = !f;
+  EXPECT_EQ(f & nf, m.zero());
+  EXPECT_EQ(f | nf, m.one());
+  EXPECT_EQ(f.count() + nf.count(), pow2(24));
+
+  // Involution comes straight from the memo (both directions are inserted).
+  const Bdd back = !nf;
+  EXPECT_EQ(back, f);
+  const BddManager::Stats s1 = m.stats();
+  EXPECT_GT(s1.neg_cache_misses, s0.neg_cache_misses);
+  EXPECT_GT(s1.neg_cache_hits, s0.neg_cache_hits);
+
+  // Terminals never touch the memo.
+  EXPECT_EQ(!m.zero(), m.one());
+  EXPECT_EQ(!m.one(), m.zero());
+}
+
+TEST(BddManagerTest, ReserveNodesRehashesOnce) {
+  BddManager m(16);
+  const uint64_t growths0 = m.stats().unique_table_growths;
+  m.reserve_nodes(1 << 18);  // far beyond the initial table
+  EXPECT_EQ(m.stats().unique_table_growths, growths0 + 1);
+  m.reserve_nodes(16);  // already capacious: no rehash at all
+  EXPECT_EQ(m.stats().unique_table_growths, growths0 + 1);
+  // The reservation is usable: bulk building stays rehash-free.
+  std::mt19937 rng(13);
+  (void)random_function(m, rng, 30, 6);
+  EXPECT_EQ(m.stats().unique_table_growths, growths0 + 1);
+}
+
+TEST(BddManagerTest, BudgetChargeBalancedAcrossAttachGrowDetach) {
+  ys::ResourceBudget budget;
+  BddManager m(32);
+  std::mt19937 rng(99);
+  (void)random_function(m, rng, 12, 6);
+
+  // Attaching charges the existing arena...
+  m.set_budget(&budget);
+  EXPECT_EQ(budget.used_bdd_nodes(), m.arena_size());
+  // ...and growth while attached is charged one node at a time.
+  (void)random_function(m, rng, 12, 6);
+  EXPECT_EQ(budget.used_bdd_nodes(), m.arena_size());
+  const size_t peak = budget.peak_bdd_nodes();
+  EXPECT_GE(peak, m.arena_size());
+
+  // Detach releases the whole charge, leaving the shared pool balanced,
+  // and never lowers the high-water mark.
+  m.set_budget(nullptr);
+  EXPECT_EQ(budget.used_bdd_nodes(), 0u);
+  EXPECT_EQ(budget.peak_bdd_nodes(), peak);
+}
+
+TEST(BddManagerTest, BudgetChargeBalancedOnExceptionPath) {
+  ys::ResourceBudget budget;
+  budget.with_max_bdd_nodes(64);
+  BddManager m(32);
+  m.set_budget(&budget);
+  std::mt19937 rng(1);
+  bool threw = false;
+  try {
+    for (int i = 0; i < 1000; ++i) (void)random_function(m, rng, 16, 8);
+  } catch (const ys::StatusError& e) {
+    threw = ys::is_resource_exhaustion(e.code());
+  }
+  EXPECT_TRUE(threw);
+  EXPECT_LE(budget.used_bdd_nodes(), 64u);
+  // The failed allocation charged nothing: the manager's own charge still
+  // matches its arena, so detaching drains the pool to zero.
+  EXPECT_EQ(budget.used_bdd_nodes(), m.arena_size());
+  m.set_budget(nullptr);
+  EXPECT_EQ(budget.used_bdd_nodes(), 0u);
+}
+
+TEST(NodeIndexMap, InsertFindGrow) {
+  NodeIndexMap map(/*initial_capacity=*/16);
+  EXPECT_EQ(map.size(), 0u);
+  EXPECT_EQ(map.find(5), nullptr);
+  // Push far past the initial capacity to exercise growth + re-slotting.
+  for (uint32_t i = 0; i < 500; ++i) map.insert(i + 2, i * 3 + 2);
+  EXPECT_EQ(map.size(), 500u);
+  for (uint32_t i = 0; i < 500; ++i) {
+    const NodeIndex* v = map.find(i + 2);
+    ASSERT_NE(v, nullptr) << "key " << i + 2;
+    EXPECT_EQ(*v, i * 3 + 2);
+  }
+  EXPECT_EQ(map.find(1000), nullptr);
+}
+
+TEST(BddImporterTest, ImportKeepsCountsAndARepeatCopiesNothing) {
+  BddManager src(24);
+  BddManager dst(24);
+  std::mt19937 rng(17);
+  const Bdd f = random_function(src, rng, 8, 5);
+  const Bdd g = random_function(src, rng, 8, 5);
+
+  BddImporter imp(dst, src);
+  const Bdd fd = imp.import(f);
+  const Bdd gd = imp.import(g);
+  EXPECT_EQ(fd.manager(), &dst);
+  EXPECT_EQ(fd.count(), f.count());
+  EXPECT_EQ(gd.count(), g.count());
+  EXPECT_EQ(fd.node_count(), f.node_count());
+  EXPECT_EQ(gd.node_count(), g.node_count());
+
+  // A repeat import is a memo hit: the same handle, and no node copied or
+  // allocated. Terminals and destination handles pass through.
+  const size_t copied = imp.imported_nodes();
+  const size_t arena = dst.arena_size();
+  EXPECT_EQ(imp.import(f), fd);
+  EXPECT_EQ(imp.import(g), gd);
+  EXPECT_EQ(imp.import(src.one()), dst.one());
+  EXPECT_EQ(imp.import(fd), fd);
+  EXPECT_EQ(imp.imported_nodes(), copied);
+  EXPECT_EQ(dst.arena_size(), arena);
+
+  // The copies combine like their sources.
+  EXPECT_EQ((fd | gd).count(), (f | g).count());
+  EXPECT_EQ((fd & gd).count(), (f & g).count());
 }
 
 // Randomized law checking: build random expressions two ways and compare

@@ -342,21 +342,44 @@ TEST_F(IncrementalTest, TraceChangeInvalidatesCoverageButReusesMatchSets) {
 
 TEST_F(IncrementalTest, OptionsChangeForcesFullRebuild) {
   const coverage::CoverageTrace trace = base_trace(tiny_);
-  (void)run_engine(tiny_.net, trace, dir_, /*threads=*/1);
+  (void)run_engine(tiny_.net, trace, dir_);
 
-  const EngineRun warm = run_engine(tiny_.net, trace, dir_, /*threads=*/2);
+  // A node cap keys the cache, even one roomy enough never to truncate.
+  ResourceBudget capped;
+  capped.with_max_bdd_nodes(50'000'000);
+  const EngineRun warm = run_engine(tiny_.net, trace, dir_, /*threads=*/1, &capped);
   const CacheStats* stats = warm.engine->cache_stats();
   EXPECT_FALSE(stats->loaded);
   EXPECT_EQ(stats->fallback_reason, "engine options changed");
   EXPECT_EQ(stats->match_hits, 0u);
   EXPECT_TRUE(stats->saved);  // re-keyed under the new fingerprint
 
-  const EngineRun scratch = run_engine(tiny_.net, trace, /*cache_dir=*/"", /*threads=*/2);
+  const EngineRun scratch = run_engine(tiny_.net, trace, /*cache_dir=*/"");
   expect_same_results(tiny_.net, *scratch.engine, *warm.engine);
 
-  // And the rewrite took: the next run at 2 threads is a full hit.
-  const EngineRun rewarmed = run_engine(tiny_.net, trace, dir_, /*threads=*/2);
+  // And the rewrite took: the next run under the same cap is a full hit.
+  ResourceBudget same_cap;
+  same_cap.with_max_bdd_nodes(50'000'000);
+  const EngineRun rewarmed = run_engine(tiny_.net, trace, dir_, /*threads=*/1, &same_cap);
   EXPECT_EQ(rewarmed.engine->cache_stats()->match_hits, 3u);
+}
+
+TEST_F(IncrementalTest, ThreadChangeIsAFullHit) {
+  // Untruncated sets are bit-identical at any thread count, so the thread
+  // count does not key the cache: a run at another count reuses every record.
+  const coverage::CoverageTrace trace = base_trace(tiny_);
+  (void)run_engine(tiny_.net, trace, dir_, /*threads=*/2);
+  const EngineRun scratch = run_engine(tiny_.net, trace, /*cache_dir=*/"");
+  for (const unsigned threads : {1u, 4u}) {
+    const EngineRun warm = run_engine(tiny_.net, trace, dir_, threads);
+    const CacheStats* stats = warm.engine->cache_stats();
+    EXPECT_TRUE(stats->loaded) << stats->fallback_reason;
+    EXPECT_EQ(stats->match_hits, 3u) << threads << " threads";
+    EXPECT_EQ(stats->cover_hits, 3u) << threads << " threads";
+    EXPECT_EQ(stats->invalidated, 0u) << threads << " threads";
+    EXPECT_FALSE(stats->saved) << threads << " threads";  // the file is already current
+    expect_same_results(tiny_.net, *scratch.engine, *warm.engine);
+  }
 }
 
 TEST_F(IncrementalTest, CorruptOrTruncatedCacheFallsBackToFullRebuild) {

@@ -3,7 +3,7 @@
 // dst prefix no earlier rule of its table overlaps its field as M[r], paying
 // a difference only for the others (DESIGN.md §20). Every M[r] and every
 // ACL-permitted space must be the reference's node, in one manager, at
-// 1, 2 and 4 workers, GC off and armed, with and without a cache prefill.
+// 1, 2 and 4 workers, with and without a cache prefill.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -82,41 +82,38 @@ net::Network random_network(uint32_t seed) {
   return network;
 }
 
-/// Builds the index of `network` at 1, 2 and 4 workers, GC off and armed
-/// at 0.05, without and with the reference's sets prefilled for every
-/// other device, each in a fresh manager that also holds the reference,
-/// and expects the reference's node for every set.
+/// Builds the index of `network` at 1, 2 and 4 workers, without and with
+/// the reference's sets prefilled for every other device, each in a fresh
+/// manager that also holds the reference, and expects the reference's node
+/// for every set.
 void expect_reference_sets(const net::Network& network, const std::string& label) {
   for (const unsigned threads : {1u, 2u, 4u}) {
-    for (const double gc : {0.0, 0.05}) {
-      for (const bool prefilled : {false, true}) {
-        const std::string config = label + ", " + std::to_string(threads) + " worker(s), gc " +
-                                   std::to_string(gc) + (prefilled ? ", prefilled" : "");
-        bdd::BddManager mgr(packet::kNumHeaderBits);
-        const MatchSlots want = reference::match_slots(mgr, network);
-        MatchPrefill half;
-        half.match_sets.resize(network.rule_count());
-        half.acl_permitted.resize(network.device_count());
-        half.device_hit.assign(network.device_count(), 0);
-        for (const net::Device& dev : network.devices()) {
-          if (dev.id.value % 2 != 0) continue;
-          half.device_hit[dev.id.value] = 1;
-          for_each_slot(network, dev, static_cast<MatchSlots&>(half), want,
-                        [](packet::PacketSet& to, const packet::PacketSet& from) { to = from; });
-        }
-        const MatchSetIndex index(mgr, network, threads, prefilled ? &half : nullptr, gc);
-        ASSERT_FALSE(index.truncated()) << config;
-        for (const net::Rule& rule : network.rules()) {
-          ASSERT_EQ(index.match_set(rule.id).raw(), want.match_sets[rule.id.value].raw())
-              << "M[r] of rule " << rule.id.value << " ("
-              << network.match_spec(rule.id).to_string() << "), "
-              << config;
-        }
-        for (const net::Device& dev : network.devices()) {
-          ASSERT_EQ(index.acl_permitted_space(dev.id).raw(),
-                    want.acl_permitted[dev.id.value].raw())
-              << "ACL space of device " << dev.id.value << ", " << config;
-        }
+    for (const bool prefilled : {false, true}) {
+      const std::string config =
+          label + ", " + std::to_string(threads) + " worker(s)" + (prefilled ? ", prefilled" : "");
+      bdd::BddManager mgr(packet::kNumHeaderBits);
+      const MatchSlots want = reference::match_slots(mgr, network);
+      MatchPrefill half;
+      half.match_sets.resize(network.rule_count());
+      half.acl_permitted.resize(network.device_count());
+      half.device_hit.assign(network.device_count(), 0);
+      for (const net::Device& dev : network.devices()) {
+        if (dev.id.value % 2 != 0) continue;
+        half.device_hit[dev.id.value] = 1;
+        for_each_slot(network, dev, static_cast<MatchSlots&>(half), want,
+                      [](packet::PacketSet& to, const packet::PacketSet& from) { to = from; });
+      }
+      const MatchSetIndex index(mgr, network, threads, prefilled ? &half : nullptr);
+      ASSERT_FALSE(index.truncated()) << config;
+      for (const net::Rule& rule : network.rules()) {
+        ASSERT_EQ(index.match_set(rule.id).raw(), want.match_sets[rule.id.value].raw())
+            << "M[r] of rule " << rule.id.value << " ("
+            << network.match_spec(rule.id).to_string() << "), " << config;
+      }
+      for (const net::Device& dev : network.devices()) {
+        ASSERT_EQ(index.acl_permitted_space(dev.id).raw(),
+                  want.acl_permitted[dev.id.value].raw())
+            << "ACL space of device " << dev.id.value << ", " << config;
       }
     }
   }

@@ -137,25 +137,6 @@ size_t fan_out_spans(Fn&& fn) {
   return count;
 }
 
-/// Runs `fn` with tracing on and returns how many `bdd.gc` spans lie inside
-/// a `match_sets.build` span; the workers trace on their own threads, so
-/// containment is by time.
-template <typename Fn>
-size_t step1_collections(Fn&& fn) {
-  const std::vector<obs::TraceEvent> events = traced(fn);
-  size_t count = 0;
-  for (const obs::TraceEvent& build : events) {
-    if (std::strcmp(build.name, "match_sets.build") != 0) continue;
-    for (const obs::TraceEvent& gc : events) {
-      count += std::strcmp(gc.name, "bdd.gc") == 0 && build.ts_us <= gc.ts_us &&
-                       gc.ts_us + gc.dur_us <= build.ts_us + build.dur_us
-                   ? 1
-                   : 0;
-    }
-  }
-  return count;
-}
-
 class ParallelDeterminismTest : public ::testing::Test {
  protected:
   /// Runs the fat-tree paper suite once (in a scratch manager) and returns
@@ -251,49 +232,16 @@ TEST_F(ParallelDeterminismTest, RegionalSetsAndMetricsBitIdentical) {
   }
 }
 
-TEST_F(ParallelDeterminismTest, GcOnOffBitIdenticalAcrossThreadCounts) {
-  // k=4 never grows a shard far enough to collect; k=8 collects inside
-  // step 1 at 1 and 4 threads (not at 8, whose shards stay small), so a
-  // handle or memo that outlived a collect would show there.
-  for (const int k : {4, 8}) {
-    topo::FatTree tree = topo::make_fat_tree({.k = k});
-    routing::FibBuilder::compute_and_build(tree.network, tree.routing);
-    const coverage::CoverageTrace trace = fat_tree_trace(tree);
-
-    // Ground truth: serial, GC off.
-    const EngineRun serial = run_engine(tree.network, trace, {.threads = 1});
-    ASSERT_FALSE(serial.engine->truncated());
-    const ys::MetricRow serial_row = serial.engine->metrics();
-
-    // GC only renumbers shard-private nodes, so an aggressive threshold
-    // must leave every set and metric bit-identical at any thread count —
-    // including 1, where an armed GC forces the sharded path.
-    for (const unsigned threads : {1u, 4u, 8u}) {
-      EngineRun gc_run;
-      const size_t collections = step1_collections([&] {
-        gc_run = run_engine(tree.network, trace, {.threads = threads, .gc_threshold = 0.05});
-      });
-      EXPECT_FALSE(gc_run.engine->truncated()) << "k=" << k << ", " << threads << " threads";
-      expect_same_sets(tree.network, *serial.engine, *gc_run.engine, threads);
-      expect_same_metrics(serial_row, gc_run.engine->metrics(), threads);
-      if (k == 8 && threads <= 4) {
-        EXPECT_GE(collections, 1u) << threads << " threads";
-      }
-    }
-  }
-}
-
-TEST_F(ParallelDeterminismTest, GcUnderBudgetKeepsAccountingBalanced) {
+TEST_F(ParallelDeterminismTest, ShardsUnderBudgetKeepAccountingBalanced) {
   topo::FatTree tree = topo::make_fat_tree({.k = 4});
   routing::FibBuilder::compute_and_build(tree.network, tree.routing);
   const coverage::CoverageTrace trace = fat_tree_trace(tree);
 
-  // Roomy cap: the build completes; GC'd shards must return their charge so
+  // Roomy cap: the build completes; the shards must return their charge so
   // the budget drains back to exactly the primary manager's arena.
   ys::ResourceBudget budget;
   budget.with_max_bdd_nodes(50'000'000);
-  const EngineRun run =
-      run_engine(tree.network, trace, {.budget = &budget, .threads = 4, .gc_threshold = 0.05});
+  const EngineRun run = run_engine(tree.network, trace, {.budget = &budget, .threads = 4});
   EXPECT_FALSE(run.engine->truncated());
   EXPECT_EQ(budget.used_bdd_nodes(), run.mgr->arena_size());
   EXPECT_GE(budget.peak_bdd_nodes(), budget.used_bdd_nodes());
@@ -316,7 +264,7 @@ TEST_F(ParallelDeterminismTest, GcUnderBudgetKeepsAccountingBalanced) {
       if (in_step_2) arm();
     }));
     EXPECT_THROW(ys::CoverageEngine(mgr, tree.network, suite,
-                                    ys::EngineOptions{&failing, 4, "", 0.05}),
+                                    ys::EngineOptions{&failing, 4, ""}),
                  ys::IoError)
         << (in_step_2 ? "step 2" : "step 1");
     EXPECT_EQ(mgr.budget(), nullptr) << (in_step_2 ? "step 2" : "step 1");
@@ -431,11 +379,11 @@ TEST_F(ParallelDeterminismTest, BudgetStoppingEitherMergeLeavesOnlyPrimaryHandle
       packet::PacketSet::field_range(scratch_, packet::Field::DstPort, 1000, 2000);
   for (const net::DeviceId tor : tree.tors) trace.mark_packet(net::device_location(tor), ports);
 
-  // One worker with GC armed at 1.0, which never collects, builds each step
-  // in a shard on the calling thread. Nothing releases charge before the
-  // shard dies after its merge, and each merge imports fresh nodes, so a
-  // step's charge peaks at its merge's last fresh node: a cap one below
-  // that peak stops the merge there, with every device built. `between`
+  // Two workers build each step in two shards. Nothing releases charge
+  // before the shards die after the merge, and each merge imports fresh
+  // nodes, so a step's charge only rises and peaks at its merge's last
+  // fresh node, whatever order the workers ran in: a cap one below that
+  // peak stops the merge there, with every device built. `between`
   // runs in the online phase, where the budget is off every manager and
   // nothing is charged: it may set step 2's cap there.
   const auto run = [&](ys::ResourceBudget& budget, const std::function<void()>& between) {
@@ -448,7 +396,7 @@ TEST_F(ParallelDeterminismTest, BudgetStoppingEitherMergeLeavesOnlyPrimaryHandle
       between();
     }));
     r.engine = std::make_unique<ys::CoverageEngine>(*r.mgr, tree.network, suite,
-                                                    ys::EngineOptions{&budget, 1, "", 1.0});
+                                                    ys::EngineOptions{&budget, 2, ""});
     return r;
   };
   // The budget's peak is monotone and step 1 may peak higher than step 2,

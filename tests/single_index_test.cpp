@@ -3,10 +3,9 @@
 // order gives — a serial MatchSetIndex for the tests, then the trace
 // constructor: the same report JSON, metrics() rows, rule measures,
 // serialized trace and test results, on three networks, at 1 and 4
-// threads, with GC off and on, and with a cold and a warm incremental
-// cache. The budget bounds steps 1-3 only: a cap that trips step 1 hands
-// the tests a partial data plane, and the run degrades instead of
-// throwing.
+// threads, and with a cold and a warm incremental cache. The budget bounds
+// steps 1-3 only: a cap that trips step 1 hands the tests a partial data
+// plane, and the run degrades instead of throwing.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -41,15 +40,13 @@ enum class NetworkKind { Tiny, FatTree, Regional };
 struct Case {
   NetworkKind network;
   unsigned threads;
-  double gc_threshold;
 };
 
 std::string label(const Case& c) {
   const char* net = c.network == NetworkKind::Tiny      ? "tiny"
                     : c.network == NetworkKind::FatTree ? "fattree_k4"
                                                         : "regional_acl_transforms";
-  return std::string(net) + "_t" + std::to_string(c.threads) +
-         (c.gc_threshold > 0.0 ? "_gc" : "_nogc");
+  return std::string(net) + "_t" + std::to_string(c.threads);
 }
 
 std::string case_name(const ::testing::TestParamInfo<Case>& info) { return label(info.param); }
@@ -245,11 +242,11 @@ class SingleIndexTest : public ::testing::TestWithParam<Case> {};
 TEST_P(SingleIndexTest, MatchesTheTwoIndexOrder) {
   const Case& c = GetParam();
   const Subject s(c.network);
-  const Outcome want = two_indexes(s, EngineOptions{nullptr, c.threads, "", c.gc_threshold});
+  const Outcome want = two_indexes(s, EngineOptions{nullptr, c.threads, ""});
 
   const std::string dir = ::testing::TempDir() + "/single_index_" + label(c);
   std::remove((dir + "/coverage.cache").c_str());
-  const EngineOptions cached{nullptr, c.threads, dir, c.gc_threshold};
+  const EngineOptions cached{nullptr, c.threads, dir};
   const Outcome cold = one_index(s, cached);
   expect_same(want, cold);
   EXPECT_FALSE(cold.cache.loaded);
@@ -266,13 +263,9 @@ TEST_P(SingleIndexTest, MatchesTheTwoIndexOrder) {
 
 INSTANTIATE_TEST_SUITE_P(
     Networks, SingleIndexTest,
-    ::testing::Values(Case{NetworkKind::Tiny, 1, 0.0}, Case{NetworkKind::Tiny, 4, 0.0},
-                      Case{NetworkKind::Tiny, 1, 0.5}, Case{NetworkKind::Tiny, 4, 0.5},
-                      Case{NetworkKind::FatTree, 1, 0.0}, Case{NetworkKind::FatTree, 4, 0.0},
-                      Case{NetworkKind::FatTree, 1, 0.5}, Case{NetworkKind::FatTree, 4, 0.5},
-                      Case{NetworkKind::Regional, 1, 0.0}, Case{NetworkKind::Regional, 4, 0.0},
-                      Case{NetworkKind::Regional, 1, 0.5},
-                      Case{NetworkKind::Regional, 4, 0.5}),
+    ::testing::Values(Case{NetworkKind::Tiny, 1}, Case{NetworkKind::Tiny, 4},
+                      Case{NetworkKind::FatTree, 1}, Case{NetworkKind::FatTree, 4},
+                      Case{NetworkKind::Regional, 1}, Case{NetworkKind::Regional, 4}),
     case_name);
 
 TEST(SingleIndexBudgetTest, StepOneCapHandsTheTestsAPartialDataPlane) {
@@ -289,7 +282,7 @@ TEST(SingleIndexBudgetTest, StepOneCapHandsTheTestsAPartialDataPlane) {
     }));
     std::optional<CoverageEngine> engine;
     ASSERT_NO_THROW(
-        engine.emplace(mgr, *s.network, suite, EngineOptions{&budget, threads, "", 0.0}));
+        engine.emplace(mgr, *s.network, suite, EngineOptions{&budget, threads, ""}));
     EXPECT_EQ(during_tests, nullptr) << "the tests ran budgeted";
     EXPECT_EQ(mgr.budget(), &budget) << "the budget was not re-attached";
     EXPECT_TRUE(engine->match_sets().truncated());
@@ -315,7 +308,7 @@ TEST(SingleIndexBudgetTest, BudgetIsReattachedWhenTheOnlinePhaseThrows) {
   nettest::TestSuite failing;
   failing.add(std::make_unique<Probe>(
       [](const dataplane::Transfer&) { throw std::runtime_error("test harness crashed"); }));
-  const EngineOptions options{&budget, 1, "", 0.0};
+  const EngineOptions options{&budget, 1, ""};
   EXPECT_THROW((void)CoverageEngine(mgr, tiny.net, failing, options), std::runtime_error);
   // The engine that failed to construct put back the budget it found, and
   // its own holds no charge.

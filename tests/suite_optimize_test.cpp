@@ -391,7 +391,7 @@ TEST_F(SuiteOptimizeTest, GapReportJsonIsBitIdenticalAcrossThreadCounts) {
     CoverageTracker tracker;
     (void)suite.run_all(transfer, tracker);
     const CoverageEngine engine(run_mgr, tree.network, tracker.trace(),
-                                EngineOptions{nullptr, threads, "", 0.0});
+                                EngineOptions{nullptr, threads, ""});
     const GapReport report = build_gap_report(engine);
     const SuiteCoverageMatrix m = build_suite_matrix(transfer, suite, threads);
     return optimize_to_json(m, nullptr, nullptr, &report);

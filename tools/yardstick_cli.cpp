@@ -130,7 +130,6 @@ struct CliOptions {
   double deadline_s = 0.0;       // 0 = unlimited
   size_t max_bdd_nodes = 0;      // 0 = unlimited
   unsigned threads = 0;          // offline-phase workers; 0 = all hardware threads
-  double gc_threshold = 0.0;     // shard-manager GC dead-fraction trigger; 0 = off
   std::string cache_dir;         // incremental result cache; empty = off
   std::optional<std::string> trace_out;    // Chrome trace-event JSON
   std::optional<std::string> metrics_out;  // metrics JSON (+ FILE.prom)
@@ -229,9 +228,6 @@ constexpr Flag kFlags[] = {
     {"resources", "--threads", "N",
      "offline-phase worker threads, N >= 1 (default: all hardware threads; same results)",
      [](auto& o, auto v, auto) { return parse_range(v, 1, INT_MAX, o.threads); }},
-    {"resources", "--gc-threshold", "F",
-     "collect shard BDD arenas once the dead fraction may exceed F in (0,1] (default off)",
-     [](auto& o, auto v, auto) { return parse_f64(v, 1.0, o.gc_threshold); }},
     {"resources", "--incremental", "",
      "cache offline-phase results in .yardstick-cache; recompute only what changed",
      [](auto& o, auto, auto) {
@@ -332,7 +328,7 @@ struct Setup {
   nettest::TestSuite suite{""};
 
   [[nodiscard]] ys::EngineOptions engine_options(const CliOptions& opts) const {
-    return {budgeted ? &budget : nullptr, opts.threads, opts.cache_dir, opts.gc_threshold};
+    return {budgeted ? &budget : nullptr, opts.threads, opts.cache_dir};
   }
 };
 
