@@ -3,13 +3,16 @@
 //
 // For each k of YS_SCALING_KS (default "4 8 16 32 48") the trace of
 // DefaultRouteCheck + ToRContract goes through steps 1-3 and the local
-// metrics twice, on fresh managers: 4 workers (steps 1-2 build in shards
-// and merge), then 1 worker (they build in the primary). Each run records
-// its stage spans, the VmRSS it started from (what earlier runs left
-// resident), its own peak RSS, the peak arena nodes of a cap-less budget
-// attached for its cross-manager node accounting (primary + shards) and
-// the apply-cache hit rate. The two runs' metric rows must be
-// bit-identical: the merge makes every set canonical in the primary.
+// metrics twice, on fresh managers: 4 workers, then 1. Step 1 builds in the
+// primary manager either way; step 2 builds in shards and merges at 4
+// workers and in the primary at 1, so `covered_sets.build` is the stage the
+// worker count changes. Each run records its stage spans, the VmRSS it
+// started from, its own peak RSS and the difference (an in-process peak
+// carries what earlier runs left resident, so only peak - start compares
+// across configs), the peak arena nodes of a cap-less budget attached for
+// its cross-manager node accounting (primary + shards) and the apply-cache
+// hit rate. The two runs' metric rows must be bit-identical: the merge
+// makes every set canonical in the primary.
 //
 // Gate: metrics identical at 4 workers and at 1, at every k.
 // Results go to stdout and BENCH_scaling.json.
@@ -31,6 +34,11 @@ struct Offline {
   size_t peak_arena_nodes = 0;
   bench::Values values;
 };
+
+/// Peak minus starting RSS: what the run itself added.
+double rss_growth_kb(const bench::Run& run) {
+  return static_cast<double>(run.peak_rss_kb) - static_cast<double>(run.start_rss_kb);
+}
 
 /// One offline phase on a fresh manager.
 Offline run_offline(const bench::TracedFatTree& t, unsigned workers) {
@@ -54,6 +62,7 @@ Offline run_offline(const bench::TracedFatTree& t, unsigned workers) {
   out.peak_arena_nodes = budget.peak_bdd_nodes();
   out.values = {{"workers", workers},
                 {"start_rss_kb", static_cast<double>(out.run.start_rss_kb)},
+                {"rss_growth_kb", rss_growth_kb(out.run)},
                 {"peak_arena_nodes", static_cast<double>(out.peak_arena_nodes)},
                 {"cache_hit_rate", hits + misses == 0 ? 0.0 : hits / (hits + misses)},
                 {"op_cache_entries", static_cast<double>(primary.op_cache_entries)}};
@@ -66,10 +75,12 @@ int main() {
   const std::vector<int> ks = bench::knob_list("YS_SCALING_KS", {4, 8, 16, 32, 48});
   bench::Envelope envelope("scaling");
 
-  std::printf("# bench_scaling: offline phase (steps 1-3) at 4 workers vs 1\n");
-  std::printf("%4s %7s %9s | %10s %9s %9s %11s %8s | %10s %9s %11s %8s | %4s\n", "k",
-              "routers", "rules", "4w-wall(s)", "4w-m1(s)", "4w-mrg(s)", "4w-peaknode",
-              "4w-rss(M)", "1w-wall(s)", "1w-m1(s)", "1w-peaknode", "1w-rss(M)", "same");
+  std::printf("# bench_scaling: offline phase (steps 1-3) at 4 workers vs 1; "
+              "grow = peak - start RSS\n");
+  std::printf("%4s %7s %9s | %10s %9s %9s %11s %9s | %10s %9s %9s %11s %9s | %4s\n", "k",
+              "routers", "rules", "4w-wall(s)", "4w-m1(s)", "4w-m2(s)", "4w-peaknode",
+              "4w-grow(M)", "1w-wall(s)", "1w-m1(s)", "1w-m2(s)", "1w-peaknode", "1w-grow(M)",
+              "same");
   for (const int k : ks) {
     const bench::TracedFatTree t(
         bench::routed_fat_tree(k),
@@ -81,14 +92,13 @@ int main() {
                            four.row.rule_fractional == one.row.rule_fractional &&
                            four.row.rule_weighted == one.row.rule_weighted &&
                            four.row.truncated == one.row.truncated;
-    std::printf("%4d %7zu %9zu | %10.6f %9.6f %9.6f %11zu %8.1f | %10.6f %9.6f %11zu %8.1f | "
-                "%4s\n",
-                k, t.tree.network.device_count(), t.tree.network.rule_count(),
-                four.run.offline_seconds(), four.run.seconds({"match_sets.build"}),
-                four.run.seconds({"match_sets.merge"}), four.peak_arena_nodes,
-                static_cast<double>(four.run.peak_rss_kb) / 1024.0, one.run.offline_seconds(),
-                one.run.seconds({"match_sets.build"}), one.peak_arena_nodes,
-                static_cast<double>(one.run.peak_rss_kb) / 1024.0, identical ? "yes" : "NO");
+    std::printf("%4d %7zu %9zu", k, t.tree.network.device_count(), t.tree.network.rule_count());
+    for (const Offline* o : {&four, &one}) {
+      std::printf(" | %10.6f %9.6f %9.6f %11zu %9.1f", o->run.offline_seconds(),
+                  o->run.seconds({"match_sets.build"}), o->run.seconds({"covered_sets.build"}),
+                  o->peak_arena_nodes, rss_growth_kb(o->run) / 1024.0);
+    }
+    std::printf(" | %4s\n", identical ? "yes" : "NO");
     const std::string name = "k=" + std::to_string(k);
     const bench::Values size = {{"k", k},
                                 {"routers", static_cast<double>(t.tree.network.device_count())},

@@ -169,4 +169,17 @@ class InvalidInputError : public std::invalid_argument {
   return e == Error::BudgetExceeded || e == Error::Cancelled;
 }
 
+/// Runs fn. Returns true when a resource budget stopped it; any other
+/// failure propagates.
+template <typename Fn>
+bool exhausted_during(Fn&& fn) {
+  try {
+    fn();
+  } catch (const StatusError& e) {
+    if (!is_resource_exhaustion(e.code())) throw;
+    return true;
+  }
+  return false;
+}
+
 }  // namespace yardstick::ys

@@ -12,7 +12,6 @@
 // reaches).
 #pragma once
 
-#include <array>
 #include <vector>
 
 #include "coverage/trace.hpp"
@@ -20,23 +19,14 @@
 
 namespace yardstick::coverage {
 
-/// Step 2's output: every rule's covered set T[r]. The covered sets and a
-/// cache prefill hold one each (dataplane/sharded_build.hpp).
-struct CoverSlots {
-  std::vector<packet::PacketSet> covered;  // indexed by RuleId
-
-  static constexpr size_t kRuleColumns = 1;
-  auto columns() { return std::array{&covered}; }
-  auto columns() const { return std::array{&covered}; }
-};
-
 /// Per-device Algorithm-1 results restored from the incremental cache
 /// (src/yardstick/cache.*). Devices with `device_hit` set have the covered
 /// sets of all their rules already present in `covered` (living in the
 /// index's manager); the constructor adopts them and runs Algorithm 1 only
 /// for the remaining devices.
-struct CoverPrefill : CoverSlots {
-  std::vector<char> device_hit;  // indexed by DeviceId
+struct CoverPrefill {
+  std::vector<packet::PacketSet> covered;  // indexed by RuleId
+  std::vector<char> device_hit;            // indexed by DeviceId
 
   [[nodiscard]] bool hit(net::DeviceId id) const {
     return id.value < device_hit.size() && device_hit[id.value] != 0;
@@ -52,11 +42,13 @@ class CoveredSets {
   /// truncated() flips to true, and construction completes without
   /// throwing.
   ///
-  /// `threads` (0 = one per hardware thread) and `prefill` (cached covered
-  /// sets for a subset of devices, may be null) are the shard-and-merge
-  /// driver's: see dataplane/sharded_build.hpp. Every covered set is
-  /// canonical in the index's manager, so the result is bit-identical at
-  /// any thread count, prefilled or not.
+  /// `prefill` (cached covered sets for a subset of devices, may be null)
+  /// supplies the devices it hits. The rest are built in the index's
+  /// manager by one worker, or by `threads` workers (0 = one per hardware
+  /// thread) in shard managers whose sets are then imported in device
+  /// order (DESIGN.md §8). Every covered set is canonical in the index's
+  /// manager, so the result is bit-identical at any thread count,
+  /// prefilled or not.
   CoveredSets(const dataplane::MatchSetIndex& index, const CoverageTrace& trace,
               unsigned threads = 1, const CoverPrefill* prefill = nullptr);
 
@@ -72,12 +64,12 @@ class CoveredSets {
 
   /// T[r]: packets with which the suite exercised rule r.
   [[nodiscard]] const packet::PacketSet& covered(net::RuleId rule) const {
-    return sets_.covered[rule.value];
+    return covered_[rule.value];
   }
 
   /// |T[r]| (exact).
   [[nodiscard]] bdd::Uint128 covered_size(net::RuleId rule) const {
-    return sets_.covered[rule.value].count();
+    return covered_[rule.value].count();
   }
 
   /// Covered set of rule r restricted to packets arriving on `intf` —
@@ -94,7 +86,7 @@ class CoveredSets {
  private:
   const dataplane::MatchSetIndex& index_;
   const CoverageTrace& trace_;
-  CoverSlots sets_;
+  std::vector<packet::PacketSet> covered_;  // T[r], indexed by RuleId
   bool truncated_ = false;
 };
 

@@ -42,7 +42,7 @@
 #include "bdd/bdd.hpp"
 #include "common/budget.hpp"
 #include "common/parallel.hpp"
-#include "dataplane/sharded_build.hpp"
+#include "common/status.hpp"
 #include "obs/metrics.hpp"
 
 namespace yardstick::dataplane {
@@ -70,7 +70,7 @@ DrainResult clone_and_drain(const bdd::BddManager& primary, const Inputs& inputs
       return false;
     }
     bool partial = false;
-    if (detail::exhausted_during([&] { partial = item(in, i); }) || partial) {
+    if (ys::exhausted_during([&] { partial = item(in, i); }) || partial) {
       truncated.store(true, std::memory_order_relaxed);
     }
     return true;
@@ -89,7 +89,7 @@ DrainResult clone_and_drain(const bdd::BddManager& primary, const Inputs& inputs
       bdd::BddManager mgr(primary.num_vars());
       const bdd::ScopedBudget charge(mgr, budget);
       std::optional<Clone> clone;
-      if (detail::exhausted_during([&] { clone.emplace(mgr, inputs); })) {
+      if (ys::exhausted_during([&] { clone.emplace(mgr, inputs); })) {
         truncated.store(true, std::memory_order_relaxed);
         return;
       }

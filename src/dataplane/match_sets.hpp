@@ -9,13 +9,12 @@
 // of how a device implementation would scan the table.
 //
 // The index stores what later steps read: M[r] per rule and the
-// ACL-permitted space per device. A build makes each distinct match field
-// once per manager, and a rule pays a set difference only when an earlier
-// rule of its table may overlap it (DESIGN.md §20); build_match_field()
-// builds one field on demand.
+// ACL-permitted space per device. A build walks the devices in order in one
+// manager, makes each distinct match field once, and a rule pays a set
+// difference only when an earlier rule of its table may overlap it
+// (DESIGN.md §20); build_match_field() builds one field on demand.
 #pragma once
 
-#include <array>
 #include <memory>
 #include <vector>
 
@@ -27,16 +26,10 @@
 namespace yardstick::dataplane {
 
 /// Step 1's outputs: every rule's disjoint match set and every device's
-/// ACL-permitted space. The index and a cache prefill hold one each
-/// (dataplane/sharded_build.hpp).
+/// ACL-permitted space. The index and a cache prefill hold one each.
 struct MatchSlots {
   std::vector<packet::PacketSet> match_sets;     // indexed by RuleId
   std::vector<packet::PacketSet> acl_permitted;  // indexed by DeviceId
-
-  /// The rule-indexed vectors first, then the device-indexed ones.
-  static constexpr size_t kRuleColumns = 1;
-  auto columns() { return std::array{&match_sets, &acl_permitted}; }
-  auto columns() const { return std::array{&match_sets, &acl_permitted}; }
 };
 
 /// Per-device step-1 results restored from the incremental cache
@@ -64,14 +57,13 @@ class MatchSetIndex {
   /// false), truncated() flips to true, and construction completes without
   /// throwing — partial results instead of a runaway.
   ///
-  /// `threads` (0 = one per hardware thread) and `prefill` (cached results
-  /// for a subset of devices, may be null) are the shard-and-merge driver's:
-  /// see dataplane/sharded_build.hpp. Every set is canonical in `mgr`, so
-  /// the index is bit-identical at any thread count, prefilled or not.
+  /// `prefill` (cached results for a subset of devices, may be null)
+  /// supplies the devices it hits; the rest are walked in device order in
+  /// `mgr`, so the index is bit-identical prefilled or not.
   ///
   /// It also builds the snapshot's PrefixIndex from the FIB tables, in
   /// full: no BDD work, so neither the budget nor the prefill touches it.
-  MatchSetIndex(bdd::BddManager& mgr, const net::Network& network, unsigned threads = 1,
+  MatchSetIndex(bdd::BddManager& mgr, const net::Network& network,
                 const MatchPrefill* prefill = nullptr);
 
   /// Structural clone into another manager: copies every packet set of
@@ -120,7 +112,7 @@ class MatchSetIndex {
   /// Build the match field for a MatchSpec: the packet set the table
   /// entry says (header dimensions only; in-interface restrictions are
   /// handled by the transfer function). Step 1 builds each distinct field
-  /// once per manager and keeps only the rules' disjoint parts.
+  /// once per build and keeps only the rules' disjoint parts.
   static packet::PacketSet build_match_field(bdd::BddManager& mgr,
                                              const net::MatchSpec& spec);
 
@@ -132,5 +124,12 @@ class MatchSetIndex {
   std::vector<char> unreached_;  // indexed by RuleId; empty unless truncated
   bool truncated_ = false;
 };
+
+/// Copies `from`, sets of `imp`'s source manager, into its destination in
+/// order. A clone passes one importer for all its vectors, so a subgraph
+/// they share is copied once. Read-only on the source, so concurrent
+/// workers may each copy the same sets into a private manager.
+[[nodiscard]] std::vector<packet::PacketSet> import_sets(
+    bdd::BddImporter& imp, const std::vector<packet::PacketSet>& from);
 
 }  // namespace yardstick::dataplane

@@ -13,11 +13,10 @@
 //   │  ├─ routing.bgp                  (eBGP fixpoint; args devices,
 //   │  │                                prefixes, rib_entries, rounds)
 //   │  └─ routing.fib                  (FIB build; arg rules)
-//   ├─ match_sets.build                (offline step 1; args devices,
-//   │  │                                prefilled, rules, workers, fields,
-//   │  │                                differences)
-//   │  ├─ parallel.worker (×N)         (sharded device builds)
-//   │  └─ match_sets.merge             (deterministic import)
+//   ├─ match_sets.build                (offline step 1, one walk in the
+//   │                                   engine's manager; args devices,
+//   │                                   prefilled, rules, fields,
+//   │                                   differences)
 //   ├─ match_sets.prefix_index         (the snapshot's exact dst-prefix
 //   │                                   index, one per match_sets.build;
 //   │                                   clones share it; args rules, bytes)
@@ -32,14 +31,17 @@
 //   │                                   any trace read, e.g. each
 //   │                                   analysis.suite_matrix test; args
 //   │                                   reports, locations)
-//   ├─ covered_sets.build              (offline step 2, Algorithm 1)
-//   │  ├─ parallel.worker (×N)
-//   │  └─ covered_sets.merge
+//   ├─ covered_sets.build              (offline step 2, Algorithm 1;
+//   │  │                                args devices, prefilled, rules,
+//   │  │                                workers)
+//   │  ├─ parallel.worker (×N)         (sharded device builds)
+//   │  └─ covered_sets.merge           (deterministic import)
 //   ├─ measure_table.build             (offline step 3's per-rule pass)
 //   ├─ analysis.report                 (step 3 folds over the table)
 //   ├─ path_coverage.sweep             (offline step 3, DFS sweep)
 //   │  └─ parallel.worker (×N)         (clone + ingress drain)
-//   ├─ analysis.suite_matrix           (--analyze, optimize)
+//   ├─ analysis.suite_matrix           (--analyze, optimize; args
+//   │                                   tests, workers)
 //   ├─ scenario.evaluate (×N+1)        (scenarios mode; arg scenario,
 //   │  │                                0 = baseline: its own routing.bgp,
 //   │  │                                routing.fib, engine and suite.run

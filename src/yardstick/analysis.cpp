@@ -74,7 +74,6 @@ SuiteCoverageMatrix build_suite_matrix(const dataplane::Transfer& transfer,
   const size_t n = suite.size();
   obs::Span span("analysis.suite_matrix", "analysis");
   span.arg("tests", n);
-  span.arg("threads", threads);
 
   const dataplane::MatchSetIndex& index = transfer.index();
   const net::Network& network = index.network();
@@ -104,6 +103,7 @@ SuiteCoverageMatrix build_suite_matrix(const dataplane::Transfer& transfer,
   const dataplane::DrainResult drain = dataplane::clone_and_drain<MatrixClone>(
       index.manager(), MatrixInputs{transfer, threads}, n, threads, [] { return false; },
       [&](const MatrixInputs& in, size_t i) { return evaluate_test(in, suite.test(i), m, i); });
+  span.arg("workers", drain.workers);
   m.truncated = m.truncated || drain.truncated;
   for (std::vector<char>& row : m.covers) {
     if (row.empty()) row.assign(m.rule_count, 0);

@@ -102,12 +102,11 @@ void sample_engine_gauges(const bdd::BddManager& mgr) {
 }  // namespace
 
 dataplane::MatchSetIndex CoverageEngine::timed_match_sets(
-    bdd::BddManager& mgr, const net::Network& network, const EngineOptions& options,
-    PhaseTimings& timings, const IncrementalSession* incremental) {
+    bdd::BddManager& mgr, const net::Network& network, PhaseTimings& timings,
+    const IncrementalSession* incremental) {
   PhaseTimer timer(timings.match_sets_seconds);
   return dataplane::MatchSetIndex(
-      mgr, network, options.threads,
-      incremental != nullptr ? incremental->match_prefill() : nullptr);
+      mgr, network, incremental != nullptr ? incremental->match_prefill() : nullptr);
 }
 
 coverage::CoveredSets CoverageEngine::timed_covered_sets(
@@ -144,7 +143,7 @@ CoverageEngine::CoverageEngine(bdd::BddManager& mgr, const net::Network& network
       budget_(mgr, options.budget),
       threads_(options.threads),
       incremental_(make_incremental(mgr, network, options)),
-      index_(timed_match_sets(mgr, network, options, timings_, incremental_.get())),
+      index_(timed_match_sets(mgr, network, timings_, incremental_.get())),
       transfer_(index_),
       results_(run_online(suite, transfer_, trace, incremental_.get())),
       trace_(std::move(trace)),

@@ -74,12 +74,12 @@ struct EngineOptions {
   /// afterwards, so engines sharing a manager end in the reverse order they
   /// began. See the engine constructor docs for degradation semantics.
   const ResourceBudget* budget = nullptr;
-  /// Worker threads for the offline phase (match sets, covered sets and
-  /// path-universe sweeps): 1 = serial, 0 = one per hardware thread. The
-  /// drivers in dataplane/sharded_build.hpp and clone_and_drain.hpp own
-  /// the worker policy. Unbounded results are bit-identical across thread
-  /// counts — results merge canonically into the engine's manager, and
-  /// floating-point folds run in a fixed order.
+  /// Worker threads for step 2 (CoveredSets) and the path-universe sweep
+  /// (clone_and_drain.hpp); the CLI passes the same count to the suite
+  /// matrix. 1 = serial, 0 = one per hardware thread. Step 1 builds in the
+  /// engine's manager at every count (DESIGN.md §8). Unbounded results are
+  /// bit-identical across thread counts — results merge canonically into
+  /// the engine's manager, and floating-point folds run in a fixed order.
   unsigned threads = 1;
   /// Directory for the incremental result cache (DESIGN.md §11). Empty =
   /// no cross-run caching. When set, construction loads cached per-device
@@ -245,8 +245,8 @@ class CoverageEngine {
   /// `timings` (guaranteed copy elision constructs the member in place;
   /// the timing guard's destructor fires after construction completes).
   [[nodiscard]] static dataplane::MatchSetIndex timed_match_sets(
-      bdd::BddManager& mgr, const net::Network& network, const EngineOptions& options,
-      PhaseTimings& timings, const IncrementalSession* incremental);
+      bdd::BddManager& mgr, const net::Network& network, PhaseTimings& timings,
+      const IncrementalSession* incremental);
   [[nodiscard]] static coverage::CoveredSets timed_covered_sets(
       const dataplane::MatchSetIndex& index, const coverage::CoverageTrace& trace,
       const EngineOptions& options, PhaseTimings& timings,

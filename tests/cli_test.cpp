@@ -65,6 +65,20 @@ std::vector<TimelineSpan> spans_named(const std::string& path, const std::string
   return out;
 }
 
+/// The `key` arg of every span named `name` in the timeline file at `path`.
+std::vector<uint64_t> span_args(const std::string& path, const std::string& name,
+                                const std::string& key) {
+  std::ifstream in(path);
+  const std::string json{std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+  const std::regex event("\"name\":\"" + name + "\"[^}]*?\"args\":\\{[^}]*?\"" + key +
+                         "\":(\\d+)");
+  std::vector<uint64_t> out;
+  for (std::sregex_iterator it(json.begin(), json.end(), event), end; it != end; ++it) {
+    out.push_back(std::stoull((*it)[1]));
+  }
+  return out;
+}
+
 #define REQUIRE_CLI()                                             \
   if (cli_path() == nullptr) {                                    \
     GTEST_SKIP() << "yardstick CLI binary not found; run from the \
@@ -209,9 +223,11 @@ TEST(CliTest, TimelineCoversTopologyAndRuleKeys) {
   EXPECT_EQ(spans_named(trace, "match_sets.prefix_index").size(), 3u);
   std::remove(trace.c_str());
 
-  // The matrix workers' clones share the engine's prefix index.
+  // The matrix workers' clones share the engine's prefix index, and the
+  // matrix span records the workers it ran.
   r = run_cli("optimize fattree --k 4 --minimize --threads 2 --trace-out " + trace);
   ASSERT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_EQ(span_args(trace, "analysis.suite_matrix", "workers"), std::vector<uint64_t>{2});
   const std::vector<TimelineSpan> prefix_indexes = spans_named(trace, "match_sets.prefix_index");
   EXPECT_EQ(prefix_indexes.size(), spans_named(trace, "match_sets.build").size());
   for (const TimelineSpan& clone : spans_named(trace, "match_sets.clone")) {

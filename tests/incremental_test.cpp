@@ -15,6 +15,7 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/budget.hpp"
@@ -105,11 +106,13 @@ std::string as_v1_artifact(const std::string& v2) {
   return with_checksum(std::move(out));
 }
 
-/// Records spans for one scope; tracing is off and empty again after it.
+/// Records spans and metrics for one scope; tracing is off and empty again
+/// after it.
 class ScopedTracing {
  public:
   ScopedTracing() {
     obs::Tracer::global().clear();
+    obs::metrics().reset_values();
     obs::set_enabled(true);
   }
   ~ScopedTracing() {
@@ -179,8 +182,19 @@ class IncrementalTest : public ::testing::Test {
 
 TEST_F(IncrementalTest, ColdRunSavesWarmRunFullyHits) {
   const coverage::CoverageTrace trace = base_trace(tiny_);
+  // Each step counts the rules of the devices it walked: every rule on a
+  // cold run, none on a full hit.
+  using Walked = std::pair<uint64_t, uint64_t>;
+  const auto run_counting = [&](EngineRun& run) {
+    const ScopedTracing tracing;
+    run = run_engine(tiny_.net, trace, dir_);
+    return Walked{obs::metrics().counter("ys.match_sets.rules_built").value(),
+                  obs::metrics().counter("ys.covered_sets.rules_computed").value()};
+  };
+  const uint64_t rules = tiny_.net.rule_count();
 
-  const EngineRun cold = run_engine(tiny_.net, trace, dir_);
+  EngineRun cold;
+  EXPECT_EQ(run_counting(cold), (Walked{rules, rules}));
   const CacheStats* cold_stats = cold.engine->cache_stats();
   ASSERT_NE(cold_stats, nullptr);
   EXPECT_FALSE(cold_stats->loaded);
@@ -188,7 +202,8 @@ TEST_F(IncrementalTest, ColdRunSavesWarmRunFullyHits) {
   EXPECT_TRUE(cold_stats->saved) << cold_stats->save_error;
   EXPECT_TRUE(cache_exists());
 
-  const EngineRun warm = run_engine(tiny_.net, trace, dir_);
+  EngineRun warm;
+  EXPECT_EQ(run_counting(warm), (Walked{0, 0}));
   const CacheStats* warm_stats = warm.engine->cache_stats();
   ASSERT_NE(warm_stats, nullptr);
   EXPECT_TRUE(warm_stats->loaded);

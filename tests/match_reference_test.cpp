@@ -1,15 +1,14 @@
 // Step 1 against its reference (tests/match_reference.hpp): MatchSetIndex
-// builds each distinct match field once per manager and gives a rule whose
+// builds each distinct match field once per build and gives a rule whose
 // dst prefix no earlier rule of its table overlaps its field as M[r], paying
 // a difference only for the others (DESIGN.md §20). Every M[r] and every
-// ACL-permitted space must be the reference's node, in one manager, at
-// 1, 2 and 4 workers, with and without a cache prefill.
+// ACL-permitted space must be the reference's node, in one manager, with
+// and without a cache prefill.
 #include <gtest/gtest.h>
 
 #include <random>
 #include <string>
 
-#include "dataplane/sharded_build.hpp"
 #include "match_reference.hpp"
 #include "routing/fib_builder.hpp"
 #include "topo/acl.hpp"
@@ -82,39 +81,38 @@ net::Network random_network(uint32_t seed) {
   return network;
 }
 
-/// Builds the index of `network` at 1, 2 and 4 workers, without and with
-/// the reference's sets prefilled for every other device, each in a fresh
-/// manager that also holds the reference, and expects the reference's node
-/// for every set.
+/// Builds the index of `network` without and with the reference's sets
+/// prefilled for every other device, each in a fresh manager that also
+/// holds the reference, and expects the reference's node for every set.
 void expect_reference_sets(const net::Network& network, const std::string& label) {
-  for (const unsigned threads : {1u, 2u, 4u}) {
-    for (const bool prefilled : {false, true}) {
-      const std::string config =
-          label + ", " + std::to_string(threads) + " worker(s)" + (prefilled ? ", prefilled" : "");
-      bdd::BddManager mgr(packet::kNumHeaderBits);
-      const MatchSlots want = reference::match_slots(mgr, network);
-      MatchPrefill half;
-      half.match_sets.resize(network.rule_count());
-      half.acl_permitted.resize(network.device_count());
-      half.device_hit.assign(network.device_count(), 0);
-      for (const net::Device& dev : network.devices()) {
-        if (dev.id.value % 2 != 0) continue;
-        half.device_hit[dev.id.value] = 1;
-        for_each_slot(network, dev, static_cast<MatchSlots&>(half), want,
-                      [](packet::PacketSet& to, const packet::PacketSet& from) { to = from; });
+  for (const bool prefilled : {false, true}) {
+    const std::string config = label + (prefilled ? ", prefilled" : "");
+    bdd::BddManager mgr(packet::kNumHeaderBits);
+    const MatchSlots want = reference::match_slots(mgr, network);
+    MatchPrefill half;
+    half.match_sets.resize(network.rule_count());
+    half.acl_permitted.resize(network.device_count());
+    half.device_hit.assign(network.device_count(), 0);
+    for (const net::Device& dev : network.devices()) {
+      if (dev.id.value % 2 != 0) continue;
+      half.device_hit[dev.id.value] = 1;
+      for (const TableKind table : {TableKind::Acl, TableKind::Fib}) {
+        for (const net::RuleId rid : network.table(dev.id, table)) {
+          half.match_sets[rid.value] = want.match_sets[rid.value];
+        }
       }
-      const MatchSetIndex index(mgr, network, threads, prefilled ? &half : nullptr);
-      ASSERT_FALSE(index.truncated()) << config;
-      for (const net::Rule& rule : network.rules()) {
-        ASSERT_EQ(index.match_set(rule.id).raw(), want.match_sets[rule.id.value].raw())
-            << "M[r] of rule " << rule.id.value << " ("
-            << network.match_spec(rule.id).to_string() << "), " << config;
-      }
-      for (const net::Device& dev : network.devices()) {
-        ASSERT_EQ(index.acl_permitted_space(dev.id).raw(),
-                  want.acl_permitted[dev.id.value].raw())
-            << "ACL space of device " << dev.id.value << ", " << config;
-      }
+      half.acl_permitted[dev.id.value] = want.acl_permitted[dev.id.value];
+    }
+    const MatchSetIndex index(mgr, network, prefilled ? &half : nullptr);
+    ASSERT_FALSE(index.truncated()) << config;
+    for (const net::Rule& rule : network.rules()) {
+      ASSERT_EQ(index.match_set(rule.id).raw(), want.match_sets[rule.id.value].raw())
+          << "M[r] of rule " << rule.id.value << " ("
+          << network.match_spec(rule.id).to_string() << "), " << config;
+    }
+    for (const net::Device& dev : network.devices()) {
+      ASSERT_EQ(index.acl_permitted_space(dev.id).raw(), want.acl_permitted[dev.id.value].raw())
+          << "ACL space of device " << dev.id.value << ", " << config;
     }
   }
 }

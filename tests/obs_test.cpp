@@ -22,6 +22,7 @@
 #include <new>
 #include <string>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "dataplane/match_sets.hpp"
@@ -33,6 +34,7 @@
 #include "routing/fib_builder.hpp"
 #include "scenario/runner.hpp"
 #include "topo/fattree.hpp"
+#include "yardstick/engine.hpp"
 
 // --- Global allocation counting (for the disabled-mode zero-alloc test) ---
 //
@@ -445,9 +447,10 @@ TEST(ObsTracerTest, EveryScenarioDiffIsASpanOutsideTheEvaluations) {
 }
 
 TEST(ObsTracerTest, MatchSetBuildCountsFieldsAndDifferences) {
-  // Step 1 builds each distinct match field once per manager and pays a
-  // difference only for a rule whose field overlaps an earlier rule's in
-  // its table (DESIGN.md §20); its span and counters say how often.
+  // Step 1 builds each distinct match field once and pays a difference only
+  // for a rule whose field overlaps an earlier rule's in its table
+  // (DESIGN.md §20), in one walk in the engine's manager at every thread
+  // count; its span and counters say how often.
   topo::FatTree tree = topo::make_fat_tree({.k = 4});
   routing::FibBuilder::compute_and_build(tree.network, tree.routing);
   const net::Network& network = tree.network;
@@ -455,11 +458,13 @@ TEST(ObsTracerTest, MatchSetBuildCountsFieldsAndDifferences) {
   const auto field = [&](net::RuleId rid) {
     return dataplane::MatchSetIndex::build_match_field(scratch, network.match_spec(rid));
   };
+  std::unordered_set<bdd::NodeIndex> fields;
   uint64_t overlapping = 0;
   for (const net::Device& dev : network.devices()) {
     for (const net::TableKind table : {net::TableKind::Acl, net::TableKind::Fib}) {
       const auto rules = network.table(dev.id, table);
       for (size_t i = 0; i < rules.size(); ++i) {
+        fields.insert(field(rules[i]).raw().index());
         for (size_t j = 0; j < i; ++j) {
           if (!field(rules[i]).intersect(field(rules[j])).empty()) {
             ++overlapping;
@@ -470,18 +475,23 @@ TEST(ObsTracerTest, MatchSetBuildCountsFieldsAndDifferences) {
     }
   }
   ASSERT_GT(overlapping, 0u);
+  ASSERT_LT(fields.size(), network.rule_count());
 
-  ScopedObservability on;
-  bdd::BddManager mgr(packet::kNumHeaderBits);
-  const dataplane::MatchSetIndex index(mgr, network, 2);
-  const std::vector<TraceEvent> builds =
-      spans_named(Tracer::global().snapshot(), "match_sets.build");
-  ASSERT_EQ(builds.size(), 1u);
-  EXPECT_EQ(arg_of(builds[0], "differences"), overlapping);
-  EXPECT_LT(arg_of(builds[0], "fields"), network.rule_count());
-  EXPECT_EQ(metrics().counter("ys.match_sets.differences").value(), overlapping);
-  EXPECT_EQ(metrics().counter("ys.match_sets.fields_built").value(),
-            arg_of(builds[0], "fields"));
+  for (const unsigned threads : {1u, 4u}) {
+    ScopedObservability on;
+    bdd::BddManager mgr(packet::kNumHeaderBits);
+    const ys::CoverageEngine engine(mgr, network, coverage::CoverageTrace{},
+                                    ys::EngineOptions{nullptr, threads, ""});
+    const std::vector<TraceEvent> builds =
+        spans_named(Tracer::global().snapshot(), "match_sets.build");
+    ASSERT_EQ(builds.size(), 1u) << threads << " threads";
+    EXPECT_EQ(arg_of(builds[0], "fields"), fields.size()) << threads << " threads";
+    EXPECT_EQ(arg_of(builds[0], "differences"), overlapping) << threads << " threads";
+    EXPECT_EQ(metrics().counter("ys.match_sets.fields_built").value(), fields.size())
+        << threads << " threads";
+    EXPECT_EQ(metrics().counter("ys.match_sets.differences").value(), overlapping)
+        << threads << " threads";
+  }
 }
 
 TEST(ObsTracerTest, DisabledModeAllocatesNothing) {

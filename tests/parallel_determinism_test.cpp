@@ -246,9 +246,10 @@ TEST_F(ParallelDeterminismTest, ShardsUnderBudgetKeepAccountingBalanced) {
   EXPECT_EQ(budget.used_bdd_nodes(), run.mgr->arena_size());
   EXPECT_GE(budget.peak_bdd_nodes(), budget.used_bdd_nodes());
 
-  // A failure other than the budget, in step 1 or in step 2, aborts the
-  // engine; the shards must still hand their charge back, and the engine
-  // its own, leaving the budget off the manager and empty.
+  // A failure other than the budget aborts the engine, in step 1 (in the
+  // primary manager) or in step 2 (in the shards); the shards must still
+  // hand their charge back, and the engine its own, leaving the budget off
+  // the manager and empty.
   for (const bool in_step_2 : {false, true}) {
     ys::ResourceBudget failing;
     failing.with_max_bdd_nodes(50'000'000);
@@ -293,10 +294,21 @@ TEST_F(ParallelDeterminismTest, TrippingBudgetTruncatesInEveryMode) {
 
   // A node cap attached to the manager bounds every stage the same way at
   // every thread count: the primary charges it at one thread, and every
-  // shard and worker manager attaches it at more. The engines were built
-  // unbudgeted, so their arenas alone already exceed the cap. The cap
-  // trips only on a fresh node: the pair's flood builds sets the engines'
-  // trace does not hold (a ToRContract fold would find all of its own).
+  // shard and worker manager attaches it at more. Step 1 builds in the
+  // primary at every count. The engines were built unbudgeted, so their
+  // arenas alone already exceed the cap. The cap trips only on a fresh
+  // node: the pair's flood builds sets the engines' trace does not hold (a
+  // ToRContract fold would find all of its own).
+  {
+    ys::ResourceBudget cap;
+    cap.with_max_bdd_nodes(1000);
+    bdd::BddManager mgr(packet::kNumHeaderBits);
+    {
+      const bdd::ScopedBudget attach(mgr, &cap);
+      EXPECT_TRUE(dataplane::MatchSetIndex(mgr, tree.network).truncated());
+    }
+    EXPECT_EQ(cap.used_bdd_nodes(), 0u);
+  }
   nettest::TestSuite pair("pair");
   pair.add(std::make_unique<nettest::DefaultRouteCheck>());
   pair.add(std::make_unique<nettest::ToRReachability>());
@@ -304,11 +316,6 @@ TEST_F(ParallelDeterminismTest, TrippingBudgetTruncatesInEveryMode) {
     const std::string label = "1,000-node cap at " + std::to_string(threads) + " threads";
     ys::ResourceBudget cap;
     cap.with_max_bdd_nodes(1000);
-    bdd::BddManager mgr(packet::kNumHeaderBits);
-    {
-      const bdd::ScopedBudget attach(mgr, &cap);
-      EXPECT_TRUE(dataplane::MatchSetIndex(mgr, tree.network, threads).truncated()) << label;
-    }
     const EngineRun matrix_run = run_engine(tree.network, trace, {.threads = threads});
     {
       const bdd::ScopedBudget attach(*matrix_run.mgr, &cap);
@@ -369,7 +376,7 @@ TEST_F(ParallelDeterminismTest, TrippingBudgetTruncatesInEveryMode) {
   }
 }
 
-TEST_F(ParallelDeterminismTest, BudgetStoppingEitherMergeLeavesOnlyPrimaryHandles) {
+TEST_F(ParallelDeterminismTest, BudgetStoppingTheCoveredSetsMergeLeavesOnlyPrimaryHandles) {
   topo::FatTree tree = topo::make_fat_tree({.k = 4});
   routing::FibBuilder::compute_and_build(tree.network, tree.routing);
   // A port range at every ToR cuts across the match sets there, so step 2's
@@ -379,13 +386,13 @@ TEST_F(ParallelDeterminismTest, BudgetStoppingEitherMergeLeavesOnlyPrimaryHandle
       packet::PacketSet::field_range(scratch_, packet::Field::DstPort, 1000, 2000);
   for (const net::DeviceId tor : tree.tors) trace.mark_packet(net::device_location(tor), ports);
 
-  // Two workers build each step in two shards. Nothing releases charge
-  // before the shards die after the merge, and each merge imports fresh
-  // nodes, so a step's charge only rises and peaks at its merge's last
-  // fresh node, whatever order the workers ran in: a cap one below that
-  // peak stops the merge there, with every device built. `between`
-  // runs in the online phase, where the budget is off every manager and
-  // nothing is charged: it may set step 2's cap there.
+  // Two workers build step 2 in two shards. Nothing releases charge before
+  // the shards die after the merge, and the merge imports fresh nodes, so
+  // step 2's charge only rises and peaks at its merge's last fresh node,
+  // whatever order the workers ran in: a cap one below that peak stops the
+  // merge there, with every device built. `between` runs in the online
+  // phase, where the budget is off every manager and nothing is charged: it
+  // sets step 2's cap there.
   const auto run = [&](ys::ResourceBudget& budget, const std::function<void()>& between) {
     EngineRun r;
     r.mgr = std::make_unique<bdd::BddManager>(packet::kNumHeaderBits);
@@ -413,42 +420,33 @@ TEST_F(ParallelDeterminismTest, BudgetStoppingEitherMergeLeavesOnlyPrimaryHandle
   ASSERT_FALSE(uncapped.engine->truncated());
   const ys::MetricRow want = uncapped.engine->metrics();
 
-  for (const bool in_step_2 : {false, true}) {
-    const std::string label = in_step_2 ? "covered_sets.merge" : "match_sets.merge";
-    ys::ResourceBudget cap;
-    if (!in_step_2) cap.with_max_bdd_nodes(step1_peak - 1);
-    const EngineRun capped = run(cap, [&] {
-      if (in_step_2) cap.with_max_bdd_nodes(step2_peak - 1);
-    });
-    const ys::CoverageEngine& engine = *capped.engine;
-    EXPECT_TRUE(engine.truncated()) << label;
-    EXPECT_EQ(engine.match_sets().truncated(), !in_step_2) << label;
-    EXPECT_TRUE(engine.covered_sets().truncated()) << label;
-    size_t reached = 0;
-    for (const net::Rule& rule : tree.network.rules()) {
-      EXPECT_EQ(engine.match_sets().match_set(rule.id).raw().manager(), capped.mgr.get())
-          << label << ": match set of rule " << rule.id.value;
-      EXPECT_EQ(engine.covered_sets().covered(rule.id).raw().manager(), capped.mgr.get())
-          << label << ": covered set of rule " << rule.id.value;
-      EXPECT_LE(engine.covered_sets().covered_size(rule.id),
-                uncapped.engine->covered_sets().covered_size(rule.id))
-          << label << ": covered set of rule " << rule.id.value;
-      reached += engine.match_sets().reached(rule.id) ? 1 : 0;
-    }
-    EXPECT_GT(reached, 0u) << label;
-    for (const net::Device& dev : tree.network.devices()) {
-      EXPECT_EQ(engine.match_sets().acl_permitted_space(dev.id).raw().manager(),
-                capped.mgr.get())
-          << label << ": ACL space of " << dev.name;
-    }
-    const ys::MetricRow got = engine.metrics();
-    EXPECT_TRUE(got.truncated) << label;
-    EXPECT_LE(got.device_fractional, want.device_fractional) << label;
-    EXPECT_LE(got.interface_fractional, want.interface_fractional) << label;
-    EXPECT_LE(got.rule_fractional, want.rule_fractional) << label;
-    EXPECT_LE(got.rule_weighted, want.rule_weighted) << label;
-    EXPECT_EQ(cap.used_bdd_nodes(), capped.mgr->arena_size()) << label;
+  ys::ResourceBudget cap;
+  const EngineRun capped = run(cap, [&] { cap.with_max_bdd_nodes(step2_peak - 1); });
+  const ys::CoverageEngine& engine = *capped.engine;
+  EXPECT_TRUE(engine.truncated());
+  EXPECT_FALSE(engine.match_sets().truncated());
+  EXPECT_TRUE(engine.covered_sets().truncated());
+  for (const net::Rule& rule : tree.network.rules()) {
+    EXPECT_EQ(engine.match_sets().match_set(rule.id).raw().manager(), capped.mgr.get())
+        << "match set of rule " << rule.id.value;
+    EXPECT_EQ(engine.covered_sets().covered(rule.id).raw().manager(), capped.mgr.get())
+        << "covered set of rule " << rule.id.value;
+    EXPECT_LE(engine.covered_sets().covered_size(rule.id),
+              uncapped.engine->covered_sets().covered_size(rule.id))
+        << "covered set of rule " << rule.id.value;
+    EXPECT_TRUE(engine.match_sets().reached(rule.id)) << "rule " << rule.id.value;
   }
+  for (const net::Device& dev : tree.network.devices()) {
+    EXPECT_EQ(engine.match_sets().acl_permitted_space(dev.id).raw().manager(), capped.mgr.get())
+        << "ACL space of " << dev.name;
+  }
+  const ys::MetricRow got = engine.metrics();
+  EXPECT_TRUE(got.truncated);
+  EXPECT_LE(got.device_fractional, want.device_fractional);
+  EXPECT_LE(got.interface_fractional, want.interface_fractional);
+  EXPECT_LE(got.rule_fractional, want.rule_fractional);
+  EXPECT_LE(got.rule_weighted, want.rule_weighted);
+  EXPECT_EQ(cap.used_bdd_nodes(), capped.mgr->arena_size());
 }
 
 }  // namespace

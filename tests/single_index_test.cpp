@@ -15,6 +15,7 @@
 #include <stdexcept>
 #include <string>
 #include <unordered_set>
+#include <vector>
 
 #include "nettest/acl_checks.hpp"
 #include "nettest/contract_checks.hpp"
@@ -271,6 +272,10 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(SingleIndexBudgetTest, StepOneCapHandsTheTestsAPartialDataPlane) {
   const Subject s(NetworkKind::FatTree);
   const Outcome full = one_index(s, EngineOptions{});
+  // Step 1 builds in the engine's manager at every thread count, so the cap
+  // stops it at the same rule and the tests see the same partial data plane.
+  std::vector<std::vector<char>> reached;
+  std::vector<std::string> results;
   for (const unsigned threads : {1u, 4u}) {
     ResourceBudget budget;
     budget.with_max_bdd_nodes(300);  // far below the k=4 index
@@ -287,6 +292,11 @@ TEST(SingleIndexBudgetTest, StepOneCapHandsTheTestsAPartialDataPlane) {
     EXPECT_EQ(mgr.budget(), &budget) << "the budget was not re-attached";
     EXPECT_TRUE(engine->match_sets().truncated());
     EXPECT_TRUE(engine->truncated());
+    std::vector<char>& by_rule = reached.emplace_back();
+    for (const net::Rule& rule : s.network->rules()) {
+      by_rule.push_back(engine->match_sets().reached(rule.id) ? 1 : 0);
+    }
+    results.push_back(results_to_json(engine->results()));
     const MetricRow row = engine->metrics();
     EXPECT_TRUE(row.truncated);
     EXPECT_LE(row.device_fractional, full.overall.device_fractional);
@@ -297,6 +307,8 @@ TEST(SingleIndexBudgetTest, StepOneCapHandsTheTestsAPartialDataPlane) {
     EXPECT_EQ(mgr.budget(), nullptr) << "the budget outlived the engine";
     EXPECT_EQ(budget.used_bdd_nodes(), 0u);
   }
+  EXPECT_EQ(reached[0], reached[1]);
+  EXPECT_EQ(results[0], results[1]);
 }
 
 TEST(SingleIndexBudgetTest, BudgetIsReattachedWhenTheOnlinePhaseThrows) {
