@@ -11,7 +11,8 @@
 //   │  ├─ cli.topology                 (generator or network-file load,
 //   │  │                                transform plan)
 //   │  ├─ routing.bgp                  (eBGP fixpoint; args devices,
-//   │  │                                prefixes, rib_entries, rounds)
+//   │  │                                prefixes, rib_entries, rib_bytes,
+//   │  │                                rounds)
 //   │  └─ routing.fib                  (FIB build; arg rules)
 //   ├─ match_sets.build                (offline step 1, one walk in the
 //   │                                   engine's manager; args devices,

@@ -14,15 +14,19 @@ using packet::Ipv4Prefix;
 
 namespace {
 
+constexpr uint32_t kNoRibEntry = UINT32_MAX;
+
 /// Candidate FIB entry before administrative-distance deduplication. Its
-/// interfaces point into the RIB entry, the device or a port list of the
-/// device being installed, so an offer owns no heap memory.
+/// interfaces point into the device or a port list of the device being
+/// installed, or it names the RIB entry whose next hops it forwards to,
+/// so an offer owns no heap memory.
 struct Candidate {
   Ipv4Prefix prefix;
   RouteKind kind;
   ActionType type;
   int admin_distance;
   std::span<const InterfaceId> out;
+  uint32_t rib_entry = kNoRibEntry;
 };
 
 /// Offer ranking key: (length descending, prefix key, distance, arrival).
@@ -37,6 +41,7 @@ struct Rank {
 struct Scratch {
   std::vector<Candidate> offers;
   std::vector<Rank> ranks;
+  std::vector<InterfaceId> next_hops;  // the installed RIB entry's
 };
 
 constexpr int kAdConnected = 0;
@@ -119,8 +124,10 @@ void install_device(net::Network& network, const net::Device& dev, const SimRib&
     }
   }
 
-  // BGP-learned routes; locally originated WAN routes exit externally.
-  for (const SimRibEntry& e : rib) {
+  // BGP-learned routes; locally originated WAN routes exit externally. A
+  // learned entry always has a next hop.
+  for (uint32_t i = 0; i < rib.size(); ++i) {
+    const SimRibEntry& e = rib[i];
     if (e.originated) {
       const bool wan_originated =
           e.kind == RouteKind::Default || e.kind == RouteKind::WideArea;
@@ -130,8 +137,7 @@ void install_device(net::Network& network, const net::Device& dev, const SimRib&
       // Internal originations (loopbacks / host subnets) were installed above.
       continue;
     }
-    if (e.next_hops.empty()) continue;
-    forward(e.prefix, e.kind, e.next_hops, kAdEbgp);
+    offers.push_back({e.prefix, e.kind, ActionType::Forward, kAdEbgp, {}, i});
   }
 
   // Emit in longest-prefix-first order: priority = 32 - length, so the
@@ -158,7 +164,13 @@ void install_device(net::Network& network, const net::Device& dev, const SimRib&
   for (size_t i = 0; i < ranks.size(); ++i) {
     if (i > 0 && ranks[i].order == ranks[i - 1].order) continue;
     const Candidate& c = offers[ranks[i].offer];
-    network.add_fib_rule(dev.id, c.prefix, c.type, c.out, c.kind, 32u - c.prefix.length());
+    std::span<const InterfaceId> out = c.out;
+    if (c.rib_entry != kNoRibEntry) {
+      scratch.next_hops.clear();
+      rib.append_next_hops(c.rib_entry, scratch.next_hops);
+      out = scratch.next_hops;
+    }
+    network.add_fib_rule(dev.id, c.prefix, c.type, out, c.kind, 32u - c.prefix.length());
   }
 }
 
@@ -169,11 +181,15 @@ void FibBuilder::build(net::Network& network, const std::vector<SimRib>& ribs,
   obs::Span span("routing.fib", "routing");
   network.clear_rules();
   size_t bound = 0;
+  size_t degree = 0;
   for (const net::Device& dev : network.devices()) {
-    if (!config.failed_devices.contains(dev.id)) bound += rule_bound(dev, ribs[dev.id.value]);
+    if (config.failed_devices.contains(dev.id)) continue;
+    bound += rule_bound(dev, ribs[dev.id.value]);
+    degree = std::max(degree, ribs[dev.id.value].neighbours().size());
   }
   network.reserve_rules(bound);
   Scratch scratch;
+  scratch.next_hops.reserve(degree);
   for (const net::Device& dev : network.devices()) {
     if (config.failed_devices.contains(dev.id)) continue;  // empty FIB
     install_device(network, dev, ribs[dev.id.value], config, scratch);

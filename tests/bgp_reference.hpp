@@ -1,18 +1,43 @@
 // Reference BGP fixpoint for differential tests: BgpSimulator::run as it was
 // before its data layout changed (DESIGN.md §17). Every round builds a hash
 // map of candidates per device, deep-copies each advertisement and every
-// unchanged RIB, and sorts the fresh entries. Slow on purpose and kept
-// verbatim in its semantics; the library's fixpoint must match it field for
-// field, round count included.
+// unchanged RIB, and sorts the fresh entries. It keeps its own entry type,
+// the one the library had before next hops became a bitset: every entry owns
+// a sorted vector of next hops. Slow on purpose and kept verbatim in its
+// semantics; the library's fixpoint must match it field for field, next hops
+// and round count included.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <unordered_map>
 #include <vector>
 
 #include "routing/bgp_sim.hpp"
 
 namespace yardstick::routing::reference {
+
+/// A RIB entry with its next hops in a heap vector.
+struct SimRibEntry {
+  uint64_t prefix_key = 0;  // (addr << 6) | len
+  packet::Ipv4Prefix prefix;
+  net::RouteKind kind = net::RouteKind::Other;
+  uint8_t path_length = 0;
+  bool originated = false;
+  /// Occurrences of each tier's ASN in the path (index = tier + 1).
+  std::array<uint8_t, 6> asn_counts{};
+  net::DeviceId originator;
+  /// Egress interfaces of all equal-cost best paths.
+  std::vector<net::InterfaceId> next_hops;
+
+  [[nodiscard]] bool same_selection(const SimRibEntry& o) const {
+    return prefix_key == o.prefix_key && kind == o.kind && path_length == o.path_length &&
+           next_hops == o.next_hops;
+  }
+};
+
+/// A device's routing table, sorted by prefix key.
+using SimRib = std::vector<SimRibEntry>;
 
 struct Fixpoint {
   std::vector<SimRib> ribs;

@@ -29,7 +29,8 @@ struct FibRule {
 
 /// The rules FibBuilder::build installs on `dev`, in install order.
 inline std::vector<FibRule> install_device(const net::Network& network, const net::Device& dev,
-                                           const SimRib& rib, const RoutingConfig& config) {
+                                           const routing::SimRib& rib,
+                                           const RoutingConfig& config) {
   using net::Action;
   using net::RouteKind;
   using packet::Ipv4Prefix;
@@ -87,7 +88,8 @@ inline std::vector<FibRule> install_device(const net::Network& network, const ne
              Action::forward(std::move(northern)), kAdStatic});
     }
   }
-  for (const SimRibEntry& e : rib) {
+  for (size_t i = 0; i < rib.size(); ++i) {
+    const routing::SimRibEntry& e = rib[i];
     if (e.originated) {
       const bool wan_originated =
           e.kind == RouteKind::Default || e.kind == RouteKind::WideArea;
@@ -96,8 +98,9 @@ inline std::vector<FibRule> install_device(const net::Network& network, const ne
       }
       continue;
     }
-    if (e.next_hops.empty()) continue;
-    offer({e.prefix, e.kind, Action::forward(e.next_hops), kAdEbgp});
+    std::vector<net::InterfaceId> next_hops = rib.next_hops(i);
+    if (next_hops.empty()) continue;
+    offer({e.prefix, e.kind, Action::forward(std::move(next_hops)), kAdEbgp});
   }
 
   struct Rank {
@@ -127,7 +130,7 @@ inline std::vector<FibRule> install_device(const net::Network& network, const ne
 
 /// Every device's rules (empty for failed devices), indexed by DeviceId.
 inline std::vector<std::vector<FibRule>> build(const net::Network& network,
-                                               const std::vector<SimRib>& ribs,
+                                               const std::vector<routing::SimRib>& ribs,
                                                const RoutingConfig& config) {
   std::vector<std::vector<FibRule>> out(network.device_count());
   for (const net::Device& dev : network.devices()) {

@@ -69,11 +69,22 @@ SmallClos make_small_clos() {
   return s;
 }
 
+/// The index of `p`'s entry in `rib`, or rib.size() when it has none.
+size_t entry_index(const SimRib& rib, const Ipv4Prefix& p) {
+  return static_cast<size_t>(
+      std::find_if(rib.begin(), rib.end(), [&](const SimRibEntry& e) { return e.prefix == p; }) -
+      rib.begin());
+}
+
 const SimRibEntry* find_entry(const SimRib& rib, const Ipv4Prefix& p) {
-  const uint64_t key = prefix_key(p);
-  const auto it = std::find_if(rib.begin(), rib.end(),
-                               [&](const SimRibEntry& e) { return e.prefix_key == key; });
-  return it == rib.end() ? nullptr : &*it;
+  const size_t i = entry_index(rib, p);
+  return i == rib.size() ? nullptr : &rib[i];
+}
+
+/// The next hops of `p`'s entry in `rib` (none when it has no entry).
+std::vector<InterfaceId> next_hops_of(const SimRib& rib, const Ipv4Prefix& p) {
+  const size_t i = entry_index(rib, p);
+  return i == rib.size() ? std::vector<InterfaceId>{} : rib.next_hops(i);
 }
 
 const net::Rule* find_fib_rule(const net::Network& n, DeviceId dev, const Ipv4Prefix& p) {
@@ -106,20 +117,21 @@ TEST_F(BgpSimTest, HostPrefixPropagatesWithShortestPathsAndEcmp) {
   const SimRibEntry* at_tor1 = find_entry(ribs[clos_.tor1.value], p2);
   ASSERT_NE(at_tor1, nullptr);
   EXPECT_EQ(at_tor1->path_length, 2);
-  EXPECT_EQ(at_tor1->next_hops.size(), 2u);
+  EXPECT_EQ(next_hops_of(ribs[clos_.tor1.value], p2).size(), 2u);
 
   // aggs reach it directly (length 1, single next hop).
   const SimRibEntry* at_agg1 = find_entry(ribs[clos_.agg1.value], p2);
   ASSERT_NE(at_agg1, nullptr);
   EXPECT_EQ(at_agg1->path_length, 1);
-  ASSERT_EQ(at_agg1->next_hops.size(), 1u);
-  EXPECT_EQ(clos_.net.neighbor(at_agg1->next_hops[0]), clos_.tor2);
+  const std::vector<InterfaceId> agg1_hops = next_hops_of(ribs[clos_.agg1.value], p2);
+  ASSERT_EQ(agg1_hops.size(), 1u);
+  EXPECT_EQ(clos_.net.neighbor(agg1_hops[0]), clos_.tor2);
 
   // WAN learns it two hops away via both aggs.
   const SimRibEntry* at_wan = find_entry(ribs[clos_.wan.value], p2);
   ASSERT_NE(at_wan, nullptr);
   EXPECT_EQ(at_wan->path_length, 2);
-  EXPECT_EQ(at_wan->next_hops.size(), 2u);
+  EXPECT_EQ(next_hops_of(ribs[clos_.wan.value], p2).size(), 2u);
 }
 
 TEST_F(BgpSimTest, DefaultRouteOriginatesAtWan) {
@@ -132,7 +144,7 @@ TEST_F(BgpSimTest, DefaultRouteOriginatesAtWan) {
   const SimRibEntry* at_tor = find_entry(ribs[clos_.tor1.value], Ipv4Prefix(0, 0));
   ASSERT_NE(at_tor, nullptr);
   EXPECT_EQ(at_tor->path_length, 2);
-  EXPECT_EQ(at_tor->next_hops.size(), 2u);
+  EXPECT_EQ(next_hops_of(ribs[clos_.tor1.value], Ipv4Prefix(0, 0)).size(), 2u);
 }
 
 TEST_F(BgpSimTest, WideAreaRoutesStopAtSpineTier) {
@@ -181,10 +193,9 @@ TEST_F(BgpSimTest, NullDefaultDeviceSuppressesReadvertisement) {
   clos_.config.null_default_devices.insert(clos_.agg1);
   BgpSimulator sim(clos_.net, clos_.config);
   const auto ribs = sim.run();
-  const SimRibEntry* at_tor = find_entry(ribs[clos_.tor1.value], Ipv4Prefix(0, 0));
-  ASSERT_NE(at_tor, nullptr);
-  ASSERT_EQ(at_tor->next_hops.size(), 1u);
-  EXPECT_EQ(clos_.net.neighbor(at_tor->next_hops[0]), clos_.agg2);
+  const std::vector<InterfaceId> at_tor = next_hops_of(ribs[clos_.tor1.value], Ipv4Prefix(0, 0));
+  ASSERT_EQ(at_tor.size(), 1u);
+  EXPECT_EQ(clos_.net.neighbor(at_tor[0]), clos_.agg2);
 }
 
 TEST_F(BgpSimTest, NoDefaultDeviceRejectsDefault) {
@@ -305,23 +316,24 @@ TEST_F(FibBuilderTest, RebuildIsIdempotent) {
 
 /// The first field in which `got` differs from `want`, or "" when every
 /// entry of every RIB is equal.
-std::string first_difference(const std::vector<SimRib>& got, const std::vector<SimRib>& want) {
+std::string first_difference(const std::vector<SimRib>& got,
+                             const std::vector<reference::SimRib>& want) {
   if (got.size() != want.size()) return "device count";
   for (size_t v = 0; v < got.size(); ++v) {
     const std::string at = "device " + std::to_string(v);
     if (got[v].size() != want[v].size()) return at + ": entry count";
     for (size_t i = 0; i < got[v].size(); ++i) {
       const SimRibEntry& a = got[v][i];
-      const SimRibEntry& b = want[v][i];
+      const reference::SimRibEntry& b = want[v][i];
       const std::string entry = at + " entry " + std::to_string(i) + ": ";
-      if (a.prefix_key != b.prefix_key) return entry + "prefix_key";
+      if (prefix_key(a.prefix) != b.prefix_key) return entry + "prefix_key";
       if (a.prefix != b.prefix) return entry + "prefix";
       if (a.kind != b.kind) return entry + "kind";
       if (a.path_length != b.path_length) return entry + "path_length";
       if (a.originated != b.originated) return entry + "originated";
       if (a.asn_counts != b.asn_counts) return entry + "asn_counts";
       if (a.originator != b.originator) return entry + "originator";
-      if (a.next_hops != b.next_hops) return entry + "next_hops";
+      if (got[v].next_hops(i) != b.next_hops) return entry + "next_hops";
     }
   }
   return "";
@@ -471,6 +483,72 @@ TEST(BgpDifferential, DuplicateOriginations) {
     EXPECT_GT(expect_matches_reference(s.net, s.config,
                                        "max_rounds " + std::to_string(rounds)),
               0u);
+  }
+}
+
+TEST(BgpDifferential, RepeatedNextHopAloneMovesARib) {
+  // a originates its prefix twice: round 1 gives b the prefix with a's
+  // interface listed twice, round 2 lists it once, and nothing else moves,
+  // so only the repeat tells the convergence test that b changed and a
+  // third round runs.
+  net::Network n;
+  const DeviceId a = n.add_device("a", Role::ToR, role_asn(Role::ToR));
+  const DeviceId b = n.add_device("b", Role::Aggregation, role_asn(Role::Aggregation));
+  n.add_link(n.add_interface(a, "eth0"), n.add_interface(b, "eth0"));
+  const Ipv4Prefix p = Ipv4Prefix::parse("10.0.0.0/24");
+  n.device(a).host_prefixes = {p, p};
+  RoutingConfig config;
+  for (const int rounds : {1, 2, 128}) {
+    config.max_rounds = rounds;
+    EXPECT_GT(expect_matches_reference(n, config, "max_rounds " + std::to_string(rounds)), 0u);
+  }
+  BgpSimulator sim(n, config);
+  const std::vector<SimRib> ribs = sim.run();
+  EXPECT_EQ(sim.rounds_used(), 3);
+  EXPECT_EQ(next_hops_of(ribs[b.value], p).size(), 1u);
+}
+
+TEST(BgpDifferential, NextHopsWiderThanOneWord) {
+  // A ToR and a spine joined through 70 aggregation switches: both have 70
+  // usable neighbours, so every next-hop set takes two words, and each
+  // prefix of the far side arrives over all 70 at equal cost. Then the
+  // uplink of aggregation switch 64, the first bit of the second word, fails.
+  net::Network n;
+  topo::SubnetAllocator subnets;
+  const DeviceId tor = n.add_device("tor", Role::ToR, role_asn(Role::ToR));
+  const DeviceId spine = n.add_device("spine", Role::Spine, role_asn(Role::Spine));
+  const DeviceId wan = n.add_device("wan", Role::Wan, role_asn(Role::Wan));
+  const auto connect = [&](DeviceId a, DeviceId b) {
+    const InterfaceId ia =
+        n.add_interface(a, "eth" + std::to_string(n.device(a).interfaces.size()));
+    const InterfaceId ib =
+        n.add_interface(b, "eth" + std::to_string(n.device(b).interfaces.size()));
+    return n.add_link(ia, ib, subnets.next_link_subnet());
+  };
+  std::vector<net::LinkId> uplinks;
+  for (int i = 0; i < 70; ++i) {
+    const DeviceId agg = n.add_device("agg" + std::to_string(i), Role::Aggregation,
+                                      role_asn(Role::Aggregation));
+    connect(tor, agg);
+    uplinks.push_back(connect(agg, spine));
+  }
+  connect(spine, wan);
+  const Ipv4Prefix hosted = subnets.next_host_prefix();
+  n.device(tor).host_prefixes = {hosted, subnets.next_host_prefix()};
+  n.device(tor).loopbacks.push_back(subnets.next_loopback());
+  n.device(spine).loopbacks.push_back(subnets.next_loopback());
+  RoutingConfig config;
+  config.wide_area_prefixes[wan] = {Ipv4Prefix::parse("100.64.0.0/16")};
+
+  for (const bool failed : {false, true}) {
+    if (failed) config.failed_links.insert(uplinks[64]);
+    const std::string label = failed ? "uplink 64 down" : "70 aggregation switches";
+    EXPECT_GT(expect_matches_reference(n, config, label), 0u);
+    BgpSimulator sim(n, config);
+    const std::vector<SimRib> ribs = sim.run();
+    EXPECT_EQ(next_hops_of(ribs[spine.value], hosted).size(), failed ? 69u : 70u) << label;
+    EXPECT_EQ(next_hops_of(ribs[tor.value], Ipv4Prefix(0, 0)).size(), failed ? 69u : 70u)
+        << label;
   }
 }
 
