@@ -3,16 +3,14 @@
 //
 // For each k of YS_SCALING_KS (default "4 8 16 32 48") the trace of
 // DefaultRouteCheck + ToRContract goes through steps 1-3 and the local
-// metrics twice, on fresh managers: 4 workers, then 1. Step 1 builds in the
-// primary manager either way; step 2 builds in shards and merges at 4
-// workers and in the primary at 1, so `covered_sets.build` is the stage the
-// worker count changes. Each run records its stage spans, the VmRSS it
-// started from, its own peak RSS and the difference (an in-process peak
-// carries what earlier runs left resident, so only peak - start compares
-// across configs), the peak arena nodes of a cap-less budget attached for
-// its cross-manager node accounting (primary + shards) and the apply-cache
-// hit rate. The two runs' metric rows must be bit-identical: the merge
-// makes every set canonical in the primary.
+// metrics twice, on fresh managers: `threads` 4, then 1. Steps 1 and 2
+// take no workers: both build in the engine's manager at every count, so
+// the two runs do the same work and their stages should read alike. Each
+// run records its stage spans, the VmRSS it started from, its own peak RSS
+// and the difference (an in-process peak carries what earlier runs left
+// resident, so only peak - start compares across configs), the peak arena
+// nodes of a cap-less budget attached for its node accounting and the
+// apply-cache hit rate. The two runs' metric rows must be bit-identical.
 //
 // Gate: metrics identical at 4 workers and at 1, at every k.
 // Results go to stdout and BENCH_scaling.json.
@@ -42,9 +40,6 @@ double rss_growth_kb(const bench::Run& run) {
 
 /// One offline phase on a fresh manager.
 Offline run_offline(const bench::TracedFatTree& t, unsigned workers) {
-  const auto counter = [](const char* name) { return obs::metrics().counter(name).value(); };
-  const uint64_t shard_hits = counter("ys.bdd.shard_cache_hits");
-  const uint64_t shard_misses = counter("ys.bdd.shard_cache_misses");
   Offline out;
   bdd::BddManager mgr(packet::kNumHeaderBits);
   const coverage::CoverageTrace local = t.trace.imported_into(mgr);
@@ -55,16 +50,12 @@ Offline run_offline(const bench::TracedFatTree& t, unsigned workers) {
     out.row = engine.metrics();
   });
   const bdd::BddManager::Stats primary = mgr.stats();
-  const double hits =
-      static_cast<double>(primary.cache_hits + counter("ys.bdd.shard_cache_hits") - shard_hits);
-  const double misses = static_cast<double>(
-      primary.cache_misses + counter("ys.bdd.shard_cache_misses") - shard_misses);
   out.peak_arena_nodes = budget.peak_bdd_nodes();
   out.values = {{"workers", workers},
                 {"start_rss_kb", static_cast<double>(out.run.start_rss_kb)},
                 {"rss_growth_kb", rss_growth_kb(out.run)},
                 {"peak_arena_nodes", static_cast<double>(out.peak_arena_nodes)},
-                {"cache_hit_rate", hits + misses == 0 ? 0.0 : hits / (hits + misses)},
+                {"cache_hit_rate", primary.cache_hit_rate()},
                 {"op_cache_entries", static_cast<double>(primary.op_cache_entries)}};
   return out;
 }
@@ -75,8 +66,8 @@ int main() {
   const std::vector<int> ks = bench::knob_list("YS_SCALING_KS", {4, 8, 16, 32, 48});
   bench::Envelope envelope("scaling");
 
-  std::printf("# bench_scaling: offline phase (steps 1-3) at 4 workers vs 1; "
-              "grow = peak - start RSS\n");
+  std::printf("# bench_scaling: offline phase (steps 1-3) at 4 workers vs 1 (steps 1-2 take "
+              "no workers); grow = peak - start RSS\n");
   std::printf("%4s %7s %9s | %10s %9s %9s %11s %9s | %10s %9s %9s %11s %9s | %4s\n", "k",
               "routers", "rules", "4w-wall(s)", "4w-m1(s)", "4w-m2(s)", "4w-peaknode",
               "4w-grow(M)", "1w-wall(s)", "1w-m1(s)", "1w-m2(s)", "1w-peaknode", "1w-grow(M)",

@@ -1,18 +1,25 @@
 #include "coverage/components.hpp"
 
+#include "obs/trace.hpp"
+
 namespace yardstick::coverage {
 
 using packet::PacketSet;
 
 ComponentFactory::ComponentFactory(const dataplane::Transfer& transfer)
     : transfer_(transfer) {
+  obs::Span span("component_factory.build", "offline");
   const net::Network& network = transfer.network();
   rules_to_interface_.resize(network.interface_count());
+  size_t pairs = 0;
   for (const net::Rule& rule : network.rules()) {
     for (const net::InterfaceId out : network.out_interfaces(rule.id)) {
       rules_to_interface_[out.value].push_back(rule.id);
+      ++pairs;
     }
   }
+  span.arg("interfaces", network.interface_count());
+  span.arg("pairs", pairs);
 }
 
 GuardedString ComponentFactory::rule_string(net::RuleId id) const {

@@ -35,7 +35,10 @@ struct CoverPrefill {
 
 class CoveredSets {
  public:
-  /// Runs Algorithm 1 for every rule in the network.
+  /// Runs Algorithm 1 for every rule in the network, in the index's
+  /// manager, one device at a time in device order. Most rules are decided
+  /// on the device headers' cofactor at the rule's dst prefix, with no BDD
+  /// operation (DESIGN.md §22).
   ///
   /// The index manager's budget (may be null) bounds the computation: when
   /// it trips mid-walk the remaining rules get empty covered sets,
@@ -43,14 +46,11 @@ class CoveredSets {
   /// throwing.
   ///
   /// `prefill` (cached covered sets for a subset of devices, may be null)
-  /// supplies the devices it hits. The rest are built in the index's
-  /// manager by one worker, or by `threads` workers (0 = one per hardware
-  /// thread) in shard managers whose sets are then imported in device
-  /// order (DESIGN.md §8). Every covered set is canonical in the index's
-  /// manager, so the result is bit-identical at any thread count,
+  /// supplies the devices it hits; the rest are walked. Every covered set
+  /// is canonical in the index's manager, so the result is bit-identical
   /// prefilled or not.
   CoveredSets(const dataplane::MatchSetIndex& index, const CoverageTrace& trace,
-              unsigned threads = 1, const CoverPrefill* prefill = nullptr);
+              const CoverPrefill* prefill = nullptr);
 
   /// Structural clone onto another index (itself a clone of the original
   /// index into a different manager): copies every covered set into

@@ -32,11 +32,13 @@
 //   │                                   any trace read, e.g. each
 //   │                                   analysis.suite_matrix test; args
 //   │                                   reports, locations)
-//   ├─ covered_sets.build              (offline step 2, Algorithm 1;
-//   │  │                                args devices, prefilled, rules,
-//   │  │                                workers)
-//   │  ├─ parallel.worker (×N)         (sharded device builds)
-//   │  └─ covered_sets.merge           (deterministic import)
+//   ├─ covered_sets.build              (offline step 2, Algorithm 1, one
+//   │                                   walk in the engine's manager; args
+//   │                                   devices, prefilled, rules, and how
+//   │                                   the walked rules were decided: all,
+//   │                                   none, intersected, marked)
+//   ├─ component_factory.build         (step 3's rule-to-interface index;
+//   │                                   args interfaces, pairs)
 //   ├─ measure_table.build             (offline step 3's per-rule pass)
 //   ├─ analysis.report                 (step 3 folds over the table)
 //   ├─ path_coverage.sweep             (offline step 3, DFS sweep)
@@ -86,7 +88,7 @@ struct TraceEvent {
   uint32_t tid = 0;
   uint64_t ts_us = 0;   // microseconds since tracer epoch (steady clock)
   uint64_t dur_us = 0;
-  static constexpr int kMaxArgs = 6;
+  static constexpr int kMaxArgs = 8;
   SpanArg args[kMaxArgs];
   int num_args = 0;
 };

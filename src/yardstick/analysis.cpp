@@ -13,19 +13,16 @@ namespace yardstick::ys {
 namespace {
 
 /// What one test evaluation reads: a transfer over the engine's index or
-/// over a worker's clone of it, and the threads its covered-set build uses.
+/// over a worker's clone of it.
 struct MatrixInputs {
   const dataplane::Transfer& transfer;
-  unsigned build_threads;
 };
 
 /// A worker's private copy of the engine's index (dataplane/clone_and_drain.hpp).
-/// Its covered-set builds run on one thread: the workers already use the
-/// caller's threads.
 struct MatrixClone {
   MatrixClone(bdd::BddManager& mgr, const MatrixInputs& from)
       : index(mgr, from.transfer.index()), transfer(index) {}
-  [[nodiscard]] MatrixInputs inputs() const { return {transfer, 1}; }
+  [[nodiscard]] MatrixInputs inputs() const { return {transfer}; }
 
   dataplane::MatchSetIndex index;
   dataplane::Transfer transfer;
@@ -46,7 +43,7 @@ struct MatrixClone {
   const coverage::CoverageTrace& trace = tracker.trace();
   m.seconds[i] =
       std::chrono::duration<double>(ResourceBudget::Clock::now() - test_start).count();
-  const coverage::CoveredSets covered(in.transfer.index(), trace, in.build_threads);
+  const coverage::CoveredSets covered(in.transfer.index(), trace);
   std::vector<char> row(m.rule_count, 0);
   for (size_t r = 0; r < m.rule_count; ++r) {
     if (m.vacuous[r]) continue;
@@ -101,7 +98,7 @@ SuiteCoverageMatrix build_suite_matrix(const dataplane::Transfer& transfer,
   // Tests are the clone-and-drain driver's items. A test the stop rule
   // skipped, or whose run tripped the budget, keeps an all-zero row below.
   const dataplane::DrainResult drain = dataplane::clone_and_drain<MatrixClone>(
-      index.manager(), MatrixInputs{transfer, threads}, n, threads, [] { return false; },
+      index.manager(), MatrixInputs{transfer}, n, threads, [] { return false; },
       [&](const MatrixInputs& in, size_t i) { return evaluate_test(in, suite.test(i), m, i); });
   span.arg("workers", drain.workers);
   m.truncated = m.truncated || drain.truncated;

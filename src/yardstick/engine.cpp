@@ -111,12 +111,10 @@ dataplane::MatchSetIndex CoverageEngine::timed_match_sets(
 
 coverage::CoveredSets CoverageEngine::timed_covered_sets(
     const dataplane::MatchSetIndex& index, const coverage::CoverageTrace& trace,
-    const EngineOptions& options, PhaseTimings& timings,
-    const IncrementalSession* incremental) {
+    PhaseTimings& timings, const IncrementalSession* incremental) {
   PhaseTimer timer(timings.covered_sets_seconds);
-  return coverage::CoveredSets(
-      index, trace, options.threads,
-      incremental != nullptr ? incremental->cover_prefill() : nullptr);
+  return coverage::CoveredSets(index, trace,
+                               incremental != nullptr ? incremental->cover_prefill() : nullptr);
 }
 
 std::unique_ptr<IncrementalSession> CoverageEngine::make_incremental(
@@ -147,7 +145,7 @@ CoverageEngine::CoverageEngine(bdd::BddManager& mgr, const net::Network& network
       transfer_(index_),
       results_(run_online(suite, transfer_, trace, incremental_.get())),
       trace_(std::move(trace)),
-      covered_(timed_covered_sets(index_, trace_, options, timings_, incremental_.get())),
+      covered_(timed_covered_sets(index_, trace_, timings_, incremental_.get())),
       factory_(transfer_),
       measures_(build_measures(index_, covered_, factory_)) {
   if (incremental_) {

@@ -74,12 +74,11 @@ struct EngineOptions {
   /// afterwards, so engines sharing a manager end in the reverse order they
   /// began. See the engine constructor docs for degradation semantics.
   const ResourceBudget* budget = nullptr;
-  /// Worker threads for step 2 (CoveredSets) and the path-universe sweep
-  /// (clone_and_drain.hpp); the CLI passes the same count to the suite
-  /// matrix. 1 = serial, 0 = one per hardware thread. Step 1 builds in the
-  /// engine's manager at every count (DESIGN.md §8). Unbounded results are
-  /// bit-identical across thread counts — results merge canonically into
-  /// the engine's manager, and floating-point folds run in a fixed order.
+  /// Worker threads for the path-universe sweep (clone_and_drain.hpp); the
+  /// CLI passes the same count to the suite matrix. 1 = serial, 0 = one per
+  /// hardware thread. Steps 1 and 2 build in the engine's manager at every
+  /// count (DESIGN.md §8). Unbounded results are bit-identical across
+  /// thread counts — the sweep folds per-ingress partials in a fixed order.
   unsigned threads = 1;
   /// Directory for the incremental result cache (DESIGN.md §11). Empty =
   /// no cross-run caching. When set, construction loads cached per-device
@@ -249,8 +248,7 @@ class CoverageEngine {
       const IncrementalSession* incremental);
   [[nodiscard]] static coverage::CoveredSets timed_covered_sets(
       const dataplane::MatchSetIndex& index, const coverage::CoverageTrace& trace,
-      const EngineOptions& options, PhaseTimings& timings,
-      const IncrementalSession* incremental);
+      PhaseTimings& timings, const IncrementalSession* incremental);
   /// Null when options.cache_dir is empty; never throws (cache failures
   /// degrade to a full rebuild, recorded in the session's stats).
   [[nodiscard]] static std::unique_ptr<IncrementalSession> make_incremental(

@@ -27,15 +27,21 @@
 #include <unordered_set>
 #include <vector>
 
+#include "coverage/covered_sets.hpp"
 #include "dataplane/match_sets.hpp"
+#include "nettest/acl_checks.hpp"
 #include "nettest/contract_checks.hpp"
 #include "nettest/reachability.hpp"
 #include "nettest/state_checks.hpp"
+#include "nettest/transform_checks.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "routing/fib_builder.hpp"
 #include "scenario/runner.hpp"
+#include "topo/acl.hpp"
 #include "topo/fattree.hpp"
+#include "topo/regional.hpp"
+#include "topo/transforms.hpp"
 #include "yardstick/engine.hpp"
 
 // --- Global allocation counting (for the disabled-mode zero-alloc test) ---
@@ -494,6 +500,78 @@ TEST(ObsTracerTest, MatchSetBuildCountsFieldsAndDifferences) {
     EXPECT_EQ(metrics().counter("ys.match_sets.differences").value(), overlapping)
         << threads << " threads";
   }
+}
+
+TEST(ObsTracerTest, CoveredSetBuildDecidesRulesOnTheHeadersCofactor) {
+  // Step 2 decides a rule on the device headers' cofactor at its dst prefix
+  // and intersects only when that cofactor is neither everything nor
+  // nothing (DESIGN.md §22); its span says how each rule went. On a fat
+  // tree every rule with a longer prefix than /0 is decided without one:
+  // the only rule intersected is the WAN's default route, whose cube is the
+  // whole space and which no test inspects. So a second build over the
+  // same trace pays one apply-cache lookup per intersected rule, the hit at
+  // the top of the intersection the first build cached, and no other.
+  topo::FatTree tree = topo::make_fat_tree({.k = 8});
+  routing::FibBuilder::compute_and_build(tree.network, tree.routing);
+  const net::Network& network = tree.network;
+  nettest::TestSuite final_suite("final");
+  final_suite.add(std::make_unique<nettest::DefaultRouteCheck>());
+  final_suite.add(std::make_unique<nettest::AggCanReachTorLoopback>());
+  final_suite.add(std::make_unique<nettest::InternalRouteCheck>());
+  final_suite.add(std::make_unique<nettest::ConnectedRouteCheck>());
+  ScopedObservability on;
+  bdd::BddManager mgr(packet::kNumHeaderBits);
+  const ys::CoverageEngine engine(mgr, network, final_suite);
+  uint64_t whole_space = 0;
+  for (const net::Rule& rule : network.rules()) {
+    const auto prefix = rule.dst_prefix();
+    whole_space += (!prefix || prefix->length() == 0) && !engine.trace().rule_marked(rule.id);
+  }
+  ASSERT_EQ(whole_space, 1u);
+
+  const auto decided = [](const TraceEvent& build) {
+    return arg_of(build, "all") + arg_of(build, "none") + arg_of(build, "intersected") +
+           arg_of(build, "marked");
+  };
+  const std::vector<TraceEvent> builds =
+      spans_named(Tracer::global().snapshot(), "covered_sets.build");
+  ASSERT_EQ(builds.size(), 1u);
+  EXPECT_EQ(decided(builds[0]), network.rule_count());
+  EXPECT_EQ(arg_of(builds[0], "intersected"), whole_space);
+  EXPECT_EQ(arg_of(builds[0], "marked"), engine.trace().marked_rules().size());
+  for (int a = 0; a < builds[0].num_args; ++a) {
+    EXPECT_STRNE(builds[0].args[a].key, "workers");
+  }
+
+  const bdd::BddManager::CacheStats before = mgr.cache_stats();
+  const coverage::CoveredSets again(engine.match_sets(), engine.trace());
+  const bdd::BddManager::CacheStats after = mgr.cache_stats();
+  EXPECT_EQ(after.hits + after.misses - before.hits - before.misses, whole_space);
+  for (const net::Rule& rule : network.rules()) {
+    ASSERT_EQ(again.covered(rule.id).raw(), engine.covered_sets().covered(rule.id).raw());
+  }
+
+  // A regional net whose ToR FIB rules are clipped by their ACL's permitted
+  // space intersects below the prefix.
+  topo::RegionalNetwork region = topo::make_regional({});
+  const topo::TransformState transforms =
+      topo::plan_transforms(region, {.tunnels = 2, .nat_rules_per_wan = 2});
+  routing::FibBuilder::compute_and_build(region.network, region.routing);
+  topo::install_ingress_acls(region.network, region.tors);
+  topo::install_transform_rules(region.network, transforms, region.routing);
+  nettest::TestSuite acl_suite("acl");
+  acl_suite.add(std::make_unique<nettest::InternalRouteCheck>());
+  acl_suite.add(std::make_unique<nettest::AclBlockCheck>());
+  acl_suite.add(std::make_unique<nettest::BlockedPortCheck>());
+  acl_suite.add(std::make_unique<nettest::TunnelRoundTripCheck>());
+  Tracer::global().clear();
+  bdd::BddManager regional_mgr(packet::kNumHeaderBits);
+  const ys::CoverageEngine regional(regional_mgr, region.network, acl_suite);
+  const std::vector<TraceEvent> regional_builds =
+      spans_named(Tracer::global().snapshot(), "covered_sets.build");
+  ASSERT_EQ(regional_builds.size(), 1u);
+  EXPECT_EQ(decided(regional_builds[0]), region.network.rule_count());
+  EXPECT_GT(arg_of(regional_builds[0], "intersected"), 0u);
 }
 
 TEST(ObsTracerTest, DisabledModeAllocatesNothing) {

@@ -1,9 +1,9 @@
-// The parallel offline phase must be a pure performance feature: sharded
-// builds (per-thread BDD managers merged by structural import) and the
-// concurrent path sweep have to produce bit-identical match sets, covered
-// sets, metric rows and path-universe results for every thread count —
-// including 0 (hardware concurrency) — and degrade to the same truncated
-// flags under a tripping resource budget.
+// The thread count must be a pure performance knob: steps 1 and 2 build in
+// the engine's manager at every count, and the concurrent path sweep and
+// suite matrix clone into per-worker managers, so match sets, covered sets,
+// metric rows and path-universe results must be bit-identical for every
+// thread count — including 0 (hardware concurrency) — and degrade to the
+// same truncated flags under a tripping resource budget.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -232,13 +232,13 @@ TEST_F(ParallelDeterminismTest, RegionalSetsAndMetricsBitIdentical) {
   }
 }
 
-TEST_F(ParallelDeterminismTest, ShardsUnderBudgetKeepAccountingBalanced) {
+TEST_F(ParallelDeterminismTest, BudgetAccountingBalancedThroughAFaultInStepOneOrTwo) {
   topo::FatTree tree = topo::make_fat_tree({.k = 4});
   routing::FibBuilder::compute_and_build(tree.network, tree.routing);
   const coverage::CoverageTrace trace = fat_tree_trace(tree);
 
-  // Roomy cap: the build completes; the shards must return their charge so
-  // the budget drains back to exactly the primary manager's arena.
+  // Roomy cap: the build completes, and the budget holds exactly the
+  // primary manager's arena, where steps 1 and 2 built at 4 threads.
   ys::ResourceBudget budget;
   budget.with_max_bdd_nodes(50'000'000);
   const EngineRun run = run_engine(tree.network, trace, {.budget = &budget, .threads = 4});
@@ -246,10 +246,9 @@ TEST_F(ParallelDeterminismTest, ShardsUnderBudgetKeepAccountingBalanced) {
   EXPECT_EQ(budget.used_bdd_nodes(), run.mgr->arena_size());
   EXPECT_GE(budget.peak_bdd_nodes(), budget.used_bdd_nodes());
 
-  // A failure other than the budget aborts the engine, in step 1 (in the
-  // primary manager) or in step 2 (in the shards); the shards must still
-  // hand their charge back, and the engine its own, leaving the budget off
-  // the manager and empty.
+  // A failure other than the budget aborts the engine, in step 1 or in
+  // step 2, both in the primary manager; the engine must still hand its
+  // charge back, leaving the budget off the manager and empty.
   for (const bool in_step_2 : {false, true}) {
     ys::ResourceBudget failing;
     failing.with_max_bdd_nodes(50'000'000);
@@ -294,8 +293,8 @@ TEST_F(ParallelDeterminismTest, TrippingBudgetTruncatesInEveryMode) {
 
   // A node cap attached to the manager bounds every stage the same way at
   // every thread count: the primary charges it at one thread, and every
-  // shard and worker manager attaches it at more. Step 1 builds in the
-  // primary at every count. The engines were built unbudgeted, so their
+  // worker manager of the suite matrix and the path sweep attaches it at
+  // more. Steps 1 and 2 build in the primary at every count. The engines were built unbudgeted, so their
   // arenas alone already exceed the cap. The cap trips only on a fresh
   // node: the pair's flood builds sets the engines' trace does not hold (a
   // ToRContract fold would find all of its own).
@@ -376,23 +375,21 @@ TEST_F(ParallelDeterminismTest, TrippingBudgetTruncatesInEveryMode) {
   }
 }
 
-TEST_F(ParallelDeterminismTest, BudgetStoppingTheCoveredSetsMergeLeavesOnlyPrimaryHandles) {
+TEST_F(ParallelDeterminismTest, BudgetStoppingStepTwoLeavesOnlyPrimaryHandles) {
   topo::FatTree tree = topo::make_fat_tree({.k = 4});
   routing::FibBuilder::compute_and_build(tree.network, tree.routing);
-  // A port range at every ToR cuts across the match sets there, so step 2's
-  // merge imports covered sets the primary does not hold yet.
+  // A port range at every ToR cuts across the match sets there, so step 2
+  // builds covered sets the primary does not hold yet.
   coverage::CoverageTrace trace = fat_tree_trace(tree);
   const packet::PacketSet ports =
       packet::PacketSet::field_range(scratch_, packet::Field::DstPort, 1000, 2000);
   for (const net::DeviceId tor : tree.tors) trace.mark_packet(net::device_location(tor), ports);
 
-  // Two workers build step 2 in two shards. Nothing releases charge before
-  // the shards die after the merge, and the merge imports fresh nodes, so
-  // step 2's charge only rises and peaks at its merge's last fresh node,
-  // whatever order the workers ran in: a cap one below that peak stops the
-  // merge there, with every device built. `between` runs in the online
-  // phase, where the budget is off every manager and nothing is charged: it
-  // sets step 2's cap there.
+  // At 2 threads step 2 builds in the primary, which releases no charge
+  // while the engine lives, so step 2's charge only rises and peaks at its
+  // last fresh node: a cap one below that peak stops step 2 there.
+  // `between` runs in the online phase, where the budget is off every
+  // manager and nothing is charged: it sets step 2's cap there.
   const auto run = [&](ys::ResourceBudget& budget, const std::function<void()>& between) {
     EngineRun r;
     r.mgr = std::make_unique<bdd::BddManager>(packet::kNumHeaderBits);

@@ -129,7 +129,7 @@ struct CliOptions {
   std::optional<std::string> load_trace;
   double deadline_s = 0.0;       // 0 = unlimited
   size_t max_bdd_nodes = 0;      // 0 = unlimited
-  unsigned threads = 0;          // offline-phase workers; 0 = all hardware threads
+  unsigned threads = 0;          // path-sweep and suite-matrix workers; 0 = all hardware threads
   std::string cache_dir;         // incremental result cache; empty = off
   std::optional<std::string> trace_out;    // Chrome trace-event JSON
   std::optional<std::string> metrics_out;  // metrics JSON (+ FILE.prom)
@@ -226,7 +226,8 @@ constexpr Flag kFlags[] = {
     {"resources", "--max-bdd-nodes", "N", "cap BDD arena size (partial results)",
      [](auto& o, auto v, auto) { return parse_range(v, 1, LLONG_MAX, o.max_bdd_nodes); }},
     {"resources", "--threads", "N",
-     "offline-phase worker threads, N >= 1 (default: all hardware threads; same results)",
+     "path-sweep and suite-matrix worker threads, N >= 1 (default: all hardware threads; "
+     "same results)",
      [](auto& o, auto v, auto) { return parse_range(v, 1, INT_MAX, o.threads); }},
     {"resources", "--incremental", "",
      "cache offline-phase results in .yardstick-cache; recompute only what changed",
